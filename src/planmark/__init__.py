@@ -17,7 +17,6 @@ from .bayes import (
     default_cpts,
     evidence_filter,
     exact_posterior,
-    posterior_by_elimination,
     render_network,
 )
 from .kb import KbError, KnowledgeBase, Observation, Schema, load_kb, render_kb

@@ -35,28 +35,28 @@ evidence).  Whenever the residual is at most 1 the spinal contribution is
 therefore an upper bound on the joint, which is what licenses using it as
 the marker passer's cutoff measure.
 
-Evaluation is exact by enumeration over all assignments of the non-evidence
-nodes (guarded to 24 nodes); `posterior_by_elimination` recomputes the same
-quantities by sum-product variable elimination as an independent check.
+Evaluation is exact and takes O(n) for n nodes (`exact_posterior`): the
+instance nodes are independent and the interior node only asks whether
+every equality holds, so the evidence's probability needs just the two end
+normalizers and the weight of the single all-true assignment.  The spine is
+a polytree, where this is Pearl's (1988, ch. 4) message passing in closed
+form.  The test suite checks it against full enumeration and against
+variable elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
-
-import numpy as np
+from math import prod
 
 from .kb import KnowledgeBase, Observation
 from .paths import Path
-from .semantics import StatementSet, relevant_statements
-
-ENUMERATION_GUARD = 24
-_CHUNK_BITS = 16
+# bench/tracing.py wraps this module's relevant_statements, so it stays imported.
+from .semantics import StatementSet, relevant_statements  # noqa: F401
 
 
 class NetworkError(Exception):
-    """Ill-formed CPT parameters or a network past the enumeration guard."""
+    """Ill-formed CPT parameters, or evidence impossible under them."""
 
 
 @dataclass(frozen=True)
@@ -187,138 +187,31 @@ def default_cpts(kb: KnowledgeBase, network: VertebrateNetwork,
                 gamma1=gamma1, gamma0=gamma0, eq_prior=kb.eq_prior)
 
 
-def exact_posterior(network: VertebrateNetwork, cpts: Cpts,
-                    guard: int = ENUMERATION_GUARD) -> tuple[float, float]:
-    """(joint, residual) by full enumeration.
+def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, float]:
+    """(joint, residual) of the network, exactly, in O(n).
 
     ``joint`` is P(every instance and equality node true | both end
     evidence nodes and the interior evidence node).  ``residual`` is the
     bounded group the joint factors into beyond the spinal contribution:
     p(==)^k * gamma1 / P(E_I | e1, e2).
+
+    Summed over everything else, each equality node and each interior
+    instance node contributes 1, so the mass of the end evidence alone is
+    s0 = Z1 * Z2 with Z = q*lambda_true + (1-q)*lambda_false at each end.
+    The interior node reads gamma1 only when every equality holds, which
+    forces every instance true, a single assignment of weight A; so the
+    mass with interior evidence is s1 = gamma0*s0 + (gamma1-gamma0)*A.
     """
-    n_inst = len(cpts.inst_prior)
-    n_eq = len(cpts.eq_true)
-    n = n_inst + n_eq
-    if n > guard:
-        raise NetworkError(f"{n} non-evidence nodes exceed the guard of {guard}")
-
-    priors = np.asarray(cpts.inst_prior)
-    eq_p = np.asarray(cpts.eq_true)
     (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
-
-    total = 1 << n
-    s0 = 0.0
-    s1 = 0.0
-    numerator = 0.0
-    chunk = 1 << min(n, _CHUNK_BITS)
-    for base in range(0, total, chunk):
-        idx = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & 1
-        inst_bits = bits[:, :n_inst].astype(bool)
-        eq_bits = bits[:, n_inst:].astype(bool)
-
-        w = np.prod(np.where(inst_bits, priors, 1.0 - priors), axis=1)
-        w *= np.where(inst_bits[:, 0], e1_t, e1_f)
-        w *= np.where(inst_bits[:, -1], e2_t, e2_f)
-        both = inst_bits[:, :-1] & inst_bits[:, 1:]  # parents of eq k
-        w *= np.prod(np.where(eq_bits, np.where(both, eq_p, 0.0),
-                              np.where(both, 1.0 - eq_p, 1.0)), axis=1)
-        w_ei = w * np.where(eq_bits.all(axis=1), cpts.gamma1, cpts.gamma0)
-
-        s0 += float(w.sum())
-        s1 += float(w_ei.sum())
-        if base + len(idx) == total:
-            numerator = float(w_ei[-1])  # the all-true assignment
-
+    q1, q2 = cpts.inst_prior[0], cpts.inst_prior[-1]
+    s0 = (q1 * e1_t + (1.0 - q1) * e1_f) * (q2 * e2_t + (1.0 - q2) * e2_f)
+    all_true = e1_t * e2_t * prod(cpts.inst_prior) * prod(cpts.eq_true)
+    s1 = cpts.gamma0 * s0 + (cpts.gamma1 - cpts.gamma0) * all_true
     if s1 <= 0.0:
         raise NetworkError("evidence has zero probability under the CPTs")
-    joint = numerator / s1
+    joint = cpts.gamma1 * all_true / s1
     p_ei_given_ends = s1 / s0
-    residual = (cpts.eq_prior ** n_eq) * cpts.gamma1 / p_ei_given_ends
-    return joint, residual
-
-
-# -- independent re-evaluation by sum-product elimination --------------------
-
-@dataclass
-class _Factor:
-    vars: tuple[int, ...]
-    table: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-    def value(self, assignment: dict[int, int]) -> float:
-        return self.table[tuple(assignment[v] for v in self.vars)]
-
-
-def _multiply(a: _Factor, b: _Factor) -> _Factor:
-    vars_out = tuple(dict.fromkeys(a.vars + b.vars))
-    out = _Factor(vars_out)
-    for values in iter_product((0, 1), repeat=len(vars_out)):
-        assignment = dict(zip(vars_out, values))
-        out.table[values] = a.value(assignment) * b.value(assignment)
-    return out
-
-
-def _sum_out(factor: _Factor, var: int) -> _Factor:
-    keep = tuple(v for v in factor.vars if v != var)
-    out = _Factor(keep, {values: 0.0 for values in iter_product((0, 1), repeat=len(keep))})
-    pos = factor.vars.index(var)
-    for values, weight in factor.table.items():
-        reduced = values[:pos] + values[pos + 1:]
-        out.table[reduced] += weight
-    return out
-
-
-def _eliminate_all(factors: list[_Factor], order: list[int]) -> float:
-    live = list(factors)
-    for var in order:
-        touching = [f for f in live if var in f.vars]
-        rest = [f for f in live if var not in f.vars]
-        merged = touching[0]
-        for f in touching[1:]:
-            merged = _multiply(merged, f)
-        live = rest + [_sum_out(merged, var)]
-    result = 1.0
-    for f in live:
-        result *= f.table[()]
-    return result
-
-
-def posterior_by_elimination(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, float]:
-    """Same (joint, residual) as `exact_posterior`, computed by variable
-    elimination; exists purely as an independent cross-check."""
-    n_inst = len(cpts.inst_prior)
-    n_eq = len(cpts.eq_true)
-    inst_var = list(range(n_inst))
-    eq_var = [n_inst + k for k in range(n_eq)]
-
-    factors: list[_Factor] = []
-    for i, q in enumerate(cpts.inst_prior):
-        factors.append(_Factor((inst_var[i],), {(1,): q, (0,): 1.0 - q}))
-    (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
-    factors.append(_Factor((inst_var[0],), {(1,): e1_t, (0,): e1_f}))
-    factors.append(_Factor((inst_var[-1],), {(1,): e2_t, (0,): e2_f}))
-    for k, p in enumerate(cpts.eq_true):
-        table = {}
-        for a, b, e in iter_product((0, 1), repeat=3):
-            on = p if (a and b) else 0.0
-            table[(a, b, e)] = on if e else 1.0 - on
-        factors.append(_Factor((inst_var[k], inst_var[k + 1], eq_var[k]), table))
-
-    interior = _Factor(tuple(eq_var), {
-        values: cpts.gamma1 if all(values) else cpts.gamma0
-        for values in iter_product((0, 1), repeat=n_eq)
-    })
-
-    order = inst_var + eq_var
-    s0 = _eliminate_all(factors, order)
-    s1 = _eliminate_all(factors + [interior], order)
-    all_true = {v: 1 for v in order}
-    numerator = 1.0
-    for f in factors + [interior]:
-        numerator *= f.value(all_true)
-
-    joint = numerator / s1
-    residual = (cpts.eq_prior ** n_eq) * cpts.gamma1 / (s1 / s0)
+    residual = (cpts.eq_prior ** len(cpts.eq_true)) * cpts.gamma1 / p_ei_given_ends
     return joint, residual
 
 
@@ -366,13 +259,13 @@ def evidence_filter(kb: KnowledgeBase, rs: StatementSet,
     return True
 
 
-def approve(kb: KnowledgeBase, path: Path, posterior: float,
+def approve(kb: KnowledgeBase, path: Path, rs: StatementSet, posterior: float,
             ratio: float = 1000.0) -> bool:
     """Accept a path when its joint posterior beats the prior of the plans
     it hypothesizes by ``ratio``.  The prior is the product over the
-    path's unobserved instances of their relevant-type priors (an empty
-    product for a path whose ends are its only instances)."""
-    rs = relevant_statements(kb, path)
+    path's unobserved instances in ``rs`` (its RS(P)) of their
+    relevant-type priors (an empty product for a path whose ends are its
+    only instances)."""
     observed = {path.start.instance, path.end.instance}
     prior_product = 1.0
     for inst in rs.insts:

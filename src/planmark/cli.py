@@ -20,6 +20,16 @@ from .scoring import score_path
 from .semantics import relevant_statements, statements_of
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, kb_required: bool = True) -> None:
     parser.add_argument("--kb", required=kb_required, help="knowledge base file")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
@@ -30,7 +40,7 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
                         help="half-path cutoff T (default 30)")
     parser.add_argument("--full-threshold", type=float, default=None,
                         help="whole-path cutoff (default T*T)")
-    parser.add_argument("--max-depth", type=int, default=10)
+    parser.add_argument("--max-depth", type=_positive_int, default=10)
     parser.add_argument("--approval-ratio", type=float, default=1000.0)
     parser.add_argument("--gamma1", type=float, default=0.9,
                         help="interior evidence strength when all equalities hold")
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--start", required=True, help="(inst ID SCHEMA) form")
     p.add_argument("--end", required=True, help="(inst ID SCHEMA) form")
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--max-depth", type=_positive_int, default=10)
 
     p = sub.add_parser("synth", help="emit a synthetic corpus")
     _add_common(p, kb_required=False)

@@ -165,12 +165,12 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 joint, residual = exact_posterior(network, default_cpts(
                     kb, network, config.gamma1, config.gamma0))
             except NetworkError as exc:
-                record.skip_reason = _skip_reason(exc)
+                record.skip_reason = str(exc)
             else:
                 evaluated += 1
                 record.posterior = joint
                 record.residual = residual
-                record.approved = approve(kb, path, joint,
+                record.approved = approve(kb, path, rs, joint,
                                           ratio=config.engine.approval_ratio)
                 if record.approved:
                     approved_count += 1
@@ -179,13 +179,6 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     reported = len(paths)
     return RunReport(records=records, reported=reported, asserted=reported,
                      evaluated=evaluated, approved=approved_count)
-
-
-def _skip_reason(exc: NetworkError) -> str:
-    message = str(exc)
-    if "exceed the guard" in message:
-        return "too large"
-    return message
 
 
 # -- synthetic corpora ---------------------------------------------------------

@@ -72,7 +72,7 @@ def with_beliefs(path, b1, b2):
     return Path(start=start, links=path.links, end=end)
 
 
-# A straight chain of role links, long enough to blow the enumeration guard.
+# A straight chain of role links: c<i+1> has slot step filled by c<i>.
 def chain_kb_text(length):
     lines = ["(eq-prior 0.0001)"]
     for i in range(length + 1):

@@ -1,0 +1,151 @@
+"""Reference evaluators for vertebrate networks, used only by the tests.
+
+`planmark.bayes.exact_posterior` computes (joint, residual) in closed form.
+The two evaluators here reach the same quantities without relying on the
+spine's structure: `posterior_by_enumeration` sums every assignment of the
+non-evidence nodes (2^n terms, chunked through numpy), and
+`posterior_by_elimination` runs sum-product variable elimination over
+explicit factor tables.  Both cost exponential time; keep them to small
+networks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from itertools import product as iter_product
+
+import numpy as np
+
+from planmark.bayes import Cpts, NetworkError, VertebrateNetwork
+
+_CHUNK_BITS = 16
+
+
+def posterior_by_enumeration(network: VertebrateNetwork,
+                             cpts: Cpts) -> tuple[float, float]:
+    """(joint, residual) by full enumeration.
+
+    ``joint`` is P(every instance and equality node true | both end
+    evidence nodes and the interior evidence node).  ``residual`` is the
+    bounded group the joint factors into beyond the spinal contribution:
+    p(==)^k * gamma1 / P(E_I | e1, e2).
+    """
+    n_inst = len(cpts.inst_prior)
+    n_eq = len(cpts.eq_true)
+    n = n_inst + n_eq
+
+    priors = np.asarray(cpts.inst_prior)
+    eq_p = np.asarray(cpts.eq_true)
+    (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
+
+    total = 1 << n
+    s0 = 0.0
+    s1 = 0.0
+    numerator = 0.0
+    chunk = 1 << min(n, _CHUNK_BITS)
+    for base in range(0, total, chunk):
+        idx = np.arange(base, min(base + chunk, total), dtype=np.uint64)
+        bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+        inst_bits = bits[:, :n_inst].astype(bool)
+        eq_bits = bits[:, n_inst:].astype(bool)
+
+        w = np.prod(np.where(inst_bits, priors, 1.0 - priors), axis=1)
+        w *= np.where(inst_bits[:, 0], e1_t, e1_f)
+        w *= np.where(inst_bits[:, -1], e2_t, e2_f)
+        both = inst_bits[:, :-1] & inst_bits[:, 1:]  # parents of eq k
+        w *= np.prod(np.where(eq_bits, np.where(both, eq_p, 0.0),
+                              np.where(both, 1.0 - eq_p, 1.0)), axis=1)
+        w_ei = w * np.where(eq_bits.all(axis=1), cpts.gamma1, cpts.gamma0)
+
+        s0 += float(w.sum())
+        s1 += float(w_ei.sum())
+        if base + len(idx) == total:
+            numerator = float(w_ei[-1])  # the all-true assignment
+
+    if s1 <= 0.0:
+        raise NetworkError("evidence has zero probability under the CPTs")
+    joint = numerator / s1
+    p_ei_given_ends = s1 / s0
+    residual = (cpts.eq_prior ** n_eq) * cpts.gamma1 / p_ei_given_ends
+    return joint, residual
+
+
+@dataclass
+class _Factor:
+    vars: tuple[int, ...]
+    table: dict[tuple[int, ...], float] = field(default_factory=dict)
+
+    def value(self, assignment: dict[int, int]) -> float:
+        return self.table[tuple(assignment[v] for v in self.vars)]
+
+
+def _multiply(a: _Factor, b: _Factor) -> _Factor:
+    vars_out = tuple(dict.fromkeys(a.vars + b.vars))
+    out = _Factor(vars_out)
+    for values in iter_product((0, 1), repeat=len(vars_out)):
+        assignment = dict(zip(vars_out, values))
+        out.table[values] = a.value(assignment) * b.value(assignment)
+    return out
+
+
+def _sum_out(factor: _Factor, var: int) -> _Factor:
+    keep = tuple(v for v in factor.vars if v != var)
+    out = _Factor(keep, {values: 0.0 for values in iter_product((0, 1), repeat=len(keep))})
+    pos = factor.vars.index(var)
+    for values, weight in factor.table.items():
+        reduced = values[:pos] + values[pos + 1:]
+        out.table[reduced] += weight
+    return out
+
+
+def _eliminate_all(factors: list[_Factor], order: list[int]) -> float:
+    live = list(factors)
+    for var in order:
+        touching = [f for f in live if var in f.vars]
+        rest = [f for f in live if var not in f.vars]
+        merged = touching[0]
+        for f in touching[1:]:
+            merged = _multiply(merged, f)
+        live = rest + [_sum_out(merged, var)]
+    result = 1.0
+    for f in live:
+        result *= f.table[()]
+    return result
+
+
+def posterior_by_elimination(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, float]:
+    """Same (joint, residual) by sum-product variable elimination."""
+    n_inst = len(cpts.inst_prior)
+    n_eq = len(cpts.eq_true)
+    inst_var = list(range(n_inst))
+    eq_var = [n_inst + k for k in range(n_eq)]
+
+    factors: list[_Factor] = []
+    for i, q in enumerate(cpts.inst_prior):
+        factors.append(_Factor((inst_var[i],), {(1,): q, (0,): 1.0 - q}))
+    (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
+    factors.append(_Factor((inst_var[0],), {(1,): e1_t, (0,): e1_f}))
+    factors.append(_Factor((inst_var[-1],), {(1,): e2_t, (0,): e2_f}))
+    for k, p in enumerate(cpts.eq_true):
+        table = {}
+        for a, b, e in iter_product((0, 1), repeat=3):
+            on = p if (a and b) else 0.0
+            table[(a, b, e)] = on if e else 1.0 - on
+        factors.append(_Factor((inst_var[k], inst_var[k + 1], eq_var[k]), table))
+
+    interior = _Factor(tuple(eq_var), {
+        values: cpts.gamma1 if all(values) else cpts.gamma0
+        for values in iter_product((0, 1), repeat=n_eq)
+    })
+
+    order = inst_var + eq_var
+    s0 = _eliminate_all(factors, order)
+    s1 = _eliminate_all(factors + [interior], order)
+    all_true = {v: 1 for v in order}
+    numerator = 1.0
+    for f in factors + [interior]:
+        numerator *= f.value(all_true)
+
+    joint = numerator / s1
+    residual = (cpts.eq_prior ** n_eq) * cpts.gamma1 / (s1 / s0)
+    return joint, residual

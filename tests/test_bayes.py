@@ -13,7 +13,6 @@ from planmark import (
     exact_posterior,
     load_kb,
     parse_path,
-    posterior_by_elimination,
     relevant_statements,
     render_network,
     score_path,
@@ -21,6 +20,7 @@ from planmark import (
 from planmark.paths import Path, TraversalLink
 
 from conftest import chain_kb_text, sample_paths
+from oracles import posterior_by_elimination, posterior_by_enumeration
 
 
 def single_role_path(kb, beliefs=(1.0, 1.0)):
@@ -161,27 +161,38 @@ def test_identity_and_bound_randomized(kb):
     assert checked_bound >= 30
 
 
+def chain_path(length, beliefs=(1.0, 1.0)):
+    """The straight path c0 -> c1 -> ... -> c<length> up the chain base's
+    role links, one role per step."""
+    links = tuple(TraversalLink.role_up(f"c{i + 1}", "step", f"c{i}")
+                  for i in range(length))
+    return Path(start=Observation("x", "c0", beliefs[0]), links=links,
+                end=Observation("y", f"c{length}", beliefs[1]))
+
+
 def test_enumeration_agrees_with_elimination(kb, fig31):
+    # Three-way: the closed form against both reference oracles.
     cases = [(kb, fig31)] + sample_paths(seed=61, limit=25, max_roles=4, beliefs=True)
+    cases += [(load_kb(chain_kb_text(n)), chain_path(n, beliefs=(0.7, 0.6)))
+              for n in range(3, 9)]
     for base, path in cases:
         network, cpts = network_of(base, path, gamma1=0.8, gamma0=0.3)
-        a = exact_posterior(network, cpts)
-        b = posterior_by_elimination(network, cpts)
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-        assert a[1] == pytest.approx(b[1], rel=1e-12)
+        closed = exact_posterior(network, cpts)
+        enumerated = posterior_by_enumeration(network, cpts)
+        eliminated = posterior_by_elimination(network, cpts)
+        for oracle in (enumerated, eliminated):
+            assert closed[0] == pytest.approx(oracle[0], rel=1e-12)
+            assert closed[1] == pytest.approx(oracle[1], rel=1e-12)
 
 
-def test_enumeration_guard():
+def test_twelve_role_chain_is_evaluated():
     base = load_kb(chain_kb_text(12))
-    links = tuple(TraversalLink.role_up(f"c{i + 1}", "step", f"c{i}")
-                  for i in range(12))
-    path = Path(start=Observation("x", "c0"), links=links,
-                end=Observation("y", "c12"))
+    path = chain_path(12)
     network = build_network(base, path, relevant_statements(base, path))
     assert network.non_evidence_count == 25
     cpts = default_cpts(base, network, 0.9, 0.1)
-    with pytest.raises(NetworkError, match="exceed the guard"):
-        exact_posterior(network, cpts)
+    joint, residual = exact_posterior(network, cpts)
+    assert joint == pytest.approx(score_path(base, path) * residual, rel=1e-9)
 
 
 def registry_for_fig31():
@@ -240,18 +251,20 @@ def test_approve_rule():
                    "(role rare-plan a-of thing)(role rare-plan b-of thing)")
     path = parse_path(base, "(inst t1 thing)(role rare-plan a-of thing)"
                             "(role- rare-plan b-of thing)(inst t2 thing)")
-    assert approve(base, path, 0.2, ratio=1000.0)          # 0.2 >= 0.1
-    assert not approve(base, path, 0.0999, ratio=1000.0)
-    assert not approve(base, path, 0.0001, ratio=2.0)      # == prior, ratio > 1
-    assert approve(base, path, 0.0001, ratio=1.0)          # boundary inclusive
+    rs = relevant_statements(base, path)
+    assert approve(base, path, rs, 0.2, ratio=1000.0)      # 0.2 >= 0.1
+    assert not approve(base, path, rs, 0.0999, ratio=1000.0)
+    assert not approve(base, path, rs, 0.0001, ratio=2.0)  # == prior, ratio > 1
+    assert approve(base, path, rs, 0.0001, ratio=1.0)      # boundary inclusive
 
 
 def test_approve_empty_plan_product(kb):
     # Both instances observed: the prior product is empty (1.0), so no
     # bounded posterior can clear a ratio above 1.
     path = single_role_path(kb)
-    assert not approve(kb, path, 1.0, ratio=1000.0)
-    assert approve(kb, path, 1.0, ratio=1.0)
+    rs = relevant_statements(kb, path)
+    assert not approve(kb, path, rs, 1.0, ratio=1000.0)
+    assert approve(kb, path, rs, 1.0, ratio=1.0)
 
 
 def test_render_network_fixture_dump(kb, fig31):

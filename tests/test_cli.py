@@ -133,3 +133,13 @@ def test_missing_kb_file_exits_one():
 def test_usage_error_exits_two():
     assert planmark("frobnicate").returncode == 2
     assert planmark("score").returncode == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("run",),
+    ("paths", "--start", "(inst a supermarket)", "--end", "(inst b go)"),
+])
+def test_max_depth_below_one_is_a_usage_error(kb_file, command):
+    result = planmark(*command, "--kb", kb_file, "--max-depth", "0", stdin="")
+    assert result.returncode == 2
+    assert "--max-depth" in result.stderr

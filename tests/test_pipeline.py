@@ -79,7 +79,7 @@ def test_reports_are_byte_identical(kb):
     assert first.endswith("counters reported=1 asserted=1 evaluated=1 approved=0\n")
 
 
-def test_oversized_network_is_skipped_but_asserted():
+def test_long_chain_is_evaluated_and_asserted():
     base = load_kb(chain_kb_text(12))
     stream_lines = ["(inst x c0)", "(inst y c12)"]
     stream_lines += [f"(corroborate c{i + 1} step)" for i in range(12)]
@@ -87,10 +87,19 @@ def test_oversized_network_is_skipped_but_asserted():
                                            max_depth=12))
     report = run(base, config, "\n".join(stream_lines))
     assert report.reported == report.asserted == 1
-    assert report.evaluated == 0
+    assert report.evaluated == 1
     record = report.records[0]
-    assert record.skip_reason == "too large"
-    assert "posterior skipped: too large" in record.render()
+    assert record.skip_reason is None
+    assert "skipped:" not in record.render()
+    assert record.posterior == pytest.approx(record.sc * record.residual, rel=1e-9)
+
+
+def test_observation_named_like_a_fresh_instance(kb):
+    # The default fresh-name prefix is gen-; the run's own is p<k>-gen-.
+    stream = FIXTURE_STREAM.replace("supermarket2", "gen-1")
+    report = run(kb, fixture_config(), stream)
+    assert (report.reported, report.evaluated) == (1, 1)
+    assert "(= (store-of p1-gen-1) gen-1)" in report.records[0].rs_text
 
 
 def test_counter_chain_inequality_on_synth_runs():
