@@ -6,7 +6,7 @@ there.  Priors are fixture values; in a deployed system they would be
 estimated from a corpus of worked explanations.
 """
 
-from planmark import load_kb, render_kb
+from planmark import load_kb
 
 KB_TEXT = """
 (eq-prior 0.001)                 ; p(==): any two things being the same thing
@@ -46,7 +46,7 @@ for link in kb.neighbors("shopping"):
     print(f"  {link.kind.name:9s} -> {link.destination:22s} {link.render()}")
 
 # The textual format round-trips exactly.
-assert load_kb(render_kb(kb)) == kb
+assert load_kb(kb.render()) == kb
 print()
 print("canonical rendering:")
-print(render_kb(kb))
+print(kb.render())

@@ -19,7 +19,7 @@ from .bayes import (
     exact_posterior,
     render_network,
 )
-from .kb import KbError, KnowledgeBase, Observation, Schema, load_kb, render_kb
+from .kb import KbError, KnowledgeBase, Observation, Schema, load_kb
 from .marker import (
     CompletenessReport,
     EngineConfig,
@@ -38,7 +38,6 @@ from .paths import (
     TraversalLink,
     ValidityState,
     parse_path,
-    render_path,
     reverse,
     step,
     validate,
@@ -74,4 +73,60 @@ from .semantics import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Cpts",
+    "EvidenceRegistry",
+    "NetworkError",
+    "VertebrateNetwork",
+    "approve",
+    "build_network",
+    "default_cpts",
+    "evidence_filter",
+    "exact_posterior",
+    "render_network",
+    "KbError",
+    "KnowledgeBase",
+    "Observation",
+    "Schema",
+    "load_kb",
+    "CompletenessReport",
+    "EngineConfig",
+    "Mark",
+    "MarkerEngine",
+    "OracleGuardError",
+    "completeness_check",
+    "declarative_valid",
+    "enumerate_paths_oracle",
+    "LinkKind",
+    "Path",
+    "PathError",
+    "START_STATE",
+    "TraversalLink",
+    "ValidityState",
+    "parse_path",
+    "reverse",
+    "step",
+    "validate",
+    "RunConfig",
+    "RunReport",
+    "SynthCorpus",
+    "SynthParams",
+    "random_kb",
+    "run",
+    "synth_corpus",
+    "HalfScore",
+    "combine",
+    "extend_half",
+    "half_from",
+    "initial_score",
+    "link_multiplier",
+    "score_path",
+    "terminal_multiplier",
+    "Inst",
+    "SlotEq",
+    "StatementSet",
+    "relevant_instance_trace",
+    "relevant_statements",
+    "relevant_type",
+    "statements_of",
+]

@@ -320,7 +320,3 @@ def _build_adjacency(schemas: dict[str, Schema]) -> dict[str, tuple[TraversalLin
         return (link.destination, KIND_ORDER[link.kind], link.slot)
 
     return {name: tuple(sorted(links, key=key)) for name, links in moves.items()}
-
-
-def render_kb(kb: KnowledgeBase) -> str:
-    return kb.render()

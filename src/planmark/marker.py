@@ -6,10 +6,13 @@ half-path score, and their trail.  A move is taken only if the DFA accepts
 it and the extended score stays at or above the half threshold T; at most
 one mark per (origin, schema, DFA state) is retained, keeping the
 best-scoring trail.  When a mark lands where a mark from another origin
-already sits, the two trails are glued into a candidate whole path, checked
-against the validity grammar (marks from unrelated trails can meet in ways
-no single valid path allows), scored by the cleave rule, and emitted if the
-full score clears the full threshold.
+already sits, the meeting is judged before any path is built: the seam
+table over the two marks' DFA states rejects meetings no single valid path
+allows (marks from unrelated trails can meet at a plateau or a valley, or
+with no role link between them), and the cleave rule scores the rest from
+the two half scores.  Only a meeting whose full score clears the full
+threshold is glued into a whole path, re-scored link by link as a check on
+the cleave identity, and emitted unless the same path was emitted before.
 
 `enumerate_paths_oracle` is the engine's reference point: a plain
 exhaustive DFS over link sequences filtered by a direct restatement of the
@@ -27,6 +30,7 @@ from .kb import KnowledgeBase, Observation
 from .paths import (
     LinkKind,
     Path,
+    SEAM_VALID,
     START_STATE,
     TraversalLink,
     ValidityState,
@@ -89,7 +93,7 @@ class MarkerEngine:
         self._queue: deque[Mark] = deque()
         self._seed_order: dict[str, int] = {}
         self._seeds: dict[str, Observation] = {}
-        self._emitted_texts: set[str] = set()
+        self._emitted_keys: set[tuple[str, str, tuple[TraversalLink, ...]]] = set()
         self.emitted: list[Path] = []
         self._pending: list[Path] = []
 
@@ -151,23 +155,26 @@ class MarkerEngine:
         # Orient the glued path from the earlier-seeded observation.
         if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
             m1, m2 = m2, m1
-        links = m1.trail + tuple(link.flip() for link in reversed(m2.trail))
-        if not links:
+        # The two DFA states decide whether the glued path is valid, so no
+        # meeting is validated link by link, and one that is rejected or
+        # scores below the full threshold builds nothing.
+        if not SEAM_VALID[m1.dfa, m2.dfa]:
             return
-        path = Path(start=m1.origin, links=links, end=m2.origin)
-        if not validate(path):
-            return  # the seam forms a plateau/valley no single path allows
         full = combine(self.kb, m1.score, m2.score)
         if full < self.config.full_threshold:
             return
+        links = m1.trail + tuple(link.flip() for link in reversed(m2.trail))
+        path = Path(start=m1.origin, links=links, end=m2.origin)
         direct = score_path(self.kb, path)
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(
                 f"cleave identity violated: combined {full!r} vs direct {direct!r}")
-        text = path.render()
-        if text in self._emitted_texts:
+        # An observed instance has one schema, so this key names the path
+        # as exactly as its rendered text.
+        key = (m1.origin.instance, m2.origin.instance, links)
+        if key in self._emitted_keys:
             return
-        self._emitted_texts.add(text)
+        self._emitted_keys.add(key)
         self.emitted.append(path)
         self._pending.append(path)
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase, Observation
@@ -190,6 +190,23 @@ def step(state: ValidityState, link: TraversalLink | LinkKind) -> ValidityState 
     return ValidityState(Phase.DOWN_PHASE, False)
 
 
+def _seam_valid(state1: ValidityState, state2: ValidityState) -> bool:
+    # Each trail is grammatical on its own, so only a pair of moves that
+    # straddles the meeting point can break the grammar.
+    if state1.last_was_isa_up and state2.last_was_isa_up:
+        return False  # isa plateau: IsaUp, then the other trail's IsaUp flipped
+    if state1.phase is Phase.DOWN_PHASE and state2.phase is Phase.DOWN_PHASE:
+        return False  # slot-filler valley: a RoleDown, then a flipped RoleDown
+    return not (state1.phase is Phase.NO_ROLE_YET
+                and state2.phase is Phase.NO_ROLE_YET)  # no role link at all
+
+
+# SEAM_VALID[s1, s2]: whether a trail that left the DFA in state s1, glued
+# to the reversal of a trail that left it in state s2, is a valid path.
+SEAM_VALID = {(s1, s2): _seam_valid(s1, s2)
+              for s1 in ALL_STATES for s2 in ALL_STATES}
+
+
 @dataclass(frozen=True)
 class Path:
     """An alternating walk between two observations.  ``links`` run in
@@ -290,10 +307,6 @@ def _read_forms(text: str) -> list[tuple[list[str], int]]:
     return forms
 
 
-def render_path(path: Path) -> str:
-    return path.render()
-
-
 def parse_path(kb: "KnowledgeBase", text: str,
                beliefs: tuple[float, float] = (1.0, 1.0)) -> Path:
     """Parse the canonical surface syntax back into a `Path`.
@@ -365,6 +378,3 @@ def parse_path(kb: "KnowledgeBase", text: str,
         raise PathError("link sequence violates the path validity grammar")
     return path
 
-
-def kinds_of(links: Iterable[TraversalLink]) -> list[LinkKind]:
-    return [link.kind for link in links]

@@ -25,6 +25,7 @@ plus corroboration records emitted with a configurable density.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from .bayes import (
@@ -102,6 +103,12 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+# Path k of a run names its fresh instances p<k>-gen-<j>.  An observation
+# of that name would merge with one of them in RS(P), so streams may not
+# use the form.
+_RESERVED_ID_RE = re.compile(r"p[0-9]+-gen-[0-9]+\Z")
+
+
 def parse_stream(text: str) -> list[tuple[str, tuple, int]]:
     """Input records in order: ("inst", Observation, line) and
     ("corroborate", (schema, slot), line)."""
@@ -120,6 +127,9 @@ def parse_stream(text: str) -> list[tuple[str, tuple, int]]:
                     raise KbError(f"bad belief {items[4]!r}", line) from None
             else:
                 raise KbError("inst record is (inst ID SCHEMA [:belief FLOAT])", line)
+            if _RESERVED_ID_RE.match(items[1]):
+                raise KbError(f"instance ID {items[1]!r} is reserved: p<k>-gen-<j> "
+                              "names the fresh instances of path k", line)
             records.append(("inst", Observation(items[1], items[2], belief), line))
         elif head == "corroborate":
             if len(items) != 3:

@@ -137,6 +137,10 @@ def relevant_type(instance: str, sset: StatementSet, kb: KnowledgeBase) -> str:
     types = sset.types_of(instance)
     if not types:
         raise ValueError(f"no inst statement for {instance!r}")
+    return _most_specific(kb, instance, types)
+
+
+def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:
     best = types[0]
     for t in types[1:]:
         if t == best or kb.isa_star(t, best):
@@ -152,7 +156,11 @@ def relevant_statements(kb: KnowledgeBase, path: Path,
     """RS(P): all slot equalities, one inst statement per instance at its
     relevant type, in S(P) order."""
     full = statements_of(path, fresh_prefix)
-    rts = {i: relevant_type(i, full, kb) for i in full.instances()}
+    types: dict[str, list[str]] = {}
+    for s in full.statements:
+        if isinstance(s, Inst):
+            types.setdefault(s.instance, []).append(s.schema)
+    rts = {i: _most_specific(kb, i, ts) for i, ts in types.items()}
     kept = tuple(
         s for s in full.statements
         if isinstance(s, SlotEq) or rts[s.instance] == s.schema

@@ -1,4 +1,11 @@
-"""Reference evaluators for vertebrate networks, used only by the tests.
+"""Reference implementations used only by the tests.
+
+`GlueThenValidateEngine` is the marker engine with its original meeting
+handler, which glues every meeting into a whole path and runs `validate`
+on it before scoring; the engine itself judges meetings from the two
+marks' DFA states and scores them before building anything.
+
+The rest are reference evaluators for vertebrate networks.
 
 `planmark.bayes.exact_posterior` computes (joint, residual) in closed form.
 The two evaluators here reach the same quantities without relying on the
@@ -11,12 +18,49 @@ networks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
 
 from planmark.bayes import Cpts, NetworkError, VertebrateNetwork
+from planmark.marker import Mark, MarkerEngine
+from planmark.paths import Path, validate
+from planmark.scoring import combine, score_path
+
+
+class GlueThenValidateEngine(MarkerEngine):
+    """`MarkerEngine` whose meetings are glued, validated, scored and
+    deduplicated on rendered text, in that order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._emitted_texts: set[str] = set()
+
+    def _collide(self, m1: Mark, m2: Mark) -> None:
+        # Orient the glued path from the earlier-seeded observation.
+        if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
+            m1, m2 = m2, m1
+        links = m1.trail + tuple(link.flip() for link in reversed(m2.trail))
+        if not links:
+            return
+        path = Path(start=m1.origin, links=links, end=m2.origin)
+        if not validate(path):
+            return  # the seam forms a plateau/valley no single path allows
+        full = combine(self.kb, m1.score, m2.score)
+        if full < self.config.full_threshold:
+            return
+        direct = score_path(self.kb, path)
+        if not math.isclose(full, direct, rel_tol=1e-9):
+            raise AssertionError(
+                f"cleave identity violated: combined {full!r} vs direct {direct!r}")
+        text = path.render()
+        if text in self._emitted_texts:
+            return
+        self._emitted_texts.add(text)
+        self.emitted.append(path)
+        self._pending.append(path)
 
 _CHUNK_BITS = 16
 

@@ -81,6 +81,18 @@ def test_run_from_stdin_and_counters(kb_file):
     assert f"path {FIG31_TEXT}" in result.stdout
 
 
+def test_run_rejects_a_reserved_fresh_name(kb_file, tmp_path):
+    stream_file = tmp_path / "story.stream"
+    stream_file.write_text("(inst go1 go :belief 0.9)\n"
+                           "(inst p1-gen-1 supermarket :belief 0.9)\n")
+    result = planmark("run", "--kb", kb_file, "--input", str(stream_file),
+                      *SPREAD_FLAGS)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: line 2: instance ID 'p1-gen-1' is reserved")
+    assert "Traceback" not in result.stderr
+
+
 def test_run_is_byte_identical(kb_file, tmp_path):
     stream_file = tmp_path / "story.stream"
     stream_file.write_text("(inst supermarket2 supermarket)\n(inst go1 go)\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from planmark import KbError, load_kb, random_kb, render_kb
+from planmark import KbError, load_kb, random_kb
 from planmark.paths import LinkKind
 
 
@@ -124,7 +124,7 @@ def test_prior_invariants_hold_on_random_bases():
 @pytest.mark.parametrize("seed", range(5))
 def test_render_round_trip(seed, kb):
     for base in (kb, random_kb(seed)):
-        assert load_kb(render_kb(base)) == base
+        assert load_kb(base.render()) == base
 
 
 def test_adjacency_covers_every_link(kb):

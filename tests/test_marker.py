@@ -1,19 +1,25 @@
 import pytest
 
 from planmark import (
+    START_STATE,
     EngineConfig,
     KbError,
+    LinkKind,
     MarkerEngine,
     Observation,
     completeness_check,
+    declarative_valid,
     enumerate_paths_oracle,
     load_kb,
     random_kb,
     score_path,
+    step,
 )
 from planmark.marker import OracleGuardError
+from planmark.paths import SEAM_VALID
 
 from conftest import assert_matches_oracle_modulo_retention, chain_kb_text
+from oracles import GlueThenValidateEngine
 
 
 def small_config(**kwargs):
@@ -204,3 +210,72 @@ def test_emitted_scores_match_recomputation_and_threshold():
         engine = _engine_run(base, seeds, config)
         for path in engine.emitted:
             assert score_path(base, path) >= config.full_threshold
+
+
+def _accepted_trails(max_len):
+    """Every kind sequence of at most ``max_len`` moves the DFA accepts,
+    with the state it leaves the DFA in."""
+    trails = [((), START_STATE)]
+    frontier = trails
+    for _ in range(max_len):
+        frontier = [(kinds + (kind,), after)
+                    for kinds, state in frontier
+                    for kind in LinkKind
+                    if (after := step(state, kind)) is not None]
+        trails = trails + frontier
+    return trails
+
+
+def test_seam_table_agrees_with_the_grammar():
+    trails = _accepted_trails(4)
+    assert len(trails) ** 2 == 44_100
+    for kinds1, state1 in trails:
+        for kinds2, state2 in trails:
+            glued = list(kinds1) + [kind.flipped for kind in reversed(kinds2)]
+            assert SEAM_VALID[state1, state2] == declarative_valid(glued), (kinds1, kinds2)
+
+
+def _emissions(engine_class, base, seeds, config):
+    """What each seed-and-spread step emits, in order."""
+    engine = engine_class(base, config)
+    steps = []
+    for obs in seeds:
+        engine.seed(obs)
+        steps.append(engine.spread())
+    assert engine.emitted == [path for paths in steps for path in paths]
+    return steps
+
+
+def _assert_emits_like_glue_then_validate(base, seeds, config):
+    expected = _emissions(GlueThenValidateEngine, base, seeds, config)
+    assert _emissions(MarkerEngine, base, seeds, config) == expected
+    return sum(len(paths) for paths in expected)
+
+
+@pytest.mark.parametrize("config", [
+    small_config(),
+    EngineConfig(half_threshold=0.1, full_threshold=1.0, max_depth=10),
+])
+def test_fixture_emits_like_glue_then_validate(kb, config):
+    assert _assert_emits_like_glue_then_validate(kb, fixture_seeds(), config) >= 1
+
+
+@pytest.mark.parametrize("length", range(3, 9))
+def test_chain_emits_like_glue_then_validate(length):
+    base = load_kb(chain_kb_text(length))
+    seeds = (Observation("x", "c0"), Observation("m", f"c{length // 2}"),
+             Observation("y", f"c{length}"))
+    config = small_config(max_depth=length)
+    assert _assert_emits_like_glue_then_validate(base, seeds, config) >= 3
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("thresholds", [(0.0, 0.0), (0.01, 1e-4)])
+def test_random_base_emits_like_glue_then_validate(seed, thresholds):
+    base = random_kb(seed + 300, n_schemas=40, n_roles=40)
+    names = sorted(base.schemas)
+    seeds = tuple(Observation(f"o{k}", names[(7 * seed + 11 * k) % len(names)], 0.9)
+                  for k in range(4))
+    config = EngineConfig(half_threshold=thresholds[0], full_threshold=thresholds[1],
+                          max_depth=4)
+    assert _assert_emits_like_glue_then_validate(base, seeds, config) > 0

@@ -102,6 +102,20 @@ def test_observation_named_like_a_fresh_instance(kb):
     assert "(= (store-of p1-gen-1) gen-1)" in report.records[0].rs_text
 
 
+@pytest.mark.parametrize("name", ["p1-gen-1", "p12-gen-30"])
+def test_observation_with_a_reserved_fresh_name_is_rejected(kb, name):
+    # p<k>-gen-<j> is the form of the fresh names the run gives path k.
+    stream = FIXTURE_STREAM.replace("supermarket2", name)
+    with pytest.raises(KbError, match=f"line 2: instance ID {name!r} is reserved"):
+        run(kb, fixture_config(), stream)
+
+
+@pytest.mark.parametrize("name", ["p-gen-1", "p1-gen-", "xp1-gen-1", "p1-gen-1x"])
+def test_names_outside_the_reserved_form_are_accepted(name):
+    [(head, obs, line)] = parse_stream(f"(inst {name} go)")
+    assert obs.instance == name
+
+
 def test_counter_chain_inequality_on_synth_runs():
     for seed in range(5):
         corpus = synth_corpus(seed, SynthParams(corroboration_density=0.5))
