@@ -39,8 +39,8 @@ paths = engine.spread()
 print(f"marks retained: {len(engine.marks)}")
 for key, mark in engine.marks.items():
     origin, at, _ = key
-    print(f"  from {origin:13s} at {at:22s} score={mark.score.value:.4g} "
-          f"depth={mark.depth}")
+    print(f"  from {origin:13s} at {at:22s} score={mark.score:.4g} "
+          f"depth={len(mark.trail)}")
 
 print()
 print(f"paths emitted: {len(paths)}")

@@ -20,7 +20,7 @@ from planmark import (
     score_path,
     statements_of,
 )
-from planmark.scoring import combine, extend_half, half_from
+from planmark.scoring import combine, extend_half, initial_score
 
 kb = load_kb("""
 (eq-prior 0.001)
@@ -44,12 +44,13 @@ sc = score_path(kb, path)
 print("spinal contribution:", sc)
 
 # The same number from two halves glued at the collision schema.
-h1 = half_from(path.start)
+meeting = path.schemas()[2]
+h1 = initial_score(path.start)
 for link in path.links[:2]:
     h1 = extend_half(kb, h1, link)
-h2 = extend_half(kb, half_from(path.end), path.links[2].flip())
-print(f"halves at {h1.at!r}: {h1.value} and {h2.value};",
-      "combined:", combine(kb, h1, h2))
+h2 = extend_half(kb, initial_score(path.end), path.links[2].flip())
+print(f"halves at {meeting!r}: {h1} and {h2};",
+      "combined:", combine(kb, meeting, h1, h2))
 
 # What the path asserts, and the subset the network is built from.
 print()

@@ -52,10 +52,8 @@ from .pipeline import (
     synth_corpus,
 )
 from .scoring import (
-    HalfScore,
     combine,
     extend_half,
-    half_from,
     initial_score,
     link_multiplier,
     score_path,
@@ -114,10 +112,8 @@ __all__ = [
     "random_kb",
     "run",
     "synth_corpus",
-    "HalfScore",
     "combine",
     "extend_half",
-    "half_from",
     "initial_score",
     "link_multiplier",
     "score_path",

@@ -145,9 +145,9 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         config = RunConfig(
             engine=EngineConfig(half_threshold=args.threshold,
                                 full_threshold=args.full_threshold,
-                                max_depth=args.max_depth,
-                                approval_ratio=args.approval_ratio),
-            gamma1=args.gamma1, gamma0=args.gamma0)
+                                max_depth=args.max_depth),
+            gamma1=args.gamma1, gamma0=args.gamma0,
+            approval_ratio=args.approval_ratio)
         out.write(run(kb, config, stream_text).render())
         return 0
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .paths import KIND_ORDER, TraversalLink
+from .paths import KIND_ORDER, TraversalLink, read_forms
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
@@ -43,6 +43,11 @@ class KbError(Exception):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+    @classmethod
+    def from_reader(cls, message: str, line: int, position: int) -> "KbError":
+        """`read_forms` syntax error: KB and stream sources report lines."""
+        return cls(message, line)
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,10 @@ class KnowledgeBase:
     def neighbors(self, name: str) -> tuple[TraversalLink, ...]:
         """All moves leaving ``name``, sorted by destination schema then
         link kind then slot; every move has its inverse at the far end."""
-        self.schema(name)
-        return self.adjacency.get(name, ())
+        try:
+            return self.adjacency[name]
+        except KeyError:
+            raise KbError(f"unknown schema {name!r}") from None
 
     def has_role(self, filled: str, slot: str, filler: str) -> bool:
         schema = self.schemas.get(filled)
@@ -142,56 +149,6 @@ class KnowledgeBase:
         return "\n".join(lines) + "\n"
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """Tokens with 1-based line numbers; ';' comments run to end of line."""
-    tokens = []
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, line))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append((text[i:j], line))
-            i = j
-    return tokens
-
-
-def _read_forms(text: str) -> list[tuple[list[str], int]]:
-    tokens = _tokenize(text)
-    forms = []
-    i = 0
-    while i < len(tokens):
-        tok, line = tokens[i]
-        if tok != "(":
-            raise KbError(f"expected '(' but found {tok!r}", line)
-        items = []
-        j = i + 1
-        while j < len(tokens) and tokens[j][0] not in "()":
-            items.append(tokens[j][0])
-            j += 1
-        if j >= len(tokens) or tokens[j][0] != ")":
-            raise KbError("unterminated form", line)
-        if not items:
-            raise KbError("empty form", line)
-        forms.append((items, line))
-        i = j + 1
-    return forms
-
-
 def _parse_float(token: str, line: int) -> float:
     try:
         value = float(token)
@@ -213,7 +170,7 @@ def load_kb(text: str) -> KnowledgeBase:
     raw_roles: list[tuple[str, str, str, int]] = []
     eq_prior: float | None = None
 
-    for items, line in _read_forms(text):
+    for items, line, _ in read_forms(text, KbError.from_reader):
         head = items[0]
         if head == "schema":
             if len(items) not in (4, 6):

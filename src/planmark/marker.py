@@ -2,7 +2,8 @@
 
 Each observation seeds a mark on its schema.  Marks spread outward to
 neighboring schemas in FIFO order, carrying a validity-DFA state, a running
-half-path score, and their trail.  A move is taken only if the DFA accepts
+half-path score (a float, one multiply per link), and their trail, whose
+length is the mark's depth.  A move is taken only if the DFA accepts
 it and the extended score stays at or above the half threshold T; at most
 one mark per (origin, schema, DFA state) is retained, keeping the
 best-scoring trail.  When a mark lands where a mark from another origin
@@ -10,9 +11,12 @@ already sits, the meeting is judged before any path is built: the seam
 table over the two marks' DFA states rejects meetings no single valid path
 allows (marks from unrelated trails can meet at a plateau or a valley, or
 with no role link between them), and the cleave rule scores the rest from
-the two half scores.  Only a meeting whose full score clears the full
-threshold is glued into a whole path, re-scored link by link as a check on
-the cleave identity, and emitted unless the same path was emitted before.
+the two half scores and the meeting schema's prior.  Only a meeting whose
+full score clears the full threshold is glued into a whole path, re-scored
+link by link as a check on the cleave identity, and emitted unless the
+same path was emitted before.  Marks extend only along the base's
+neighbor links and meet only at the schema they share, so the scoring
+functions they call check neither.
 
 `enumerate_paths_oracle` is the engine's reference point: a plain
 exhaustive DFS over link sequences filtered by a direct restatement of the
@@ -37,7 +41,7 @@ from .paths import (
     step,
     validate,
 )
-from .scoring import HalfScore, combine, extend_half, half_from, score_path
+from .scoring import combine, extend_half, initial_score, score_path
 
 MarkKey = tuple[str, str, ValidityState]
 
@@ -51,9 +55,8 @@ class Mark:
     origin: Observation
     at: str
     dfa: ValidityState
-    score: HalfScore
+    score: float
     trail: tuple[TraversalLink, ...]
-    depth: int
 
     @property
     def key(self) -> MarkKey:
@@ -71,7 +74,6 @@ class EngineConfig:
     half_threshold: float = 30.0
     full_threshold: float | None = None
     max_depth: int = 10
-    approval_ratio: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.full_threshold is None:
@@ -113,7 +115,7 @@ class MarkerEngine:
         self._seeds[obs.instance] = obs
         self._seed_order[obs.instance] = len(self._seed_order)
         mark = Mark(origin=obs, at=obs.schema, dfa=START_STATE,
-                    score=half_from(obs), trail=(), depth=0)
+                    score=initial_score(obs), trail=())
         self._place(mark)
 
     def spread(self) -> list[Path]:
@@ -128,27 +130,26 @@ class MarkerEngine:
                 state = step(mark.dfa, link)
                 if state is None:
                     continue
-                half = extend_half(self.kb, mark.score, link)
-                if half.value < cfg.half_threshold:
+                score = extend_half(self.kb, mark.score, link)
+                if score < cfg.half_threshold:
                     continue
                 self._place(Mark(origin=mark.origin, at=link.destination,
-                                 dfa=state, score=half,
-                                 trail=mark.trail + (link,),
-                                 depth=mark.depth + 1))
+                                 dfa=state, score=score,
+                                 trail=mark.trail + (link,)))
         out = self._pending
         self._pending = []
         return out
 
     def _place(self, mark: Mark) -> None:
         incumbent = self.marks.get(mark.key)
-        if incumbent is not None and incumbent.score.value >= mark.score.value:
+        if incumbent is not None and incumbent.score >= mark.score:
             return
         self.marks[mark.key] = mark
         self._at.setdefault(mark.at, {})[mark.key] = mark
         for other in list(self._at[mark.at].values()):
             if other.origin.instance != mark.origin.instance:
                 self._collide(mark, other)
-        if mark.depth < self.config.max_depth:
+        if len(mark.trail) < self.config.max_depth:
             self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
@@ -160,7 +161,7 @@ class MarkerEngine:
         # scores below the full threshold builds nothing.
         if not SEAM_VALID[m1.dfa, m2.dfa]:
             return
-        full = combine(self.kb, m1.score, m2.score)
+        full = combine(self.kb, m1.at, m1.score, m2.score)
         if full < self.config.full_threshold:
             return
         links = m1.trail + tuple(link.flip() for link in reversed(m2.trail))
@@ -255,11 +256,9 @@ class CompletenessReport:
 
 def _prefix_values(kb: KnowledgeBase, obs: Observation,
                    links: tuple[TraversalLink, ...]) -> list[float]:
-    values = [half_from(obs).value]
-    half = half_from(obs)
+    values = [initial_score(obs)]
     for link in links:
-        half = extend_half(kb, half, link)
-        values.append(half.value)
+        values.append(extend_half(kb, values[-1], link))
     return values
 
 

@@ -31,7 +31,10 @@ ones, always with arguments in declaration order: ``(role FILLED SLOT
 FILLER)`` and ``(isa SPECIFIC GENERAL)``.  The parser also accepts a
 link whose tag points the wrong way when the chain of schemas makes the
 intended direction unambiguous, since older renderings of the same paths
-leave the direction to the reader.
+leave the direction to the reader.  ``;`` comments run to the end of the
+line, as in the KB and stream formats, whose reader (`read_forms`) this
+module shares.  Endpoint IDs of the form ``gen-<digits>`` are reserved for
+the fresh instances of the path's translation.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase, Observation
@@ -54,6 +57,11 @@ class PathError(Exception):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+    @classmethod
+    def from_reader(cls, message: str, line: int, position: int) -> "PathError":
+        """`read_forms` syntax error: path literals report positions."""
+        return cls(message, position)
 
 
 class LinkKind(enum.Enum):
@@ -268,43 +276,46 @@ def reverse(path: Path) -> Path:
     return Path(start=path.end, links=flipped, end=path.start)
 
 
-_TOKEN_RE = re.compile(r"\s*(\(|\)|[^\s()]+)")
+# An atom, a parenthesis or a ';' comment running to the end of the line;
+# whitespace between them is skipped.
+_TOKEN_RE = re.compile(r";[^\n]*|[()]|[^\s();]+")
+
+Form = tuple[list[str], int, int]
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-def _read_forms(text: str) -> list[tuple[list[str], int]]:
-    """Split into flat forms ``(head arg ...)``; nesting is not allowed in
-    path syntax."""
-    tokens = _tokenize(text)
-    forms = []
-    i = 0
-    while i < len(tokens):
+def read_forms(text: str,
+               error: Callable[[str, int, int], Exception]) -> list[Form]:
+    """The s-expression reader of the KB, stream and path formats: flat
+    forms ``(head arg ...)`` with their 1-based line and the character
+    position of their opening parenthesis; ``;`` comments run to the end
+    of the line and nesting is not allowed.  A syntax error raises
+    ``error(message, line, position)``."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)
+              if m.group()[0] != ";"]
+    forms: list[Form] = []
+    line, counted = 1, 0
+    i, n = 0, len(tokens)
+    while i < n:
         tok, at = tokens[i]
+        line += text.count("\n", counted, at)
+        counted = at
         if tok != "(":
-            raise PathError(f"expected '(' but found {tok!r}", at)
+            raise error(f"expected '(' but found {tok!r}", line, at)
         j = i + 1
-        items: list[str] = []
-        while j < len(tokens) and tokens[j][0] not in "()":
-            items.append(tokens[j][0])
+        while j < n and tokens[j][0] not in ("(", ")"):
             j += 1
-        if j >= len(tokens) or tokens[j][0] != ")":
-            raise PathError("unterminated form", at)
-        if not items:
-            raise PathError("empty form", at)
-        forms.append((items, at))
+        if j == n or tokens[j][0] != ")":
+            raise error("unterminated form", line, at)
+        if j == i + 1:
+            raise error("empty form", line, at)
+        forms.append(([item for item, _ in tokens[i + 1:j]], line, at))
         i = j + 1
     return forms
+
+
+# The fresh instances of RS(P) are named gen-<j> when a path is translated
+# on its own, so a path literal may not use that form for an endpoint.
+_RESERVED_ID_RE = re.compile(r"gen-[0-9]+\Z")
 
 
 def parse_path(kb: "KnowledgeBase", text: str,
@@ -317,14 +328,17 @@ def parse_path(kb: "KnowledgeBase", text: str,
     """
     from .kb import Observation
 
-    forms = _read_forms(text)
+    forms = read_forms(text, PathError.from_reader)
     if len(forms) < 3:
         raise PathError("a path needs two (inst ...) forms and at least one link")
-    head, head_at = forms[0]
-    tail, tail_at = forms[-1]
-    for items, at in (forms[0], forms[-1]):
+    head, _, head_at = forms[0]
+    tail, _, tail_at = forms[-1]
+    for items, at in ((head, head_at), (tail, tail_at)):
         if items[0] != "inst" or len(items) != 3:
             raise PathError("path must begin and end with (inst ID SCHEMA)", at)
+        if _RESERVED_ID_RE.match(items[1]):
+            raise PathError(f"instance ID {items[1]!r} is reserved: gen-<j> names "
+                            "the fresh instances of a path", at)
     for belief in beliefs:
         if not 0.0 < belief <= 1.0:
             raise PathError(f"belief must be in (0,1], got {belief!r}")
@@ -337,7 +351,7 @@ def parse_path(kb: "KnowledgeBase", text: str,
 
     links = []
     at_schema = start.schema
-    for items, at in forms[1:-1]:
+    for items, _, at in forms[1:-1]:
         tag = items[0]
         if tag in ("role", "role-"):
             if len(items) != 4:

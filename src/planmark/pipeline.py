@@ -39,7 +39,7 @@ from .bayes import (
 )
 from .kb import KbError, KnowledgeBase, Observation, load_kb
 from .marker import EngineConfig, MarkerEngine
-from .paths import Path
+from .paths import Path, read_forms
 from .scoring import score_path
 from .semantics import relevant_statements
 
@@ -49,6 +49,7 @@ class RunConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     gamma1: float = 0.9
     gamma0: float = 1e-7
+    approval_ratio: float = 1000.0
 
 
 @dataclass
@@ -112,10 +113,8 @@ _RESERVED_ID_RE = re.compile(r"p[0-9]+-gen-[0-9]+\Z")
 def parse_stream(text: str) -> list[tuple[str, tuple, int]]:
     """Input records in order: ("inst", Observation, line) and
     ("corroborate", (schema, slot), line)."""
-    from .kb import _read_forms  # same tokenizer as the KB format
-
     records = []
-    for items, line in _read_forms(text):
+    for items, line, _ in read_forms(text, KbError.from_reader):
         head = items[0]
         if head == "inst":
             if len(items) == 3:
@@ -146,18 +145,18 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     paths: list[Path] = []
 
     for head, payload, line in parse_stream(stream_text):
-        if head == "inst":
-            obs = payload
-            kb.schema(obs.schema)
-            if not 0.0 < obs.belief <= 1.0:
-                raise KbError(f"belief must be in (0,1], got {obs.belief!r}", line)
-            registry.add_observed(obs.instance)
-            engine.seed(obs)
-            paths.extend(engine.spread())
-        else:
-            schema, slot = payload
-            kb.schema(schema)
-            registry.add_corroboration(schema, slot)
+        # The engine and the base reject a record's unknown schema, belief
+        # out of range or conflicting re-observation; name its line.
+        try:
+            if head == "inst":
+                engine.seed(payload)
+                registry.add_observed(payload.instance)
+                paths.extend(engine.spread())
+            else:
+                kb.schema(payload[0])
+                registry.add_corroboration(*payload)
+        except (KbError, ValueError) as exc:
+            raise KbError(str(exc), line) from None
 
     records = []
     evaluated = 0
@@ -181,7 +180,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 record.posterior = joint
                 record.residual = residual
                 record.approved = approve(kb, path, rs, joint,
-                                          ratio=config.engine.approval_ratio)
+                                          ratio=config.approval_ratio)
                 if record.approved:
                     approved_count += 1
         records.append(record)

@@ -11,28 +11,22 @@ belief/prior for the end observation.  The per-link multipliers:
     IsaDown   p(specific) / p(general)
 
 Half-paths built outward from one observation carry the same product minus
-the terminal factor; two halves meeting at a schema n recombine as
+the terminal factor, as a plain float: extending one by a link is one
+multiply, and two halves meeting at a schema n recombine as
 ``half1 * half2 / p(n)``, which equals the whole-path score exactly.  That
 cleave identity is what lets the marker passer prune on a threshold while
-spreading, before it knows which paths will meet.
+spreading, before it knows which paths will meet.  The half-path functions
+trust their caller to chain links onto the half and to meet halves at
+``at``, as the marker's construction guarantees; `score_path` is the
+direct form they are checked against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .kb import KnowledgeBase, Observation
 from .paths import LinkKind, Path, TraversalLink
 
 Score = float
-
-
-@dataclass(frozen=True)
-class HalfScore:
-    """Running score of a half-path currently ending at schema ``at``."""
-
-    value: float
-    at: str
 
 
 def initial_score(obs: Observation) -> Score:
@@ -45,8 +39,6 @@ def link_multiplier(kb: KnowledgeBase, link: TraversalLink) -> float:
     if link.kind is LinkKind.ISA_DOWN:
         return kb.prior(link.specific) / kb.prior(link.general)
     # RoleDown and IsaUp leave the bound unchanged.
-    kb.schema(link.source)
-    kb.schema(link.destination)
     return 1.0
 
 
@@ -61,20 +53,12 @@ def score_path(kb: KnowledgeBase, path: Path) -> Score:
     return value * terminal_multiplier(kb, path.end)
 
 
-def half_from(obs: Observation) -> HalfScore:
-    return HalfScore(value=initial_score(obs), at=obs.schema)
+def extend_half(kb: KnowledgeBase, score: Score, link: TraversalLink) -> Score:
+    """Score of a half-path after one more link."""
+    return score * link_multiplier(kb, link)
 
 
-def extend_half(kb: KnowledgeBase, half: HalfScore, link: TraversalLink) -> HalfScore:
-    if link.source != half.at:
-        raise ValueError(
-            f"link departs from {link.source!r} but the half-path is at {half.at!r}")
-    return HalfScore(value=half.value * link_multiplier(kb, link),
-                     at=link.destination)
-
-
-def combine(kb: KnowledgeBase, h1: HalfScore, h2: HalfScore) -> Score:
-    """Score of the whole path formed by gluing two halves at one schema."""
-    if h1.at != h2.at:
-        raise ValueError(f"halves end at different schemas: {h1.at!r}, {h2.at!r}")
-    return h1.value * h2.value / kb.prior(h1.at)
+def combine(kb: KnowledgeBase, at: str, h1: Score, h2: Score) -> Score:
+    """Score of the whole path formed by gluing two halves that both end
+    at schema ``at``."""
+    return h1 * h2 / kb.prior(at)

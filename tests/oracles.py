@@ -48,7 +48,7 @@ class GlueThenValidateEngine(MarkerEngine):
         path = Path(start=m1.origin, links=links, end=m2.origin)
         if not validate(path):
             return  # the seam forms a plateau/valley no single path allows
-        full = combine(self.kb, m1.score, m2.score)
+        full = combine(self.kb, m1.at, m1.score, m2.score)
         if full < self.config.full_threshold:
             return
         direct = score_path(self.kb, path)

@@ -31,7 +31,6 @@ from planmark.paths import LinkKind, Path
 from planmark.pipeline import RunConfig, SynthParams
 from planmark.scoring import (
     extend_half,
-    half_from,
     initial_score,
     link_multiplier,
     terminal_multiplier,
@@ -152,13 +151,14 @@ def test_criterion_4_cleave_identity():
     for base, path in pairs:
         whole = score_path(base, path)
         for j in range(len(path.links) + 1):
-            h1 = half_from(path.start)
+            h1 = initial_score(path.start)
             for link in path.links[:j]:
                 h1 = extend_half(base, h1, link)
-            h2 = half_from(path.end)
+            h2 = initial_score(path.end)
             for link in reversed(path.links[j:]):
                 h2 = extend_half(base, h2, link.flip())
-            assert combine(base, h1, h2) == pytest.approx(whole, rel=1e-12)
+            at = path.schemas()[j]
+            assert combine(base, at, h1, h2) == pytest.approx(whole, rel=1e-12)
 
 
 @criterion(5, "factorization identity and upper bound on 500+ networks", 120.0)

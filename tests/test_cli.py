@@ -93,6 +93,26 @@ def test_run_rejects_a_reserved_fresh_name(kb_file, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("record", [
+    "(inst b ghost)", "(corroborate ghost store-of)", "(inst a go)"])
+def test_run_record_errors_name_their_line(kb_file, record):
+    result = planmark("run", "--kb", kb_file, *SPREAD_FLAGS,
+                      stdin=f"(inst a supermarket)\n{record}\n")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: line 2: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_translate_rejects_a_reserved_fresh_name(kb_file):
+    # Path literals share the default fresh prefix gen- with RS(P).
+    path = FIG31_TEXT.replace("supermarket2", "gen-1")
+    result = planmark("translate", "--kb", kb_file, "--path", path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == ("error: instance ID 'gen-1' is reserved: gen-<j> names "
+                             "the fresh instances of a path (at position 0)\n")
+
+
 def test_run_is_byte_identical(kb_file, tmp_path):
     stream_file = tmp_path / "story.stream"
     stream_file.write_text("(inst supermarket2 supermarket)\n(inst go1 go)\n")

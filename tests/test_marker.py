@@ -107,8 +107,8 @@ def test_no_mark_below_threshold_is_placed(kb):
         engine.seed(obs)
     engine.spread()
     for mark in engine.marks.values():
-        if mark.depth > 0:
-            assert mark.score.value >= 0.3
+        if mark.trail:
+            assert mark.score >= 0.3
 
 
 def test_determinism_of_emission_order():

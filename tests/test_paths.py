@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +174,26 @@ def test_parse_errors_carry_position(kb):
         assert exc.position == 20
     else:
         pytest.fail("expected PathError")
+
+
+@pytest.mark.parametrize("old,new,position", [
+    ("supermarket2", "gen-1", 0),
+    ("go1", "gen-12", FIG31_TEXT.rindex("(inst")),
+])
+def test_reserved_fresh_names_are_rejected_at_their_form(kb, old, new, position):
+    with pytest.raises(PathError, match=f"instance ID '{new}' is reserved") as info:
+        parse_path(kb, FIG31_TEXT.replace(old, new))
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("name", ["gen-", "gen-1x", "xgen-1", "p1-gen-1"])
+def test_names_outside_the_reserved_form_are_accepted(kb, name):
+    assert parse_path(kb, FIG31_TEXT.replace("supermarket2", name)).start.instance == name
+
+
+def test_readme_path_syntax_block_parses(kb, fig31):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Path syntax", 1)[1]
+    block = section.split("```", 2)[1]
+    assert ";" in block
+    assert parse_path(kb, block, beliefs=(0.9, 0.9)) == fig31

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from planmark import (
@@ -61,6 +63,16 @@ def test_parse_errors_carry_line(kb):
         run(kb, fixture_config(), "(inst a go :belief 1.5)")
     with pytest.raises(KbError, match="unknown schema"):
         run(kb, fixture_config(), "(inst a ghost)")
+
+
+@pytest.mark.parametrize("record,message", [
+    ("(inst b ghost)", "unknown schema 'ghost'"),
+    ("(corroborate ghost store-of)", "unknown schema 'ghost'"),
+    ("(inst a go)", "instance 'a' already observed as"),
+])
+def test_record_errors_name_their_line(kb, record, message):
+    with pytest.raises(KbError, match=f"^line 2: {re.escape(message)}"):
+        run(kb, fixture_config(), f"(inst a supermarket)\n{record}\n")
 
 
 def test_stream_parser():

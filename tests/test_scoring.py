@@ -1,11 +1,9 @@
 import pytest
 
 from planmark import (
-    HalfScore,
     Observation,
     combine,
     extend_half,
-    half_from,
     initial_score,
     link_multiplier,
     parse_path,
@@ -69,64 +67,50 @@ def test_score_is_direction_symmetric_on_sampled_paths():
 
 
 def test_extend_half_worked_example(kb):
-    half = HalfScore(0.9, "supermarket")
-    up = extend_half(kb, half, TraversalLink.role_up(
+    up = extend_half(kb, 0.9, TraversalLink.role_up(
         "supermarket-shopping", "store-of", "supermarket"))
-    assert up == HalfScore(pytest.approx(1.8, rel=1e-12), "supermarket-shopping")
+    assert up == pytest.approx(1.8, rel=1e-12)
     same = extend_half(kb, up, TraversalLink.isa_up("supermarket-shopping", "shopping"))
-    assert same.value == up.value
-    assert same.at == "shopping"
-
-
-def test_extend_half_requires_chaining(kb):
-    with pytest.raises(ValueError, match="departs from"):
-        extend_half(kb, HalfScore(1.0, "go"),
-                    TraversalLink.isa_up("supermarket", "store-"))
+    assert same == up
 
 
 def test_half_fold_equals_closed_form(kb, fig31):
-    half = half_from(fig31.start)
+    half = initial_score(fig31.start)
     for link in fig31.links:
         half = extend_half(kb, half, link)
     product = initial_score(fig31.start)
     for link in fig31.links:
         product *= link_multiplier(kb, link)
-    assert half.value == pytest.approx(product, rel=1e-12)
-    assert half.at == fig31.end.schema
+    assert half == pytest.approx(product, rel=1e-12)
 
 
 def test_combine_worked_example(kb, fig31):
     # Cleave at shopping: H1 = 0.9 * 2.0 * 1.0 = 1.8, H2 = 0.9 * 0.5 = 0.45.
-    h1 = half_from(fig31.start)
+    h1 = initial_score(fig31.start)
     for link in fig31.links[:2]:
         h1 = extend_half(kb, h1, link)
-    h2 = half_from(fig31.end)
-    h2 = extend_half(kb, h2, fig31.links[2].flip())
-    assert h1.value == pytest.approx(1.8, rel=1e-12)
-    assert h2.value == pytest.approx(0.45, rel=1e-12)
-    assert combine(kb, h1, h2) == pytest.approx(16.2, rel=1e-12)
-
-
-def test_combine_requires_matching_schema(kb):
-    with pytest.raises(ValueError, match="different schemas"):
-        combine(kb, HalfScore(1.0, "go"), HalfScore(1.0, "shopping"))
+    h2 = extend_half(kb, initial_score(fig31.end), fig31.links[2].flip())
+    assert h1 == pytest.approx(1.8, rel=1e-12)
+    assert h2 == pytest.approx(0.45, rel=1e-12)
+    assert combine(kb, "shopping", h1, h2) == pytest.approx(16.2, rel=1e-12)
 
 
 def cleave_at(base, path, j):
-    h1 = half_from(path.start)
+    """The meeting schema and both half scores of the cleave after link j,
+    in the order `combine` takes them."""
+    h1 = initial_score(path.start)
     for link in path.links[:j]:
         h1 = extend_half(base, h1, link)
-    h2 = half_from(path.end)
+    h2 = initial_score(path.end)
     for link in reversed(path.links[j:]):
         h2 = extend_half(base, h2, link.flip())
-    return h1, h2
+    return path.schemas()[j], h1, h2
 
 
 def test_degenerate_cleaves_at_endpoints(kb, fig31):
     want = score_path(kb, fig31)
     for j in (0, len(fig31.links)):
-        h1, h2 = cleave_at(kb, fig31, j)
-        assert combine(kb, h1, h2) == pytest.approx(want, rel=1e-12)
+        assert combine(kb, *cleave_at(kb, fig31, j)) == pytest.approx(want, rel=1e-12)
 
 
 def test_cleave_identity_everywhere_on_sampled_paths():
@@ -134,8 +118,8 @@ def test_cleave_identity_everywhere_on_sampled_paths():
     for base, path in sample_paths(seed=43, limit=120, beliefs=True):
         want = score_path(base, path)
         for j in range(len(path.links) + 1):
-            h1, h2 = cleave_at(base, path, j)
-            assert combine(base, h1, h2) == pytest.approx(want, rel=1e-12)
+            assert combine(base, *cleave_at(base, path, j)) == pytest.approx(
+                want, rel=1e-12)
         count += 1
     assert count >= 100
 
@@ -148,11 +132,9 @@ def test_monotone_sanity_bound():
                        for name in base.schemas
                        for link in base.neighbors(name)]
         biggest = max(multipliers)
-        values = [half_from(path.start).value]
-        half = half_from(path.start)
+        values = [initial_score(path.start)]
         for link in path.links:
-            half = extend_half(base, half, link)
-            values.append(half.value)
+            values.append(extend_half(base, values[-1], link))
         for i, early in enumerate(values):
             for j in range(i, len(values)):
                 assert values[j] <= early * max(biggest, 1.0) ** (j - i) + 1e-9
