@@ -55,7 +55,7 @@ print(f"halves at {meeting!r}: {h1} and {h2};",
 # What the path asserts, and the subset the network is built from.
 print()
 print("S(P): ", statements_of(path).render())
-rs = relevant_statements(kb, path)
+rs = relevant_statements(path)
 print("RS(P):", rs.render())
 
 network = build_network(kb, path, rs)

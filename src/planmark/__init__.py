@@ -65,7 +65,6 @@ from .semantics import (
     StatementSet,
     relevant_instance_trace,
     relevant_statements,
-    relevant_type,
     statements_of,
 )
 
@@ -123,6 +122,5 @@ __all__ = [
     "StatementSet",
     "relevant_instance_trace",
     "relevant_statements",
-    "relevant_type",
     "statements_of",
 ]

@@ -42,6 +42,14 @@ normalizers and the weight of the single all-true assignment.  The spine is
 a polytree, where this is Pearl's (1988, ch. 4) message passing in closed
 form.  The test suite checks it against full enumeration and against
 variable elimination.
+
+The network is read straight off RS(P), which `semantics` derives in spine
+order with each instance at its relevant type.  Before a path is
+evaluated, `evidence_filter` asks whether the input corroborates every
+slot binding it claims: the registry indexes the corroborated slots by
+schema, and each equality is looked up at its owner's relevant type and
+that type's ancestors.  After evaluation, `approve` compares the posterior
+with the prior of the fresh instances the path hypothesizes.
 """
 
 from __future__ import annotations
@@ -109,23 +117,17 @@ class VertebrateNetwork:
 
 def build_network(kb: KnowledgeBase, path: Path,
                   rs: StatementSet) -> VertebrateNetwork:
-    """Build the unique network for a valid path and its RS(P)."""
-    order = rs.instances()
-    rt = {s.instance: s.schema for s in rs.insts}
-    insts = tuple(InstNode(i, rt[i], kb.prior(rt[i])) for i in order)
+    """Build the unique network for a valid path and its RS(P), whose
+    instances already run along the spine from the start observation to
+    the end one."""
+    insts = tuple(InstNode(s.instance, s.schema, kb.prior(s.schema))
+                  for s in rs.insts)
     role_links = [link for link in path.links if link.kind.is_role]
-    if len(insts) != len(role_links) + 1 or len(rs.eqs) != len(role_links):
-        raise NetworkError(
-            "statement set does not fit the spine shape "
-            f"({len(insts)} instances, {len(rs.eqs)} equalities, "
-            f"{len(role_links)} role links)")
     eqs = tuple(
         EqNode(index=k, owner=eq.owner, slot=eq.slot, filler=eq.filler,
                declared_filler_type=link.filler)
         for k, (eq, link) in enumerate(zip(rs.eqs, role_links), start=1)
     )
-    if insts[0].instance != path.start.instance or insts[-1].instance != path.end.instance:
-        raise NetworkError("spine ends do not match the path's observations")
     return VertebrateNetwork(insts=insts, eqs=eqs,
                              start_obs=path.start, end_obs=path.end)
 
@@ -146,13 +148,11 @@ class Cpts:
 
 
 def _evidence_pair(kb: KnowledgeBase, obs: Observation, node: InstNode) -> tuple[float, float]:
-    q_obs = kb.prior(obs.schema)
+    # An endpoint's relevant type is its observed schema or a descendant of
+    # it, and `load_kb` rejects a child prior above its parent's, so q is
+    # at most the observed schema's prior and the projected belief at most b.
     q = node.prior
-    if q > q_obs + 1e-15:
-        raise NetworkError(
-            f"relevant type {node.rt!r} has a larger prior than the "
-            f"observed schema {obs.schema!r}")
-    b = obs.belief * q / q_obs
+    b = obs.belief * q / kb.prior(obs.schema)
     if q >= 1.0:
         if b < 1.0:
             raise NetworkError(
@@ -219,58 +219,41 @@ def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, floa
 
 @dataclass
 class EvidenceRegistry:
-    """What the rest of the input corroborates: (schema, slot) records plus
-    the set of instances that were directly observed."""
+    """What the rest of the input corroborates: the slots corroborated at
+    each schema."""
 
-    records: set[tuple[str, str]] = field(default_factory=set)
-    observed: set[str] = field(default_factory=set)
+    slots: dict[str, set[str]] = field(default_factory=dict)
 
     def add_corroboration(self, schema: str, slot: str) -> None:
-        self.records.add((schema, slot))
-
-    def add_observed(self, instance: str) -> None:
-        self.observed.add(instance)
+        self.slots.setdefault(schema, set()).add(slot)
 
 
 def evidence_filter(kb: KnowledgeBase, rs: StatementSet,
                     registry: EvidenceRegistry) -> bool:
-    """True iff everything RS(P) asserts has some support: each instance is
-    observed or corroborated at its relevant type (or an ancestor), and
-    each slot equality is corroborated for that slot at the owner's
-    relevant type (or an ancestor)."""
+    """True iff every slot equality of RS(P) is corroborated for its slot
+    at the owner's relevant type or an ancestor of it.
+
+    That is all RS(P) asserts that needs support: its two end instances
+    were observed, and every fresh instance owns an equality, so the
+    record that supports the equality supports the instance too."""
     rt = {s.instance: s.schema for s in rs.insts}
-
-    def matches(schema: str, slot: str | None) -> bool:
-        for recorded_schema, recorded_slot in registry.records:
-            if slot is not None and recorded_slot != slot:
-                continue
-            if recorded_schema == schema or kb.isa_star(schema, recorded_schema):
-                return True
-        return False
-
-    for inst in rs.insts:
-        if inst.instance in registry.observed:
-            continue
-        if not matches(inst.schema, None):
-            return False
     for eq in rs.eqs:
-        if not matches(rt[eq.owner], eq.slot):
+        if not any(eq.slot in registry.slots.get(schema, ())
+                   for schema in kb.ancestors_or_self(rt[eq.owner])):
             return False
     return True
 
 
-def approve(kb: KnowledgeBase, path: Path, rs: StatementSet, posterior: float,
+def approve(kb: KnowledgeBase, rs: StatementSet, posterior: float,
             ratio: float = 1000.0) -> bool:
     """Accept a path when its joint posterior beats the prior of the plans
-    it hypothesizes by ``ratio``.  The prior is the product over the
-    path's unobserved instances in ``rs`` (its RS(P)) of their
-    relevant-type priors (an empty product for a path whose ends are its
-    only instances)."""
-    observed = {path.start.instance, path.end.instance}
+    it hypothesizes by ``ratio``.  The prior is the product of the
+    relevant-type priors of the fresh instances of ``rs`` (its RS(P)), the
+    instances between its two observed ends (an empty product for a path
+    whose ends are its only instances)."""
     prior_product = 1.0
-    for inst in rs.insts:
-        if inst.instance not in observed:
-            prior_product *= kb.prior(inst.schema)
+    for inst in rs.insts[1:-1]:
+        prior_product *= kb.prior(inst.schema)
     return posterior >= ratio * prior_product
 
 

@@ -163,7 +163,7 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         out.write(f"{score_path(kb, path)!r}\n")
     elif args.command == "translate":
         full = statements_of(path)
-        rs = relevant_statements(kb, path)
+        rs = relevant_statements(path)
         out.write("S(P):\n")
         for statement in full.statements:
             out.write(f"  {statement.render()}\n")
@@ -171,10 +171,10 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         for statement in rs.statements:
             out.write(f"  {statement.render()}\n")
     elif args.command == "network":
-        network = build_network(kb, path, relevant_statements(kb, path))
+        network = build_network(kb, path, relevant_statements(path))
         out.write(render_network(network))
     else:  # eval
-        network = build_network(kb, path, relevant_statements(kb, path))
+        network = build_network(kb, path, relevant_statements(path))
         cpts = default_cpts(kb, network, args.gamma1, args.gamma0)
         joint, residual = exact_posterior(network, cpts)
         out.write(f"posterior {joint!r}\n")

@@ -6,9 +6,12 @@
     (corroborate supermarket-shopping store-of)
 
 Each observation seeds the marker engine and spreads immediately, so paths
-surface in story order.  After the stream ends, every reported path goes
-through the cheap evidence filter first and exact network evaluation only
-if it passes, then the approval test.  Four counters mirror the stages:
+surface in story order; each corroboration goes into the evidence index,
+unless its slot is declared neither on its schema nor on an isa ancestor
+or descendant of it, which makes it an input error.  After the stream
+ends, every reported path is translated once into its RS(P), which then
+serves the cheap evidence filter, the exact network evaluation (only if
+the filter passes) and the approval test.  Four counters mirror the stages:
 paths reported by the marker, asserted (here always equal to reported --
 no secondary filters sit between the two stages in this build), evaluated,
 and approved.
@@ -139,6 +142,17 @@ def parse_stream(text: str) -> list[tuple[str, tuple, int]]:
     return records
 
 
+def _check_corroboration(kb: KnowledgeBase, schema: str, slot: str) -> None:
+    # A slot equality is corroborated at its owner's relevant type or an
+    # ancestor, and that type has the slot, so a record whose slot is
+    # declared on no ancestor, descendant or the schema itself never counts.
+    if kb.declared_slot(schema, slot) is None and not any(
+            other.filler_of(slot) is not None and kb.isa_star(other.name, schema)
+            for other in kb.schemas.values()):
+        raise KbError(f"slot {slot!r} is declared neither on {schema!r} nor on "
+                      "its isa ancestors or descendants")
+
+
 def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     engine = MarkerEngine(kb, config.engine)
     registry = EvidenceRegistry()
@@ -150,10 +164,9 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
         try:
             if head == "inst":
                 engine.seed(payload)
-                registry.add_observed(payload.instance)
                 paths.extend(engine.spread())
             else:
-                kb.schema(payload[0])
+                _check_corroboration(kb, *payload)
                 registry.add_corroboration(*payload)
         except (KbError, ValueError) as exc:
             raise KbError(str(exc), line) from None
@@ -162,7 +175,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     evaluated = 0
     approved_count = 0
     for index, path in enumerate(paths, start=1):
-        rs = relevant_statements(kb, path, fresh_prefix=f"p{index}-gen-")
+        rs = relevant_statements(path, fresh_prefix=f"p{index}-gen-")
         sc = score_path(kb, path)
         passed = evidence_filter(kb, rs, registry)
         record = PathRecord(path_text=path.render(), sc=sc, rs_text=rs.render(),
@@ -179,7 +192,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 evaluated += 1
                 record.posterior = joint
                 record.residual = residual
-                record.approved = approve(kb, path, rs, joint,
+                record.approved = approve(kb, rs, joint,
                                           ratio=config.approval_ratio)
                 if record.approved:
                     approved_count += 1

@@ -14,13 +14,20 @@ link, in derivation order.  The relevant subset RS(P) keeps every equality
 but only one ``inst`` statement per instance, at its most specific
 (relevant) type; the dropped retypings are implied by the retained ones
 through the isa tree.
+
+This module is the one place that decides what a path claims.  One walk
+derives both sets: the grammar fixes the shape of each instance's isa
+moves, so the walk can tell which typing is the relevant one without
+consulting the isa tree.  RS(P) of a valid path runs along the spine, with
+the start instance first, the end instance last and the fresh instances in
+between, and every fresh instance owns one of the path's slot equalities
+(a fresh instance that only fills slots would sit in a slot-filler valley).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kb import KnowledgeBase
 from .paths import LinkKind, Path
 
 
@@ -62,15 +69,6 @@ class StatementSet:
     def eqs(self) -> tuple[SlotEq, ...]:
         return tuple(s for s in self.statements if isinstance(s, SlotEq))
 
-    def instances(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for inst in self.insts:
-            seen.setdefault(inst.instance, None)
-        return list(seen)
-
-    def types_of(self, instance: str) -> list[str]:
-        return [s.schema for s in self.insts if s.instance == instance]
-
     def render(self) -> str:
         return "".join(s.render() for s in self.statements)
 
@@ -100,69 +98,53 @@ def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]
     return trace
 
 
-def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
-    """S(P): every typing and slot equality the path asserts."""
+def _derive(path: Path, fresh_prefix: str):
+    """Walk the path once: every statement of S(P) in derivation order, each
+    paired with whether RS(P) keeps it.
+
+    The grammar leaves each instance's isa moves as a run of IsaDowns
+    followed by a run of IsaUps (an IsaUp followed by an IsaDown is an isa
+    plateau), so an instance's relevant type is the schema it arrived at,
+    or the schema its last IsaDown landed on: the typing that no IsaDown
+    follows, and that no IsaUp produced.
+    """
     trace = relevant_instance_trace(path, fresh_prefix)
-    statements: dict[Statement, None] = {}
-
-    def add(statement: Statement) -> None:
-        statements.setdefault(statement, None)
-
-    add(Inst(path.start.instance, path.start.schema))
+    kinds = [link.kind for link in path.links] + [None]
+    yield Inst(path.start.instance, path.start.schema), kinds[0] is not LinkKind.ISA_DOWN
     for i, link in enumerate(path.links):
         arriving = trace[i + 1]
+        relevant = kinds[i + 1] is not LinkKind.ISA_DOWN
         if link.kind is LinkKind.ROLE_UP:
             # The arriving instance owns the slot; the instance we came
             # from fills it.
-            add(SlotEq(arriving, link.slot, trace[i]))
-            add(Inst(arriving, link.filled))
+            yield SlotEq(arriving, link.slot, trace[i]), True
+            yield Inst(arriving, link.filled), relevant
         elif link.kind is LinkKind.ROLE_DOWN:
-            add(SlotEq(trace[i], link.slot, arriving))
-            add(Inst(arriving, link.filler))
+            yield SlotEq(trace[i], link.slot, arriving), True
+            yield Inst(arriving, link.filler), relevant
+        elif link.kind is LinkKind.ISA_UP:
+            yield Inst(arriving, link.general), False
         else:
-            other = link.general if link.kind is LinkKind.ISA_UP else link.specific
-            add(Inst(arriving, other))
-    add(Inst(path.end.instance, path.end.schema))
-
-    fresh = tuple(f"{fresh_prefix}{k}" for k in range(1, 1 + _fresh_count(path)))
-    return StatementSet(statements=tuple(statements), fresh=fresh)
+            yield Inst(arriving, link.specific), relevant
+    # A valid path has already typed its end instance as observed here.
+    yield Inst(path.end.instance, path.end.schema), False
 
 
-def _fresh_count(path: Path) -> int:
-    return max(path.role_count() - 1, 0)
+def _fresh(path: Path, fresh_prefix: str) -> tuple[str, ...]:
+    return tuple(f"{fresh_prefix}{k}" for k in range(1, path.role_count()))
 
 
-def relevant_type(instance: str, sset: StatementSet, kb: KnowledgeBase) -> str:
-    """RT(i): the most specific type the statement set gives ``instance``."""
-    types = sset.types_of(instance)
-    if not types:
-        raise ValueError(f"no inst statement for {instance!r}")
-    return _most_specific(kb, instance, types)
+def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
+    """S(P): every typing and slot equality the path asserts."""
+    statements = dict.fromkeys(s for s, _ in _derive(path, fresh_prefix))
+    return StatementSet(statements=tuple(statements),
+                        fresh=_fresh(path, fresh_prefix))
 
 
-def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:
-    best = types[0]
-    for t in types[1:]:
-        if t == best or kb.isa_star(t, best):
-            best = t
-        elif not kb.isa_star(best, t):
-            raise ValueError(
-                f"types of {instance!r} are not on one isa chain: {best!r}, {t!r}")
-    return best
-
-
-def relevant_statements(kb: KnowledgeBase, path: Path,
-                        fresh_prefix: str = "gen-") -> StatementSet:
-    """RS(P): all slot equalities, one inst statement per instance at its
-    relevant type, in S(P) order."""
-    full = statements_of(path, fresh_prefix)
-    types: dict[str, list[str]] = {}
-    for s in full.statements:
-        if isinstance(s, Inst):
-            types.setdefault(s.instance, []).append(s.schema)
-    rts = {i: _most_specific(kb, i, ts) for i, ts in types.items()}
-    kept = tuple(
-        s for s in full.statements
-        if isinstance(s, SlotEq) or rts[s.instance] == s.schema
-    )
-    return StatementSet(statements=kept, fresh=full.fresh)
+def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
+    """RS(P) of a valid path: every slot equality and one inst statement per
+    instance at its relevant type, in S(P) order.  That order runs along
+    the spine: start instance, first equality, first fresh instance, ...,
+    last equality, end instance."""
+    kept = tuple(s for s, relevant in _derive(path, fresh_prefix) if relevant)
+    return StatementSet(statements=kept, fresh=_fresh(path, fresh_prefix))

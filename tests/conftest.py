@@ -66,6 +66,23 @@ def sample_paths(seed, n_kbs=4, max_depth=5, max_roles=None, limit=200,
     return out
 
 
+def marker_paths(n_bases=20, max_depth=4):
+    """Paths the marker engine emits on random bases from four observations
+    each: (kb, path, fresh prefix) triples, numbered as `run` numbers them."""
+    out = []
+    for seed in range(n_bases):
+        base = random_kb(seed + 500, n_schemas=40, n_roles=40)
+        names = sorted(base.schemas)
+        engine = MarkerEngine(base, EngineConfig(half_threshold=0.0, full_threshold=0.0,
+                                                 max_depth=max_depth))
+        for k in range(4):
+            engine.seed(Observation(f"o{k}", names[(7 * seed + 11 * k) % len(names)], 0.9))
+            engine.spread()
+        out.extend((base, path, f"p{index}-gen-")
+                   for index, path in enumerate(engine.emitted, start=1))
+    return out
+
+
 def with_beliefs(path, b1, b2):
     start = Observation(path.start.instance, path.start.schema, b1)
     end = Observation(path.end.instance, path.end.schema, b2)

@@ -5,6 +5,13 @@ handler, which glues every meeting into a whole path and runs `validate`
 on it before scoring; the engine itself judges meetings from the two
 marks' DFA states and scores them before building anything.
 
+`relevant_statements_by_fold` is the original RS(P) translation, which
+picks each instance's relevant type by folding `isa_star` over every type
+S(P) gives it; `evidence_filter_by_scan` is the original evidence filter,
+which checks every instance (observed, or corroborated for any slot) and
+every slot equality by scanning all corroboration records.  The package
+reads relevant types off the walk's shape and looks slots up in an index.
+
 The rest are reference evaluators for vertebrate networks.
 
 `planmark.bayes.exact_posterior` computes (joint, residual) in closed form.
@@ -25,9 +32,11 @@ from itertools import product as iter_product
 import numpy as np
 
 from planmark.bayes import Cpts, NetworkError, VertebrateNetwork
+from planmark.kb import KnowledgeBase
 from planmark.marker import Mark, MarkerEngine
 from planmark.paths import Path, validate
 from planmark.scoring import combine, score_path
+from planmark.semantics import Inst, SlotEq, StatementSet, statements_of
 
 
 class GlueThenValidateEngine(MarkerEngine):
@@ -61,6 +70,77 @@ class GlueThenValidateEngine(MarkerEngine):
         self._emitted_texts.add(text)
         self.emitted.append(path)
         self._pending.append(path)
+
+
+def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:
+    best = types[0]
+    for t in types[1:]:
+        if t == best or kb.isa_star(t, best):
+            best = t
+        elif not kb.isa_star(best, t):
+            raise ValueError(
+                f"types of {instance!r} are not on one isa chain: {best!r}, {t!r}")
+    return best
+
+
+def relevant_statements_by_fold(kb: KnowledgeBase, path: Path,
+                                fresh_prefix: str = "gen-") -> StatementSet:
+    """RS(P): all slot equalities, one inst statement per instance at its
+    relevant type, in S(P) order."""
+    full = statements_of(path, fresh_prefix)
+    types: dict[str, list[str]] = {}
+    for s in full.statements:
+        if isinstance(s, Inst):
+            types.setdefault(s.instance, []).append(s.schema)
+    rts = {i: _most_specific(kb, i, ts) for i, ts in types.items()}
+    kept = tuple(
+        s for s in full.statements
+        if isinstance(s, SlotEq) or rts[s.instance] == s.schema
+    )
+    return StatementSet(statements=kept, fresh=full.fresh)
+
+
+@dataclass
+class ScanRegistry:
+    """What the rest of the input corroborates: (schema, slot) records plus
+    the set of instances that were directly observed."""
+
+    records: set[tuple[str, str]] = field(default_factory=set)
+    observed: set[str] = field(default_factory=set)
+
+    def add_corroboration(self, schema: str, slot: str) -> None:
+        self.records.add((schema, slot))
+
+    def add_observed(self, instance: str) -> None:
+        self.observed.add(instance)
+
+
+def evidence_filter_by_scan(kb: KnowledgeBase, rs: StatementSet,
+                            registry: ScanRegistry) -> bool:
+    """True iff everything RS(P) asserts has some support: each instance is
+    observed or corroborated at its relevant type (or an ancestor), and
+    each slot equality is corroborated for that slot at the owner's
+    relevant type (or an ancestor)."""
+    rt = {s.instance: s.schema for s in rs.insts}
+
+    def matches(schema: str, slot: str | None) -> bool:
+        for recorded_schema, recorded_slot in registry.records:
+            if slot is not None and recorded_slot != slot:
+                continue
+            if recorded_schema == schema or kb.isa_star(schema, recorded_schema):
+                return True
+        return False
+
+    for inst in rs.insts:
+        if inst.instance in registry.observed:
+            continue
+        if not matches(inst.schema, None):
+            return False
+    for eq in rs.eqs:
+        if not matches(rt[eq.owner], eq.slot):
+            return False
+    return True
+
 
 _CHUNK_BITS = 16
 

@@ -76,7 +76,7 @@ def test_criterion_1_worked_example(kb, fig31):
         "(= (go-step shopping3) go1)",
         "(inst go1 go)",
     ]
-    rs = relevant_statements(kb, fig31)
+    rs = relevant_statements(fig31)
     rs_rendered = [s.render().replace(generated, "shopping3") for s in rs.statements]
     assert rs_rendered == [s for s in rendered if s != "(inst shopping3 shopping)"]
 
@@ -173,7 +173,7 @@ def test_criterion_5_factorization_identity():
             gamma0 = rng.uniform(gamma1, 1.0)  # residual <= 1 guaranteed
         else:
             gamma0 = rng.uniform(0.05, 1.0)
-        rs = relevant_statements(base, path)
+        rs = relevant_statements(path)
         network = build_network(base, path, rs)
         cpts = default_cpts(base, network, gamma1, gamma0)
         joint, residual = exact_posterior(network, cpts)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,8 +20,13 @@ from planmark import (
 )
 from planmark.paths import Path, TraversalLink
 
-from conftest import chain_kb_text, sample_paths
-from oracles import posterior_by_elimination, posterior_by_enumeration
+from conftest import chain_kb_text, marker_paths, sample_paths
+from oracles import (
+    ScanRegistry,
+    evidence_filter_by_scan,
+    posterior_by_elimination,
+    posterior_by_enumeration,
+)
 
 
 def single_role_path(kb, beliefs=(1.0, 1.0)):
@@ -30,7 +36,7 @@ def single_role_path(kb, beliefs=(1.0, 1.0)):
 
 
 def network_of(kb, path, gamma1=0.9, gamma0=1e-7):
-    rs = relevant_statements(kb, path)
+    rs = relevant_statements(path)
     network = build_network(kb, path, rs)
     return network, default_cpts(kb, network, gamma1, gamma0)
 
@@ -55,7 +61,7 @@ def test_fig31_network_shape(kb, fig31):
 
 def test_structural_recurrence_on_sampled_paths():
     for base, path in sample_paths(seed=53, limit=80, beliefs=True):
-        rs = relevant_statements(base, path)
+        rs = relevant_statements(path)
         network = build_network(base, path, rs)
         roles = path.role_count()
         assert len(network.insts) == roles + 1
@@ -74,14 +80,14 @@ def test_equality_prior_above_filler_prior_rejected():
     base = load_kb("(eq-prior 0.5)(schema tiny :prior 0.01)"
                    "(schema plan :prior 0.02)(role plan thing-of tiny)")
     path = parse_path(base, "(inst t1 tiny)(role plan thing-of tiny)(inst p1 plan)")
-    network = build_network(base, path, relevant_statements(base, path))
+    network = build_network(base, path, relevant_statements(path))
     with pytest.raises(NetworkError, match="exceeds the prior"):
         default_cpts(base, network, 0.9, 0.1)
 
 
 def test_gamma_range_checked(kb):
     path = single_role_path(kb)
-    network = build_network(kb, path, relevant_statements(kb, path))
+    network = build_network(kb, path, relevant_statements(path))
     with pytest.raises(NetworkError, match="interior strengths"):
         default_cpts(kb, network, 0.0, 0.5)
 
@@ -91,7 +97,7 @@ def test_certain_type_with_uncertain_belief_cannot_scale():
                    "(schema plan :prior 0.01)(role plan of anything)")
     path = parse_path(base, "(inst a1 anything)(role plan of anything)(inst p1 plan)",
                       beliefs=(0.5, 1.0))
-    network = build_network(base, path, relevant_statements(base, path))
+    network = build_network(base, path, relevant_statements(path))
     with pytest.raises(NetworkError, match="cannot scale evidence"):
         default_cpts(base, network, 0.9, 0.1)
 
@@ -135,7 +141,7 @@ def test_retyped_endpoint_still_satisfies_identity():
                    "(schema plan :prior 0.01)(role plan step-of go)")
     path = parse_path(base, "(inst p1 plan)(role- plan step-of go)"
                             "(isa go act)(inst a1 act)", beliefs=(0.9, 0.6))
-    network = build_network(base, path, relevant_statements(base, path))
+    network = build_network(base, path, relevant_statements(path))
     assert network.insts[-1].rt == "go"
     cpts = default_cpts(base, network, 0.7, 0.01)
     joint, residual = exact_posterior(network, cpts)
@@ -149,7 +155,7 @@ def test_identity_and_bound_randomized(kb):
         gamma1 = rng.uniform(0.05, 1.0)
         gamma0 = rng.uniform(0.05, 1.0) if rng.random() < 0.5 else gamma1 * rng.uniform(1.0, 2.0)
         gamma0 = min(gamma0, 1.0)
-        rs = relevant_statements(base, path)
+        rs = relevant_statements(path)
         network = build_network(base, path, rs)
         cpts = default_cpts(base, network, gamma1, gamma0)
         sc = score_path(base, path)
@@ -188,7 +194,7 @@ def test_enumeration_agrees_with_elimination(kb, fig31):
 def test_twelve_role_chain_is_evaluated():
     base = load_kb(chain_kb_text(12))
     path = chain_path(12)
-    network = build_network(base, path, relevant_statements(base, path))
+    network = build_network(base, path, relevant_statements(path))
     assert network.non_evidence_count == 25
     cpts = default_cpts(base, network, 0.9, 0.1)
     joint, residual = exact_posterior(network, cpts)
@@ -197,52 +203,80 @@ def test_twelve_role_chain_is_evaluated():
 
 def registry_for_fig31():
     registry = EvidenceRegistry()
-    registry.add_observed("supermarket2")
-    registry.add_observed("go1")
     registry.add_corroboration("supermarket-shopping", "store-of")
     registry.add_corroboration("supermarket-shopping", "go-step")
     return registry
 
 
 def test_evidence_filter_passes_with_full_corroboration(kb, fig31):
-    rs = relevant_statements(kb, fig31)
+    rs = relevant_statements(fig31)
     assert evidence_filter(kb, rs, registry_for_fig31())
 
 
 def test_evidence_filter_fails_with_empty_registry(kb, fig31):
-    rs = relevant_statements(kb, fig31)
-    registry = EvidenceRegistry()
-    registry.add_observed("supermarket2")
-    registry.add_observed("go1")
-    assert not evidence_filter(kb, rs, registry)
+    rs = relevant_statements(fig31)
+    assert not evidence_filter(kb, rs, EvidenceRegistry())
 
 
 def test_evidence_filter_needs_every_equality_corroborated(kb, fig31):
-    rs = relevant_statements(kb, fig31)
+    rs = relevant_statements(fig31)
     registry = registry_for_fig31()
-    registry.records.discard(("supermarket-shopping", "go-step"))
+    registry.slots["supermarket-shopping"].discard("go-step")
     assert not evidence_filter(kb, rs, registry)
 
 
 def test_evidence_filter_base_path(kb):
     path = single_role_path(kb)
-    rs = relevant_statements(kb, path)
+    rs = relevant_statements(path)
     registry = EvidenceRegistry()
-    registry.add_observed("s1")
-    registry.add_observed("p1")
     registry.add_corroboration("supermarket-shopping", "store-of")
     assert evidence_filter(kb, rs, registry)
 
 
 def test_evidence_filter_matches_ancestors(kb, fig31):
     # A record at the isa parent covers the more specific relevant type.
-    rs = relevant_statements(kb, fig31)
+    rs = relevant_statements(fig31)
     registry = EvidenceRegistry()
-    registry.add_observed("supermarket2")
-    registry.add_observed("go1")
     registry.add_corroboration("shopping", "store-of")
     registry.add_corroboration("shopping", "go-step")
     assert evidence_filter(kb, rs, registry)
+
+
+def _random_registries(rng, base, path, rs, count):
+    """Registries holding the same random records twice: as a slot index,
+    and as the record set of the scan, which also lists the path's ends as
+    observed, as `run` does for every path it reports.  Most of a path's
+    equalities get a record for their slot at a random ancestor of the
+    owner's relevant type or at a random schema; random noise is added."""
+    names = sorted(base.schemas)
+    slots = sorted({slot for schema in base.schemas.values() for slot, _ in schema.slots})
+    rt = {s.instance: s.schema for s in rs.insts}
+    for _ in range(count):
+        records = [(rng.choice(names), rng.choice(slots)) for _ in range(rng.randrange(4))]
+        for eq in rs.eqs:
+            if rng.random() < 0.8:
+                near = base.ancestors_or_self(rt[eq.owner]) + [rng.choice(names)]
+                records.append((rng.choice(near), eq.slot))
+        index = EvidenceRegistry()
+        scan = ScanRegistry(observed={path.start.instance, path.end.instance})
+        for schema, slot in records:
+            index.add_corroboration(schema, slot)
+            scan.add_corroboration(schema, slot)
+        yield index, scan
+
+
+def test_evidence_filter_matches_the_record_scan():
+    rng = random.Random(43)
+    pairs = sample_paths(seed=43, n_kbs=120, limit=6000)
+    assert len(pairs) >= 5000
+    verdicts = Counter()
+    for base, path, prefix in [(b, p, "gen-") for b, p in pairs] + marker_paths():
+        rs = relevant_statements(path, prefix)
+        for index, scan in _random_registries(rng, base, path, rs, 8):
+            passed = evidence_filter(base, rs, index)
+            assert passed == evidence_filter_by_scan(base, rs, scan), path.render()
+            verdicts[passed] += 1
+    assert min(verdicts[True], verdicts[False]) >= 0.2 * sum(verdicts.values())
 
 
 def test_approve_rule():
@@ -251,20 +285,20 @@ def test_approve_rule():
                    "(role rare-plan a-of thing)(role rare-plan b-of thing)")
     path = parse_path(base, "(inst t1 thing)(role rare-plan a-of thing)"
                             "(role- rare-plan b-of thing)(inst t2 thing)")
-    rs = relevant_statements(base, path)
-    assert approve(base, path, rs, 0.2, ratio=1000.0)      # 0.2 >= 0.1
-    assert not approve(base, path, rs, 0.0999, ratio=1000.0)
-    assert not approve(base, path, rs, 0.0001, ratio=2.0)  # == prior, ratio > 1
-    assert approve(base, path, rs, 0.0001, ratio=1.0)      # boundary inclusive
+    rs = relevant_statements(path)
+    assert approve(base, rs, 0.2, ratio=1000.0)      # 0.2 >= 0.1
+    assert not approve(base, rs, 0.0999, ratio=1000.0)
+    assert not approve(base, rs, 0.0001, ratio=2.0)  # == prior, ratio > 1
+    assert approve(base, rs, 0.0001, ratio=1.0)      # boundary inclusive
 
 
 def test_approve_empty_plan_product(kb):
     # Both instances observed: the prior product is empty (1.0), so no
     # bounded posterior can clear a ratio above 1.
     path = single_role_path(kb)
-    rs = relevant_statements(kb, path)
-    assert not approve(kb, path, rs, 1.0, ratio=1000.0)
-    assert approve(kb, path, rs, 1.0, ratio=1.0)
+    rs = relevant_statements(path)
+    assert not approve(kb, rs, 1.0, ratio=1000.0)
+    assert approve(kb, rs, 1.0, ratio=1.0)
 
 
 def test_render_network_fixture_dump(kb, fig31):

@@ -103,6 +103,18 @@ def test_run_record_errors_name_their_line(kb_file, record):
     assert "Traceback" not in result.stderr
 
 
+def test_run_rejects_a_corroboration_of_an_undeclared_slot(kb_file):
+    result = planmark("run", "--kb", kb_file, "--threshold", "1",
+                      stdin="(inst supermarket2 supermarket :belief 0.9)\n"
+                            "(inst go1 go :belief 0.9)\n"
+                            "(corroborate supermarket-shopping store-off)\n"
+                            "(corroborate supermarket-shopping go-step)\n")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: line 3: slot 'store-off' is declared")
+    assert "Traceback" not in result.stderr
+
+
 def test_translate_rejects_a_reserved_fresh_name(kb_file):
     # Path literals share the default fresh prefix gen- with RS(P).
     path = FIG31_TEXT.replace("supermarket2", "gen-1")

@@ -75,6 +75,19 @@ def test_record_errors_name_their_line(kb, record, message):
         run(kb, fixture_config(), f"(inst a supermarket)\n{record}\n")
 
 
+def test_corroboration_of_an_undeclared_slot_is_rejected(kb):
+    # A slot declared on no schema above or below the record's schema can
+    # never match a slot equality, so a misspelt slot is an input error.
+    stream = FIXTURE_STREAM.replace("store-of", "store-off")
+    with pytest.raises(KbError, match="^line 4: slot 'store-off' is declared neither "
+                                      "on 'supermarket-shopping' nor"):
+        run(kb, fixture_config(), stream)
+    # Declared on a descendant (store-of) or an ancestor (go-step): accepted.
+    report = run(kb, fixture_config(), FIXTURE_STREAM.replace(
+        "supermarket-shopping", "shopping"))
+    assert report.evaluated == 1
+
+
 def test_stream_parser():
     records = parse_stream("(inst a go)\n(inst b go :belief 0.5)\n(corroborate go x)")
     assert [r[0] for r in records] == ["inst", "inst", "corroborate"]

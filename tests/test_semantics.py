@@ -1,5 +1,3 @@
-import pytest
-
 from planmark import (
     Inst,
     SlotEq,
@@ -7,12 +5,12 @@ from planmark import (
     parse_path,
     relevant_instance_trace,
     relevant_statements,
-    relevant_type,
     statements_of,
 )
 from planmark.paths import LinkKind
 
-from conftest import sample_paths
+from conftest import marker_paths, sample_paths
+from oracles import relevant_statements_by_fold
 
 
 def test_trace_of_fig31(fig31):
@@ -59,10 +57,10 @@ def test_single_role_path_statements(kb):
     assert sset.eqs == (SlotEq("p1", "store-of", "s1"),)
 
 
-def test_relevant_type_picks_most_specific(kb, fig31):
-    sset = statements_of(fig31)
-    assert relevant_type("gen-1", sset, kb) == "supermarket-shopping"
-    assert relevant_type("go1", sset, kb) == "go"
+def test_relevant_type_picks_most_specific(fig31):
+    rt = {s.instance: s.schema for s in relevant_statements(fig31).insts}
+    assert rt["gen-1"] == "supermarket-shopping"
+    assert rt["go1"] == "go"
 
 
 def test_relevant_type_three_level_chain():
@@ -73,12 +71,12 @@ def test_relevant_type_three_level_chain():
     path = parse_path(base, "(inst p1 plan)(role- plan thing-of top)"
                             "(isa- mid top)(isa- leaf mid)(inst t1 leaf)")
     sset = statements_of(path)
-    assert sset.types_of("t1") == ["top", "mid", "leaf"]
-    assert relevant_type("t1", sset, base) == "leaf"
+    assert [s.schema for s in sset.insts if s.instance == "t1"] == ["top", "mid", "leaf"]
+    assert relevant_statements(path).insts[-1] == Inst("t1", "leaf")
 
 
 def test_relevant_statements_of_fig31(kb, fig31):
-    rs = relevant_statements(kb, fig31)
+    rs = relevant_statements(fig31)
     full = statements_of(fig31)
     assert set(rs.statements) == set(full.statements) - {Inst("gen-1", "shopping")}
     assert len(rs.insts) == 3
@@ -88,7 +86,7 @@ def test_rs_equals_s_without_isa_links(kb):
     path = parse_path(kb, "(inst s1 supermarket)"
                           "(role supermarket-shopping store-of supermarket)"
                           "(inst p1 supermarket-shopping)")
-    assert relevant_statements(kb, path) == statements_of(path)
+    assert relevant_statements(path) == statements_of(path)
 
 
 def test_fresh_prefix_is_configurable(fig31):
@@ -119,7 +117,7 @@ def test_structural_counts_on_sampled_paths():
     assert len(pairs) >= 120
     for base, path in pairs:
         sset = statements_of(path)
-        rs = relevant_statements(base, path)
+        rs = relevant_statements(path)
         roles = path.role_count()
         isas = len(path.links) - roles
         assert len(sset.eqs) == roles
@@ -131,13 +129,22 @@ def test_structural_counts_on_sampled_paths():
             assert len(sset.insts) == 2 + isas + roles - 1
         assert len(rs.insts) == roles + 1  # one per distinct instance
         assert set(rs.statements) <= set(sset.statements)
+        # Spine order: the ends first and last, the fresh instances between.
+        assert rs.insts[0].instance == path.start.instance
+        assert rs.insts[-1].instance == path.end.instance
+        assert tuple(s.instance for s in rs.insts[1:-1]) == rs.fresh
+        # No fresh instance only fills slots (slot-filler valley ban).
+        assert set(rs.fresh) <= {eq.owner for eq in rs.eqs}
+        # An endpoint's relevant type is no likelier than its observed schema.
+        assert base.prior(rs.insts[0].schema) <= base.prior(path.start.schema)
+        assert base.prior(rs.insts[-1].schema) <= base.prior(path.end.schema)
 
 
 def test_dropped_statements_are_implied(kb):
     pairs = sample_paths(seed=31, limit=60)
     for base, path in pairs:
         sset = statements_of(path)
-        rs = relevant_statements(base, path)
+        rs = relevant_statements(path)
         rt = {s.instance: s.schema for s in rs.insts}
         for dropped in set(sset.statements) - set(rs.statements):
             assert isinstance(dropped, Inst)
@@ -146,7 +153,7 @@ def test_dropped_statements_are_implied(kb):
 
 def test_sloteq_well_typed_on_sampled_paths():
     for base, path in sample_paths(seed=37, limit=100):
-        rs = relevant_statements(base, path)
+        rs = relevant_statements(path)
         rt = {s.instance: s.schema for s in rs.insts}
         for eq in rs.eqs:
             declared = base.declared_slot(rt[eq.owner], eq.slot)
@@ -158,9 +165,15 @@ def test_sloteq_well_typed_on_sampled_paths():
 
 def test_determinism(kb, fig31):
     assert statements_of(fig31) == statements_of(fig31)
-    assert relevant_statements(kb, fig31) == relevant_statements(kb, fig31)
+    assert relevant_statements(fig31) == relevant_statements(fig31)
 
 
-def test_relevant_type_requires_a_typing(kb, fig31):
-    with pytest.raises(ValueError, match="no inst statement"):
-        relevant_type("ghost", statements_of(fig31), kb)
+def test_rs_matches_the_isa_fold():
+    # Relevant types read off the walk's shape equal the ones the isa_star
+    # fold finds, statement for statement and in the same order.
+    pairs = sample_paths(seed=41, n_kbs=120, limit=6000)
+    assert len(pairs) >= 5000
+    cases = [(base, path, "gen-") for base, path in pairs] + marker_paths()
+    for base, path, prefix in cases:
+        assert (relevant_statements(path, prefix)
+                == relevant_statements_by_fold(base, path, prefix)), path.render()
