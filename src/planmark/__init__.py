@@ -10,7 +10,6 @@ small Bayesian network each path induces.
 from .bayes import (
     Cpts,
     EvidenceRegistry,
-    NetworkError,
     VertebrateNetwork,
     approve,
     build_network,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cpts",
     "EvidenceRegistry",
-    "NetworkError",
     "VertebrateNetwork",
     "approve",
     "build_network",

@@ -31,9 +31,11 @@ Conditional tables (`default_cpts`):
 Under exactly these conventions the exact conditional joint factors into
 (spinal contribution) x (residual), with the residual collecting p(==) per
 equality, the interior strength, and the normalization P(E_I | end
-evidence).  Whenever the residual is at most 1 the spinal contribution is
-therefore an upper bound on the joint, which is what licenses using it as
-the marker passer's cutoff measure.
+evidence).  For k equalities the residual is at most p(==)^k * gamma1 /
+min(gamma0, gamma1), so the spinal contribution is an upper bound on the
+joint, which is what licenses using it as the marker passer's cutoff
+measure, when gamma0 >= gamma1.  At the default gammas it is one only up
+to that factor, 9 for two equalities at p(==) = 1e-3 as in `corpus`.
 
 Evaluation is exact and takes O(n) for n nodes (`exact_posterior`): the
 instance nodes are independent and the interior node only asks whether
@@ -61,10 +63,6 @@ from .kb import KnowledgeBase, Observation
 from .paths import Path
 # bench/tracing.py wraps this module's relevant_statements, so it stays imported.
 from .semantics import StatementSet, relevant_statements  # noqa: F401
-
-
-class NetworkError(Exception):
-    """Ill-formed CPT parameters, or evidence impossible under them."""
 
 
 @dataclass(frozen=True)
@@ -151,39 +149,30 @@ def _evidence_pair(kb: KnowledgeBase, obs: Observation, node: InstNode) -> tuple
     # An endpoint's relevant type is its observed schema or a descendant of
     # it, and `load_kb` rejects a child prior above its parent's, so q is
     # at most the observed schema's prior and the projected belief at most b.
+    # q = 1 means a prior-1 observed schema, which
+    # `KnowledgeBase.check_observation` admits only at belief 1.
     q = node.prior
-    b = obs.belief * q / kb.prior(obs.schema)
     if q >= 1.0:
-        if b < 1.0:
-            raise NetworkError(
-                f"cannot scale evidence for {obs.instance!r}: type prior is 1 "
-                f"but belief is {obs.belief!r}")
-        lam_true, lam_false = 1.0, 0.0
-    else:
-        lam_true = b / q
-        lam_false = (1.0 - b) / (1.0 - q)
+        return (1.0, 0.0)
+    b = obs.belief * q / kb.prior(obs.schema)
+    lam_true = b / q
+    lam_false = (1.0 - b) / (1.0 - q)
     beta = 1.0 / max(lam_true, lam_false)
     return (lam_true * beta, lam_false * beta)
 
 
 def default_cpts(kb: KnowledgeBase, network: VertebrateNetwork,
                  gamma1: float, gamma0: float) -> Cpts:
-    if not (0.0 < gamma1 <= 1.0 and 0.0 < gamma0 <= 1.0):
-        raise NetworkError("interior strengths must be in (0,1]")
-    eq_true = []
-    for eq in network.eqs:
-        p = kb.eq_prior / kb.prior(eq.declared_filler_type)
-        if p > 1.0:
-            raise NetworkError(
-                f"equality prior {kb.eq_prior!r} exceeds the prior of filler "
-                f"type {eq.declared_filler_type!r}")
-        eq_true.append(p)
+    """The tables above, for interior strengths in (0,1] (`RunConfig`
+    checks them); `load_kb` keeps every p(==)/p(f) at most 1."""
+    eq_true = tuple(kb.eq_prior / kb.prior(eq.declared_filler_type)
+                    for eq in network.eqs)
     evidence = (
         _evidence_pair(kb, network.start_obs, network.insts[0]),
         _evidence_pair(kb, network.end_obs, network.insts[-1]),
     )
     return Cpts(inst_prior=tuple(n.prior for n in network.insts),
-                eq_true=tuple(eq_true), evidence=evidence,
+                eq_true=eq_true, evidence=evidence,
                 gamma1=gamma1, gamma0=gamma0, eq_prior=kb.eq_prior)
 
 
@@ -201,14 +190,14 @@ def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, floa
     The interior node reads gamma1 only when every equality holds, which
     forces every instance true, a single assignment of weight A; so the
     mass with interior evidence is s1 = gamma0*s0 + (gamma1-gamma0)*A.
+    As 0 <= A <= s0, s1 >= min(gamma0, gamma1) * s0 > 0, which bounds
+    the residual by p(==)^k * gamma1 / min(gamma0, gamma1).
     """
     (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
     q1, q2 = cpts.inst_prior[0], cpts.inst_prior[-1]
     s0 = (q1 * e1_t + (1.0 - q1) * e1_f) * (q2 * e2_t + (1.0 - q2) * e2_f)
     all_true = e1_t * e2_t * prod(cpts.inst_prior) * prod(cpts.eq_true)
     s1 = cpts.gamma0 * s0 + (cpts.gamma1 - cpts.gamma0) * all_true
-    if s1 <= 0.0:
-        raise NetworkError("evidence has zero probability under the CPTs")
     joint = cpts.gamma1 * all_true / s1
     p_ei_given_ends = s1 / s0
     residual = (cpts.eq_prior ** len(cpts.eq_true)) * cpts.gamma1 / p_ei_given_ends

@@ -5,13 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bayes import (
-    NetworkError,
-    build_network,
-    default_cpts,
-    exact_posterior,
-    render_network,
-)
+from .bayes import build_network, default_cpts, exact_posterior, render_network
 from .kb import KbError, load_kb
 from .marker import EngineConfig, OracleGuardError, enumerate_paths_oracle
 from .paths import PathError, parse_path
@@ -36,15 +30,19 @@ def _add_common(parser: argparse.ArgumentParser, *, kb_required: bool = True) ->
 
 
 def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threshold", type=float, default=30.0,
-                        help="half-path cutoff T (default 30)")
-    parser.add_argument("--full-threshold", type=float, default=None,
+    parser.add_argument("--threshold", type=float, default=EngineConfig.half_threshold,
+                        help="half-path cutoff T (default %(default)s)")
+    parser.add_argument("--full-threshold", type=float, default=EngineConfig.full_threshold,
                         help="whole-path cutoff (default T*T)")
-    parser.add_argument("--max-depth", type=_positive_int, default=10)
-    parser.add_argument("--approval-ratio", type=float, default=1000.0)
-    parser.add_argument("--gamma1", type=float, default=0.9,
+    parser.add_argument("--max-depth", type=_positive_int, default=EngineConfig.max_depth)
+    parser.add_argument("--approval-ratio", type=float, default=RunConfig.approval_ratio)
+    _add_gammas(parser)
+
+
+def _add_gammas(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gamma1", type=float, default=RunConfig.gamma1,
                         help="interior evidence strength when all equalities hold")
-    parser.add_argument("--gamma0", type=float, default=1e-7,
+    parser.add_argument("--gamma0", type=float, default=RunConfig.gamma0,
                         help="interior evidence strength otherwise")
 
 
@@ -77,14 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beliefs", type=_beliefs, default=(1.0, 1.0),
                        help="start,end beliefs (default 1.0,1.0)")
         if name == "eval":
-            p.add_argument("--gamma1", type=float, default=0.9)
-            p.add_argument("--gamma0", type=float, default=1e-7)
+            _add_gammas(p)
 
     p = sub.add_parser("paths", help="enumerate all valid paths (oracle)")
     _add_common(p)
     p.add_argument("--start", required=True, help="(inst ID SCHEMA) form")
     p.add_argument("--end", required=True, help="(inst ID SCHEMA) form")
-    p.add_argument("--max-depth", type=_positive_int, default=10)
+    p.add_argument("--max-depth", type=_positive_int, default=EngineConfig.max_depth)
 
     p = sub.add_parser("synth", help="emit a synthetic corpus")
     _add_common(p, kb_required=False)
@@ -98,12 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_obs(text: str):
+def _parse_obs(kb, text: str):
     from .pipeline import parse_stream
 
     records = parse_stream(text)
     if len(records) != 1 or records[0][0] != "inst":
         raise KbError("expected a single (inst ID SCHEMA [:belief FLOAT]) form")
+    kb.check_observation(records[0][1])
     return records[0][1]
 
 
@@ -137,23 +135,23 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         return 0
 
     if args.command == "run":
-        if args.input is None:
-            stream_text = sys.stdin.read()
-        else:
-            with open(args.input, encoding="utf-8") as fh:
-                stream_text = fh.read()
         config = RunConfig(
             engine=EngineConfig(half_threshold=args.threshold,
                                 full_threshold=args.full_threshold,
                                 max_depth=args.max_depth),
             gamma1=args.gamma1, gamma0=args.gamma0,
             approval_ratio=args.approval_ratio)
+        if args.input is None:
+            stream_text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                stream_text = fh.read()
         out.write(run(kb, config, stream_text).render())
         return 0
 
     if args.command == "paths":
-        obs1 = _parse_obs(args.start)
-        obs2 = _parse_obs(args.end)
+        obs1 = _parse_obs(kb, args.start)
+        obs2 = _parse_obs(kb, args.end)
         for path in enumerate_paths_oracle(kb, obs1, obs2, args.max_depth):
             out.write(path.render() + "\n")
         return 0
@@ -174,8 +172,9 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         network = build_network(kb, path, relevant_statements(path))
         out.write(render_network(network))
     else:  # eval
+        config = RunConfig(gamma1=args.gamma1, gamma0=args.gamma0)
         network = build_network(kb, path, relevant_statements(path))
-        cpts = default_cpts(kb, network, args.gamma1, args.gamma0)
+        cpts = default_cpts(kb, network, config.gamma1, config.gamma0)
         joint, residual = exact_posterior(network, cpts)
         out.write(f"posterior {joint!r}\n")
         out.write(f"residual {residual!r}\n")
@@ -190,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 return _dispatch(args, fh)
         return _dispatch(args, sys.stdout)
-    except (KbError, PathError, NetworkError, OracleGuardError, OSError,
-            ValueError) as exc:
+    except (KbError, PathError, OracleGuardError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

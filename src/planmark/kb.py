@@ -11,7 +11,8 @@ Each schema carries a prior probability (the share of explanations in which
 it appears), and the base carries one global equality prior ``p(==)``: the
 prior probability that two arbitrary things are the same thing.  Priors
 obey the subset structure: a child's prior never exceeds its parent's, and
-the immediate children of a parent sum to at most the parent.
+the immediate children of a parent sum to at most the parent.  ``p(==)``
+never exceeds the prior of a type that fills a slot.
 
 Textual format (UTF-8 s-expressions, ``;`` comments, order-insensitive,
 forward references allowed)::
@@ -101,6 +102,17 @@ class KnowledgeBase:
                 return True
             parent = self.schemas[parent].parent
         return False
+
+    def check_observation(self, obs: Observation) -> None:
+        """Raise `KbError` for an unknown schema, `ValueError` for a belief
+        outside (0,1] or below 1 on a schema whose prior is 1."""
+        prior = self.prior(obs.schema)
+        if not 0.0 < obs.belief <= 1.0:
+            raise ValueError(f"belief must be in (0,1], got {obs.belief!r}")
+        if prior >= 1.0 and obs.belief < 1.0:
+            raise ValueError(
+                f"cannot scale evidence for {obs.instance!r}: type prior is 1 "
+                f"but belief is {obs.belief!r}")
 
     def neighbors(self, name: str) -> tuple[TraversalLink, ...]:
         """All moves leaving ``name``, sorted by destination schema then
@@ -248,6 +260,12 @@ def load_kb(text: str) -> KnowledgeBase:
             raise KbError(f"unknown filler {filler!r} in role of {filled!r}", line)
         if slot in slot_map[filled]:
             raise KbError(f"duplicate slot {slot!r} on schema {filled!r}", line)
+        # The slot's equality holds with probability p(==)/p(filler) when
+        # both ends exist, so that ratio must be a probability.
+        if eq_prior > raw_schemas[filler][1]:
+            raise KbError(
+                f"equality prior {eq_prior!r} exceeds the prior of filler "
+                f"type {filler!r}", line)
         slot_map[filled][slot] = filler
 
     schemas = {

@@ -103,9 +103,7 @@ class MarkerEngine:
         """Place a depth-0 mark for an observation; idempotent for an
         identical re-observation.  Collisions with marks already spread
         from other origins are emitted immediately."""
-        self.kb.schema(obs.schema)
-        if not 0.0 < obs.belief <= 1.0:
-            raise ValueError(f"belief must be in (0,1], got {obs.belief!r}")
+        self.kb.check_observation(obs)
         previous = self._seeds.get(obs.instance)
         if previous is not None:
             if previous != obs:

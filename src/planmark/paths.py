@@ -324,9 +324,10 @@ def parse_path(kb: "KnowledgeBase", text: str,
 
     Every link must name a role or isa edge that exists in ``kb`` and must
     chain onto the previous position.  Observation beliefs are not part of
-    the surface form and are supplied separately.
+    the surface form and are supplied separately, and checked by
+    `KnowledgeBase.check_observation` like a stream observation's.
     """
-    from .kb import Observation
+    from .kb import KbError, Observation
 
     forms = read_forms(text, PathError.from_reader)
     if len(forms) < 3:
@@ -339,15 +340,13 @@ def parse_path(kb: "KnowledgeBase", text: str,
         if _RESERVED_ID_RE.match(items[1]):
             raise PathError(f"instance ID {items[1]!r} is reserved: gen-<j> names "
                             "the fresh instances of a path", at)
-    for belief in beliefs:
-        if not 0.0 < belief <= 1.0:
-            raise PathError(f"belief must be in (0,1], got {belief!r}")
     start = Observation(instance=head[1], schema=head[2], belief=beliefs[0])
     end = Observation(instance=tail[1], schema=tail[2], belief=beliefs[1])
-    if start.schema not in kb.schemas:
-        raise PathError(f"unknown schema {start.schema!r}", head_at)
-    if end.schema not in kb.schemas:
-        raise PathError(f"unknown schema {end.schema!r}", tail_at)
+    for obs, at in ((start, head_at), (end, tail_at)):
+        try:
+            kb.check_observation(obs)
+        except (KbError, ValueError) as exc:
+            raise PathError(str(exc), at) from None
 
     links = []
     at_schema = start.schema

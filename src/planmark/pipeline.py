@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from .bayes import (
     EvidenceRegistry,
-    NetworkError,
     approve,
     build_network,
     default_cpts,
@@ -49,10 +48,16 @@ from .semantics import relevant_statements
 
 @dataclass
 class RunConfig:
+    """Engine settings, interior evidence strengths and approval ratio."""
+
     engine: EngineConfig = field(default_factory=EngineConfig)
     gamma1: float = 0.9
     gamma0: float = 1e-7
     approval_ratio: float = 1000.0
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.gamma1 <= 1.0 and 0.0 < self.gamma0 <= 1.0):
+            raise ValueError("interior strengths must be in (0,1]")
 
 
 @dataclass
@@ -64,13 +69,9 @@ class PathRecord:
     posterior: float | None
     residual: float | None
     approved: bool
-    skip_reason: str | None = None
 
     def render(self) -> str:
-        if self.skip_reason is not None:
-            posterior = f"skipped: {self.skip_reason}"
-            residual = "-"
-        elif self.posterior is None:
+        if self.posterior is None:
             posterior = "-"
             residual = "-"
         else:
@@ -159,8 +160,8 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     paths: list[Path] = []
 
     for head, payload, line in parse_stream(stream_text):
-        # The engine and the base reject a record's unknown schema, belief
-        # out of range or conflicting re-observation; name its line.
+        # The base rejects a record's unknown schema or belief out of range,
+        # the engine a conflicting re-observation; name its line.
         try:
             if head == "inst":
                 engine.seed(payload)
@@ -182,20 +183,15 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                             filtered="pass" if passed else "fail",
                             posterior=None, residual=None, approved=False)
         if passed:
-            try:
-                network = build_network(kb, path, rs)
-                joint, residual = exact_posterior(network, default_cpts(
-                    kb, network, config.gamma1, config.gamma0))
-            except NetworkError as exc:
-                record.skip_reason = str(exc)
-            else:
-                evaluated += 1
-                record.posterior = joint
-                record.residual = residual
-                record.approved = approve(kb, rs, joint,
-                                          ratio=config.approval_ratio)
-                if record.approved:
-                    approved_count += 1
+            network = build_network(kb, path, rs)
+            joint, residual = exact_posterior(network, default_cpts(
+                kb, network, config.gamma1, config.gamma0))
+            evaluated += 1
+            record.posterior = joint
+            record.residual = residual
+            record.approved = approve(kb, rs, joint, ratio=config.approval_ratio)
+            if record.approved:
+                approved_count += 1
         records.append(record)
 
     reported = len(paths)

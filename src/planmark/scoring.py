@@ -1,5 +1,8 @@
-"""The spinal contribution: a cheap, incrementally computable upper bound
-on the posterior of the network a path induces.
+"""The spinal contribution: a cheap, incrementally computable bound on the
+posterior of the network a path induces, an upper bound when gamma0 >=
+gamma1 and otherwise one up to a factor p(==)^k * gamma1 / gamma0 for k
+role links (see `bayes`): 9 at the default gammas for two role links at
+p(==) = 1e-3, as in `corpus`.
 
 Scoring a whole path is a single left-to-right product: the start
 observation's belief, one multiplier per link, and a terminal factor

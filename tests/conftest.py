@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
+import planmark as package
 from planmark import MarkerEngine, Observation, load_kb, random_kb, validate
 from planmark.marker import EngineConfig, OracleGuardError, enumerate_paths_oracle
 from planmark.paths import Path, START_STATE, parse_path, step
@@ -33,6 +38,19 @@ def kb():
 @pytest.fixture
 def fig31(kb):
     return parse_path(kb, FIG31_TEXT, beliefs=(0.9, 0.9))
+
+
+def package_env():
+    """The environment for a child interpreter that imports the package
+    under test, wherever it was imported from."""
+    paths = [str(FilePath(package.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def planmark(*args, stdin=None):
+    """The `planmark` command in a fresh interpreter, output captured."""
+    return subprocess.run([sys.executable, "-m", "planmark", *args], capture_output=True,
+                          text=True, input=stdin, env=package_env())
 
 
 def sample_paths(seed, n_kbs=4, max_depth=5, max_roles=None, limit=200,

@@ -17,7 +17,8 @@ The rest are reference evaluators for vertebrate networks.
 `planmark.bayes.exact_posterior` computes (joint, residual) in closed form.
 The two evaluators here reach the same quantities without relying on the
 spine's structure: `posterior_by_enumeration` sums every assignment of the
-non-evidence nodes (2^n terms, chunked through numpy), and
+non-evidence nodes (2^n terms, chunked through numpy; the sums themselves
+come from `masses_by_enumeration`), and
 `posterior_by_elimination` runs sum-product variable elimination over
 explicit factor tables.  Both cost exponential time; keep them to small
 networks.
@@ -31,7 +32,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from planmark.bayes import Cpts, NetworkError, VertebrateNetwork
+from planmark.bayes import Cpts, VertebrateNetwork
 from planmark.kb import KnowledgeBase
 from planmark.marker import Mark, MarkerEngine
 from planmark.paths import Path, validate
@@ -145,15 +146,11 @@ def evidence_filter_by_scan(kb: KnowledgeBase, rs: StatementSet,
 _CHUNK_BITS = 16
 
 
-def posterior_by_enumeration(network: VertebrateNetwork,
-                             cpts: Cpts) -> tuple[float, float]:
-    """(joint, residual) by full enumeration.
-
-    ``joint`` is P(every instance and equality node true | both end
-    evidence nodes and the interior evidence node).  ``residual`` is the
-    bounded group the joint factors into beyond the spinal contribution:
-    p(==)^k * gamma1 / P(E_I | e1, e2).
-    """
+def masses_by_enumeration(network: VertebrateNetwork,
+                          cpts: Cpts) -> tuple[float, float, float]:
+    """(s0, s1, numerator) by full enumeration: the probability of the end
+    evidence, of the end and interior evidence together, and of those with
+    every instance and equality node true."""
     n_inst = len(cpts.inst_prior)
     n_eq = len(cpts.eq_true)
     n = n_inst + n_eq
@@ -185,12 +182,22 @@ def posterior_by_enumeration(network: VertebrateNetwork,
         s1 += float(w_ei.sum())
         if base + len(idx) == total:
             numerator = float(w_ei[-1])  # the all-true assignment
+    return s0, s1, numerator
 
-    if s1 <= 0.0:
-        raise NetworkError("evidence has zero probability under the CPTs")
+
+def posterior_by_enumeration(network: VertebrateNetwork,
+                             cpts: Cpts) -> tuple[float, float]:
+    """(joint, residual) by full enumeration.
+
+    ``joint`` is P(every instance and equality node true | both end
+    evidence nodes and the interior evidence node).  ``residual`` is the
+    bounded group the joint factors into beyond the spinal contribution:
+    p(==)^k * gamma1 / P(E_I | e1, e2).
+    """
+    s0, s1, numerator = masses_by_enumeration(network, cpts)
     joint = numerator / s1
     p_ei_given_ends = s1 / s0
-    residual = (cpts.eq_prior ** n_eq) * cpts.gamma1 / p_ei_given_ends
+    residual = (cpts.eq_prior ** len(cpts.eq_true)) * cpts.gamma1 / p_ei_given_ends
     return joint, residual
 
 

@@ -1,12 +1,18 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planmark import (
     EvidenceRegistry,
-    NetworkError,
+    KbError,
+    MarkerEngine,
     Observation,
+    PathError,
+    RunConfig,
     approve,
     build_network,
     default_cpts,
@@ -20,10 +26,18 @@ from planmark import (
 )
 from planmark.paths import Path, TraversalLink
 
-from conftest import chain_kb_text, marker_paths, sample_paths
+from conftest import (
+    FIG31_TEXT,
+    FIXTURE_KB_TEXT,
+    chain_kb_text,
+    marker_paths,
+    planmark,
+    sample_paths,
+)
 from oracles import (
     ScanRegistry,
     evidence_filter_by_scan,
+    masses_by_enumeration,
     posterior_by_elimination,
     posterior_by_enumeration,
 )
@@ -76,30 +90,72 @@ def test_equality_cpt_value(kb):
     assert cpts.eq_true[0] == pytest.approx(0.001 / 0.01, rel=1e-12)
 
 
-def test_equality_prior_above_filler_prior_rejected():
-    base = load_kb("(eq-prior 0.5)(schema tiny :prior 0.01)"
-                   "(schema plan :prior 0.02)(role plan thing-of tiny)")
-    path = parse_path(base, "(inst t1 tiny)(role plan thing-of tiny)(inst p1 plan)")
-    network = build_network(base, path, relevant_statements(path))
-    with pytest.raises(NetworkError, match="exceeds the prior"):
-        default_cpts(base, network, 0.9, 0.1)
+# The network's tables are probabilities only for coherent inputs: every
+# p(==)/p(filler) at most 1, interior strengths in (0,1], and belief 1 on a
+# type whose prior is 1.  Each input's reader rejects the rest, so no path
+# is ever left unevaluated for a fault of the input.
+
+def assert_rejected(result, message):
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
+    assert "Traceback" not in result.stderr
 
 
-def test_gamma_range_checked(kb):
-    path = single_role_path(kb)
-    network = build_network(kb, path, relevant_statements(path))
-    with pytest.raises(NetworkError, match="interior strengths"):
-        default_cpts(kb, network, 0.0, 0.5)
+def test_equality_prior_above_filler_prior_rejected(tmp_path):
+    text = ("(eq-prior 0.5)\n(schema tiny :prior 0.01)\n"
+            "(schema plan :prior 0.02)\n(role plan thing-of tiny)\n")
+    with pytest.raises(KbError, match="^line 4: equality prior 0.5 exceeds the prior "
+                                      "of filler type 'tiny'$"):
+        load_kb(text)
+    kb_file = tmp_path / "bad.kb"
+    kb_file.write_text(text)
+    assert_rejected(planmark("check", "--kb", str(kb_file)),
+                    "line 4: equality prior 0.5 exceeds the prior of filler type 'tiny'")
 
 
-def test_certain_type_with_uncertain_belief_cannot_scale():
-    base = load_kb("(eq-prior 0.001)(schema anything :prior 1.0)"
-                   "(schema plan :prior 0.01)(role plan of anything)")
-    path = parse_path(base, "(inst a1 anything)(role plan of anything)(inst p1 plan)",
-                      beliefs=(0.5, 1.0))
-    network = build_network(base, path, relevant_statements(path))
-    with pytest.raises(NetworkError, match="cannot scale evidence"):
-        default_cpts(base, network, 0.9, 0.1)
+def test_gamma_range_checked(tmp_path):
+    for gamma1, gamma0 in ((0.0, 0.5), (0.9, 0.0), (1.5, 1e-7), (0.9, 2.0)):
+        with pytest.raises(ValueError, match=r"interior strengths must be in \(0,1\]"):
+            RunConfig(gamma1=gamma1, gamma0=gamma0)
+    kb_file = tmp_path / "fixture.kb"
+    kb_file.write_text(FIXTURE_KB_TEXT)
+    stream = tmp_path / "story.stream"
+    stream.write_text("(inst supermarket2 supermarket)\n(inst go1 go)\n")
+    assert_rejected(planmark("run", "--kb", str(kb_file), "--input", str(stream),
+                             "--gamma1", "0"),
+                    "interior strengths must be in (0,1]")
+    assert_rejected(planmark("eval", "--kb", str(kb_file), "--path", FIG31_TEXT,
+                             "--gamma0", "0"),
+                    "interior strengths must be in (0,1]")
+
+
+CERTAIN_KB_TEXT = ("(eq-prior 0.001)\n(schema anything :prior 1.0)\n"
+                   "(schema thing :isa anything :prior 0.5)\n"
+                   "(schema plan :prior 0.01)\n(role plan of anything)\n")
+
+
+def test_certain_type_with_uncertain_belief_cannot_scale(tmp_path):
+    message = "cannot scale evidence for 'a1': type prior is 1 but belief is 0.5"
+    base = load_kb(CERTAIN_KB_TEXT)
+    with pytest.raises(ValueError, match=message):
+        MarkerEngine(base).seed(Observation("a1", "anything", 0.5))
+    # Rejected whichever path would reach it: the direct one, or a detour
+    # that re-types the endpoint through a child with a smaller prior.
+    paths = ["(inst a1 anything)(role plan of anything)(inst p1 plan)",
+             "(inst a1 anything)(isa- thing anything)(isa thing anything)"
+             "(role plan of anything)(inst p1 plan)"]
+    for text in paths:
+        with pytest.raises(PathError, match=rf"{message} \(at position 0\)"):
+            parse_path(base, text, beliefs=(0.5, 1.0))
+    end_text = "(inst p1 plan)(role- plan of anything)(inst a1 anything)"
+    with pytest.raises(PathError, match=rf"{message} \(at position 38\)"):
+        parse_path(base, end_text, beliefs=(1.0, 0.5))
+    kb_file = tmp_path / "certain.kb"
+    kb_file.write_text(CERTAIN_KB_TEXT)
+    result = planmark("run", "--kb", str(kb_file), "--threshold", "0",
+                      stdin="(inst p1 plan)\n(inst a1 anything :belief 0.5)\n"
+                            "(corroborate plan of)\n")
+    assert_rejected(result, f"line 2: {message}")
 
 
 def test_belief_equal_to_prior_carries_no_information(kb):
@@ -165,6 +221,28 @@ def test_identity_and_bound_randomized(kb):
             assert joint <= sc * (1 + 1e-12)
             checked_bound += 1
     assert checked_bound >= 30
+
+
+BOUND_CASES = sample_paths(seed=67, limit=120, max_roles=4, beliefs=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(BOUND_CASES),
+       gamma1=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+       gamma0=st.floats(1e-9, 1.0))
+def test_residual_bound_for_any_interior_strengths(case, gamma1, gamma0):
+    # s1/s0 = gamma0 + (gamma1 - gamma0) * A/s0 with 0 <= A <= s0, so the
+    # spinal contribution bounds the joint up to p(==)^k * gamma1 / min(gamma0,
+    # gamma1): an upper bound exactly when gamma0 >= gamma1.
+    base, path = case
+    network, cpts = network_of(base, path, gamma1, gamma0)
+    _, residual = exact_posterior(network, cpts)
+    floor = min(gamma0, gamma1)
+    bound = cpts.eq_prior ** path.role_count() * gamma1 / floor
+    # Below the normal range a float has no 1e-12 relative precision.
+    assert residual <= bound * (1 + 1e-12) + sys.float_info.min
+    s0, s1, _ = masses_by_enumeration(network, cpts)
+    assert s1 >= floor * s0 * (1 - 1e-12)
 
 
 def chain_path(length, beliefs=(1.0, 1.0)):

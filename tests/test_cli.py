@@ -1,16 +1,8 @@
-import subprocess
-import sys
-
 import pytest
 
-from conftest import FIG31_TEXT, FIXTURE_KB_TEXT
+from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, planmark
 
 SPREAD_FLAGS = ["--threshold", "0.1", "--full-threshold", "1.0"]
-
-
-def planmark(*args, stdin=None):
-    return subprocess.run([sys.executable, "-m", "planmark", *args],
-                          capture_output=True, text=True, input=stdin)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +130,14 @@ def test_paths_command(kb_file):
                       "--end", "(inst go1 go)", "--max-depth", "6")
     assert result.returncode == 0
     assert result.stdout == FIG31_TEXT + "\n"
+
+
+def test_paths_command_checks_its_observations(kb_file):
+    result = planmark("paths", "--kb", kb_file,
+                      "--start", "(inst supermarket2 supermarket :belief 5)",
+                      "--end", "(inst go1 go)")
+    assert result.returncode == 1
+    assert result.stderr == "error: belief must be in (0,1], got 5.0\n"
 
 
 def test_output_flag_writes_file(kb_file, tmp_path):
