@@ -9,7 +9,7 @@ sequences makes the rules concrete.
 """
 
 from planmark import Observation, load_kb, parse_path, reverse, validate
-from planmark.paths import LinkKind, Path, START_STATE, TraversalLink, step
+from planmark.paths import LinkKind, Path, START_STATE, STATE_NAMES, TraversalLink, step
 
 kb = load_kb("""
 (eq-prior 0.001)
@@ -31,7 +31,7 @@ def show_dfa(title, kinds):
         if state is None:
             trace.append("REJECTED")
             break
-        trace.append(f"{state.phase.name}/{'isa-up' if state.last_was_isa_up else '-'}")
+        trace.append(STATE_NAMES[state])
     print(f"{title}: {' -> '.join(k.name for k in kinds)}")
     print(f"   {' -> '.join(trace)}")
 

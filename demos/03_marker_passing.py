@@ -15,6 +15,7 @@ from planmark import (
     load_kb,
     score_path,
 )
+from planmark.paths import STATE_NAMES
 
 kb = load_kb("""
 (eq-prior 0.001)
@@ -36,11 +37,12 @@ engine.seed(seen_store)
 engine.seed(seen_go)
 paths = engine.spread()
 
+# A mark is kept per (origin, schema, DFA state); the state is a small int
+# that STATE_NAMES spells out as the walk's role phase and last isa move.
 print(f"marks retained: {len(engine.marks)}")
-for key, mark in engine.marks.items():
-    origin, at, _ = key
-    print(f"  from {origin:13s} at {at:22s} score={mark.score:.4g} "
-          f"depth={len(mark.trail)}")
+for (origin, at, state), mark in engine.marks.items():
+    print(f"  from {origin:13s} at {at:22s} {STATE_NAMES[state]:19s} "
+          f"score={mark.score:.4g} depth={len(mark.trail)}")
 
 print()
 print(f"paths emitted: {len(paths)}")

@@ -35,7 +35,6 @@ from .paths import (
     PathError,
     START_STATE,
     TraversalLink,
-    ValidityState,
     parse_path,
     reverse,
     step,
@@ -97,7 +96,6 @@ __all__ = [
     "PathError",
     "START_STATE",
     "TraversalLink",
-    "ValidityState",
     "parse_path",
     "reverse",
     "step",

@@ -118,14 +118,14 @@ def build_network(kb: KnowledgeBase, path: Path,
     """Build the unique network for a valid path and its RS(P), whose
     instances already run along the spine from the start observation to
     the end one."""
-    insts = tuple(InstNode(s.instance, s.schema, kb.prior(s.schema))
-                  for s in rs.insts)
+    insts = tuple([InstNode(s.instance, s.schema, kb.prior(s.schema))
+                   for s in rs.insts])
     role_links = [link for link in path.links if link.kind.is_role]
-    eqs = tuple(
+    eqs = tuple([
         EqNode(index=k, owner=eq.owner, slot=eq.slot, filler=eq.filler,
                declared_filler_type=link.filler)
         for k, (eq, link) in enumerate(zip(rs.eqs, role_links), start=1)
-    )
+    ])
     return VertebrateNetwork(insts=insts, eqs=eqs,
                              start_obs=path.start, end_obs=path.end)
 
@@ -165,13 +165,13 @@ def default_cpts(kb: KnowledgeBase, network: VertebrateNetwork,
                  gamma1: float, gamma0: float) -> Cpts:
     """The tables above, for interior strengths in (0,1] (`RunConfig`
     checks them); `load_kb` keeps every p(==)/p(f) at most 1."""
-    eq_true = tuple(kb.eq_prior / kb.prior(eq.declared_filler_type)
-                    for eq in network.eqs)
+    eq_true = tuple([kb.eq_prior / kb.prior(eq.declared_filler_type)
+                     for eq in network.eqs])
     evidence = (
         _evidence_pair(kb, network.start_obs, network.insts[0]),
         _evidence_pair(kb, network.end_obs, network.insts[-1]),
     )
-    return Cpts(inst_prior=tuple(n.prior for n in network.insts),
+    return Cpts(inst_prior=tuple([n.prior for n in network.insts]),
                 eq_true=eq_true, evidence=evidence,
                 gamma1=gamma1, gamma0=gamma0, eq_prior=kb.eq_prior)
 

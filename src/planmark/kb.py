@@ -22,6 +22,11 @@ forward references allowed)::
     (schema supermarket :isa store- :prior 0.01)
     (role supermarket-shopping store-of supermarket)
 
+Loading also builds the adjacency the marker passer spreads over: for each
+schema, every move leaving it as a `Move` that carries the link, where it
+arrives, the link kind's column in the DFA step table, the link's
+spinal-contribution multiplier and the same link walked the other way.
+
 A loaded `KnowledgeBase` is immutable and safe to share across threads.
 """
 
@@ -29,8 +34,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .paths import KIND_ORDER, TraversalLink, read_forms
+from .paths import TraversalLink, read_forms
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
@@ -78,11 +84,25 @@ class Observation:
     belief: float = 1.0
 
 
+class Move(NamedTuple):
+    """One entry of the adjacency: a link leaving a schema, with what the
+    marker needs to take it precomputed.  ``kind`` is the link kind's
+    ``order`` (its column in `paths.STEP`), ``multiplier`` its factor in
+    the spinal contribution (`scoring.link_multiplier`) and ``twin`` the
+    same KB link walked the other way."""
+
+    link: TraversalLink
+    destination: str
+    kind: int
+    multiplier: float
+    twin: TraversalLink
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     schemas: dict[str, Schema]
     eq_prior: float
-    adjacency: dict[str, tuple[TraversalLink, ...]] = field(compare=False)
+    adjacency: dict[str, tuple[Move, ...]] = field(compare=False)
 
     def schema(self, name: str) -> Schema:
         try:
@@ -118,9 +138,10 @@ class KnowledgeBase:
         """All moves leaving ``name``, sorted by destination schema then
         link kind then slot; every move has its inverse at the far end."""
         try:
-            return self.adjacency[name]
+            moves = self.adjacency[name]
         except KeyError:
             raise KbError(f"unknown schema {name!r}") from None
+        return tuple(move.link for move in moves)
 
     def has_role(self, filled: str, slot: str, filler: str) -> bool:
         schema = self.schemas.get(filled)
@@ -281,17 +302,31 @@ def load_kb(text: str) -> KnowledgeBase:
                          adjacency=_build_adjacency(schemas))
 
 
-def _build_adjacency(schemas: dict[str, Schema]) -> dict[str, tuple[TraversalLink, ...]]:
-    moves: dict[str, list[TraversalLink]] = {name: [] for name in schemas}
+def _build_adjacency(schemas: dict[str, Schema]) -> dict[str, tuple[Move, ...]]:
+    # Both directions of each KB link are built together, so each move
+    # holds the other as its twin.  The multipliers are those of
+    # `scoring.link_multiplier`: p(filled)/p(filler) climbing a role,
+    # p(specific)/p(general) descending an isa edge, 1 otherwise.
+    moves: dict[str, list[Move]] = {name: [] for name in schemas}
+
+    def add(up: TraversalLink, up_multiplier: float,
+            down: TraversalLink, down_multiplier: float) -> None:
+        moves[up.source].append(Move(up, up.destination, up.kind.order,
+                                     up_multiplier, down))
+        moves[down.source].append(Move(down, down.destination, down.kind.order,
+                                       down_multiplier, up))
+
     for schema in schemas.values():
         if schema.parent is not None:
-            moves[schema.name].append(TraversalLink.isa_up(schema.name, schema.parent))
-            moves[schema.parent].append(TraversalLink.isa_down(schema.name, schema.parent))
+            add(TraversalLink.isa_up(schema.name, schema.parent), 1.0,
+                TraversalLink.isa_down(schema.name, schema.parent),
+                schema.prior / schemas[schema.parent].prior)
         for slot, filler in schema.slots:
-            moves[schema.name].append(TraversalLink.role_down(schema.name, slot, filler))
-            moves[filler].append(TraversalLink.role_up(schema.name, slot, filler))
+            add(TraversalLink.role_up(schema.name, slot, filler),
+                schema.prior / schemas[filler].prior,
+                TraversalLink.role_down(schema.name, slot, filler), 1.0)
 
-    def key(link: TraversalLink):
-        return (link.destination, KIND_ORDER[link.kind], link.slot)
+    def key(move: Move):
+        return (move.destination, move.kind, move.link.slot)
 
-    return {name: tuple(sorted(links, key=key)) for name, links in moves.items()}
+    return {name: tuple(sorted(entries, key=key)) for name, entries in moves.items()}

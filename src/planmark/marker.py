@@ -1,21 +1,25 @@
 """Breadth-first marker passing with score-based cutoff.
 
 Each observation seeds a mark on its schema.  Marks spread outward to
-neighboring schemas in FIFO order, carrying a validity-DFA state, a running
-half-path score (a float, one multiply per link), and their trail, whose
-length is the mark's depth.  A move is taken only if the DFA accepts
-it and the extended score stays at or above the half threshold T; at most
-one mark per (origin, schema, DFA state) is retained, keeping the
-best-scoring trail.  When a mark lands where a mark from another origin
-already sits, the meeting is judged before any path is built: the seam
-table over the two marks' DFA states rejects meetings no single valid path
-allows (marks from unrelated trails can meet at a plateau or a valley, or
-with no role link between them), and the cleave rule scores the rest from
-the two half scores and the meeting schema's prior.  Only a meeting whose
-full score clears the full threshold is glued into a whole path, re-scored
-link by link as a check on the cleave identity, and emitted unless the
-same path was emitted before.  Marks extend only along the base's
-neighbor links and meet only at the schema they share, so the scoring
+neighboring schemas in FIFO order, carrying a validity-DFA state (an int),
+a running half-path score (a float) and the adjacency moves they took,
+whose count is the mark's depth.  Taking a move is one lookup in the DFA's
+step table and one multiply by the move's precomputed multiplier; the move
+is kept only if the DFA accepts it and the extended score stays at or
+above the half threshold T.  At most one mark per (origin, schema, DFA
+state) is retained, keeping the best-scoring trail.
+
+When a mark lands where marks from other origins already sit, only those
+whose DFA state the seam table pairs with its own are met, in the order
+they arrived: marks from unrelated trails can meet at a plateau or a
+valley, or with no role link between them, and no single valid path
+allows that.  The cleave rule scores each remaining meeting from the two
+half scores and the meeting schema's prior.  Only a meeting whose full
+score clears the full threshold is glued into a whole path, from each
+move's link on one side and its stored twin on the other; the path is
+re-scored link by link as a check on the cleave identity and emitted
+unless the same path was emitted before.  Marks extend only along the
+base's adjacency and meet only at the schema they share, so the scoring
 functions they call check neither.
 
 `enumerate_paths_oracle` is the engine's reference point: a plain
@@ -30,37 +34,45 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .kb import KnowledgeBase, Observation
+from .kb import KnowledgeBase, Move, Observation
 from .paths import (
     LinkKind,
     Path,
     SEAM_VALID,
     START_STATE,
+    STEP,
     TraversalLink,
-    ValidityState,
     step,
     validate,
 )
 from .scoring import combine, extend_half, initial_score, score_path
 
-MarkKey = tuple[str, str, ValidityState]
+MarkKey = tuple[str, str, int]
 
 
 class OracleGuardError(Exception):
     """The exhaustive enumeration would visit too many prefixes."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Mark:
+    """A half path: where it started, where it is, the DFA state it left,
+    its half score and the adjacency moves it took, oldest first."""
+
     origin: Observation
     at: str
-    dfa: ValidityState
+    state: int
     score: float
-    trail: tuple[TraversalLink, ...]
+    moves: tuple[Move, ...]
 
     @property
     def key(self) -> MarkKey:
-        return (self.origin.instance, self.at, self.dfa)
+        return (self.origin.instance, self.at, self.state)
+
+    @property
+    def trail(self) -> tuple[TraversalLink, ...]:
+        """The links walked from the origin, in travel order."""
+        return tuple(move.link for move in self.moves)
 
 
 @dataclass
@@ -112,57 +124,62 @@ class MarkerEngine:
             return
         self._seeds[obs.instance] = obs
         self._seed_order[obs.instance] = len(self._seed_order)
-        mark = Mark(origin=obs, at=obs.schema, dfa=START_STATE,
-                    score=initial_score(obs), trail=())
-        self._place(mark)
+        self._place(Mark(obs, obs.schema, START_STATE, initial_score(obs), ()))
 
     def spread(self) -> list[Path]:
         """Drain the queue breadth-first; returns paths emitted since the
         previous call (including any emitted at seed time)."""
-        cfg = self.config
-        while self._queue:
-            mark = self._queue.popleft()
-            if self.marks.get(mark.key) is not mark:
+        adjacency = self.kb.adjacency
+        half_threshold = self.config.half_threshold
+        marks, queue, place = self.marks, self._queue, self._place
+        while queue:
+            mark = queue.popleft()
+            origin, row, score, moves = mark.origin, STEP[mark.state], mark.score, mark.moves
+            if marks.get((origin.instance, mark.at, mark.state)) is not mark:
                 continue  # superseded by a better trail
-            for link in self.kb.neighbors(mark.at):
-                state = step(mark.dfa, link)
+            for move in adjacency[mark.at]:
+                state = row[move.kind]
                 if state is None:
                     continue
-                score = extend_half(self.kb, mark.score, link)
-                if score < cfg.half_threshold:
+                extended = score * move.multiplier
+                if extended < half_threshold:
                     continue
-                self._place(Mark(origin=mark.origin, at=link.destination,
-                                 dfa=state, score=score,
-                                 trail=mark.trail + (link,)))
+                place(Mark(origin, move.destination, state, extended, moves + (move,)))
         out = self._pending
         self._pending = []
         return out
 
     def _place(self, mark: Mark) -> None:
-        incumbent = self.marks.get(mark.key)
+        key = (mark.origin.instance, mark.at, mark.state)
+        incumbent = self.marks.get(key)
         if incumbent is not None and incumbent.score >= mark.score:
             return
-        self.marks[mark.key] = mark
-        self._at.setdefault(mark.at, {})[mark.key] = mark
-        for other in list(self._at[mark.at].values()):
-            if other.origin.instance != mark.origin.instance:
+        self.marks[key] = mark
+        here = self._at.get(mark.at)
+        if here is None:
+            here = self._at[mark.at] = {}
+        here[key] = mark
+        # Only a meeting the seam table allows can yield a valid path, so
+        # only those reach `_collide`, in the order the marks arrived here.
+        # Every mark of an origin carries its one seeded observation.
+        seam, origin = SEAM_VALID[mark.state], mark.origin
+        for other in here.values():
+            if seam[other.state] and other.origin is not origin:
                 self._collide(mark, other)
-        if len(mark.trail) < self.config.max_depth:
+        if len(mark.moves) < self.config.max_depth:
             self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.
         if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
             m1, m2 = m2, m1
-        # The two DFA states decide whether the glued path is valid, so no
-        # meeting is validated link by link, and one that is rejected or
-        # scores below the full threshold builds nothing.
-        if not SEAM_VALID[m1.dfa, m2.dfa]:
-            return
+        # The seam is valid, so the glued path is; one that scores below
+        # the full threshold builds nothing.
         full = combine(self.kb, m1.at, m1.score, m2.score)
         if full < self.config.full_threshold:
             return
-        links = m1.trail + tuple(link.flip() for link in reversed(m2.trail))
+        links = tuple([move.link for move in m1.moves]
+                      + [move.twin for move in reversed(m2.moves)])
         path = Path(start=m1.origin, links=links, end=m2.origin)
         direct = score_path(self.kb, path)
         if not math.isclose(full, direct, rel_tol=1e-9):
@@ -260,6 +277,15 @@ def _prefix_values(kb: KnowledgeBase, obs: Observation,
     return values
 
 
+def _state_after(links: tuple[TraversalLink, ...]) -> int:
+    """The DFA state, as it appears in a mark's key, that a grammatical
+    trail of these links leaves a mark in."""
+    state = START_STATE
+    for link in links:
+        state = step(state, link)
+    return state
+
+
 def completeness_check(kb: KnowledgeBase, config: EngineConfig,
                        seeds: tuple[Observation, Observation]) -> CompletenessReport:
     """Compare an engine run against the oracle.
@@ -302,14 +328,8 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
             continue
         schemas = path.schemas()
         for j in qualifying:
-            state1: ValidityState | None = START_STATE
-            for link in path.links[:j]:
-                state1 = step(state1, link)
-            state2: ValidityState | None = START_STATE
-            for link in rev[:n - j]:
-                state2 = step(state2, link)
-            m1 = engine.marks.get((obs1.instance, schemas[j], state1))
-            m2 = engine.marks.get((obs2.instance, schemas[j], state2))
+            m1 = engine.marks.get((obs1.instance, schemas[j], _state_after(path.links[:j])))
+            m2 = engine.marks.get((obs2.instance, schemas[j], _state_after(rev[:n - j])))
             if (m1 is not None and m1.trail == path.links[:j]
                     and m2 is not None and m2.trail == rev[:n - j]):
                 entries.append(MissedPath(path, sc, "unexpected"))

@@ -15,8 +15,12 @@ two sides land in disjoint sibling sets and cannot support each other), and
 descending into a filler and later climbing into another owner (a
 "slot-filler valley" -- nothing ever observes the shared filler).  A walk
 must also cross at least one role link, otherwise it claims nothing beyond
-re-typing.  The whole grammar compiles to a six-state DFA (`step`), small
-enough to run inside the marker passer at every extension.
+re-typing.  The whole grammar compiles to a six-state DFA whose states are
+the ints 0-5: a 6x4 table `STEP` advances it by one move, and a 6x6 table
+`SEAM_VALID` says whether two trails glued end to end form a valid path.
+Both are plain tuple lookups, cheap enough for the marker passer to run at
+every extension and every meeting.  Links are tuples and link kinds hash
+by identity, so paths and their links hash without calling Python code.
 
 Surface syntax, used everywhere a path is printed or parsed::
 
@@ -42,7 +46,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase, Observation
@@ -65,40 +69,40 @@ class PathError(Exception):
 
 
 class LinkKind(enum.Enum):
+    """The four move kinds; ``value`` is the surface tag.  Each member also
+    carries plain attributes: ``is_role``, ``flipped`` (the kind of the
+    same KB link walked the other way) and ``order`` (its tie-break rank
+    in neighbor listings and its column in the `STEP` table)."""
+
     ROLE_UP = "role"
     ROLE_DOWN = "role-"
     ISA_UP = "isa"
     ISA_DOWN = "isa-"
 
-    @property
-    def is_role(self) -> bool:
-        return self in (LinkKind.ROLE_UP, LinkKind.ROLE_DOWN)
-
-    @property
-    def flipped(self) -> "LinkKind":
-        return _FLIP[self]
+    # Members are singletons, so identity is equality: hash in C by
+    # address instead of Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
 
 
-_FLIP = {
-    LinkKind.ROLE_UP: LinkKind.ROLE_DOWN,
-    LinkKind.ROLE_DOWN: LinkKind.ROLE_UP,
-    LinkKind.ISA_UP: LinkKind.ISA_DOWN,
-    LinkKind.ISA_DOWN: LinkKind.ISA_UP,
-}
-
-# Stable tie-break order for neighbor listings.
-KIND_ORDER = {
-    LinkKind.ISA_UP: 0,
-    LinkKind.ISA_DOWN: 1,
-    LinkKind.ROLE_UP: 2,
-    LinkKind.ROLE_DOWN: 3,
-}
+# The kinds in their tie-break order for neighbor listings, which is also
+# their column in the `STEP` table; each up kind sits beside its down kind.
+_KINDS_BY_ORDER = (LinkKind.ISA_UP, LinkKind.ISA_DOWN, LinkKind.ROLE_UP, LinkKind.ROLE_DOWN)
 
 
-@dataclass(frozen=True)
-class TraversalLink:
+def _attach_kind_attributes() -> None:
+    for order, kind in enumerate(_KINDS_BY_ORDER):
+        kind.order = order
+        kind.is_role = order >= 2
+        kind.flipped = _KINDS_BY_ORDER[order ^ 1]
+
+
+_attach_kind_attributes()
+
+
+class TraversalLink(NamedTuple):
     """One move of a walk.  Role kinds carry (filled, slot, filler); isa
-    kinds carry (specific, general).  Unused fields stay empty."""
+    kinds carry (specific, general).  Unused fields stay empty.  A plain
+    tuple underneath, so links compare and hash in C."""
 
     kind: LinkKind
     filled: str = ""
@@ -147,9 +151,7 @@ class TraversalLink:
 
     def flip(self) -> "TraversalLink":
         """The same KB link traversed the other way."""
-        return TraversalLink(self.kind.flipped, filled=self.filled, slot=self.slot,
-                             filler=self.filler, specific=self.specific,
-                             general=self.general)
+        return TraversalLink(self.kind.flipped, *self[1:])
 
     def render(self) -> str:
         if self.kind.is_role:
@@ -157,62 +159,58 @@ class TraversalLink:
         return f"({self.kind.value} {self.specific} {self.general})"
 
 
-class Phase(enum.Enum):
-    NO_ROLE_YET = 0
-    UP_PHASE = 1
-    DOWN_PHASE = 2
+# DFA states are the ints 0-5: twice the role phase, plus one when the
+# last move was an IsaUp (plateau detection).  The phase is 0 before any
+# role link, 1 while the walk climbs roles and 2 once it has descended one.
+_NO_ROLE_YET, _UP_PHASE, _DOWN_PHASE = 0, 1, 2
+
+START_STATE = 0
+ALL_STATES = tuple(range(6))
+STATE_NAMES = tuple(f"{phase}/{'isa-up' if isa_up else '-'}"
+                    for phase in ("NO_ROLE_YET", "UP_PHASE", "DOWN_PHASE")
+                    for isa_up in (False, True))
 
 
-@dataclass(frozen=True)
-class ValidityState:
-    """DFA state: which role phase the walk is in, plus whether the
-    immediately preceding move was an IsaUp (plateau detection)."""
-
-    phase: Phase = Phase.NO_ROLE_YET
-    last_was_isa_up: bool = False
-
-
-START_STATE = ValidityState()
-
-ALL_STATES = tuple(
-    ValidityState(phase, liu)
-    for phase in Phase
-    for liu in (False, True)
-)
-
-
-def step(state: ValidityState, link: TraversalLink | LinkKind) -> ValidityState | None:
-    """Advance the validity DFA by one move; ``None`` means the prefix can
-    never extend to a valid path (rejection is terminal)."""
-    kind = link.kind if isinstance(link, TraversalLink) else link
+def _next_state(state: int, kind: LinkKind) -> int | None:
+    phase, last_was_isa_up = divmod(state, 2)
     if kind is LinkKind.ISA_UP:
-        return ValidityState(state.phase, True)
+        return 2 * phase + 1
     if kind is LinkKind.ISA_DOWN:
-        if state.last_was_isa_up:
-            return None  # isa plateau
-        return ValidityState(state.phase, False)
+        return None if last_was_isa_up else 2 * phase  # isa plateau
     if kind is LinkKind.ROLE_UP:
-        if state.phase is Phase.DOWN_PHASE:
-            return None  # slot-filler valley
-        return ValidityState(Phase.UP_PHASE, False)
-    return ValidityState(Phase.DOWN_PHASE, False)
+        return None if phase == _DOWN_PHASE else 2 * _UP_PHASE  # slot-filler valley
+    return 2 * _DOWN_PHASE
 
 
-def _seam_valid(state1: ValidityState, state2: ValidityState) -> bool:
+# STEP[state][kind.order]: the state after one more move, or None when the
+# prefix can never extend to a valid path (rejection is terminal).
+STEP = tuple(tuple(_next_state(state, kind) for kind in _KINDS_BY_ORDER)
+             for state in ALL_STATES)
+
+
+def step(state: int, link: TraversalLink | LinkKind) -> int | None:
+    """Advance the validity DFA by one move; ``None`` means the prefix can
+    never extend to a valid path."""
+    kind = link.kind if isinstance(link, TraversalLink) else link
+    return STEP[state][kind.order]
+
+
+def _seam_valid(state1: int, state2: int) -> bool:
     # Each trail is grammatical on its own, so only a pair of moves that
     # straddles the meeting point can break the grammar.
-    if state1.last_was_isa_up and state2.last_was_isa_up:
+    (phase1, isa_up1), (phase2, isa_up2) = divmod(state1, 2), divmod(state2, 2)
+    if isa_up1 and isa_up2:
         return False  # isa plateau: IsaUp, then the other trail's IsaUp flipped
-    if state1.phase is Phase.DOWN_PHASE and state2.phase is Phase.DOWN_PHASE:
+    if phase1 == phase2 == _DOWN_PHASE:
         return False  # slot-filler valley: a RoleDown, then a flipped RoleDown
-    return not (state1.phase is Phase.NO_ROLE_YET
-                and state2.phase is Phase.NO_ROLE_YET)  # no role link at all
+    return not phase1 == phase2 == _NO_ROLE_YET  # no role link at all
 
 
-# SEAM_VALID[s1, s2]: whether a trail that left the DFA in state s1, glued
+# SEAM_VALID[s1][s2]: whether a trail that left the DFA in state s1, glued
 # to the reversal of a trail that left it in state s2, is a valid path.
-SEAM_VALID = {(s1, s2): _seam_valid(s1, s2)
-              for s1 in ALL_STATES for s2 in ALL_STATES}
+# The table is symmetric, so it does not matter which trail comes first.
+SEAM_VALID = tuple(tuple(_seam_valid(s1, s2) for s2 in ALL_STATES)
+                   for s1 in ALL_STATES)
 
 
 @dataclass(frozen=True)
@@ -262,12 +260,12 @@ def validate(path: Path) -> bool:
     rejects and at least one role link occurs.  Broken chaining or empty
     link lists raise `PathError` instead of returning False."""
     _check_structure(path)
-    state: ValidityState | None = START_STATE
+    state: int | None = START_STATE
     for link in path.links:
         state = step(state, link)
         if state is None:
             return False
-    return state.phase is not Phase.NO_ROLE_YET
+    return state // 2 != _NO_ROLE_YET
 
 
 def reverse(path: Path) -> Path:
@@ -290,26 +288,32 @@ def read_forms(text: str,
     position of their opening parenthesis; ``;`` comments run to the end
     of the line and nesting is not allowed.  A syntax error raises
     ``error(message, line, position)``."""
-    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)
-              if m.group()[0] != ";"]
     forms: list[Form] = []
     line, counted = 1, 0
-    i, n = 0, len(tokens)
-    while i < n:
-        tok, at = tokens[i]
-        line += text.count("\n", counted, at)
-        counted = at
-        if tok != "(":
-            raise error(f"expected '(' but found {tok!r}", line, at)
-        j = i + 1
-        while j < n and tokens[j][0] not in ("(", ")"):
-            j += 1
-        if j == n or tokens[j][0] != ")":
+    items: list[str] | None = None  # the open form's items after the '('
+    at = 0  # position of the open form's '('
+    for match in _TOKEN_RE.finditer(text):
+        tok = match.group()
+        if tok[0] == ";":
+            continue
+        if items is None:
+            at = match.start()
+            line += text.count("\n", counted, at)
+            counted = at
+            if tok != "(":
+                raise error(f"expected '(' but found {tok!r}", line, at)
+            items = []
+        elif tok == ")":
+            if not items:
+                raise error("empty form", line, at)
+            forms.append((items, line, at))
+            items = None
+        elif tok == "(":
             raise error("unterminated form", line, at)
-        if j == i + 1:
-            raise error("empty form", line, at)
-        forms.append(([item for item, _ in tokens[i + 1:j]], line, at))
-        i = j + 1
+        else:
+            items.append(tok)
+    if items is not None:
+        raise error("unterminated form", line, at)
     return forms
 
 

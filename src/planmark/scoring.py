@@ -22,6 +22,11 @@ spreading, before it knows which paths will meet.  The half-path functions
 trust their caller to chain links onto the half and to meet halves at
 ``at``, as the marker's construction guarantees; `score_path` is the
 direct form they are checked against.
+
+The marker does not call `extend_half`: the base's adjacency stores each
+move's multiplier (`kb.Move`), computed from the same two priors at load,
+so an extension multiplies by it directly.  It still meets halves with
+`combine` and checks every emitted path against `score_path`.
 """
 
 from __future__ import annotations

@@ -63,11 +63,11 @@ class StatementSet:
 
     @property
     def insts(self) -> tuple[Inst, ...]:
-        return tuple(s for s in self.statements if isinstance(s, Inst))
+        return tuple([s for s in self.statements if isinstance(s, Inst)])
 
     @property
     def eqs(self) -> tuple[SlotEq, ...]:
-        return tuple(s for s in self.statements if isinstance(s, SlotEq))
+        return tuple([s for s in self.statements if isinstance(s, SlotEq)])
 
     def render(self) -> str:
         return "".join(s.render() for s in self.statements)
@@ -131,7 +131,7 @@ def _derive(path: Path, fresh_prefix: str):
 
 
 def _fresh(path: Path, fresh_prefix: str) -> tuple[str, ...]:
-    return tuple(f"{fresh_prefix}{k}" for k in range(1, path.role_count()))
+    return tuple([f"{fresh_prefix}{k}" for k in range(1, path.role_count())])
 
 
 def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
@@ -146,5 +146,5 @@ def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
     instance at its relevant type, in S(P) order.  That order runs along
     the spine: start instance, first equality, first fresh instance, ...,
     last equality, end instance."""
-    kept = tuple(s for s, relevant in _derive(path, fresh_prefix) if relevant)
+    kept = tuple([s for s, relevant in _derive(path, fresh_prefix) if relevant])
     return StatementSet(statements=kept, fresh=_fresh(path, fresh_prefix))

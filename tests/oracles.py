@@ -1,9 +1,13 @@
 """Reference implementations used only by the tests.
 
 `GlueThenValidateEngine` is the marker engine with its original meeting
-handler, which glues every meeting into a whole path and runs `validate`
-on it before scoring; the engine itself judges meetings from the two
-marks' DFA states and scores them before building anything.
+handler: every meeting of marks from two origins is glued into a whole
+path and run through `validate` before it is scored, with links flipped
+one by one and duplicates found by rendered text.  The engine itself
+hands only meetings the seam table allows to `_collide`, scores them
+before building anything, glues stored twins and deduplicates on link
+tuples; this class replaces both `_place` and `_collide`, so none of that
+is shared.
 
 `relevant_statements_by_fold` is the original RS(P) translation, which
 picks each instance's relevant type by folding `isa_star` over every type
@@ -47,6 +51,20 @@ class GlueThenValidateEngine(MarkerEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._emitted_texts: set[str] = set()
+
+    def _place(self, mark: Mark) -> None:
+        # The engine's best-trail retention, then every meeting with a
+        # mark from another origin, in the order the marks arrived here.
+        incumbent = self.marks.get(mark.key)
+        if incumbent is not None and incumbent.score >= mark.score:
+            return
+        self.marks[mark.key] = mark
+        self._at.setdefault(mark.at, {})[mark.key] = mark
+        for other in list(self._at[mark.at].values()):
+            if other.origin.instance != mark.origin.instance:
+                self._collide(mark, other)
+        if len(mark.trail) < self.config.max_depth:
+            self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.

@@ -16,9 +16,9 @@ from planmark import (
     step,
 )
 from planmark.marker import OracleGuardError
-from planmark.paths import SEAM_VALID
+from planmark.paths import ALL_STATES, SEAM_VALID
 
-from conftest import assert_matches_oracle_modulo_retention, chain_kb_text
+from conftest import FIG31_TEXT, assert_matches_oracle_modulo_retention, chain_kb_text
 from oracles import GlueThenValidateEngine
 
 
@@ -172,6 +172,17 @@ def test_completeness_check_empty_at_zero_threshold():
         assert report.empty
 
 
+def test_completeness_check_reports_an_engine_that_drops_emissions(kb, monkeypatch):
+    # With every meeting ignored, the fixture's one path is missed although
+    # both its halves are retained: an engine defect, not a half-dip.
+    monkeypatch.setattr(MarkerEngine, "_collide", lambda self, m1, m2: None)
+    report = completeness_check(
+        kb, EngineConfig(half_threshold=0.1, full_threshold=0.01, max_depth=6),
+        fixture_seeds())
+    assert [(entry.path.render(), entry.reason) for entry in report.entries] == [
+        (FIG31_TEXT, "unexpected")]
+
+
 ADVERSARIAL_KB = """
 (eq-prior 0.0001)
 (schema x :prior 0.5)
@@ -232,7 +243,15 @@ def test_seam_table_agrees_with_the_grammar():
     for kinds1, state1 in trails:
         for kinds2, state2 in trails:
             glued = list(kinds1) + [kind.flipped for kind in reversed(kinds2)]
-            assert SEAM_VALID[state1, state2] == declarative_valid(glued), (kinds1, kinds2)
+            assert SEAM_VALID[state1][state2] == declarative_valid(glued), (kinds1, kinds2)
+
+
+def test_seam_table_is_symmetric():
+    # The engine filters meetings before orienting them, from the new
+    # mark's row of the table.
+    for state1 in ALL_STATES:
+        for state2 in ALL_STATES:
+            assert SEAM_VALID[state1][state2] == SEAM_VALID[state2][state1]
 
 
 def _emissions(engine_class, base, seeds, config):
