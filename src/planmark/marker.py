@@ -16,11 +16,15 @@ valley, or with no role link between them, and no single valid path
 allows that.  The cleave rule scores each remaining meeting from the two
 half scores and the meeting schema's prior.  Only a meeting whose full
 score clears the full threshold is glued into a whole path, from each
-move's link on one side and its stored twin on the other; the path is
-re-scored link by link as a check on the cleave identity and emitted
-unless the same path was emitted before.  Marks extend only along the
-base's adjacency and meet only at the schema they share, so the scoring
-functions they call check neither.
+move's link on one side and its stored twin on the other.  A path not
+emitted before is scored link by link with `score_path`, checked against
+the cleave score and emitted with that score (`MarkerEngine.scores`, the
+``sc`` a run reports).  The same path met again at another cleave point,
+which a path of n links can be up to n + 1 times, is neither built nor
+scored again: its cleave score is checked against the stored one, so the
+cleave identity is still checked at every meeting that clears the full
+threshold.  Marks extend only along the base's adjacency and meet only at
+the schema they share, so the scoring functions they call check neither.
 
 `enumerate_paths_oracle` is the engine's reference point: a plain
 exhaustive DFS over link sequences filtered by a direct restatement of the
@@ -107,8 +111,10 @@ class MarkerEngine:
         self._queue: deque[Mark] = deque()
         self._seed_order: dict[str, int] = {}
         self._seeds: dict[str, Observation] = {}
-        self._emitted_keys: set[tuple[str, str, tuple[TraversalLink, ...]]] = set()
+        # Score of each emitted path, by the key that names it.
+        self._score_by_key: dict[tuple[str, str, tuple[TraversalLink, ...]], float] = {}
         self.emitted: list[Path] = []
+        self.scores: list[float] = []  # `score_path` of each emitted path
         self._pending: list[Path] = []
 
     def seed(self, obs: Observation) -> None:
@@ -180,18 +186,23 @@ class MarkerEngine:
             return
         links = tuple([move.link for move in m1.moves]
                       + [move.twin for move in reversed(m2.moves)])
-        path = Path(start=m1.origin, links=links, end=m2.origin)
-        direct = score_path(self.kb, path)
+        # An observed instance has one schema, so this key names the path
+        # as exactly as its rendered text.  A path met again at another
+        # cleave point is checked against the score it was emitted with.
+        key = (m1.origin.instance, m2.origin.instance, links)
+        direct = self._score_by_key.get(key)
+        emitted_before = direct is not None
+        if not emitted_before:
+            path = Path(start=m1.origin, links=links, end=m2.origin)
+            direct = score_path(self.kb, path)
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(
                 f"cleave identity violated: combined {full!r} vs direct {direct!r}")
-        # An observed instance has one schema, so this key names the path
-        # as exactly as its rendered text.
-        key = (m1.origin.instance, m2.origin.instance, links)
-        if key in self._emitted_keys:
+        if emitted_before:
             return
-        self._emitted_keys.add(key)
+        self._score_by_key[key] = direct
         self.emitted.append(path)
+        self.scores.append(direct)
         self._pending.append(path)
 
 

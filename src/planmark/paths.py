@@ -70,9 +70,10 @@ class PathError(Exception):
 
 class LinkKind(enum.Enum):
     """The four move kinds; ``value`` is the surface tag.  Each member also
-    carries plain attributes: ``is_role``, ``flipped`` (the kind of the
-    same KB link walked the other way) and ``order`` (its tie-break rank
-    in neighbor listings and its column in the `STEP` table)."""
+    carries plain attributes: ``tag`` (the same surface tag, read without
+    Enum's ``value`` descriptor), ``is_role``, ``flipped`` (the kind of
+    the same KB link walked the other way) and ``order`` (its tie-break
+    rank in neighbor listings and its column in the `STEP` table)."""
 
     ROLE_UP = "role"
     ROLE_DOWN = "role-"
@@ -92,6 +93,7 @@ _KINDS_BY_ORDER = (LinkKind.ISA_UP, LinkKind.ISA_DOWN, LinkKind.ROLE_UP, LinkKin
 def _attach_kind_attributes() -> None:
     for order, kind in enumerate(_KINDS_BY_ORDER):
         kind.order = order
+        kind.tag = kind.value
         kind.is_role = order >= 2
         kind.flipped = _KINDS_BY_ORDER[order ^ 1]
 
@@ -154,9 +156,10 @@ class TraversalLink(NamedTuple):
         return TraversalLink(self.kind.flipped, *self[1:])
 
     def render(self) -> str:
-        if self.kind.is_role:
-            return f"({self.kind.value} {self.filled} {self.slot} {self.filler})"
-        return f"({self.kind.value} {self.specific} {self.general})"
+        kind = self.kind
+        if kind.is_role:
+            return f"({kind.tag} {self.filled} {self.slot} {self.filler})"
+        return f"({kind.tag} {self.specific} {self.general})"
 
 
 # DFA states are the ints 0-5: twice the role phase, plus one when the
@@ -234,7 +237,7 @@ class Path:
 
     def render(self) -> str:
         forms = [f"(inst {self.start.instance} {self.start.schema})"]
-        forms.extend(link.render() for link in self.links)
+        forms += [link.render() for link in self.links]
         forms.append(f"(inst {self.end.instance} {self.end.schema})")
         return "".join(forms)
 

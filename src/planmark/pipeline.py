@@ -11,10 +11,11 @@ unless its slot is declared neither on its schema nor on an isa ancestor
 or descendant of it, which makes it an input error.  After the stream
 ends, every reported path is translated once into its RS(P), which then
 serves the cheap evidence filter, the exact network evaluation (only if
-the filter passes) and the approval test.  Four counters mirror the stages:
-paths reported by the marker, asserted (here always equal to reported --
-no secondary filters sit between the two stages in this build), evaluated,
-and approved.
+the filter passes) and the approval test.  A path's ``sc`` is the
+`score_path` value the marker computed once, when it emitted the path.
+Four counters mirror the stages: paths reported by the marker, asserted
+(here always equal to reported -- no secondary filters sit between the
+two stages in this build), evaluated, and approved.
 
 The report is plain structured text with a fixed field order (path, sc,
 rs, filtered, posterior, residual, approved per record, then one counters
@@ -41,8 +42,9 @@ from .bayes import (
 )
 from .kb import KbError, KnowledgeBase, Observation, load_kb
 from .marker import EngineConfig, MarkerEngine
-from .paths import Path, read_forms
-from .scoring import score_path
+from .paths import read_forms
+# bench/tracing.py wraps this module's score_path, so it stays imported.
+from .scoring import score_path  # noqa: F401
 from .semantics import relevant_statements
 
 
@@ -157,7 +159,6 @@ def _check_corroboration(kb: KnowledgeBase, schema: str, slot: str) -> None:
 def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     engine = MarkerEngine(kb, config.engine)
     registry = EvidenceRegistry()
-    paths: list[Path] = []
 
     for head, payload, line in parse_stream(stream_text):
         # The base rejects a record's unknown schema or belief out of range,
@@ -165,7 +166,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
         try:
             if head == "inst":
                 engine.seed(payload)
-                paths.extend(engine.spread())
+                engine.spread()
             else:
                 _check_corroboration(kb, *payload)
                 registry.add_corroboration(*payload)
@@ -175,9 +176,9 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     records = []
     evaluated = 0
     approved_count = 0
-    for index, path in enumerate(paths, start=1):
+    # The engine scored each path with `score_path` when it emitted it.
+    for index, (path, sc) in enumerate(zip(engine.emitted, engine.scores), start=1):
         rs = relevant_statements(path, fresh_prefix=f"p{index}-gen-")
-        sc = score_path(kb, path)
         passed = evidence_filter(kb, rs, registry)
         record = PathRecord(path_text=path.render(), sc=sc, rs_text=rs.render(),
                             filtered="pass" if passed else "fail",
@@ -194,7 +195,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 approved_count += 1
         records.append(record)
 
-    reported = len(paths)
+    reported = len(engine.emitted)
     return RunReport(records=records, reported=reported, asserted=reported,
                      evaluated=evaluated, approved=approved_count)
 

@@ -25,8 +25,11 @@ direct form they are checked against.
 
 The marker does not call `extend_half`: the base's adjacency stores each
 move's multiplier (`kb.Move`), computed from the same two priors at load,
-so an extension multiplies by it directly.  It still meets halves with
-`combine` and checks every emitted path against `score_path`.
+so an extension multiplies by it directly.  It meets halves with
+`combine` and scores each path it emits once with `score_path`, when the
+path is first met; that meeting and any later one at another cleave point
+are checked against the stored score, which `pipeline.run` reports as the
+path's ``sc``.
 """
 
 from __future__ import annotations

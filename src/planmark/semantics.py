@@ -15,24 +15,31 @@ but only one ``inst`` statement per instance, at its most specific
 (relevant) type; the dropped retypings are implied by the retained ones
 through the isa tree.
 
-This module is the one place that decides what a path claims.  One walk
-derives both sets: the grammar fixes the shape of each instance's isa
+This module is the one place that decides what a path claims.  One flat
+walk derives either set as a list, and the instance at each position is
+read off the same walk: the grammar fixes the shape of each instance's isa
 moves, so the walk can tell which typing is the relevant one without
 consulting the isa tree.  RS(P) of a valid path runs along the spine, with
 the start instance first, the end instance last and the fresh instances in
 between, and every fresh instance owns one of the path's slot equalities
 (a fresh instance that only fills slots would sit in a slot-filler valley).
+Statements are named tuples, so building one per step of the walk is
+cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .paths import LinkKind, Path
 
+# Reading a member off the Enum class costs several times a global read,
+# so the walk compares each move's kind against these.
+_ROLE_UP, _ISA_UP, _ISA_DOWN = LinkKind.ROLE_UP, LinkKind.ISA_UP, LinkKind.ISA_DOWN
 
-@dataclass(frozen=True)
-class Inst:
+
+class Inst(NamedTuple):
     instance: str
     schema: str
 
@@ -40,8 +47,7 @@ class Inst:
         return f"(inst {self.instance} {self.schema})"
 
 
-@dataclass(frozen=True)
-class SlotEq:
+class SlotEq(NamedTuple):
     owner: str
     slot: str
     filler: str
@@ -70,75 +76,77 @@ class StatementSet:
         return tuple([s for s in self.statements if isinstance(s, SlotEq)])
 
     def render(self) -> str:
-        return "".join(s.render() for s in self.statements)
+        return "".join([s.render() for s in self.statements])
 
 
-def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]:
-    """Instance occupying each path position, start first.
+def _derive(path: Path, fresh_prefix: str,
+            full: bool) -> tuple[list[Statement], list[str]]:
+    """Walk the path once: the statements of S(P) in derivation order, with
+    repeats, when ``full``, else those of RS(P); and the fresh instances.
 
     Isa moves carry the instance forward; each role move hands off to a
     fresh instance, except the last role move of the path, which hands off
     to the end observation's instance (any trailing isa moves just re-type
-    it).
-    """
-    role_positions = [i for i, link in enumerate(path.links)
-                      if link.kind.is_role]
-    last_role = role_positions[-1] if role_positions else None
-    trace = [path.start.instance]
-    current = path.start.instance
-    counter = 0
-    for i, link in enumerate(path.links):
-        if link.kind.is_role:
-            if i == last_role:
-                current = path.end.instance
-            else:
-                counter += 1
-                current = f"{fresh_prefix}{counter}"
-        trace.append(current)
-    return trace
-
-
-def _derive(path: Path, fresh_prefix: str):
-    """Walk the path once: every statement of S(P) in derivation order, each
-    paired with whether RS(P) keeps it.
-
-    The grammar leaves each instance's isa moves as a run of IsaDowns
+    it).  The grammar leaves each instance's isa moves as a run of IsaDowns
     followed by a run of IsaUps (an IsaUp followed by an IsaDown is an isa
     plateau), so an instance's relevant type is the schema it arrived at,
     or the schema its last IsaDown landed on: the typing that no IsaDown
-    follows, and that no IsaUp produced.
+    follows, and that no IsaUp produced.  Each typing therefore waits for
+    the next move before RS(P) keeps or drops it.
     """
-    trace = relevant_instance_trace(path, fresh_prefix)
-    kinds = [link.kind for link in path.links] + [None]
-    yield Inst(path.start.instance, path.start.schema), kinds[0] is not LinkKind.ISA_DOWN
-    for i, link in enumerate(path.links):
-        arriving = trace[i + 1]
-        relevant = kinds[i + 1] is not LinkKind.ISA_DOWN
-        if link.kind is LinkKind.ROLE_UP:
-            # The arriving instance owns the slot; the instance we came
-            # from fills it.
-            yield SlotEq(arriving, link.slot, trace[i]), True
-            yield Inst(arriving, link.filled), relevant
-        elif link.kind is LinkKind.ROLE_DOWN:
-            yield SlotEq(trace[i], link.slot, arriving), True
-            yield Inst(arriving, link.filler), relevant
-        elif link.kind is LinkKind.ISA_UP:
-            yield Inst(arriving, link.general), False
+    end = path.end
+    roles = path.role_count()
+    statements: list[Statement] = []
+    fresh: list[str] = []
+    # The instance at the current position, the schema it was just typed
+    # as, and whether that typing can be its relevant one.
+    instance, schema, relevant = path.start.instance, path.start.schema, True
+    handed = 0
+    for link in path.links:
+        kind = link.kind
+        if full or (relevant and kind is not _ISA_DOWN):
+            statements.append(Inst(instance, schema))
+        if kind.is_role:
+            handed += 1
+            if handed < roles:
+                arriving = f"{fresh_prefix}{handed}"
+                fresh.append(arriving)
+            else:
+                arriving = end.instance
+            if kind is _ROLE_UP:
+                # The arriving instance owns the slot; the instance we came
+                # from fills it.
+                statements.append(SlotEq(arriving, link.slot, instance))
+                schema = link.filled
+            else:
+                statements.append(SlotEq(instance, link.slot, arriving))
+                schema = link.filler
+            instance, relevant = arriving, True
+        elif kind is _ISA_UP:
+            schema, relevant = link.general, False
         else:
-            yield Inst(arriving, link.specific), relevant
-    # A valid path has already typed its end instance as observed here.
-    yield Inst(path.end.instance, path.end.schema), False
+            schema, relevant = link.specific, True
+    if full:
+        # A valid path has already typed its end instance as observed here.
+        statements += (Inst(instance, schema), Inst(end.instance, end.schema))
+    elif relevant:
+        statements.append(Inst(instance, schema))
+    return statements, fresh
 
 
-def _fresh(path: Path, fresh_prefix: str) -> tuple[str, ...]:
-    return tuple([f"{fresh_prefix}{k}" for k in range(1, path.role_count())])
+def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]:
+    """Instance occupying each path position, start first, read off the
+    walk that derives S(P): it types every position once, in order, then
+    re-types the end instance as observed."""
+    statements, _ = _derive(path, fresh_prefix, full=True)
+    return [s.instance for s in statements if type(s) is Inst][:-1]
 
 
 def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
     """S(P): every typing and slot equality the path asserts."""
-    statements = dict.fromkeys(s for s, _ in _derive(path, fresh_prefix))
-    return StatementSet(statements=tuple(statements),
-                        fresh=_fresh(path, fresh_prefix))
+    statements, fresh = _derive(path, fresh_prefix, full=True)
+    return StatementSet(statements=tuple(dict.fromkeys(statements)),
+                        fresh=tuple(fresh))
 
 
 def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
@@ -146,5 +154,5 @@ def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
     instance at its relevant type, in S(P) order.  That order runs along
     the spine: start instance, first equality, first fresh instance, ...,
     last equality, end instance."""
-    kept = tuple([s for s, relevant in _derive(path, fresh_prefix) if relevant])
-    return StatementSet(statements=kept, fresh=_fresh(path, fresh_prefix))
+    statements, fresh = _derive(path, fresh_prefix, full=False)
+    return StatementSet(statements=tuple(statements), fresh=tuple(fresh))

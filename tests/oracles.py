@@ -88,6 +88,7 @@ class GlueThenValidateEngine(MarkerEngine):
             return
         self._emitted_texts.add(text)
         self.emitted.append(path)
+        self.scores.append(direct)
         self._pending.append(path)
 
 

@@ -40,6 +40,7 @@ from conftest import (
     FIG31_TEXT,
     FIXTURE_KB_TEXT,
     assert_matches_oracle_modulo_retention,
+    package_env,
     sample_paths,
 )
 
@@ -248,7 +249,8 @@ def test_criterion_8_determinism(tmp_path):
     ]
     for argv in invocations:
         results = [subprocess.run([sys.executable, "-m", "planmark", *argv],
-                                  capture_output=True) for _ in range(2)]
+                                  capture_output=True, env=package_env())
+                   for _ in range(2)]
         assert results[0].returncode == 0, results[0].stderr
         assert results[0].stdout == results[1].stdout
         assert results[0].returncode == results[1].returncode

@@ -2,6 +2,7 @@ import pytest
 
 from planmark import KbError, load_kb, random_kb
 from planmark.paths import LinkKind
+from planmark.scoring import link_multiplier
 
 
 def test_fixture_loads(kb):
@@ -134,3 +135,18 @@ def test_adjacency_covers_every_link(kb):
     assert len(roles) == 4  # two role links, one move in each direction
     assert len(isas) == 4
     assert {m.kind for m in roles} == {LinkKind.ROLE_UP, LinkKind.ROLE_DOWN}
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
+    # The marker multiplies by a move's cached multiplier and glues from its
+    # cached twin, so the scores it emits rest on these holding exactly.
+    base = kb if seed is None else random_kb(seed, n_schemas=30, n_roles=30)
+    moves = [move for entries in base.adjacency.values() for move in entries]
+    assert moves
+    for move in moves:
+        link = move.link
+        assert move.multiplier == link_multiplier(base, link)
+        assert move.twin == link.flip()
+        assert move.destination == link.destination
+        assert move.kind == link.kind.order

@@ -15,6 +15,7 @@ from planmark import (
     score_path,
     step,
 )
+from planmark import marker
 from planmark.marker import OracleGuardError
 from planmark.paths import ALL_STATES, SEAM_VALID
 
@@ -221,6 +222,58 @@ def test_emitted_scores_match_recomputation_and_threshold():
         engine = _engine_run(base, seeds, config)
         for path in engine.emitted:
             assert score_path(base, path) >= config.full_threshold
+
+
+class MeetingRecorder(MarkerEngine):
+    """`MarkerEngine` that remembers which meeting it is handling."""
+
+    meeting = None
+
+    def _collide(self, m1, m2):
+        self.meeting = (m1, m2)
+        super()._collide(m1, m2)
+
+    def meets_an_emitted_path(self):
+        """Whether the current meeting glues into a path already emitted,
+        read in either orientation."""
+        emitted = {(p.start.instance, p.end.instance, p.links) for p in self.emitted}
+        m1, m2 = self.meeting
+        return any(
+            (a.origin.instance, b.origin.instance,
+             a.trail + tuple(link.flip() for link in reversed(b.trail))) in emitted
+            for a, b in ((m1, m2), (m2, m1)))
+
+
+@pytest.mark.parametrize("length", [3, 5, 8])
+def test_duplicate_meetings_keep_the_cleave_check(length, monkeypatch):
+    # Along a chain every path is met again at each of its cleave points.
+    # Put the cleave score off by 1e-6 only at those repeat meetings: the
+    # engine must still catch it, although it emits nothing new there.
+    base = load_kb(chain_kb_text(length))
+    seeds = (Observation("x", "c0"), Observation("y", f"c{length}"))
+    exact_combine = marker.combine
+
+    def spread_with(offset):
+        engine = MeetingRecorder(base, small_config(max_depth=length))
+        repeats = []
+
+        def combine(kb, at, h1, h2):
+            full = exact_combine(kb, at, h1, h2)
+            if engine.meets_an_emitted_path():
+                repeats.append(at)
+                return full * (1.0 + offset)
+            return full
+
+        monkeypatch.setattr(marker, "combine", combine)
+        for obs in seeds:
+            engine.seed(obs)
+            engine.spread()
+        return engine, repeats
+
+    engine, repeats = spread_with(0.0)
+    assert len(engine.emitted) >= 1 and len(repeats) >= length
+    with pytest.raises(AssertionError, match="cleave identity violated"):
+        spread_with(1e-6)
 
 
 def _accepted_trails(max_len):

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from planmark import EngineConfig, RunConfig, random_kb, run, synth_corpus
-from planmark.pipeline import SynthParams
+from planmark import EngineConfig, RunConfig, random_kb, run, score_path, synth_corpus
+from planmark.paths import parse_path
+from planmark.pipeline import SynthParams, parse_stream
 
 
 def random_kb_stream(seed, base, n_obs):
@@ -76,3 +77,19 @@ def test_pins_include_thresholds_that_prune():
     for (case, seed, half_threshold), (reported, _) in PINS.items():
         if half_threshold in (3e-4, 0.2):
             assert 0 < reported < PINS[case, seed, 1e-8 if case == "synth" else 0.0][0]
+
+
+@pytest.mark.parametrize("case,seed,half_threshold", sorted(PINS))
+def test_sc_is_the_score_of_the_reported_path(case, seed, half_threshold):
+    # `run` reports the score the engine kept from its cleave check; it
+    # must be exactly `score_path` of the path the record names.
+    base, config, stream = CASES[case](seed, half_threshold)
+    beliefs = {obs.instance: obs.belief
+               for head, obs, _ in parse_stream(stream) if head == "inst"}
+    report = run(base, config, stream)
+    assert report.records
+    for record in report.records:
+        ends = parse_path(base, record.path_text)
+        path = parse_path(base, record.path_text,
+                          (beliefs[ends.start.instance], beliefs[ends.end.instance]))
+        assert record.sc == score_path(base, path)
