@@ -11,7 +11,6 @@ from planmark import (
     EngineConfig,
     MarkerEngine,
     Observation,
-    enumerate_paths_oracle,
     load_kb,
     score_path,
 )
@@ -49,12 +48,6 @@ print(f"paths emitted: {len(paths)}")
 for path in paths:
     print(" ", path.render())
     print("  score:", score_path(kb, path))
-
-# The exhaustive oracle agrees that this is the only valid connection.
-oracle = enumerate_paths_oracle(kb, seen_store, seen_go, max_depth=6)
-assert [p.render() for p in oracle] == [p.render() for p in paths]
-print()
-print("oracle agrees: the emitted path is the only valid one to depth 6")
 
 # Raise T past what any half-path can sustain and the spread dies out.
 strict = MarkerEngine(kb, EngineConfig(half_threshold=5.0, max_depth=10))

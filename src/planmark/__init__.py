@@ -19,16 +19,7 @@ from .bayes import (
     render_network,
 )
 from .kb import KbError, KnowledgeBase, Observation, Schema, load_kb
-from .marker import (
-    CompletenessReport,
-    EngineConfig,
-    Mark,
-    MarkerEngine,
-    OracleGuardError,
-    completeness_check,
-    declarative_valid,
-    enumerate_paths_oracle,
-)
+from .marker import EngineConfig, Mark, MarkerEngine
 from .paths import (
     LinkKind,
     Path,
@@ -45,7 +36,6 @@ from .pipeline import (
     RunReport,
     SynthCorpus,
     SynthParams,
-    random_kb,
     run,
     synth_corpus,
 )
@@ -83,14 +73,9 @@ __all__ = [
     "Observation",
     "Schema",
     "load_kb",
-    "CompletenessReport",
     "EngineConfig",
     "Mark",
     "MarkerEngine",
-    "OracleGuardError",
-    "completeness_check",
-    "declarative_valid",
-    "enumerate_paths_oracle",
     "LinkKind",
     "Path",
     "PathError",
@@ -104,7 +89,6 @@ __all__ = [
     "RunReport",
     "SynthCorpus",
     "SynthParams",
-    "random_kb",
     "run",
     "synth_corpus",
     "combine",

@@ -7,7 +7,7 @@ import sys
 
 from .bayes import build_network, default_cpts, exact_posterior, render_network
 from .kb import KbError, load_kb
-from .marker import EngineConfig, OracleGuardError, enumerate_paths_oracle
+from .marker import EngineConfig
 from .paths import PathError, parse_path
 from .pipeline import RunConfig, SynthParams, run, synth_corpus
 from .scoring import score_path
@@ -77,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             _add_gammas(p)
 
-    p = sub.add_parser("paths", help="enumerate all valid paths (oracle)")
-    _add_common(p)
-    p.add_argument("--start", required=True, help="(inst ID SCHEMA) form")
-    p.add_argument("--end", required=True, help="(inst ID SCHEMA) form")
-    p.add_argument("--max-depth", type=_positive_int, default=EngineConfig.max_depth)
-
     p = sub.add_parser("synth", help="emit a synthetic corpus")
     _add_common(p, kb_required=False)
     p.add_argument("--seed", type=int, required=True)
@@ -93,16 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-streams", default=None,
                    help="write one stream file per story under this prefix")
     return parser
-
-
-def _parse_obs(kb, text: str):
-    from .pipeline import parse_stream
-
-    records = parse_stream(text)
-    if len(records) != 1 or records[0][0] != "inst":
-        raise KbError("expected a single (inst ID SCHEMA [:belief FLOAT]) form")
-    kb.check_observation(records[0][1])
-    return records[0][1]
 
 
 def _dispatch(args: argparse.Namespace, out) -> int:
@@ -149,13 +133,6 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         out.write(run(kb, config, stream_text).render())
         return 0
 
-    if args.command == "paths":
-        obs1 = _parse_obs(kb, args.start)
-        obs2 = _parse_obs(kb, args.end)
-        for path in enumerate_paths_oracle(kb, obs1, obs2, args.max_depth):
-            out.write(path.render() + "\n")
-        return 0
-
     path = parse_path(kb, args.path, beliefs=args.beliefs)
     if args.command == "score":
         out.write(f"{score_path(kb, path)!r}\n")
@@ -189,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 return _dispatch(args, fh)
         return _dispatch(args, sys.stdout)
-    except (KbError, PathError, OracleGuardError, OSError, ValueError) as exc:
+    except (KbError, PathError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -60,6 +60,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma1 <= 1.0 and 0.0 < self.gamma0 <= 1.0):
             raise ValueError("interior strengths must be in (0,1]")
+        if not self.approval_ratio >= 0:
+            raise ValueError("approval ratio must be nonnegative")
 
 
 @dataclass
@@ -258,49 +260,3 @@ def synth_corpus(seed: int, params: SynthParams | None = None) -> SynthCorpus:
         streams.append("\n".join(story) + "\n")
     return SynthCorpus(kb=kb, kb_text=kb_text, streams=streams)
 
-
-def random_kb(seed: int, n_schemas: int = 18, n_roles: int = 14) -> KnowledgeBase:
-    """A reproducible random base for oracle-vs-engine comparisons: a
-    shallow isa forest with subset-consistent priors and random role links.
-    Unlike `synth_corpus` there is no planted structure."""
-    rng = random.Random(seed)
-    names = [f"s{k}" for k in range(n_schemas)]
-    parent: dict[str, str | None] = {}
-    prior: dict[str, float] = {}
-    budget: dict[str, float] = {}
-    for k, name in enumerate(names):
-        candidates = names[:k]
-        pick = rng.choice(candidates) if candidates and rng.random() < 0.6 else None
-        if pick is None:
-            parent[name] = None
-            prior[name] = rng.uniform(0.05, 0.5)
-        else:
-            parent[name] = pick
-            room = budget.get(pick, prior[pick])
-            if room <= 1e-6:
-                parent[name] = None
-                prior[name] = rng.uniform(0.05, 0.5)
-            else:
-                share = room * rng.uniform(0.2, 0.8)
-                prior[name] = share
-                budget[pick] = room - share
-        budget.setdefault(name, prior[name])
-
-    lines = []
-    for name in names:
-        isa = f" :isa {parent[name]}" if parent[name] else ""
-        lines.append(f"(schema {name}{isa} :prior {prior[name]!r})")
-    used = set()
-    slot_counter = 0
-    for _ in range(n_roles):
-        filled = rng.choice(names)
-        filler = rng.choice(names)
-        if (filled, filler) in used:
-            continue
-        used.add((filled, filler))
-        lines.append(f"(role {filled} slot-{slot_counter} {filler})")
-        slot_counter += 1
-    # Keep every equality CPT a probability: p(==) below the smallest prior.
-    eq_prior = min(prior.values()) * rng.uniform(0.1, 0.9)
-    lines.insert(0, f"(eq-prior {eq_prior!r})")
-    return load_kb("\n".join(lines) + "\n")

@@ -7,9 +7,11 @@ from pathlib import Path as FilePath
 import pytest
 
 import planmark as package
-from planmark import MarkerEngine, Observation, load_kb, random_kb, validate
-from planmark.marker import EngineConfig, OracleGuardError, enumerate_paths_oracle
-from planmark.paths import Path, START_STATE, parse_path, step
+from planmark import MarkerEngine, Observation, load_kb, validate
+from planmark.marker import EngineConfig
+from planmark.paths import Path, parse_path
+
+from oracles import OracleGuardError, completeness_check, enumerate_paths_oracle, random_kb
 
 # The running example base: shopping plans and their stores.
 FIXTURE_KB_TEXT = """
@@ -117,13 +119,6 @@ def chain_kb_text(length):
     return "\n".join(lines)
 
 
-def _dfa_state(links):
-    state = START_STATE
-    for link in links:
-        state = step(state, link)
-    return state
-
-
 def assert_matches_oracle_modulo_retention(base, seeds, max_depth):
     """Emitted == oracle set, modulo the best-trail retention rule:
 
@@ -131,31 +126,21 @@ def assert_matches_oracle_modulo_retention(base, seeds, max_depth):
       at most 2*max_depth links (the oracle's set at that depth);
     * completeness: every oracle path at max_depth is emitted, unless at
       every cleave position one of its halves lost the (origin, schema,
-      state) slot to a trail with at least its score.
+      state) slot to a trail with at least its score.  At T = 0 every
+      cleave qualifies, so that is `completeness_check` at thresholds 0/0
+      listing nothing.
     """
-    engine = MarkerEngine(base, EngineConfig(half_threshold=0.0,
-                                             full_threshold=0.0,
-                                             max_depth=max_depth))
+    config = EngineConfig(half_threshold=0.0, full_threshold=0.0, max_depth=max_depth)
+    engine = MarkerEngine(base, config)
     for obs in seeds:
         engine.seed(obs)
     engine.spread()
-    emitted = {p.render() for p in engine.emitted}
     o1, o2 = seeds
     for path in engine.emitted:
         assert validate(path)
         assert {path.start, path.end} == {o1, o2}
         assert len(path.links) <= 2 * max_depth
 
-    for path in enumerate_paths_oracle(base, o1, o2, max_depth):
-        if path.render() in emitted:
-            continue
-        schemas = path.schemas()
-        n = len(path.links)
-        rev = tuple(link.flip() for link in reversed(path.links))
-        for j in range(n + 1):
-            m1 = engine.marks.get((o1.instance, schemas[j], _dfa_state(path.links[:j])))
-            m2 = engine.marks.get((o2.instance, schemas[j], _dfa_state(rev[:n - j])))
-            own1 = m1 is not None and m1.trail == path.links[:j]
-            own2 = m2 is not None and m2.trail == rev[:n - j]
-            assert not (own1 and own2), (
-                f"path retained at cleave {j} but never emitted: {path.render()}")
+    report = completeness_check(base, config, seeds)
+    assert report.empty, [f"{entry.reason}: {entry.path.render()}"
+                          for entry in report.entries]

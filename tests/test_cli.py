@@ -1,4 +1,9 @@
+import argparse
+from pathlib import Path
+
 import pytest
+
+from planmark.cli import build_parser
 
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, planmark
 
@@ -124,20 +129,18 @@ def test_run_is_byte_identical(kb_file, tmp_path):
     assert planmark(*args).stdout == planmark(*args).stdout
 
 
-def test_paths_command(kb_file):
-    result = planmark("paths", "--kb", kb_file,
-                      "--start", "(inst supermarket2 supermarket)",
-                      "--end", "(inst go1 go)", "--max-depth", "6")
-    assert result.returncode == 0
-    assert result.stdout == FIG31_TEXT + "\n"
-
-
-def test_paths_command_checks_its_observations(kb_file):
-    result = planmark("paths", "--kb", kb_file,
-                      "--start", "(inst supermarket2 supermarket :belief 5)",
-                      "--end", "(inst go1 go)")
+@pytest.mark.parametrize("flag,value,message", [
+    ("--threshold", "nan", "thresholds must be nonnegative"),
+    ("--full-threshold", "nan", "thresholds must be nonnegative"),
+    ("--approval-ratio", "nan", "approval ratio must be nonnegative"),
+    ("--approval-ratio", "-5", "approval ratio must be nonnegative"),
+], ids=["threshold-nan", "full-threshold-nan", "approval-ratio-nan", "approval-ratio-negative"])
+def test_run_rejects_an_invalid_setting(kb_file, flag, value, message):
+    result = planmark("run", "--kb", kb_file, flag, value,
+                      stdin="(inst supermarket2 supermarket)\n(inst go1 go)\n")
     assert result.returncode == 1
-    assert result.stderr == "error: belief must be in (0,1], got 5.0\n"
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_output_flag_writes_file(kb_file, tmp_path):
@@ -174,16 +177,29 @@ def test_missing_kb_file_exits_one():
     assert result.returncode == 1
 
 
-def test_usage_error_exits_two():
+def test_usage_error_exits_two(kb_file):
     assert planmark("frobnicate").returncode == 2
     assert planmark("score").returncode == 2
+    unknown = planmark("paths", "--kb", kb_file, "--start", "(inst a supermarket)",
+                       "--end", "(inst b go)")
+    assert unknown.returncode == 2
+    assert "invalid choice" in unknown.stderr
 
 
 @pytest.mark.parametrize("command", [
     ("run",),
-    ("paths", "--start", "(inst a supermarket)", "--end", "(inst b go)"),
 ])
 def test_max_depth_below_one_is_a_usage_error(kb_file, command):
     result = planmark(*command, "--kb", kb_file, "--max-depth", "0", stdin="")
     assert result.returncode == 2
     assert "--max-depth" in result.stderr
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("planmark ")]
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(documented) == sorted(subcommands)

@@ -20,18 +20,17 @@ from planmark import (
     Observation,
     PathError,
     combine,
-    completeness_check,
     extend_half,
     initial_score,
     load_kb,
     parse_path,
-    random_kb,
     score_path,
     validate,
 )
 from planmark.pipeline import parse_stream
 
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT
+from oracles import completeness_check, random_kb
 
 KB = load_kb(FIXTURE_KB_TEXT)
 

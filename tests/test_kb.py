@@ -1,8 +1,10 @@
 import pytest
 
-from planmark import KbError, load_kb, random_kb
+from planmark import KbError, load_kb
 from planmark.paths import LinkKind
 from planmark.scoring import link_multiplier
+
+from oracles import random_kb
 
 
 def test_fixture_loads(kb):

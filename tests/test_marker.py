@@ -7,20 +7,22 @@ from planmark import (
     LinkKind,
     MarkerEngine,
     Observation,
-    completeness_check,
-    declarative_valid,
-    enumerate_paths_oracle,
     load_kb,
-    random_kb,
     score_path,
     step,
 )
 from planmark import marker
-from planmark.marker import OracleGuardError
 from planmark.paths import ALL_STATES, SEAM_VALID
 
 from conftest import FIG31_TEXT, assert_matches_oracle_modulo_retention, chain_kb_text
-from oracles import GlueThenValidateEngine
+from oracles import (
+    GlueThenValidateEngine,
+    OracleGuardError,
+    completeness_check,
+    declarative_valid,
+    enumerate_paths_oracle,
+    random_kb,
+)
 
 
 def small_config(**kwargs):

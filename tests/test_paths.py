@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planmark import Observation, PathError, parse_path, reverse, validate
-from planmark.marker import declarative_valid
 from planmark.paths import (
     ALL_STATES,
     LinkKind,
@@ -16,6 +15,7 @@ from planmark.paths import (
 )
 
 from conftest import FIG31_TEXT, sample_paths
+from oracles import declarative_valid
 
 U, D, RU, RD = LinkKind.ISA_UP, LinkKind.ISA_DOWN, LinkKind.ROLE_UP, LinkKind.ROLE_DOWN
 

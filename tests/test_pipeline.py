@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -86,6 +87,19 @@ def test_corroboration_of_an_undeclared_slot_is_rejected(kb):
     report = run(kb, fixture_config(), FIXTURE_STREAM.replace(
         "supermarket-shopping", "shopping"))
     assert report.evaluated == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"half_threshold": math.nan}, {"full_threshold": math.nan}])
+def test_engine_config_rejects_a_nan_threshold(kwargs):
+    with pytest.raises(ValueError, match="^thresholds must be nonnegative$"):
+        EngineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("ratio", [math.nan, -5.0])
+def test_run_config_rejects_a_nan_or_negative_approval_ratio(ratio):
+    with pytest.raises(ValueError, match="^approval ratio must be nonnegative$"):
+        RunConfig(approval_ratio=ratio)
 
 
 def test_stream_parser():

@@ -12,9 +12,11 @@ import random
 
 import pytest
 
-from planmark import EngineConfig, RunConfig, random_kb, run, score_path, synth_corpus
+from planmark import EngineConfig, RunConfig, run, score_path, synth_corpus
 from planmark.paths import parse_path
 from planmark.pipeline import SynthParams, parse_stream
+
+from oracles import random_kb
 
 
 def random_kb_stream(seed, base, n_obs):
