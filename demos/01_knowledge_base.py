@@ -1,4 +1,4 @@
-"""Walk through the schema knowledge base: loading, priors, neighbors.
+"""Walk through the schema knowledge base: loading, priors, adjacency.
 
 The base below is the running example used throughout this repository:
 shopping plans, the stores they happen in, and the going that gets you
@@ -37,12 +37,12 @@ print("isa_star(store-, supermarket):", kb.isa_star("store-", "supermarket"))
 # has its inverse at the far end.
 print()
 print("moves leaving 'supermarket':")
-for link in kb.neighbors("supermarket"):
+for link in (move.link for move in kb.adjacency["supermarket"]):
     print(f"  {link.kind.name:9s} -> {link.destination:22s} {link.render()}")
 
 print()
 print("moves leaving 'shopping':")
-for link in kb.neighbors("shopping"):
+for link in (move.link for move in kb.adjacency["shopping"]):
     print(f"  {link.kind.name:9s} -> {link.destination:22s} {link.render()}")
 
 # The textual format round-trips exactly.

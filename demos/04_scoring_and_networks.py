@@ -2,8 +2,9 @@
 
 The spinal contribution is a product of belief and prior-ratio terms,
 cheap enough to maintain during the spread.  The path's real measure is
-the joint posterior of the little Bayesian network it induces, computed
-exactly in closed form once the path is complete.  The two are tied
+the joint posterior of the little Bayesian network it induces, which is
+RS(P) plus priors, computed exactly in closed form once the path is
+complete.  The two are tied
 together exactly: joint = SC * residual, and the residual stays at or
 below 1 under mild interior settings, which is why SC is a safe pruning
 bound.
@@ -52,12 +53,14 @@ h2 = extend_half(kb, initial_score(path.end), path.links[2].flip())
 print(f"halves at {meeting!r}: {h1} and {h2};",
       "combined:", combine(kb, meeting, h1, h2))
 
-# What the path asserts, and the subset the network is built from.
+# What the path asserts, and the subset RS(P) the network is made of.
 print()
 print("S(P): ", statements_of(path).render())
 rs = relevant_statements(path)
 print("RS(P):", rs.render())
 
+# The network is RS(P) plus priors: one node per inst statement, carrying
+# its relevant type's prior, and one node eq<k> per slot equality.
 network = build_network(kb, path, rs)
 print()
 print(render_network(network))

@@ -45,8 +45,10 @@ a polytree, where this is Pearl's (1988, ch. 4) message passing in closed
 form.  The test suite checks it against full enumeration and against
 variable elimination.
 
-The network is read straight off RS(P), which `semantics` derives in spine
-order with each instance at its relevant type.  Before a path is
+The network is RS(P) plus priors: `semantics` derives RS(P)'s instance
+statements in spine order, each at its relevant type, and the network
+holds those statements with the prior of each one's type, looked up once,
+and the declared filler type of each equality.  Before a path is
 evaluated, `evidence_filter` asks whether the input corroborates every
 slot binding it claims: the registry indexes the corroborated slots by
 schema, and each equality is looked up at its owner's relevant type and
@@ -62,54 +64,40 @@ from math import prod
 from .kb import KnowledgeBase, Observation
 from .paths import Path
 # bench/tracing.py wraps this module's relevant_statements, so it stays imported.
-from .semantics import StatementSet, relevant_statements  # noqa: F401
-
-
-@dataclass(frozen=True)
-class InstNode:
-    instance: str
-    rt: str
-    prior: float
-
-
-@dataclass(frozen=True)
-class EqNode:
-    index: int  # 1-based, in role-link order
-    owner: str
-    slot: str
-    filler: str
-    declared_filler_type: str
-
-    @property
-    def node_id(self) -> str:
-        return f"eq{self.index}"
+from .semantics import Inst, StatementSet, relevant_statements  # noqa: F401
 
 
 @dataclass(frozen=True)
 class VertebrateNetwork:
-    insts: tuple[InstNode, ...]
-    eqs: tuple[EqNode, ...]
+    """RS(P) plus priors: the path's instance statements in spine order,
+    each instance's relevant-type prior, and the declared filler type of
+    each slot equality in role-link order (equality k is node ``eq<k>``)."""
+
+    insts: tuple[Inst, ...]
+    priors: tuple[float, ...]
+    filler_types: tuple[str, ...]
     start_obs: Observation
     end_obs: Observation
 
     @property
     def non_evidence_count(self) -> int:
-        return len(self.insts) + len(self.eqs)
+        return len(self.insts) + len(self.filler_types)
 
     def edges(self) -> list[tuple[str, str]]:
         """Directed edges, deterministic order: instance chain, end
         evidence, equality parents, interior."""
         out: list[tuple[str, str]] = []
-        names = [n.instance for n in self.insts]
+        names = [inst.instance for inst in self.insts]
         for i in range(1, len(names) - 1):
             out.append((names[i], names[i + 1]))
         out.append((names[0], "e1"))
         out.append((names[-1], "e2"))
-        for k, eq in enumerate(self.eqs, start=1):
-            out.append((names[k - 1], eq.node_id))
-            out.append((names[k], eq.node_id))
-        for eq in self.eqs:
-            out.append((eq.node_id, "EI"))
+        eq_ids = [f"eq{k}" for k in range(1, len(self.filler_types) + 1)]
+        for k, eq_id in enumerate(eq_ids):
+            out.append((names[k], eq_id))
+            out.append((names[k + 1], eq_id))
+        for eq_id in eq_ids:
+            out.append((eq_id, "EI"))
         return out
 
 
@@ -118,16 +106,11 @@ def build_network(kb: KnowledgeBase, path: Path,
     """Build the unique network for a valid path and its RS(P), whose
     instances already run along the spine from the start observation to
     the end one."""
-    insts = tuple([InstNode(s.instance, s.schema, kb.prior(s.schema))
-                   for s in rs.insts])
-    role_links = [link for link in path.links if link.kind.is_role]
-    eqs = tuple([
-        EqNode(index=k, owner=eq.owner, slot=eq.slot, filler=eq.filler,
-               declared_filler_type=link.filler)
-        for k, (eq, link) in enumerate(zip(rs.eqs, role_links), start=1)
-    ])
-    return VertebrateNetwork(insts=insts, eqs=eqs,
-                             start_obs=path.start, end_obs=path.end)
+    insts = rs.insts
+    return VertebrateNetwork(
+        insts=insts, priors=tuple([kb.prior(inst.schema) for inst in insts]),
+        filler_types=tuple([link.filler for link in path.links if link.kind.is_role]),
+        start_obs=path.start, end_obs=path.end)
 
 
 @dataclass(frozen=True)
@@ -145,13 +128,12 @@ class Cpts:
     eq_prior: float
 
 
-def _evidence_pair(kb: KnowledgeBase, obs: Observation, node: InstNode) -> tuple[float, float]:
+def _evidence_pair(kb: KnowledgeBase, obs: Observation, q: float) -> tuple[float, float]:
     # An endpoint's relevant type is its observed schema or a descendant of
     # it, and `load_kb` rejects a child prior above its parent's, so q is
     # at most the observed schema's prior and the projected belief at most b.
     # q = 1 means a prior-1 observed schema, which
     # `KnowledgeBase.check_observation` admits only at belief 1.
-    q = node.prior
     if q >= 1.0:
         return (1.0, 0.0)
     b = obs.belief * q / kb.prior(obs.schema)
@@ -165,13 +147,13 @@ def default_cpts(kb: KnowledgeBase, network: VertebrateNetwork,
                  gamma1: float, gamma0: float) -> Cpts:
     """The tables above, for interior strengths in (0,1] (`RunConfig`
     checks them); `load_kb` keeps every p(==)/p(f) at most 1."""
-    eq_true = tuple([kb.eq_prior / kb.prior(eq.declared_filler_type)
-                     for eq in network.eqs])
+    eq_true = tuple([kb.eq_prior / kb.prior(filler_type)
+                     for filler_type in network.filler_types])
     evidence = (
-        _evidence_pair(kb, network.start_obs, network.insts[0]),
-        _evidence_pair(kb, network.end_obs, network.insts[-1]),
+        _evidence_pair(kb, network.start_obs, network.priors[0]),
+        _evidence_pair(kb, network.end_obs, network.priors[-1]),
     )
-    return Cpts(inst_prior=tuple([n.prior for n in network.insts]),
+    return Cpts(inst_prior=network.priors,
                 eq_true=eq_true, evidence=evidence,
                 gamma1=gamma1, gamma0=gamma0, eq_prior=kb.eq_prior)
 
@@ -233,26 +215,23 @@ def evidence_filter(kb: KnowledgeBase, rs: StatementSet,
     return True
 
 
-def approve(kb: KnowledgeBase, rs: StatementSet, posterior: float,
+def approve(network: VertebrateNetwork, posterior: float,
             ratio: float = 1000.0) -> bool:
     """Accept a path when its joint posterior beats the prior of the plans
     it hypothesizes by ``ratio``.  The prior is the product of the
-    relevant-type priors of the fresh instances of ``rs`` (its RS(P)), the
-    instances between its two observed ends (an empty product for a path
-    whose ends are its only instances)."""
-    prior_product = 1.0
-    for inst in rs.insts[1:-1]:
-        prior_product *= kb.prior(inst.schema)
-    return posterior >= ratio * prior_product
+    relevant-type priors of the network's fresh instances, those between
+    its two observed ends (an empty product for a path whose ends are its
+    only instances)."""
+    return posterior >= ratio * prod(network.priors[1:-1])
 
 
 def render_network(network: VertebrateNetwork) -> str:
     """Deterministic text dump: one node line, then one edge line each."""
     lines = []
-    for node in network.insts:
-        lines.append(f"node {node.instance} kind=inst type={node.rt} prior={node.prior!r}")
-    for eq in network.eqs:
-        lines.append(f"node {eq.node_id} kind=eq type=- prior=-")
+    for inst, prior in zip(network.insts, network.priors):
+        lines.append(f"node {inst.instance} kind=inst type={inst.schema} prior={prior!r}")
+    for k in range(1, len(network.filler_types) + 1):
+        lines.append(f"node eq{k} kind=eq type=- prior=-")
     lines.append("node e1 kind=ev type=- prior=-")
     lines.append("node e2 kind=ev type=- prior=-")
     lines.append("node EI kind=interior type=- prior=-")

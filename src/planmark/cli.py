@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit a synthetic corpus")
     _add_common(p, kb_required=False)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stories", type=int, default=6)
-    p.add_argument("--plans", type=int, default=6)
+    p.add_argument("--stories", type=_positive_int, default=6)
+    p.add_argument("--plans", type=_positive_int, default=6)
     p.add_argument("--density", type=float, default=1.0)
     p.add_argument("--out-kb", default=None, help="write the KB here")
     p.add_argument("--out-streams", default=None,

@@ -134,15 +134,6 @@ class KnowledgeBase:
                 f"cannot scale evidence for {obs.instance!r}: type prior is 1 "
                 f"but belief is {obs.belief!r}")
 
-    def neighbors(self, name: str) -> tuple[TraversalLink, ...]:
-        """All moves leaving ``name``, sorted by destination schema then
-        link kind then slot; every move has its inverse at the far end."""
-        try:
-            moves = self.adjacency[name]
-        except KeyError:
-            raise KbError(f"unknown schema {name!r}") from None
-        return tuple(move.link for move in moves)
-
     def has_role(self, filled: str, slot: str, filler: str) -> bool:
         schema = self.schemas.get(filled)
         return schema is not None and schema.filler_of(slot) == filler

@@ -192,7 +192,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
             evaluated += 1
             record.posterior = joint
             record.residual = residual
-            record.approved = approve(kb, rs, joint, ratio=config.approval_ratio)
+            record.approved = approve(network, joint, ratio=config.approval_ratio)
             if record.approved:
                 approved_count += 1
         records.append(record)
@@ -213,6 +213,10 @@ class SynthParams:
     object_prior: float = 0.04
     eq_prior: float = 1e-3
     belief: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.corroboration_density <= 1.0:
+            raise ValueError("corroboration density must be in [0,1]")
 
 
 @dataclass

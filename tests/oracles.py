@@ -152,7 +152,7 @@ def enumerate_paths_oracle(kb: KnowledgeBase, obs1: Observation, obs2: Observati
             found.append(path)
         if len(prefix) >= max_depth:
             return
-        for link in kb.neighbors(at):
+        for link in (move.link for move in kb.adjacency[at]):
             kinds.append(link.kind)
             if _no_violation(kinds):
                 prefix.append(link)

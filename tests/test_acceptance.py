@@ -126,7 +126,7 @@ def test_criterion_2_grammar_suite(kb):
                 assert validate(path) == restatement([l.kind for l in links])
                 walk_checked += 1
             if len(links) < 5:
-                for link in kb.neighbors(at):
+                for link in (move.link for move in kb.adjacency[at]):
                     stack.append((link.destination, links + (link,)))
     assert walk_checked > 100  # the fixture admits 160 such walks
 

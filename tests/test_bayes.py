@@ -58,7 +58,7 @@ def network_of(kb, path, gamma1=0.9, gamma0=1e-7):
 def test_base_spine_shape(kb):
     network, _ = network_of(kb, single_role_path(kb))
     assert len(network.insts) == 2
-    assert len(network.eqs) == 1
+    assert len(network.filler_types) == 1
     ids = {src for src, _ in network.edges()} | {dst for _, dst in network.edges()}
     assert {"e1", "e2", "EI"} <= ids
     assert len(network.edges()) == 5
@@ -67,8 +67,8 @@ def test_base_spine_shape(kb):
 def test_fig31_network_shape(kb, fig31):
     network, _ = network_of(kb, fig31)
     assert [n.instance for n in network.insts] == ["supermarket2", "gen-1", "go1"]
-    assert [n.rt for n in network.insts] == ["supermarket", "supermarket-shopping", "go"]
-    assert len(network.eqs) == 2
+    assert [n.schema for n in network.insts] == ["supermarket", "supermarket-shopping", "go"]
+    assert len(network.filler_types) == 2
     interior_edges = [e for e in network.edges() if e[1] == "EI"]
     assert len(interior_edges) == 2
 
@@ -79,10 +79,17 @@ def test_structural_recurrence_on_sampled_paths():
         network = build_network(base, path, rs)
         roles = path.role_count()
         assert len(network.insts) == roles + 1
-        assert len(network.eqs) == roles
+        assert len(network.filler_types) == roles
         assert len(network.edges()) == 4 * roles + 1
         # Thm-style bijection: non-evidence nodes <-> RS(P) statements.
         assert network.non_evidence_count == len(rs.statements)
+        # The network is RS(P) plus priors: its instances are RS(P)'s own,
+        # each with its relevant type's prior, and each equality carries
+        # its role link's declared filler type.
+        assert network.insts == rs.insts
+        assert network.priors == tuple(base.prior(inst.schema) for inst in rs.insts)
+        assert network.filler_types == tuple(
+            link.filler for link in path.links if link.kind.is_role)
 
 
 def test_equality_cpt_value(kb):
@@ -198,7 +205,7 @@ def test_retyped_endpoint_still_satisfies_identity():
     path = parse_path(base, "(inst p1 plan)(role- plan step-of go)"
                             "(isa go act)(inst a1 act)", beliefs=(0.9, 0.6))
     network = build_network(base, path, relevant_statements(path))
-    assert network.insts[-1].rt == "go"
+    assert network.insts[-1].schema == "go"
     cpts = default_cpts(base, network, 0.7, 0.01)
     joint, residual = exact_posterior(network, cpts)
     assert joint == pytest.approx(score_path(base, path) * residual, rel=1e-9)
@@ -363,20 +370,19 @@ def test_approve_rule():
                    "(role rare-plan a-of thing)(role rare-plan b-of thing)")
     path = parse_path(base, "(inst t1 thing)(role rare-plan a-of thing)"
                             "(role- rare-plan b-of thing)(inst t2 thing)")
-    rs = relevant_statements(path)
-    assert approve(base, rs, 0.2, ratio=1000.0)      # 0.2 >= 0.1
-    assert not approve(base, rs, 0.0999, ratio=1000.0)
-    assert not approve(base, rs, 0.0001, ratio=2.0)  # == prior, ratio > 1
-    assert approve(base, rs, 0.0001, ratio=1.0)      # boundary inclusive
+    network = build_network(base, path, relevant_statements(path))
+    assert approve(network, 0.2, ratio=1000.0)      # 0.2 >= 0.1
+    assert not approve(network, 0.0999, ratio=1000.0)
+    assert not approve(network, 0.0001, ratio=2.0)  # == prior, ratio > 1
+    assert approve(network, 0.0001, ratio=1.0)      # boundary inclusive
 
 
 def test_approve_empty_plan_product(kb):
     # Both instances observed: the prior product is empty (1.0), so no
     # bounded posterior can clear a ratio above 1.
-    path = single_role_path(kb)
-    rs = relevant_statements(path)
-    assert not approve(kb, rs, 1.0, ratio=1000.0)
-    assert approve(kb, rs, 1.0, ratio=1.0)
+    network, _ = network_of(kb, single_role_path(kb))
+    assert not approve(network, 1.0, ratio=1000.0)
+    assert approve(network, 1.0, ratio=1.0)
 
 
 def test_render_network_fixture_dump(kb, fig31):

@@ -166,6 +166,22 @@ def test_synth_writes_files(tmp_path):
     assert "(eq-prior" in again.stdout
 
 
+@pytest.mark.parametrize("flag, value", [("--plans", "0"), ("--stories", "-3")])
+def test_synth_count_below_one_is_a_usage_error(flag, value):
+    result = planmark("synth", "--seed", "1", "--stories", "2", flag, value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert flag in result.stderr
+
+
+@pytest.mark.parametrize("density", ["nan", "5"])
+def test_synth_density_outside_unit_interval_exits_one(density):
+    result = planmark("synth", "--seed", "1", "--stories", "2", "--density", density)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: corroboration density must be in [0,1]\n"
+
+
 def test_domain_error_exits_one(kb_file):
     result = planmark("score", "--kb", kb_file, "--path", "(inst a ghost)(isa x y)(inst b y)")
     assert result.returncode == 1

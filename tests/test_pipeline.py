@@ -186,6 +186,12 @@ def test_synth_density_extremes():
         assert report.evaluated == 0
 
 
+@pytest.mark.parametrize("density", [math.nan, -0.1, 1.0 + 1e-12, 5.0])
+def test_synth_density_outside_unit_interval_rejected(density):
+    with pytest.raises(ValueError, match=r"^corroboration density must be in \[0,1\]$"):
+        SynthParams(corroboration_density=density)
+
+
 def test_synth_planted_plans_get_approved():
     config = RunConfig(engine=EngineConfig(half_threshold=1e-8,
                                            full_threshold=1e-8, max_depth=6))

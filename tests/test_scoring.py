@@ -128,9 +128,9 @@ def test_monotone_sanity_bound():
     # A half's value never exceeds any of its prefixes by more than the
     # largest multiplier per added link.
     for base, path in sample_paths(seed=47, limit=40):
-        multipliers = [link_multiplier(base, link)
+        multipliers = [link_multiplier(base, move.link)
                        for name in base.schemas
-                       for link in base.neighbors(name)]
+                       for move in base.adjacency[name]]
         biggest = max(multipliers)
         values = [initial_score(path.start)]
         for link in path.links:
