@@ -8,8 +8,8 @@ other), and descending into a filler then climbing into another owner
 sequences makes the rules concrete.
 """
 
-from planmark import Observation, load_kb, parse_path, reverse, validate
-from planmark.paths import LinkKind, Path, START_STATE, STATE_NAMES, TraversalLink, step
+from planmark import Observation, load_kb, parse_path, validate
+from planmark.paths import LinkKind, Path, START_STATE, STEP, TraversalLink
 
 kb = load_kb("""
 (eq-prior 0.001)
@@ -22,12 +22,18 @@ kb = load_kb("""
 (role shopping go-step go)
 """)
 
+# A DFA state is an int: twice the walk's role phase, plus one when its
+# last move was an IsaUp.
+STATE_NAMES = tuple(f"{phase}/{'isa-up' if isa_up else '-'}"
+                    for phase in ("NO_ROLE_YET", "UP_PHASE", "DOWN_PHASE")
+                    for isa_up in (False, True))
+
 
 def show_dfa(title, kinds):
     state = START_STATE
     trace = []
     for kind in kinds:
-        state = step(state, kind)
+        state = STEP[state][kind.order]
         if state is None:
             trace.append("REJECTED")
             break
@@ -57,6 +63,15 @@ no_role = Path(start=Observation("supermarket2", "supermarket"),
                links=(TraversalLink.isa_up("supermarket", "store-"),),
                end=Observation("store7", "store-"))
 print("isa-only path valid:", validate(no_role))
+
+
+def reverse(path):
+    """The same path read from the other end: each link is the same KB link
+    walked the other way, its twin in the base's adjacency."""
+    twin = {move.link: move.twin for moves in kb.adjacency.values() for move in moves}
+    return Path(start=path.end, links=tuple(twin[link] for link in reversed(path.links)),
+                end=path.start)
+
 
 # Reading the path from the other end flips every link.
 print()

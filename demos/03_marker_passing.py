@@ -14,7 +14,6 @@ from planmark import (
     load_kb,
     score_path,
 )
-from planmark.paths import STATE_NAMES
 
 kb = load_kb("""
 (eq-prior 0.001)
@@ -26,6 +25,12 @@ kb = load_kb("""
 (role supermarket-shopping store-of supermarket)
 (role shopping go-step go)
 """)
+
+# A DFA state is an int: twice the walk's role phase, plus one when its
+# last move was an IsaUp.
+STATE_NAMES = tuple(f"{phase}/{'isa-up' if isa_up else '-'}"
+                    for phase in ("NO_ROLE_YET", "UP_PHASE", "DOWN_PHASE")
+                    for isa_up in (False, True))
 
 seen_store = Observation("supermarket2", "supermarket", belief=0.9)
 seen_go = Observation("go1", "go", belief=0.9)
@@ -41,7 +46,7 @@ paths = engine.spread()
 print(f"marks retained: {len(engine.marks)}")
 for (origin, at, state), mark in engine.marks.items():
     print(f"  from {origin:13s} at {at:22s} {STATE_NAMES[state]:19s} "
-          f"score={mark.score:.4g} depth={len(mark.trail)}")
+          f"score={mark.score:.4g} depth={len(mark.moves)}")
 
 print()
 print(f"paths emitted: {len(paths)}")

@@ -21,6 +21,7 @@ from planmark import (
     score_path,
     statements_of,
 )
+from planmark.paths import TraversalLink
 from planmark.scoring import combine, extend_half, initial_score
 
 kb = load_kb("""
@@ -44,12 +45,14 @@ path = parse_path(kb, "(inst supermarket2 supermarket)"
 sc = score_path(kb, path)
 print("spinal contribution:", sc)
 
-# The same number from two halves glued at the collision schema.
-meeting = path.schemas()[2]
+# The same number from two halves glued at the collision schema: the
+# first half walks two links, the second climbs from go up the go-step slot.
+meeting = path.links[1].destination
 h1 = initial_score(path.start)
 for link in path.links[:2]:
     h1 = extend_half(kb, h1, link)
-h2 = extend_half(kb, initial_score(path.end), path.links[2].flip())
+h2 = extend_half(kb, initial_score(path.end),
+                 TraversalLink.role_up("shopping", "go-step", "go"))
 print(f"halves at {meeting!r}: {h1} and {h2};",
       "combined:", combine(kb, meeting, h1, h2))
 

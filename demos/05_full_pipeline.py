@@ -19,27 +19,25 @@ corpus = synth_corpus(seed=2, params=SynthParams(n_stories=4,
 print("one synthetic story:")
 print(corpus.streams[0])
 
-totals = [0, 0, 0, 0]
+totals = [0, 0, 0]
 for stream in corpus.streams:
     report = run(corpus.kb, config, stream)
-    for i, value in enumerate((report.reported, report.asserted,
-                               report.evaluated, report.approved)):
+    for i, value in enumerate((report.reported, report.evaluated, report.approved)):
         totals[i] += value
 
 print("with full corroboration:")
-print("  reported={} asserted={} evaluated={} approved={}".format(*totals))
+print("  reported={} evaluated={} approved={}".format(*totals))
 
 bare = synth_corpus(seed=2, params=SynthParams(n_stories=4,
                                                corroboration_density=0.0))
-totals = [0, 0, 0, 0]
+totals = [0, 0, 0]
 for stream in bare.streams:
     report = run(bare.kb, config, stream)
-    for i, value in enumerate((report.reported, report.asserted,
-                               report.evaluated, report.approved)):
+    for i, value in enumerate((report.reported, report.evaluated, report.approved)):
         totals[i] += value
 
 print("with no corroboration (filter stops everything before evaluation):")
-print("  reported={} asserted={} evaluated={} approved={}".format(*totals))
+print("  reported={} evaluated={} approved={}".format(*totals))
 
 print()
 print("a full report, as the CLI prints it:")

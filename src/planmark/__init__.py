@@ -27,8 +27,6 @@ from .paths import (
     START_STATE,
     TraversalLink,
     parse_path,
-    reverse,
-    step,
     validate,
 )
 from .pipeline import (
@@ -51,7 +49,6 @@ from .semantics import (
     Inst,
     SlotEq,
     StatementSet,
-    relevant_instance_trace,
     relevant_statements,
     statements_of,
 )
@@ -82,8 +79,6 @@ __all__ = [
     "START_STATE",
     "TraversalLink",
     "parse_path",
-    "reverse",
-    "step",
     "validate",
     "RunConfig",
     "RunReport",
@@ -100,7 +95,6 @@ __all__ = [
     "Inst",
     "SlotEq",
     "StatementSet",
-    "relevant_instance_trace",
     "relevant_statements",
     "statements_of",
 ]

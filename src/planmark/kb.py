@@ -259,10 +259,11 @@ def load_kb(text: str) -> KnowledgeBase:
         if parent is not None:
             child_sums[parent] = child_sums.get(parent, 0.0) + prior
     for parent, total in child_sums.items():
-        if total - raw_schemas[parent][1] > 1e-12:
+        _, parent_prior, parent_line = raw_schemas[parent]
+        if total - parent_prior > 1e-12:
             raise KbError(
                 f"children of {parent!r} have priors summing to {total!r}, "
-                f"above the parent prior {raw_schemas[parent][1]!r}")
+                f"above the parent prior {parent_prior!r}", parent_line)
 
     slot_map: dict[str, dict[str, str]] = {name: {} for name in raw_schemas}
     for filled, slot, filler, line in raw_roles:

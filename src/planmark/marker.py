@@ -57,15 +57,6 @@ class Mark:
     score: float
     moves: tuple[Move, ...]
 
-    @property
-    def key(self) -> MarkKey:
-        return (self.origin.instance, self.at, self.state)
-
-    @property
-    def trail(self) -> tuple[TraversalLink, ...]:
-        """The links walked from the origin, in travel order."""
-        return tuple(move.link for move in self.moves)
-
 
 @dataclass
 class EngineConfig:

@@ -71,8 +71,7 @@ class PathError(Exception):
 class LinkKind(enum.Enum):
     """The four move kinds; ``value`` is the surface tag.  Each member also
     carries plain attributes: ``tag`` (the same surface tag, read without
-    Enum's ``value`` descriptor), ``is_role``, ``flipped`` (the kind of
-    the same KB link walked the other way) and ``order`` (its tie-break
+    Enum's ``value`` descriptor), ``is_role`` and ``order`` (its tie-break
     rank in neighbor listings and its column in the `STEP` table)."""
 
     ROLE_UP = "role"
@@ -95,7 +94,6 @@ def _attach_kind_attributes() -> None:
         kind.order = order
         kind.tag = kind.value
         kind.is_role = order >= 2
-        kind.flipped = _KINDS_BY_ORDER[order ^ 1]
 
 
 _attach_kind_attributes()
@@ -151,10 +149,6 @@ class TraversalLink(NamedTuple):
             return self.general
         return self.specific
 
-    def flip(self) -> "TraversalLink":
-        """The same KB link traversed the other way."""
-        return TraversalLink(self.kind.flipped, *self[1:])
-
     def render(self) -> str:
         kind = self.kind
         if kind.is_role:
@@ -169,9 +163,6 @@ _NO_ROLE_YET, _UP_PHASE, _DOWN_PHASE = 0, 1, 2
 
 START_STATE = 0
 ALL_STATES = tuple(range(6))
-STATE_NAMES = tuple(f"{phase}/{'isa-up' if isa_up else '-'}"
-                    for phase in ("NO_ROLE_YET", "UP_PHASE", "DOWN_PHASE")
-                    for isa_up in (False, True))
 
 
 def _next_state(state: int, kind: LinkKind) -> int | None:
@@ -189,13 +180,6 @@ def _next_state(state: int, kind: LinkKind) -> int | None:
 # prefix can never extend to a valid path (rejection is terminal).
 STEP = tuple(tuple(_next_state(state, kind) for kind in _KINDS_BY_ORDER)
              for state in ALL_STATES)
-
-
-def step(state: int, link: TraversalLink | LinkKind) -> int | None:
-    """Advance the validity DFA by one move; ``None`` means the prefix can
-    never extend to a valid path."""
-    kind = link.kind if isinstance(link, TraversalLink) else link
-    return STEP[state][kind.order]
 
 
 def _seam_valid(state1: int, state2: int) -> bool:
@@ -224,13 +208,6 @@ class Path:
     start: "Observation"
     links: tuple[TraversalLink, ...]
     end: "Observation"
-
-    def schemas(self) -> list[str]:
-        """Schema at every position, start first (length = links + 1)."""
-        seq = [self.start.schema]
-        for link in self.links:
-            seq.append(link.destination)
-        return seq
 
     def role_count(self) -> int:
         return sum(1 for link in self.links if link.kind.is_role)
@@ -265,16 +242,10 @@ def validate(path: Path) -> bool:
     _check_structure(path)
     state: int | None = START_STATE
     for link in path.links:
-        state = step(state, link)
+        state = STEP[state][link.kind.order]
         if state is None:
             return False
     return state // 2 != _NO_ROLE_YET
-
-
-def reverse(path: Path) -> Path:
-    """The same path read from the other end; an involution."""
-    flipped = tuple(link.flip() for link in reversed(path.links))
-    return Path(start=path.end, links=flipped, end=path.start)
 
 
 # An atom, a parenthesis or a ';' comment running to the end of the line;

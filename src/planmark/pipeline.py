@@ -13,13 +13,13 @@ ends, every reported path is translated once into its RS(P), which then
 serves the cheap evidence filter, the exact network evaluation (only if
 the filter passes) and the approval test.  A path's ``sc`` is the
 `score_path` value the marker computed once, when it emitted the path.
-Four counters mirror the stages: paths reported by the marker, asserted
-(here always equal to reported -- no secondary filters sit between the
-two stages in this build), evaluated, and approved.
+Three counters mirror the stages: paths reported by the marker, evaluated
+(those that passed the filter) and approved.
 
-The report is plain structured text with a fixed field order (path, sc,
-rs, filtered, posterior, residual, approved per record, then one counters
-record), so identical inputs produce byte-identical reports.
+The report is plain structured text: one ``#`` header line, then a fixed
+field order (path, sc, rs, filtered, posterior, residual, approved per
+record, then one counters record), so identical inputs produce
+byte-identical reports.
 
 `synth_corpus` stands in for hand-built story corpora: a reproducible
 random base with planted plans whose slot fillers get observed pairwise,
@@ -96,19 +96,15 @@ class PathRecord:
 class RunReport:
     records: list[PathRecord]
     reported: int
-    asserted: int
     evaluated: int
     approved: int
 
     def render(self) -> str:
-        lines = ["# planmark run report",
-                 "# asserted counts every reported path; this build has no "
-                 "secondary filters between reporting and assertion"]
+        lines = ["# planmark run report"]
         for record in self.records:
             lines.append(record.render())
-        lines.append(
-            f"counters reported={self.reported} asserted={self.asserted} "
-            f"evaluated={self.evaluated} approved={self.approved}")
+        lines.append(f"counters reported={self.reported} "
+                     f"evaluated={self.evaluated} approved={self.approved}")
         return "\n".join(lines) + "\n"
 
 
@@ -197,8 +193,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 approved_count += 1
         records.append(record)
 
-    reported = len(engine.emitted)
-    return RunReport(records=records, reported=reported, asserted=reported,
+    return RunReport(records=records, reported=len(engine.emitted),
                      evaluated=evaluated, approved=approved_count)
 
 

@@ -21,7 +21,8 @@ read off the same walk: the grammar fixes the shape of each instance's isa
 moves, so the walk can tell which typing is the relevant one without
 consulting the isa tree.  RS(P) of a valid path runs along the spine, with
 the start instance first, the end instance last and the fresh instances in
-between, and every fresh instance owns one of the path's slot equalities
+between, so its inst statements name every instance the path mentions, in
+spine order.  Every fresh instance owns one of the path's slot equalities
 (a fresh instance that only fills slots would sit in a slot-filler valley).
 Statements are named tuples, so building one per step of the walk is
 cheap.
@@ -61,11 +62,9 @@ Statement = Inst | SlotEq
 
 @dataclass(frozen=True)
 class StatementSet:
-    """Statements in derivation order (first occurrence wins), plus the
-    fresh instance identifiers the derivation introduced."""
+    """Statements in derivation order (first occurrence wins)."""
 
     statements: tuple[Statement, ...]
-    fresh: tuple[str, ...]
 
     @property
     def insts(self) -> tuple[Inst, ...]:
@@ -79,10 +78,9 @@ class StatementSet:
         return "".join([s.render() for s in self.statements])
 
 
-def _derive(path: Path, fresh_prefix: str,
-            full: bool) -> tuple[list[Statement], list[str]]:
+def _derive(path: Path, fresh_prefix: str, full: bool) -> list[Statement]:
     """Walk the path once: the statements of S(P) in derivation order, with
-    repeats, when ``full``, else those of RS(P); and the fresh instances.
+    repeats, when ``full``, else those of RS(P).
 
     Isa moves carry the instance forward; each role move hands off to a
     fresh instance, except the last role move of the path, which hands off
@@ -97,7 +95,6 @@ def _derive(path: Path, fresh_prefix: str,
     end = path.end
     roles = path.role_count()
     statements: list[Statement] = []
-    fresh: list[str] = []
     # The instance at the current position, the schema it was just typed
     # as, and whether that typing can be its relevant one.
     instance, schema, relevant = path.start.instance, path.start.schema, True
@@ -108,11 +105,7 @@ def _derive(path: Path, fresh_prefix: str,
             statements.append(Inst(instance, schema))
         if kind.is_role:
             handed += 1
-            if handed < roles:
-                arriving = f"{fresh_prefix}{handed}"
-                fresh.append(arriving)
-            else:
-                arriving = end.instance
+            arriving = f"{fresh_prefix}{handed}" if handed < roles else end.instance
             if kind is _ROLE_UP:
                 # The arriving instance owns the slot; the instance we came
                 # from fills it.
@@ -131,22 +124,13 @@ def _derive(path: Path, fresh_prefix: str,
         statements += (Inst(instance, schema), Inst(end.instance, end.schema))
     elif relevant:
         statements.append(Inst(instance, schema))
-    return statements, fresh
-
-
-def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]:
-    """Instance occupying each path position, start first, read off the
-    walk that derives S(P): it types every position once, in order, then
-    re-types the end instance as observed."""
-    statements, _ = _derive(path, fresh_prefix, full=True)
-    return [s.instance for s in statements if type(s) is Inst][:-1]
+    return statements
 
 
 def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
     """S(P): every typing and slot equality the path asserts."""
-    statements, fresh = _derive(path, fresh_prefix, full=True)
-    return StatementSet(statements=tuple(dict.fromkeys(statements)),
-                        fresh=tuple(fresh))
+    statements = _derive(path, fresh_prefix, full=True)
+    return StatementSet(statements=tuple(dict.fromkeys(statements)))
 
 
 def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
@@ -154,5 +138,4 @@ def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
     instance at its relevant type, in S(P) order.  That order runs along
     the spine: start instance, first equality, first fresh instance, ...,
     last equality, end instance."""
-    statements, fresh = _derive(path, fresh_prefix, full=False)
-    return StatementSet(statements=tuple(statements), fresh=tuple(fresh))
+    return StatementSet(statements=tuple(_derive(path, fresh_prefix, full=False)))

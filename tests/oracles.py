@@ -1,5 +1,13 @@
 """Reference implementations used only by the tests.
 
+The first helpers restate, for the tests, what the package no longer
+needs: `flip` walks a link the other way (the base stores each move's
+twin instead), `reverse` reads a path from its other end, `path_schemas`
+lists the schema at every position, `step` advances the validity DFA by
+one move or kind, `trail` lists the links a mark walked, and
+`relevant_instance_trace` names the instance at every position of a
+path.
+
 `enumerate_paths_oracle` is the marker engine's reference point: a plain
 exhaustive DFS over link sequences filtered by `declarative_valid`, a
 direct restatement of the validity rules independent of the DFA, practical
@@ -50,9 +58,57 @@ import numpy as np
 from planmark.bayes import Cpts, VertebrateNetwork
 from planmark.kb import KnowledgeBase, Observation, load_kb
 from planmark.marker import EngineConfig, Mark, MarkerEngine
-from planmark.paths import START_STATE, LinkKind, Path, TraversalLink, step, validate
+from planmark.paths import START_STATE, STEP, LinkKind, Path, TraversalLink, validate
 from planmark.scoring import combine, extend_half, initial_score, score_path
 from planmark.semantics import Inst, SlotEq, StatementSet, statements_of
+
+
+FLIPPED = {LinkKind.ISA_UP: LinkKind.ISA_DOWN, LinkKind.ISA_DOWN: LinkKind.ISA_UP,
+           LinkKind.ROLE_UP: LinkKind.ROLE_DOWN, LinkKind.ROLE_DOWN: LinkKind.ROLE_UP}
+
+
+def flip(link: TraversalLink) -> TraversalLink:
+    """The same KB link traversed the other way."""
+    return TraversalLink(FLIPPED[link.kind], *link[1:])
+
+
+def reverse(path: Path) -> Path:
+    """The same path read from the other end; an involution."""
+    return Path(start=path.end, links=tuple(flip(link) for link in reversed(path.links)),
+                end=path.start)
+
+
+def path_schemas(path: Path) -> list[str]:
+    """Schema at every position, start first (length = links + 1)."""
+    return [path.start.schema] + [link.destination for link in path.links]
+
+
+def step(state: int, link: TraversalLink | LinkKind) -> int | None:
+    """Advance the validity DFA by one move; ``None`` means the prefix can
+    never extend to a valid path."""
+    kind = link.kind if isinstance(link, TraversalLink) else link
+    return STEP[state][kind.order]
+
+
+def trail(mark: Mark) -> tuple[TraversalLink, ...]:
+    """The links a mark walked from its origin, in travel order."""
+    return tuple(move.link for move in mark.moves)
+
+
+def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]:
+    """Instance occupying each path position, start first: isa moves keep
+    the instance, each role move hands off to the next fresh instance, and
+    the last role move to the end observation's instance."""
+    roles = path.role_count()
+    trace = [path.start.instance]
+    handed = 0
+    for link in path.links:
+        if link.kind.is_role:
+            handed += 1
+            trace.append(f"{fresh_prefix}{handed}" if handed < roles else path.end.instance)
+        else:
+            trace.append(trace[-1])
+    return trace
 
 
 class OracleGuardError(Exception):
@@ -223,7 +279,7 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
         sc = score_path(kb, path)
         if sc < threshold or path.render() in emitted:
             continue
-        rev = tuple(link.flip() for link in reversed(path.links))
+        rev = reverse(path).links
         fwd_vals = _prefix_values(kb, obs1, path.links)
         back_vals = _prefix_values(kb, obs2, rev)
         n = len(path.links)
@@ -237,12 +293,12 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
         if not qualifying:
             entries.append(MissedPath(path, sc, "half-dip"))
             continue
-        schemas = path.schemas()
+        schemas = path_schemas(path)
         for j in qualifying:
             m1 = engine.marks.get((obs1.instance, schemas[j], _state_after(path.links[:j])))
             m2 = engine.marks.get((obs2.instance, schemas[j], _state_after(rev[:n - j])))
-            if (m1 is not None and m1.trail == path.links[:j]
-                    and m2 is not None and m2.trail == rev[:n - j]):
+            if (m1 is not None and trail(m1) == path.links[:j]
+                    and m2 is not None and trail(m2) == rev[:n - j]):
                 entries.append(MissedPath(path, sc, "unexpected"))
                 break
         # Otherwise every qualifying cleave was displaced by a better
@@ -263,22 +319,23 @@ class GlueThenValidateEngine(MarkerEngine):
     def _place(self, mark: Mark) -> None:
         # The engine's best-trail retention, then every meeting with a
         # mark from another origin, in the order the marks arrived here.
-        incumbent = self.marks.get(mark.key)
+        key = (mark.origin.instance, mark.at, mark.state)
+        incumbent = self.marks.get(key)
         if incumbent is not None and incumbent.score >= mark.score:
             return
-        self.marks[mark.key] = mark
-        self._at.setdefault(mark.at, {})[mark.key] = mark
+        self.marks[key] = mark
+        self._at.setdefault(mark.at, {})[key] = mark
         for other in list(self._at[mark.at].values()):
             if other.origin.instance != mark.origin.instance:
                 self._collide(mark, other)
-        if len(mark.trail) < self.config.max_depth:
+        if len(mark.moves) < self.config.max_depth:
             self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.
         if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
             m1, m2 = m2, m1
-        links = m1.trail + tuple(link.flip() for link in reversed(m2.trail))
+        links = trail(m1) + tuple(flip(link) for link in reversed(trail(m2)))
         if not links:
             return
         path = Path(start=m1.origin, links=links, end=m2.origin)
@@ -325,7 +382,7 @@ def relevant_statements_by_fold(kb: KnowledgeBase, path: Path,
         s for s in full.statements
         if isinstance(s, SlotEq) or rts[s.instance] == s.schema
     )
-    return StatementSet(statements=kept, fresh=full.fresh)
+    return StatementSet(statements=kept)
 
 
 @dataclass

@@ -41,7 +41,7 @@ from conftest import (
     package_env,
     sample_paths,
 )
-from oracles import completeness_check, random_kb
+from oracles import completeness_check, flip, path_schemas, random_kb, step
 
 
 def criterion(number, title, limit_seconds):
@@ -65,8 +65,11 @@ def criterion(number, title, limit_seconds):
 @criterion(1, "worked-example fidelity (S(P) and RS(P) of the running example)", 1.0)
 def test_criterion_1_worked_example(kb, fig31):
     sset = statements_of(fig31)
-    assert len(sset.fresh) == 1
-    generated = sset.fresh[0]
+    rs = relevant_statements(fig31)
+    # RS(P) names the instances in spine order: the one fresh instance
+    # sits between the two observed ones.
+    (fresh,) = rs.insts[1:-1]
+    generated = fresh.instance
     rendered = [s.render().replace(generated, "shopping3") for s in sset.statements]
     assert rendered == [
         "(inst supermarket2 supermarket)",
@@ -76,7 +79,6 @@ def test_criterion_1_worked_example(kb, fig31):
         "(= (go-step shopping3) go1)",
         "(inst go1 go)",
     ]
-    rs = relevant_statements(fig31)
     rs_rendered = [s.render().replace(generated, "shopping3") for s in rs.statements]
     assert rs_rendered == [s for s in rendered if s != "(inst shopping3 shopping)"]
 
@@ -100,7 +102,7 @@ def test_criterion_2_grammar_suite(kb):
     # Kind level: every sequence over the four link kinds, length 1..5.
     from itertools import product
 
-    from planmark.paths import START_STATE, step
+    from planmark.paths import START_STATE
 
     kind_checked = 0
     for length in range(1, 6):
@@ -156,8 +158,8 @@ def test_criterion_4_cleave_identity():
                 h1 = extend_half(base, h1, link)
             h2 = initial_score(path.end)
             for link in reversed(path.links[j:]):
-                h2 = extend_half(base, h2, link.flip())
-            at = path.schemas()[j]
+                h2 = extend_half(base, h2, flip(link))
+            at = path_schemas(path)[j]
             assert combine(base, at, h1, h2) == pytest.approx(whole, rel=1e-12)
 
 

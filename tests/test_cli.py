@@ -31,6 +31,17 @@ def test_check_rejects_isa_cycle(tmp_path):
     assert "cycle" in result.stderr
 
 
+def test_check_names_the_line_of_an_overfull_parent(tmp_path):
+    bad = tmp_path / "bad.kb"
+    bad.write_text("(eq-prior 0.01)\n(schema p :prior 0.1)\n"
+                   "(schema c1 :isa p :prior 0.06)\n(schema c2 :isa p :prior 0.06)\n")
+    result = planmark("check", "--kb", str(bad))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == ("error: line 2: children of 'p' have priors summing "
+                             "to 0.12, above the parent prior 0.1\n")
+
+
 def test_score_prints_sixteen_point_two(kb_file):
     result = planmark("score", "--kb", kb_file, "--path", FIG31_TEXT,
                       "--beliefs", "0.9,0.9")
@@ -74,8 +85,10 @@ def test_run_from_stdin_and_counters(kb_file):
               "(corroborate supermarket-shopping go-step)\n")
     result = planmark("run", "--kb", kb_file, *SPREAD_FLAGS, stdin=stream)
     assert result.returncode == 0
-    assert "counters reported=1 asserted=1 evaluated=1 approved=0" in result.stdout
-    assert f"path {FIG31_TEXT}" in result.stdout
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "counters reported=1 evaluated=1 approved=0"
+    assert [line for line in lines if line.startswith("#")] == ["# planmark run report"]
+    assert f"path {FIG31_TEXT}" in lines
 
 
 def test_run_rejects_a_reserved_fresh_name(kb_file, tmp_path):

@@ -30,7 +30,7 @@ from planmark import (
 from planmark.pipeline import parse_stream
 
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT
-from oracles import completeness_check, random_kb
+from oracles import completeness_check, flip, path_schemas, random_kb
 
 KB = load_kb(FIXTURE_KB_TEXT)
 
@@ -121,14 +121,14 @@ def _emissions(base, config, observations):
 
 def _assert_cleaves_recombine(base, path):
     direct = score_path(base, path)
-    schemas = path.schemas()
+    schemas = path_schemas(path)
     n = len(path.links)
     forward = [initial_score(path.start)]
     for link in path.links:
         forward.append(extend_half(base, forward[-1], link))
     backward = [initial_score(path.end)]
     for link in reversed(path.links):
-        backward.append(extend_half(base, backward[-1], link.flip()))
+        backward.append(extend_half(base, backward[-1], flip(link)))
     for j in range(n + 1):
         whole = combine(base, schemas[j], forward[j], backward[n - j])
         assert math.isclose(whole, direct, rel_tol=1e-9), (j, path.render())

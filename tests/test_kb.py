@@ -4,7 +4,7 @@ from planmark import KbError, load_kb
 from planmark.paths import LinkKind
 from planmark.scoring import link_multiplier
 
-from oracles import random_kb
+from oracles import flip, random_kb
 
 
 def test_fixture_loads(kb):
@@ -31,6 +31,17 @@ def test_children_sum_above_parent_rejected():
             "(schema b :isa a :prior 0.3)(schema c :isa a :prior 0.3)")
     with pytest.raises(KbError, match="summing"):
         load_kb(text)
+
+
+def test_children_sum_error_names_the_parent_line():
+    # The parent's schema form is on line 3, after one of its children.
+    text = ("(eq-prior 0.01)\n(schema c1 :isa p :prior 0.06)\n"
+            "(schema p :prior 0.1)\n(schema c2 :isa p :prior 0.06)\n")
+    with pytest.raises(KbError) as caught:
+        load_kb(text)
+    assert str(caught.value) == ("line 3: children of 'p' have priors summing "
+                                 "to 0.12, above the parent prior 0.1")
+    assert caught.value.line == 3
 
 
 @pytest.mark.parametrize("text,match", [
@@ -105,7 +116,7 @@ def test_neighbors_symmetric(seed):
     for name in base.schemas:
         for link in (move.link for move in base.adjacency[name]):
             assert link.source == name
-            inverse = link.flip()
+            inverse = flip(link)
             assert inverse in [move.link for move in base.adjacency[link.destination]]
 
 
@@ -147,6 +158,6 @@ def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
     for move in moves:
         link = move.link
         assert move.multiplier == link_multiplier(base, link)
-        assert move.twin == link.flip()
+        assert move.twin == flip(link)
         assert move.destination == link.destination
         assert move.kind == link.kind.order

@@ -9,19 +9,22 @@ from planmark import (
     Observation,
     load_kb,
     score_path,
-    step,
 )
 from planmark import marker
 from planmark.paths import ALL_STATES, SEAM_VALID
 
 from conftest import FIG31_TEXT, assert_matches_oracle_modulo_retention, chain_kb_text
 from oracles import (
+    FLIPPED,
     GlueThenValidateEngine,
     OracleGuardError,
     completeness_check,
     declarative_valid,
     enumerate_paths_oracle,
+    flip,
     random_kb,
+    step,
+    trail,
 )
 
 
@@ -110,7 +113,7 @@ def test_no_mark_below_threshold_is_placed(kb):
         engine.seed(obs)
     engine.spread()
     for mark in engine.marks.values():
-        if mark.trail:
+        if mark.moves:
             assert mark.score >= 0.3
 
 
@@ -242,7 +245,7 @@ class MeetingRecorder(MarkerEngine):
         m1, m2 = self.meeting
         return any(
             (a.origin.instance, b.origin.instance,
-             a.trail + tuple(link.flip() for link in reversed(b.trail))) in emitted
+             trail(a) + tuple(flip(link) for link in reversed(trail(b)))) in emitted
             for a, b in ((m1, m2), (m2, m1)))
 
 
@@ -297,7 +300,7 @@ def test_seam_table_agrees_with_the_grammar():
     assert len(trails) ** 2 == 44_100
     for kinds1, state1 in trails:
         for kinds2, state2 in trails:
-            glued = list(kinds1) + [kind.flipped for kind in reversed(kinds2)]
+            glued = list(kinds1) + [FLIPPED[kind] for kind in reversed(kinds2)]
             assert SEAM_VALID[state1][state2] == declarative_valid(glued), (kinds1, kinds2)
 
 

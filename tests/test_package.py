@@ -1,4 +1,10 @@
+import ast
+import re
+from pathlib import Path
+
 import planmark
+
+ROOT = Path(__file__).parents[1]
 
 
 def test_star_import_binds_every_exported_name_once():
@@ -6,3 +12,22 @@ def test_star_import_binds_every_exported_name_once():
     exec("from planmark import *", namespace)
     assert [name for name in planmark.__all__ if name not in namespace] == []
     assert len(set(planmark.__all__)) == len(planmark.__all__)
+
+
+def test_every_exported_name_is_used_by_the_package_or_the_readme():
+    # A name the package itself never reads, and the README never shows in
+    # code, is test-only and belongs in tests/oracles.py.
+    used = set()
+    for source in (ROOT / "src" / "planmark").glob("*.py"):
+        if source.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = "\n".join(re.findall(r"```[^\n]*\n(.*?)```", readme, re.DOTALL))
+    unused = [name for name in planmark.__all__
+              if name not in used and not re.search(rf"\b{name}\b", blocks)]
+    assert unused == []

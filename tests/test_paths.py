@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planmark import Observation, PathError, parse_path, reverse, validate
+from planmark import Observation, PathError, parse_path, validate
 from planmark.paths import (
     ALL_STATES,
     LinkKind,
     Path,
     START_STATE,
     TraversalLink,
-    step,
 )
 
 from conftest import FIG31_TEXT, sample_paths
-from oracles import declarative_valid
+from oracles import declarative_valid, reverse, step
 
 U, D, RU, RD = LinkKind.ISA_UP, LinkKind.ISA_DOWN, LinkKind.ROLE_UP, LinkKind.ROLE_DOWN
 

@@ -31,7 +31,7 @@ def fixture_config(**kwargs):
 
 def test_fixture_run_with_full_corroboration(kb):
     report = run(kb, fixture_config(), FIXTURE_STREAM)
-    assert (report.reported, report.asserted, report.evaluated) == (1, 1, 1)
+    assert (report.reported, report.evaluated) == (1, 1)
     record = report.records[0]
     assert record.filtered == "pass"
     assert record.sc == pytest.approx(16.2, rel=1e-12)
@@ -44,7 +44,7 @@ def test_fixture_run_with_full_corroboration(kb):
 def test_no_corroboration_blocks_evaluation(kb):
     stream = "(inst supermarket2 supermarket :belief 0.9)\n(inst go1 go :belief 0.9)\n"
     report = run(kb, fixture_config(), stream)
-    assert (report.reported, report.asserted, report.evaluated, report.approved) == (1, 1, 0, 0)
+    assert (report.reported, report.evaluated, report.approved) == (1, 0, 0)
     record = report.records[0]
     assert record.filtered == "fail"
     assert record.posterior is None
@@ -53,7 +53,7 @@ def test_no_corroboration_blocks_evaluation(kb):
 
 def test_empty_stream(kb):
     report = run(kb, fixture_config(), "")
-    assert (report.reported, report.asserted, report.evaluated, report.approved) == (0, 0, 0, 0)
+    assert (report.reported, report.evaluated, report.approved) == (0, 0, 0)
     assert report.records == []
 
 
@@ -115,18 +115,20 @@ def test_reports_are_byte_identical(kb):
     first = run(kb, config, FIXTURE_STREAM).render()
     second = run(kb, config, FIXTURE_STREAM).render()
     assert first == second
-    assert first.endswith("counters reported=1 asserted=1 evaluated=1 approved=0\n")
+    lines = first.splitlines()
+    assert lines[-1] == "counters reported=1 evaluated=1 approved=0"
+    assert [line for line in lines if line.startswith("#")] == ["# planmark run report"]
+    assert lines[0] == "# planmark run report"
 
 
-def test_long_chain_is_evaluated_and_asserted():
+def test_long_chain_is_reported_and_evaluated():
     base = load_kb(chain_kb_text(12))
     stream_lines = ["(inst x c0)", "(inst y c12)"]
     stream_lines += [f"(corroborate c{i + 1} step)" for i in range(12)]
     config = RunConfig(engine=EngineConfig(half_threshold=0.0, full_threshold=0.0,
                                            max_depth=12))
     report = run(base, config, "\n".join(stream_lines))
-    assert report.reported == report.asserted == 1
-    assert report.evaluated == 1
+    assert report.reported == report.evaluated == 1
     record = report.records[0]
     assert record.posterior == pytest.approx(record.sc * record.residual, rel=1e-9)
 
@@ -160,8 +162,7 @@ def test_counter_chain_inequality_on_synth_runs():
                                                full_threshold=1e-8, max_depth=6))
         for stream in corpus.streams:
             report = run(corpus.kb, config, stream)
-            assert (report.approved <= report.evaluated
-                    <= report.asserted <= report.reported)
+            assert report.approved <= report.evaluated <= report.reported
 
 
 def test_synth_is_deterministic():

@@ -3,14 +3,13 @@ from planmark import (
     SlotEq,
     load_kb,
     parse_path,
-    relevant_instance_trace,
     relevant_statements,
     statements_of,
 )
 from planmark.paths import LinkKind
 
 from conftest import marker_paths, sample_paths
-from oracles import relevant_statements_by_fold
+from oracles import relevant_instance_trace, relevant_statements_by_fold
 
 
 def test_trace_of_fig31(fig31):
@@ -22,12 +21,12 @@ def test_single_role_path_has_no_fresh_instance(kb):
                           "(role supermarket-shopping store-of supermarket)"
                           "(inst p1 supermarket-shopping)")
     assert relevant_instance_trace(path) == ["s1", "p1"]
-    assert statements_of(path).fresh == ()
+    assert relevant_statements(path).insts[1:-1] == ()
 
 
 def test_two_role_path_has_one_fresh_instance(fig31):
     assert fig31.role_count() == 2
-    assert statements_of(fig31).fresh == ("gen-1",)
+    assert [s.instance for s in relevant_statements(fig31).insts[1:-1]] == ["gen-1"]
 
 
 def test_statements_of_fig31_match_the_worked_example(fig31):
@@ -91,8 +90,9 @@ def test_rs_equals_s_without_isa_links(kb):
 
 def test_fresh_prefix_is_configurable(fig31):
     sset = statements_of(fig31, fresh_prefix="p3-gen-")
-    assert sset.fresh == ("p3-gen-1",)
     assert Inst("p3-gen-1", "supermarket-shopping") in sset.statements
+    rs = relevant_statements(fig31, fresh_prefix="p3-gen-")
+    assert [s.instance for s in rs.insts[1:-1]] == ["p3-gen-1"]
 
 
 def _typing_events(path, trace):
@@ -130,11 +130,11 @@ def test_structural_counts_on_sampled_paths():
         assert len(rs.insts) == roles + 1  # one per distinct instance
         assert set(rs.statements) <= set(sset.statements)
         # Spine order: the ends first and last, the fresh instances between.
-        assert rs.insts[0].instance == path.start.instance
-        assert rs.insts[-1].instance == path.end.instance
-        assert tuple(s.instance for s in rs.insts[1:-1]) == rs.fresh
+        fresh = [f"gen-{j}" for j in range(1, roles)]
+        assert [s.instance for s in rs.insts] == [
+            path.start.instance, *fresh, path.end.instance]
         # No fresh instance only fills slots (slot-filler valley ban).
-        assert set(rs.fresh) <= {eq.owner for eq in rs.eqs}
+        assert set(fresh) <= {eq.owner for eq in rs.eqs}
         # An endpoint's relevant type is no likelier than its observed schema.
         assert base.prior(rs.insts[0].schema) <= base.prior(path.start.schema)
         assert base.prior(rs.insts[-1].schema) <= base.prior(path.end.schema)
