@@ -41,7 +41,6 @@ from .scoring import (
     combine,
     extend_half,
     initial_score,
-    link_multiplier,
     score_path,
     terminal_multiplier,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "combine",
     "extend_half",
     "initial_score",
-    "link_multiplier",
     "score_path",
     "terminal_multiplier",
     "Inst",

@@ -215,8 +215,7 @@ def evidence_filter(kb: KnowledgeBase, rs: StatementSet,
     return True
 
 
-def approve(network: VertebrateNetwork, posterior: float,
-            ratio: float = 1000.0) -> bool:
+def approve(network: VertebrateNetwork, posterior: float, ratio: float) -> bool:
     """Accept a path when its joint posterior beats the prior of the plans
     it hypothesizes by ``ratio``.  The prior is the product of the
     relevant-type priors of the network's fresh instances, those between

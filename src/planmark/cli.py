@@ -24,8 +24,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, kb_required: bool = True) -> None:
-    parser.add_argument("--kb", required=kb_required, help="knowledge base file")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kb", required=True, help="knowledge base file")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
 
 
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_gammas(p)
 
     p = sub.add_parser("synth", help="emit a synthetic corpus")
-    _add_common(p, kb_required=False)
+    p.add_argument("--output", default=None, help="output file (default stdout)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stories", type=_positive_int, default=6)
     p.add_argument("--plans", type=_positive_int, default=6)

@@ -22,10 +22,13 @@ forward references allowed)::
     (schema supermarket :isa store- :prior 0.01)
     (role supermarket-shopping store-of supermarket)
 
-Loading also builds the adjacency the marker passer spreads over: for each
-schema, every move leaving it as a `Move` that carries the link, where it
-arrives, the link kind's column in the DFA step table, the link's
-spinal-contribution multiplier and the same link walked the other way.
+Loading also builds the base's link table, `KnowledgeBase.moves`: each
+role and isa link, in both directions, maps to a `Move` that carries the
+link, where it arrives, the link kind's column in the DFA step table, the
+link's spinal-contribution multiplier and the same link walked the other
+way.  `_build_adjacency` is the one place those multipliers are defined;
+scoring and path parsing look links up in the table, and the adjacency the
+marker passer spreads over lists the same moves by the schema they leave.
 
 A loaded `KnowledgeBase` is immutable and safe to share across threads.
 """
@@ -85,10 +88,10 @@ class Observation:
 
 
 class Move(NamedTuple):
-    """One entry of the adjacency: a link leaving a schema, with what the
-    marker needs to take it precomputed.  ``kind`` is the link kind's
-    ``order`` (its column in `paths.STEP`), ``multiplier`` its factor in
-    the spinal contribution (`scoring.link_multiplier`) and ``twin`` the
+    """One entry of the link table and the adjacency: a link leaving a
+    schema, with what scoring and the marker need precomputed.  ``kind``
+    is the link kind's ``order`` (its column in `paths.STEP`),
+    ``multiplier`` its factor in the spinal contribution and ``twin`` the
     same KB link walked the other way."""
 
     link: TraversalLink
@@ -103,6 +106,7 @@ class KnowledgeBase:
     schemas: dict[str, Schema]
     eq_prior: float
     adjacency: dict[str, tuple[Move, ...]] = field(compare=False)
+    moves: dict[TraversalLink, Move] = field(compare=False)
 
     def schema(self, name: str) -> Schema:
         try:
@@ -133,14 +137,6 @@ class KnowledgeBase:
             raise ValueError(
                 f"cannot scale evidence for {obs.instance!r}: type prior is 1 "
                 f"but belief is {obs.belief!r}")
-
-    def has_role(self, filled: str, slot: str, filler: str) -> bool:
-        schema = self.schemas.get(filled)
-        return schema is not None and schema.filler_of(slot) == filler
-
-    def has_isa_edge(self, specific: str, general: str) -> bool:
-        schema = self.schemas.get(specific)
-        return schema is not None and schema.parent == general
 
     def ancestors_or_self(self, name: str) -> list[str]:
         chain = [name]
@@ -290,23 +286,24 @@ def load_kb(text: str) -> KnowledgeBase:
         )
         for name, (parent, prior, _) in raw_schemas.items()
     }
+    adjacency, moves = _build_adjacency(schemas)
     return KnowledgeBase(schemas=schemas, eq_prior=eq_prior,
-                         adjacency=_build_adjacency(schemas))
+                         adjacency=adjacency, moves=moves)
 
 
-def _build_adjacency(schemas: dict[str, Schema]) -> dict[str, tuple[Move, ...]]:
-    # Both directions of each KB link are built together, so each move
-    # holds the other as its twin.  The multipliers are those of
-    # `scoring.link_multiplier`: p(filled)/p(filler) climbing a role,
+def _build_adjacency(schemas: dict[str, Schema]
+                     ) -> tuple[dict[str, tuple[Move, ...]], dict[TraversalLink, Move]]:
+    # The link table and, from the same moves, the adjacency.  Both
+    # directions of each KB link are built together, so each move holds the
+    # other as its twin.  This is where the spinal contribution's per-link
+    # multipliers are defined: p(filled)/p(filler) climbing a role,
     # p(specific)/p(general) descending an isa edge, 1 otherwise.
-    moves: dict[str, list[Move]] = {name: [] for name in schemas}
+    moves: dict[TraversalLink, Move] = {}
 
     def add(up: TraversalLink, up_multiplier: float,
             down: TraversalLink, down_multiplier: float) -> None:
-        moves[up.source].append(Move(up, up.destination, up.kind.order,
-                                     up_multiplier, down))
-        moves[down.source].append(Move(down, down.destination, down.kind.order,
-                                       down_multiplier, up))
+        moves[up] = Move(up, up.destination, up.kind.order, up_multiplier, down)
+        moves[down] = Move(down, down.destination, down.kind.order, down_multiplier, up)
 
     for schema in schemas.values():
         if schema.parent is not None:
@@ -318,7 +315,7 @@ def _build_adjacency(schemas: dict[str, Schema]) -> dict[str, tuple[Move, ...]]:
                 schema.prior / schemas[filler].prior,
                 TraversalLink.role_down(schema.name, slot, filler), 1.0)
 
-    def key(move: Move):
-        return (move.destination, move.kind, move.link.slot)
-
-    return {name: tuple(sorted(entries, key=key)) for name, entries in moves.items()}
+    adjacency: dict[str, list[Move]] = {name: [] for name in schemas}
+    for move in sorted(moves.values(), key=lambda m: (m.destination, m.kind, m.link.slot)):
+        adjacency[move.link.source].append(move)
+    return {name: tuple(entries) for name, entries in adjacency.items()}, moves

@@ -300,9 +300,9 @@ def parse_path(kb: "KnowledgeBase", text: str,
                beliefs: tuple[float, float] = (1.0, 1.0)) -> Path:
     """Parse the canonical surface syntax back into a `Path`.
 
-    Every link must name a role or isa edge that exists in ``kb`` and must
-    chain onto the previous position.  Observation beliefs are not part of
-    the surface form and are supplied separately, and checked by
+    Every link must name a role or isa edge in ``kb``'s link table and
+    must chain onto the previous position.  Observation beliefs are not
+    part of the surface form and are supplied separately, and checked by
     `KnowledgeBase.check_observation` like a stream observation's.
     """
     from .kb import KbError, Observation
@@ -333,39 +333,36 @@ def parse_path(kb: "KnowledgeBase", text: str,
         if tag in ("role", "role-"):
             if len(items) != 4:
                 raise PathError("role link needs (role FILLED SLOT FILLER)", at)
-            filled, slot, filler = items[1], items[2], items[3]
-            if not kb.has_role(filled, slot, filler):
-                raise PathError(f"no role link (role {filled} {slot} {filler})", at)
-            up = TraversalLink.role_up(filled, slot, filler)
-            down = TraversalLink.role_down(filled, slot, filler)
-            tagged = up if tag == "role" else down
-            other = down if tag == "role" else up
+            link = TraversalLink(LinkKind(tag), filled=items[1], slot=items[2],
+                                 filler=items[3])
+            missing = f"no role link (role {items[1]} {items[2]} {items[3]})"
         elif tag in ("isa", "isa-"):
             if len(items) != 3:
                 raise PathError("isa link needs (isa SPECIFIC GENERAL)", at)
-            specific, general = items[1], items[2]
-            if not kb.has_isa_edge(specific, general):
-                raise PathError(f"no isa edge (isa {specific} {general})", at)
-            up = TraversalLink.isa_up(specific, general)
-            down = TraversalLink.isa_down(specific, general)
-            tagged = up if tag == "isa" else down
-            other = down if tag == "isa" else up
+            link = TraversalLink(LinkKind(tag), specific=items[1], general=items[2])
+            missing = f"no isa edge (isa {items[1]} {items[2]})"
         else:
             raise PathError(f"unknown link form {tag!r}", at)
+        move = kb.moves.get(link)
+        if move is None:
+            raise PathError(missing, at)
         # Prefer the tagged direction; fall back to the flipped reading when
         # only that one chains (legacy renderings leave direction implicit).
-        if tagged.source == at_schema:
-            link = tagged
-        elif other.source == at_schema:
-            link = other
-        else:
-            raise PathError(
-                f"link does not chain: path is at {at_schema!r}", at)
+        if link.source != at_schema:
+            link = move.twin
+            if link.source != at_schema:
+                raise PathError(
+                    f"link does not chain: path is at {at_schema!r}", at)
         links.append(link)
         at_schema = link.destination
 
+    # Chaining and grammar are properties of the whole walk; name its end.
     path = Path(start=start, links=tuple(links), end=end)
-    if not validate(path):
-        raise PathError("link sequence violates the path validity grammar")
+    try:
+        valid = validate(path)
+    except PathError as exc:
+        raise PathError(str(exc), tail_at) from None
+    if not valid:
+        raise PathError("link sequence violates the path validity grammar", tail_at)
     return path
 

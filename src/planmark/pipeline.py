@@ -204,10 +204,6 @@ class SynthParams:
     n_plans: int = 6
     n_stories: int = 6
     corroboration_density: float = 1.0
-    plan_prior: float = 1e-5
-    object_prior: float = 0.04
-    eq_prior: float = 1e-3
-    belief: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.corroboration_density <= 1.0:
@@ -228,14 +224,14 @@ def synth_corpus(seed: int, params: SynthParams | None = None) -> SynthCorpus:
     the requested density."""
     params = params or SynthParams()
     rng = random.Random(seed)
-    lines = [f"(eq-prior {params.eq_prior!r})"]
+    lines = ["(eq-prior 0.001)"]
     plans = []
     for p in range(params.n_plans):
         plan = f"plan-{p}"
         kinds = (f"kind-{p}a", f"kind-{p}b")
         cat = f"category-{p}"
-        plan_prior = params.plan_prior * rng.uniform(0.5, 1.5)
-        obj_priors = [params.object_prior * rng.uniform(0.8, 1.2) for _ in kinds]
+        plan_prior = 1e-5 * rng.uniform(0.5, 1.5)
+        obj_priors = [0.04 * rng.uniform(0.8, 1.2) for _ in kinds]
         lines.append(f"(schema {plan} :prior {plan_prior!r})")
         lines.append(f"(schema {cat} :prior {min(1.0, 2.5 * max(obj_priors))!r})")
         for kind, prior in zip(kinds, obj_priors):
@@ -250,8 +246,8 @@ def synth_corpus(seed: int, params: SynthParams | None = None) -> SynthCorpus:
     for s in range(params.n_stories):
         plan, kinds = plans[rng.randrange(len(plans))]
         story = [
-            f"(inst story{s}-a {kinds[0]} :belief {params.belief!r})",
-            f"(inst story{s}-b {kinds[1]} :belief {params.belief!r})",
+            f"(inst story{s}-a {kinds[0]} :belief 1.0)",
+            f"(inst story{s}-b {kinds[1]} :belief 1.0)",
         ]
         for slot in ("first-of", "second-of"):
             if rng.random() < params.corroboration_density:

@@ -6,7 +6,9 @@ p(==) = 1e-3, as in `corpus`.
 
 Scoring a whole path is a single left-to-right product: the start
 observation's belief, one multiplier per link, and a terminal factor
-belief/prior for the end observation.  The per-link multipliers:
+belief/prior for the end observation.  The per-link multipliers, which
+`kb` computes once at load and keeps in the base's link table
+(`KnowledgeBase.moves`):
 
     RoleUp    p(filled) / p(filler)
     RoleDown  1.0
@@ -22,35 +24,18 @@ spreading, before it knows which paths will meet.  The half-path functions
 trust their caller to chain links onto the half and to meet halves at
 ``at``, as the marker's construction guarantees; `score_path` is the
 direct form they are checked against.
-
-The marker does not call `extend_half`: the base's adjacency stores each
-move's multiplier (`kb.Move`), computed from the same two priors at load,
-so an extension multiplies by it directly.  It meets halves with
-`combine` and scores each path it emits once with `score_path`, when the
-path is first met; that meeting and any later one at another cleave point
-are checked against the stored score, which `pipeline.run` reports as the
-path's ``sc``.
 """
 
 from __future__ import annotations
 
 from .kb import KnowledgeBase, Observation
-from .paths import LinkKind, Path, TraversalLink
+from .paths import Path, TraversalLink
 
 Score = float
 
 
 def initial_score(obs: Observation) -> Score:
     return obs.belief
-
-
-def link_multiplier(kb: KnowledgeBase, link: TraversalLink) -> float:
-    if link.kind is LinkKind.ROLE_UP:
-        return kb.prior(link.filled) / kb.prior(link.filler)
-    if link.kind is LinkKind.ISA_DOWN:
-        return kb.prior(link.specific) / kb.prior(link.general)
-    # RoleDown and IsaUp leave the bound unchanged.
-    return 1.0
 
 
 def terminal_multiplier(kb: KnowledgeBase, obs: Observation) -> float:
@@ -60,13 +45,13 @@ def terminal_multiplier(kb: KnowledgeBase, obs: Observation) -> float:
 def score_path(kb: KnowledgeBase, path: Path) -> Score:
     value = initial_score(path.start)
     for link in path.links:
-        value *= link_multiplier(kb, link)
+        value *= kb.moves[link].multiplier
     return value * terminal_multiplier(kb, path.end)
 
 
 def extend_half(kb: KnowledgeBase, score: Score, link: TraversalLink) -> Score:
     """Score of a half-path after one more link."""
-    return score * link_multiplier(kb, link)
+    return score * kb.moves[link].multiplier
 
 
 def combine(kb: KnowledgeBase, at: str, h1: Score, h2: Score) -> Score:

@@ -30,7 +30,6 @@ from planmark.pipeline import RunConfig, SynthParams
 from planmark.scoring import (
     extend_half,
     initial_score,
-    link_multiplier,
     terminal_multiplier,
 )
 
@@ -139,7 +138,7 @@ def test_criterion_3_scoring_fixture(kb, fig31):
     assert forward == pytest.approx(16.2, rel=1e-12)
     backward = terminal_multiplier(kb, fig31.end)
     for link in reversed(fig31.links):
-        backward *= link_multiplier(kb, link)
+        backward *= kb.moves[link].multiplier
     backward *= initial_score(fig31.start)
     assert backward == pytest.approx(forward, rel=1e-12)
 

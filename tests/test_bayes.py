@@ -266,6 +266,7 @@ def test_enumeration_agrees_with_elimination(kb, fig31):
     cases = [(kb, fig31)] + sample_paths(seed=61, limit=25, max_roles=4, beliefs=True)
     cases += [(load_kb(chain_kb_text(n)), chain_path(n, beliefs=(0.7, 0.6)))
               for n in range(3, 9)]
+    cases.append(prior_one_case())
     for base, path in cases:
         network, cpts = network_of(base, path, gamma1=0.8, gamma0=0.3)
         closed = exact_posterior(network, cpts)
@@ -274,6 +275,18 @@ def test_enumeration_agrees_with_elimination(kb, fig31):
         for oracle in (enumerated, eliminated):
             assert closed[0] == pytest.approx(oracle[0], rel=1e-12)
             assert closed[1] == pytest.approx(oracle[1], rel=1e-12)
+    network, cpts = network_of(*prior_one_case())
+    assert exact_posterior(network, cpts)[0] == pytest.approx(0.7590362085934151, rel=1e-12)
+
+
+def prior_one_case():
+    """A path from an observation typed at prior 1, whose end evidence
+    reads (1, 0): the type is certain, so the node is always true."""
+    base = load_kb("(eq-prior 0.01)(schema thing :prior 1)(schema obj :prior 0.2)"
+                   "(schema plan :prior 0.001)(role plan x-of thing)(role plan y-of obj)")
+    path = parse_path(base, "(inst t1 thing)(role plan x-of thing)(role- plan y-of obj)"
+                            "(inst o1 obj)", beliefs=(1.0, 0.7))
+    return base, path
 
 
 def test_twelve_role_chain_is_evaluated():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from planmark import cli
 from planmark.cli import build_parser
 
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, planmark
@@ -135,6 +136,16 @@ def test_translate_rejects_a_reserved_fresh_name(kb_file):
                              "the fresh instances of a path (at position 0)\n")
 
 
+def test_a_walk_error_names_the_end_form(kb_file):
+    path = ("(inst a supermarket)(role supermarket-shopping store-of supermarket)"
+            "(inst b shopping)")
+    result = planmark("score", "--kb", kb_file, "--path", path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == ("error: path ends at 'supermarket-shopping' but the end "
+                             "observation is typed 'shopping' (at position 68)\n")
+
+
 def test_run_is_byte_identical(kb_file, tmp_path):
     stream_file = tmp_path / "story.stream"
     stream_file.write_text("(inst supermarket2 supermarket)\n(inst go1 go)\n")
@@ -187,6 +198,13 @@ def test_synth_count_below_one_is_a_usage_error(flag, value):
     assert flag in result.stderr
 
 
+def test_synth_takes_no_kb():
+    result = planmark("synth", "--seed", "1", "--kb", "x", "--plans", "1", "--stories", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--kb" in result.stderr
+
+
 @pytest.mark.parametrize("density", ["nan", "5"])
 def test_synth_density_outside_unit_interval_exits_one(density):
     result = planmark("synth", "--seed", "1", "--stories", "2", "--density", density)
@@ -232,3 +250,49 @@ def test_readme_cli_block_names_every_subcommand():
     (subcommands,) = [action.choices for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction)]
     assert sorted(documented) == sorted(subcommands)
+
+
+def test_every_option_is_read(kb_file, tmp_path, monkeypatch, capsys):
+    # A flag that no code path reads is accepted and ignored.  Run each
+    # subcommand in process on a minimal argv, record which attributes of
+    # the parsed namespace it reads, and require every option it takes.
+    stream = tmp_path / "story.stream"
+    stream.write_text("(inst supermarket2 supermarket)\n(inst go1 go)\n")
+    path = ["--kb", kb_file, "--path", FIG31_TEXT]
+    argvs = {
+        "check": ["--kb", kb_file],
+        "run": ["--kb", kb_file, "--input", str(stream)],
+        "score": path, "translate": path, "network": path, "eval": path,
+        "synth": ["--seed", "1", "--plans", "1", "--stories", "1"],
+    }
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    def recording_parser(build=cli.build_parser):
+        parser = build()
+        parse_args = parser.parse_args
+
+        def parse_then_record(argv):
+            args = parse_args(argv, namespace=Recording())
+            reads.clear()  # argparse reads the namespace while it fills it
+            return args
+
+        parser.parse_args = parse_then_record
+        return parser
+
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    unread = {}
+    for command, subparser in subcommands.items():
+        assert cli.main([command, *argvs[command]]) == 0
+        options = {action.dest for action in subparser._actions
+                   if not isinstance(action, argparse._HelpAction)}
+        if options - reads:
+            unread[command] = options - reads
+    capsys.readouterr()
+    assert unread == {}

@@ -2,7 +2,6 @@ import pytest
 
 from planmark import KbError, load_kb
 from planmark.paths import LinkKind
-from planmark.scoring import link_multiplier
 
 from oracles import flip, random_kb
 
@@ -59,6 +58,7 @@ def test_children_sum_error_names_the_parent_line():
     ("(eq-prior 0.1)(schema a :prior x)", "bad number"),
     ("(eq-prior 0.1)(schema a", "unterminated"),
     ("(eq-prior 0.1)(widget a)", "unknown form"),
+    ("(eq-prior 0.1)(schema a b c)", "schema form is"),
 ])
 def test_load_errors(text, match):
     with pytest.raises(KbError, match=match):
@@ -148,16 +148,32 @@ def test_adjacency_covers_every_link(kb):
     assert {m.kind for m in roles} == {LinkKind.ROLE_UP, LinkKind.ROLE_DOWN}
 
 
+def prior_ratio(base, link):
+    """The spinal contribution's factor for one link, restated from the
+    priors: p(filled)/p(filler) up a role, p(specific)/p(general) down an
+    isa edge, 1 otherwise."""
+    if link.kind is LinkKind.ROLE_UP:
+        return base.prior(link.filled) / base.prior(link.filler)
+    if link.kind is LinkKind.ISA_DOWN:
+        return base.prior(link.specific) / base.prior(link.general)
+    return 1.0
+
+
 @pytest.mark.parametrize("seed", [None, *range(6)])
 def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
     # The marker multiplies by a move's cached multiplier and glues from its
-    # cached twin, so the scores it emits rest on these holding exactly.
+    # cached twin, and scoring and parsing read the link table, so the scores
+    # and paths they produce rest on these holding exactly.
     base = kb if seed is None else random_kb(seed, n_schemas=30, n_roles=30)
     moves = [move for entries in base.adjacency.values() for move in entries]
     assert moves
     for move in moves:
         link = move.link
-        assert move.multiplier == link_multiplier(base, link)
+        assert move.multiplier == prior_ratio(base, link)
         assert move.twin == flip(link)
         assert move.destination == link.destination
         assert move.kind == link.kind.order
+        assert base.moves[link] is move
+    isa_edges = sum(1 for s in base.schemas.values() if s.parent is not None)
+    role_links = sum(len(s.slots) for s in base.schemas.values())
+    assert len(base.moves) == len(moves) == 2 * (isa_edges + role_links)

@@ -160,6 +160,15 @@ def test_parse_render_round_trip_on_sampled_paths():
     ("(inst a supermarket)(role shopping go-step go)(inst b go)", "does not chain"),
     ("(inst a supermarket)(frob x y)(inst b go)", "unknown link form"),
     ("(inst a supermarket", "unterminated"),
+    # Errors of the whole walk are reported at its end (inst ...) form.
+    ("(inst a supermarket)(role supermarket-shopping store-of supermarket)(inst b shopping)",
+     r"^path ends at 'supermarket-shopping' but the end observation is typed "
+     r"'shopping' \(at position 68\)$"),
+    ("(inst a supermarket)(role supermarket-shopping store-of supermarket)"
+     "(inst a supermarket-shopping)",
+     r"^path endpoints must be distinct instances \(at position 68\)$"),
+    ("(inst a supermarket)(isa supermarket store-)(inst b store-)",
+     r"^link sequence violates the path validity grammar \(at position 44\)$"),
 ])
 def test_parse_errors(kb, text, match):
     with pytest.raises(PathError, match=match):

@@ -96,6 +96,11 @@ def test_engine_config_rejects_a_nan_threshold(kwargs):
         EngineConfig(**kwargs)
 
 
+def test_engine_config_rejects_a_depth_below_one():
+    with pytest.raises(ValueError, match="^max_depth must be positive$"):
+        EngineConfig(max_depth=0)
+
+
 @pytest.mark.parametrize("ratio", [math.nan, -5.0])
 def test_run_config_rejects_a_nan_or_negative_approval_ratio(ratio):
     with pytest.raises(ValueError, match="^approval ratio must be nonnegative$"):

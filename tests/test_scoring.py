@@ -5,7 +5,6 @@ from planmark import (
     combine,
     extend_half,
     initial_score,
-    link_multiplier,
     parse_path,
     score_path,
     terminal_multiplier,
@@ -23,11 +22,11 @@ def test_initial_score_is_the_belief(belief):
 
 def test_link_multipliers(kb):
     role_up = TraversalLink.role_up("supermarket-shopping", "store-of", "supermarket")
-    assert link_multiplier(kb, role_up) == pytest.approx(2.0, rel=1e-12)
-    assert link_multiplier(kb, flip(role_up)) == 1.0
+    assert kb.moves[role_up].multiplier == pytest.approx(2.0, rel=1e-12)
+    assert kb.moves[flip(role_up)].multiplier == 1.0
     isa_up = TraversalLink.isa_up("supermarket-shopping", "shopping")
-    assert link_multiplier(kb, isa_up) == 1.0
-    assert link_multiplier(kb, flip(isa_up)) == pytest.approx(0.4, rel=1e-12)
+    assert kb.moves[isa_up].multiplier == 1.0
+    assert kb.moves[flip(isa_up)].multiplier == pytest.approx(0.4, rel=1e-12)
 
 
 def test_terminal_multiplier(kb):
@@ -43,7 +42,7 @@ def test_fig31_scores_sixteen_point_two(kb, fig31):
 def right_to_left_score(kb, path):
     value = terminal_multiplier(kb, path.end)
     for link in reversed(path.links):
-        value *= link_multiplier(kb, link)
+        value *= kb.moves[link].multiplier
     return value * initial_score(path.start)
 
 
@@ -80,7 +79,7 @@ def test_half_fold_equals_closed_form(kb, fig31):
         half = extend_half(kb, half, link)
     product = initial_score(fig31.start)
     for link in fig31.links:
-        product *= link_multiplier(kb, link)
+        product *= kb.moves[link].multiplier
     assert half == pytest.approx(product, rel=1e-12)
 
 
@@ -128,10 +127,7 @@ def test_monotone_sanity_bound():
     # A half's value never exceeds any of its prefixes by more than the
     # largest multiplier per added link.
     for base, path in sample_paths(seed=47, limit=40):
-        multipliers = [link_multiplier(base, move.link)
-                       for name in base.schemas
-                       for move in base.adjacency[name]]
-        biggest = max(multipliers)
+        biggest = max(move.multiplier for move in base.moves.values())
         values = [initial_score(path.start)]
         for link in path.links:
             values.append(extend_half(base, values[-1], link))
