@@ -47,12 +47,13 @@ variable elimination.
 
 The network is RS(P) plus priors: `semantics` derives RS(P)'s instance
 statements in spine order, each at its relevant type, and the network
-holds those statements with the prior of each one's type, looked up once,
-and the declared filler type of each equality.  Before a path is
-evaluated, `evidence_filter` asks whether the input corroborates every
-slot binding it claims: the registry indexes the corroborated slots by
-schema, and each equality is looked up at its owner's relevant type and
-that type's ancestors.  After evaluation, `approve` compares the posterior
+holds those statements with the prior of each one's type, looked up once
+in the base's prior table, and the declared filler type of each equality.
+Before a path is evaluated, `evidence_filter` asks whether the input
+corroborates every slot binding it claims: the registry indexes the
+corroborated slots by schema, and each of RS(P)'s equalities is looked up
+at its owner's relevant type and that type's ancestors, walked through the
+base's parent table.  After evaluation, `approve` compares the posterior
 with the prior of the fresh instances the path hypothesizes.
 """
 
@@ -106,9 +107,9 @@ def build_network(kb: KnowledgeBase, path: Path,
     """Build the unique network for a valid path and its RS(P), whose
     instances already run along the spine from the start observation to
     the end one."""
-    insts = rs.insts
+    insts, priors = rs.insts, kb.priors
     return VertebrateNetwork(
-        insts=insts, priors=tuple([kb.prior(inst.schema) for inst in insts]),
+        insts=insts, priors=tuple([priors[schema] for _, schema in insts]),
         filler_types=tuple([link.filler for link in path.links if link.kind.is_role]),
         start_obs=path.start, end_obs=path.end)
 
@@ -136,7 +137,7 @@ def _evidence_pair(kb: KnowledgeBase, obs: Observation, q: float) -> tuple[float
     # `KnowledgeBase.check_observation` admits only at belief 1.
     if q >= 1.0:
         return (1.0, 0.0)
-    b = obs.belief * q / kb.prior(obs.schema)
+    b = obs.belief * q / kb.priors[obs.schema]
     lam_true = b / q
     lam_false = (1.0 - b) / (1.0 - q)
     beta = 1.0 / max(lam_true, lam_false)
@@ -147,7 +148,8 @@ def default_cpts(kb: KnowledgeBase, network: VertebrateNetwork,
                  gamma1: float, gamma0: float) -> Cpts:
     """The tables above, for interior strengths in (0,1] (`RunConfig`
     checks them); `load_kb` keeps every p(==)/p(f) at most 1."""
-    eq_true = tuple([kb.eq_prior / kb.prior(filler_type)
+    eq_prior, priors = kb.eq_prior, kb.priors
+    eq_true = tuple([eq_prior / priors[filler_type]
                      for filler_type in network.filler_types])
     evidence = (
         _evidence_pair(kb, network.start_obs, network.priors[0]),
@@ -207,11 +209,14 @@ def evidence_filter(kb: KnowledgeBase, rs: StatementSet,
     That is all RS(P) asserts that needs support: its two end instances
     were observed, and every fresh instance owns an equality, so the
     record that supports the equality supports the instance too."""
-    rt = {s.instance: s.schema for s in rs.insts}
-    for eq in rs.eqs:
-        if not any(eq.slot in registry.slots.get(schema, ())
-                   for schema in kb.ancestors_or_self(rt[eq.owner])):
-            return False
+    # An inst statement is an (instance, schema) pair.
+    relevant_type, parents, slots = dict(rs.insts), kb.parents, registry.slots
+    for owner, slot, _ in rs.eqs:
+        schema = relevant_type[owner]
+        while slot not in slots.get(schema, ()):
+            schema = parents[schema]
+            if schema is None:
+                return False
     return True
 
 

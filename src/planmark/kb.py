@@ -25,10 +25,22 @@ forward references allowed)::
 Loading also builds the base's link table, `KnowledgeBase.moves`: each
 role and isa link, in both directions, maps to a `Move` that carries the
 link, where it arrives, the link kind's column in the DFA step table, the
-link's spinal-contribution multiplier and the same link walked the other
-way.  `_build_adjacency` is the one place those multipliers are defined;
-scoring and path parsing look links up in the table, and the adjacency the
-marker passer spreads over lists the same moves by the schema they leave.
+link's spinal-contribution multiplier, the same link walked the other way
+and that twin's multiplier, and the link's rendered text.
+`_build_adjacency` is the one place those multipliers are defined; the
+marker passer folds them into half and whole-path scores, scoring and path
+parsing look links up in the table, a run joins their texts into a path's,
+and the adjacency the marker spreads over lists the same moves by the
+schema they leave.  Two flat tables serve the per-path work after the
+marker: `priors` (name to prior) and `parents` (name to isa parent, or
+None).  `KnowledgeBase.prior` and `ancestors_or_self` are their checked
+readers, for names that come from input.  A schema's ancestors are walked
+through `parents` rather than stored per schema, which would take memory
+quadratic in the depth of the isa tree.
+
+Priors are normal floats: `load_kb` rejects one below
+``sys.float_info.min``, since products of subnormal priors lose the
+relative precision the cleave identity is checked to.
 
 A loaded `KnowledgeBase` is immutable and safe to share across threads.
 """
@@ -36,6 +48,7 @@ A loaded `KnowledgeBase` is immutable and safe to share across threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -91,14 +104,17 @@ class Move(NamedTuple):
     """One entry of the link table and the adjacency: a link leaving a
     schema, with what scoring and the marker need precomputed.  ``kind``
     is the link kind's ``order`` (its column in `paths.STEP`),
-    ``multiplier`` its factor in the spinal contribution and ``twin`` the
-    same KB link walked the other way."""
+    ``multiplier`` its factor in the spinal contribution, ``twin`` the
+    same KB link walked the other way, ``twin_multiplier`` the twin's
+    factor and ``text`` the link's `TraversalLink.render`."""
 
     link: TraversalLink
     destination: str
     kind: int
     multiplier: float
     twin: TraversalLink
+    twin_multiplier: float
+    text: str
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,8 @@ class KnowledgeBase:
     eq_prior: float
     adjacency: dict[str, tuple[Move, ...]] = field(compare=False)
     moves: dict[TraversalLink, Move] = field(compare=False)
+    priors: dict[str, float] = field(compare=False)
+    parents: dict[str, str | None] = field(compare=False)
 
     def schema(self, name: str) -> Schema:
         try:
@@ -115,7 +133,10 @@ class KnowledgeBase:
             raise KbError(f"unknown schema {name!r}") from None
 
     def prior(self, name: str) -> float:
-        return self.schema(name).prior
+        try:
+            return self.priors[name]
+        except KeyError:
+            raise KbError(f"unknown schema {name!r}") from None
 
     def isa_star(self, a: str, b: str) -> bool:
         """True iff ``b`` is a proper isa ancestor of ``a``."""
@@ -143,7 +164,7 @@ class KnowledgeBase:
         parent = self.schema(name).parent
         while parent is not None:
             chain.append(parent)
-            parent = self.schemas[parent].parent
+            parent = self.parents[parent]
         return chain
 
     def declared_slot(self, owner_type: str, slot: str) -> tuple[str, str] | None:
@@ -208,6 +229,9 @@ def load_kb(text: str) -> KnowledgeBase:
                 raise KbError(f"duplicate schema {name!r}", line)
             if not 0.0 < prior <= 1.0:
                 raise KbError(f"prior of {name!r} must be in (0,1], got {prior!r}", line)
+            if prior < sys.float_info.min:
+                raise KbError(f"prior of {name!r} is subnormal, below "
+                              f"{sys.float_info.min!r}: {prior!r}", line)
             raw_schemas[name] = (parent, prior, line)
         elif head == "role":
             if len(items) != 4:
@@ -288,7 +312,9 @@ def load_kb(text: str) -> KnowledgeBase:
     }
     adjacency, moves = _build_adjacency(schemas)
     return KnowledgeBase(schemas=schemas, eq_prior=eq_prior,
-                         adjacency=adjacency, moves=moves)
+                         adjacency=adjacency, moves=moves,
+                         priors={name: schema.prior for name, schema in schemas.items()},
+                         parents={name: schema.parent for name, schema in schemas.items()})
 
 
 def _build_adjacency(schemas: dict[str, Schema]
@@ -302,8 +328,10 @@ def _build_adjacency(schemas: dict[str, Schema]
 
     def add(up: TraversalLink, up_multiplier: float,
             down: TraversalLink, down_multiplier: float) -> None:
-        moves[up] = Move(up, up.destination, up.kind.order, up_multiplier, down)
-        moves[down] = Move(down, down.destination, down.kind.order, down_multiplier, up)
+        moves[up] = Move(up, up.destination, up.kind.order, up_multiplier,
+                         down, down_multiplier, up.render())
+        moves[down] = Move(down, down.destination, down.kind.order, down_multiplier,
+                           up, up_multiplier, down.render())
 
     for schema in schemas.values():
         if schema.parent is not None:

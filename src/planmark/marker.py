@@ -17,14 +17,20 @@ allows that.  The cleave rule scores each remaining meeting from the two
 half scores and the meeting schema's prior.  Only a meeting whose full
 score clears the full threshold is glued into a whole path, from each
 move's link on one side and its stored twin on the other.  A path not
-emitted before is scored link by link with `score_path`, checked against
-the cleave score and emitted with that score (`MarkerEngine.scores`, the
-``sc`` a run reports).  The same path met again at another cleave point,
-which a path of n links can be up to n + 1 times, is neither built nor
-scored again: its cleave score is checked against the stored one, so the
-cleave identity is still checked at every meeting that clears the full
-threshold.  Marks extend only along the base's adjacency and meet only at
-the schema they share, so the scoring functions they call check neither.
+emitted before is scored directly, as `score_path` would score it: the
+first mark's half score, which already is the product of the start belief
+and its moves' multipliers, times the twin multiplier of each of the other
+mark's moves from the meeting back to its origin, times the terminal
+factor.  Those are the same floats multiplied in the same order, so the
+score is the same float, read off the moves instead of looked up per link.
+It is checked against the cleave score and emitted with it
+(`MarkerEngine.scores`, the ``sc`` a run reports).  The same path met
+again at another cleave point, which a path of n links can be up to n + 1
+times, is neither built nor scored again: its cleave score is checked
+against the stored one, so the cleave identity is still checked at every
+meeting that clears the full threshold.  Marks extend only along the
+base's adjacency and meet only at the schema they share, so the scoring
+functions they call check neither.
 The exhaustive path oracle the engine is checked against, and the
 completeness check built on it, live with the tests in `tests/oracles.py`.
 """
@@ -37,11 +43,11 @@ from dataclasses import dataclass
 
 from .kb import KnowledgeBase, Move, Observation
 from .paths import SEAM_VALID, START_STATE, STEP, Path, TraversalLink
-from .scoring import combine, initial_score, score_path
-# bench/tracing.py wraps this module's validate and extend_half, so they
-# stay imported.
+from .scoring import combine, initial_score, terminal_multiplier
+# bench/tracing.py wraps this module's validate, extend_half and
+# score_path, so they stay imported.
 from .paths import validate  # noqa: F401
-from .scoring import extend_half  # noqa: F401
+from .scoring import extend_half, score_path  # noqa: F401
 
 MarkKey = tuple[str, str, int]
 
@@ -93,7 +99,7 @@ class MarkerEngine:
         # Score of each emitted path, by the key that names it.
         self._score_by_key: dict[tuple[str, str, tuple[TraversalLink, ...]], float] = {}
         self.emitted: list[Path] = []
-        self.scores: list[float] = []  # `score_path` of each emitted path
+        self.scores: list[float] = []  # the direct score of each emitted path
         self._pending: list[Path] = []
 
     def seed(self, obs: Observation) -> None:
@@ -160,7 +166,8 @@ class MarkerEngine:
             m1, m2 = m2, m1
         # The seam is valid, so the glued path is; one that scores below
         # the full threshold builds nothing.
-        full = combine(self.kb, m1.at, m1.score, m2.score)
+        kb = self.kb
+        full = combine(kb, m1.at, m1.score, m2.score)
         if full < self.config.full_threshold:
             return
         links = tuple([move.link for move in m1.moves]
@@ -173,7 +180,11 @@ class MarkerEngine:
         emitted_before = direct is not None
         if not emitted_before:
             path = Path(start=m1.origin, links=links, end=m2.origin)
-            direct = score_path(self.kb, path)
+            # `score_path` of the path: the same multipliers, same order.
+            direct = m1.score
+            for move in reversed(m2.moves):
+                direct *= move.twin_multiplier
+            direct *= terminal_multiplier(kb, m2.origin)
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(
                 f"cleave identity violated: combined {full!r} vs direct {direct!r}")

@@ -210,7 +210,7 @@ class Path:
     end: "Observation"
 
     def role_count(self) -> int:
-        return sum(1 for link in self.links if link.kind.is_role)
+        return len([link for link in self.links if link.kind.is_role])
 
     def render(self) -> str:
         forms = [f"(inst {self.start.instance} {self.start.schema})"]

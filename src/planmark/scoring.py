@@ -18,12 +18,18 @@ belief/prior for the end observation.  The per-link multipliers, which
 Half-paths built outward from one observation carry the same product minus
 the terminal factor, as a plain float: extending one by a link is one
 multiply, and two halves meeting at a schema n recombine as
-``half1 * half2 / p(n)``, which equals the whole-path score exactly.  That
-cleave identity is what lets the marker passer prune on a threshold while
-spreading, before it knows which paths will meet.  The half-path functions
-trust their caller to chain links onto the half and to meet halves at
-``at``, as the marker's construction guarantees; `score_path` is the
-direct form they are checked against.
+``half1 * (half2 / p(n))``, which equals the whole-path score exactly.
+Dividing first keeps the intermediate at the size of a score: two halves
+that each carry a tiny prior ratio would multiply into the subnormal range
+and lose the precision the identity is checked to.  That cleave identity
+is what lets the marker passer prune on a threshold while spreading,
+before it knows which paths will meet.  The half-path functions trust
+their caller to chain links onto the half and to meet halves at ``at``,
+as the marker's construction guarantees.
+
+`score_path` is the direct form, which the CLI and the tests use.  The
+marker does not call it: it folds the same multipliers, read off the moves
+its marks took, in the same order, so its score is the same float.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ def initial_score(obs: Observation) -> Score:
 
 
 def terminal_multiplier(kb: KnowledgeBase, obs: Observation) -> float:
-    return obs.belief / kb.prior(obs.schema)
+    return obs.belief / kb.priors[obs.schema]
 
 
 def score_path(kb: KnowledgeBase, path: Path) -> Score:
@@ -57,4 +63,4 @@ def extend_half(kb: KnowledgeBase, score: Score, link: TraversalLink) -> Score:
 def combine(kb: KnowledgeBase, at: str, h1: Score, h2: Score) -> Score:
     """Score of the whole path formed by gluing two halves that both end
     at schema ``at``."""
-    return h1 * h2 / kb.prior(at)
+    return h1 * (h2 / kb.priors[at])

@@ -24,13 +24,17 @@ the start instance first, the end instance last and the fresh instances in
 between, so its inst statements name every instance the path mentions, in
 spine order.  Every fresh instance owns one of the path's slot equalities
 (a fresh instance that only fills slots would sit in a slot-filler valley).
-Statements are named tuples, so building one per step of the walk is
-cheap.
+
+A `StatementSet` holds the statements in derivation order and, from the
+same walk, its inst statements and its slot equalities apart, which is how
+the evidence filter and the network builder read RS(P), and its text, which
+is how a run report prints it.  Statements are named tuples, built in the
+walk without a Python-level call each, and the set's text is written in
+the walk too, so neither costs a Python-level call per statement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .paths import LinkKind, Path
@@ -38,6 +42,9 @@ from .paths import LinkKind, Path
 # Reading a member off the Enum class costs several times a global read,
 # so the walk compares each move's kind against these.
 _ROLE_UP, _ISA_UP, _ISA_DOWN = LinkKind.ROLE_UP, LinkKind.ISA_UP, LinkKind.ISA_DOWN
+
+# A named tuple's constructor is a Python function around this one.
+_new = tuple.__new__
 
 
 class Inst(NamedTuple):
@@ -60,27 +67,26 @@ class SlotEq(NamedTuple):
 Statement = Inst | SlotEq
 
 
-@dataclass(frozen=True)
-class StatementSet:
-    """Statements in derivation order (first occurrence wins)."""
+class StatementSet(NamedTuple):
+    """Statements in derivation order (first occurrence wins), the same
+    set's inst statements and slot equalities, each in that order, and
+    its rendered text."""
 
     statements: tuple[Statement, ...]
-
-    @property
-    def insts(self) -> tuple[Inst, ...]:
-        return tuple([s for s in self.statements if isinstance(s, Inst)])
-
-    @property
-    def eqs(self) -> tuple[SlotEq, ...]:
-        return tuple([s for s in self.statements if isinstance(s, SlotEq)])
+    insts: tuple[Inst, ...]
+    eqs: tuple[SlotEq, ...]
+    text: str
 
     def render(self) -> str:
-        return "".join([s.render() for s in self.statements])
+        return self.text
 
 
-def _derive(path: Path, fresh_prefix: str, full: bool) -> list[Statement]:
+def _derive(path: Path, fresh_prefix: str, full: bool
+            ) -> tuple[list[Statement], list[Inst], list[SlotEq], list[str]]:
     """Walk the path once: the statements of S(P) in derivation order, with
-    repeats, when ``full``, else those of RS(P).
+    repeats, when ``full``, else those of RS(P); with them, the inst
+    statements and the slot equalities among them, and each statement's
+    text.
 
     Isa moves carry the instance forward; each role move hands off to a
     fresh instance, except the last role move of the path, which hands off
@@ -95,6 +101,9 @@ def _derive(path: Path, fresh_prefix: str, full: bool) -> list[Statement]:
     end = path.end
     roles = path.role_count()
     statements: list[Statement] = []
+    insts: list[Inst] = []
+    eqs: list[SlotEq] = []
+    texts: list[str] = []
     # The instance at the current position, the schema it was just typed
     # as, and whether that typing can be its relevant one.
     instance, schema, relevant = path.start.instance, path.start.schema, True
@@ -102,18 +111,25 @@ def _derive(path: Path, fresh_prefix: str, full: bool) -> list[Statement]:
     for link in path.links:
         kind = link.kind
         if full or (relevant and kind is not _ISA_DOWN):
-            statements.append(Inst(instance, schema))
+            inst = _new(Inst, (instance, schema))
+            statements.append(inst)
+            insts.append(inst)
+            texts.append(f"(inst {instance} {schema})")
         if kind.is_role:
             handed += 1
             arriving = f"{fresh_prefix}{handed}" if handed < roles else end.instance
             if kind is _ROLE_UP:
                 # The arriving instance owns the slot; the instance we came
                 # from fills it.
-                statements.append(SlotEq(arriving, link.slot, instance))
+                eq = _new(SlotEq, (arriving, link.slot, instance))
+                texts.append(f"(= ({link.slot} {arriving}) {instance})")
                 schema = link.filled
             else:
-                statements.append(SlotEq(instance, link.slot, arriving))
+                eq = _new(SlotEq, (instance, link.slot, arriving))
+                texts.append(f"(= ({link.slot} {instance}) {arriving})")
                 schema = link.filler
+            statements.append(eq)
+            eqs.append(eq)
             instance, relevant = arriving, True
         elif kind is _ISA_UP:
             schema, relevant = link.general, False
@@ -121,16 +137,23 @@ def _derive(path: Path, fresh_prefix: str, full: bool) -> list[Statement]:
             schema, relevant = link.specific, True
     if full:
         # A valid path has already typed its end instance as observed here.
-        statements += (Inst(instance, schema), Inst(end.instance, end.schema))
+        last = (_new(Inst, (instance, schema)), _new(Inst, (end.instance, end.schema)))
+        statements += last
+        insts += last
+        texts += (f"(inst {instance} {schema})", f"(inst {end.instance} {end.schema})")
     elif relevant:
-        statements.append(Inst(instance, schema))
-    return statements
+        inst = _new(Inst, (instance, schema))
+        statements.append(inst)
+        insts.append(inst)
+        texts.append(f"(inst {instance} {schema})")
+    return statements, insts, eqs, texts
 
 
 def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
     """S(P): every typing and slot equality the path asserts."""
-    statements = _derive(path, fresh_prefix, full=True)
-    return StatementSet(statements=tuple(dict.fromkeys(statements)))
+    statements, insts, eqs, texts = _derive(path, fresh_prefix, full=True)
+    return StatementSet(tuple(dict.fromkeys(statements)), tuple(dict.fromkeys(insts)),
+                        tuple(dict.fromkeys(eqs)), "".join(dict.fromkeys(texts)))
 
 
 def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
@@ -138,4 +161,5 @@ def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
     instance at its relevant type, in S(P) order.  That order runs along
     the spine: start instance, first equality, first fresh instance, ...,
     last equality, end instance."""
-    return StatementSet(statements=tuple(_derive(path, fresh_prefix, full=False)))
+    statements, insts, eqs, texts = _derive(path, fresh_prefix, full=False)
+    return _new(StatementSet, (tuple(statements), tuple(insts), tuple(eqs), "".join(texts)))

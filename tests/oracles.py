@@ -15,8 +15,9 @@ only on small bases.  `completeness_check` runs the engine, compares its
 emissions with the oracle's and classifies every high-scoring path the
 engine missed.  `random_kb` builds the small reproducible bases they are
 run on: a shallow isa forest with subset-consistent priors and random role
-links, with no planted structure.  The pinned report hashes cover runs on
-its bases, so its output may not drift.
+links, with no planted structure, and `random_kb_stream` a stream of
+observations and corroborations on one.  The pinned report hashes cover
+runs on both, so their output may not drift.
 
 `GlueThenValidateEngine` is the marker engine with its original meeting
 handler: every meeting of marks from two origins is glued into a whole
@@ -160,6 +161,22 @@ def random_kb(seed: int, n_schemas: int = 18, n_roles: int = 14) -> KnowledgeBas
     eq_prior = min(prior.values()) * rng.uniform(0.1, 0.9)
     lines.insert(0, f"(eq-prior {eq_prior!r})")
     return load_kb("\n".join(lines) + "\n")
+
+
+def random_kb_stream(seed: int, base: KnowledgeBase, n_obs: int) -> str:
+    """Observations on random schemas, with a corroboration of a random
+    declared slot after most of them."""
+    rng = random.Random(seed)
+    names = sorted(base.schemas)
+    lines = []
+    for k in range(n_obs):
+        name = rng.choice(names)
+        belief = 1.0 if base.prior(name) >= 1.0 else round(rng.uniform(0.5, 1.0), 3)
+        lines.append(f"(inst o{k} {name} :belief {belief!r})")
+        owner = base.schemas[rng.choice(names)]
+        if owner.slots and rng.random() < 0.7:
+            lines.append(f"(corroborate {owner.name} {rng.choice(owner.slots)[0]})")
+    return "\n".join(lines) + "\n"
 
 
 def _no_violation(kinds: list[LinkKind]) -> bool:
@@ -382,7 +399,10 @@ def relevant_statements_by_fold(kb: KnowledgeBase, path: Path,
         s for s in full.statements
         if isinstance(s, SlotEq) or rts[s.instance] == s.schema
     )
-    return StatementSet(statements=kept)
+    return StatementSet(statements=kept,
+                        insts=tuple(s for s in kept if isinstance(s, Inst)),
+                        eqs=tuple(s for s in kept if isinstance(s, SlotEq)),
+                        text="".join(s.render() for s in kept))
 
 
 @dataclass

@@ -92,6 +92,24 @@ def test_run_from_stdin_and_counters(kb_file):
     assert f"path {FIG31_TEXT}" in lines
 
 
+def test_run_scores_a_path_through_a_tiny_prior(tmp_path):
+    # Two halves that each carry p(plan) = 1e-160 multiply to 5e-320, a
+    # subnormal, so the cleave score divides by p(plan) before it multiplies.
+    kb = tmp_path / "tiny.kb"
+    kb.write_text("(eq-prior 0.01)\n(schema plan :prior 1e-160)\n"
+                  "(schema a :prior 0.5)\n(schema b :prior 0.4)\n"
+                  "(role plan a-of a)\n(role plan b-of b)\n")
+    stream = ("(inst a1 a)\n(inst b1 b)\n"
+              "(corroborate plan a-of)\n(corroborate plan b-of)\n")
+    result = planmark("run", "--kb", str(kb), "--threshold", "0",
+                      "--full-threshold", "0", stdin=stream)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[1:3] == ["path (inst a1 a)(role plan a-of a)(role- plan b-of b)(inst b1 b)",
+                          "sc 5e-160"]
+    assert lines[-1] == "counters reported=1 evaluated=1 approved=1"
+
+
 def test_run_rejects_a_reserved_fresh_name(kb_file, tmp_path):
     stream_file = tmp_path / "story.stream"
     stream_file.write_text("(inst go1 go :belief 0.9)\n"

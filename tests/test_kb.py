@@ -51,6 +51,7 @@ def test_children_sum_error_names_the_parent_line():
     ("(eq-prior 0.1)(schema a :isa b :prior 0.2)(schema b :isa a :prior 0.2)", "cycle"),
     ("(eq-prior 0.1)(schema a :prior 1.5)", "in \\(0,1\\]"),
     ("(eq-prior 0.1)(schema a :prior 0)", "in \\(0,1\\]"),
+    ("(eq-prior 1e-320)\n(schema a :prior 1e-310)", "line 2: prior of 'a' is subnormal"),
     ("(eq-prior 1.0)(schema a :prior 0.5)", "in \\(0,1\\)"),
     ("(eq-prior 0.1)(eq-prior 0.2)(schema a :prior 0.5)", "duplicate eq-prior"),
     ("(eq-prior 0.1)(schema a :prior 0.5)(role a s a)(role a s a)", "duplicate slot"),
@@ -161,9 +162,10 @@ def prior_ratio(base, link):
 
 @pytest.mark.parametrize("seed", [None, *range(6)])
 def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
-    # The marker multiplies by a move's cached multiplier and glues from its
-    # cached twin, and scoring and parsing read the link table, so the scores
-    # and paths they produce rest on these holding exactly.
+    # The marker multiplies by a move's cached multiplier, glues from its
+    # cached twin and scores whole paths from the twin multipliers, scoring
+    # and parsing read the link table and a run joins the cached texts, so
+    # the scores and paths they produce rest on these holding exactly.
     base = kb if seed is None else random_kb(seed, n_schemas=30, n_roles=30)
     moves = [move for entries in base.adjacency.values() for move in entries]
     assert moves
@@ -174,6 +176,11 @@ def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
         assert move.destination == link.destination
         assert move.kind == link.kind.order
         assert base.moves[link] is move
+        assert move.twin_multiplier == base.moves[move.twin].multiplier
+        assert move.text == link.render()
     isa_edges = sum(1 for s in base.schemas.values() if s.parent is not None)
     role_links = sum(len(s.slots) for s in base.schemas.values())
     assert len(base.moves) == len(moves) == 2 * (isa_edges + role_links)
+    # The filter and the networks read these flat tables.
+    assert base.priors == {name: schema.prior for name, schema in base.schemas.items()}
+    assert base.parents == {name: schema.parent for name, schema in base.schemas.items()}

@@ -11,9 +11,14 @@ from planmark import (
     run,
     synth_corpus,
 )
+from planmark.bayes import EvidenceRegistry
+from planmark.marker import MarkerEngine
 from planmark.pipeline import SynthParams, parse_stream
+from planmark.scoring import score_path
+from planmark.semantics import Inst, SlotEq, relevant_statements
 
 from conftest import chain_kb_text
+from oracles import random_kb, random_kb_stream, relevant_statements_by_fold
 
 FIXTURE_STREAM = """
 (inst supermarket2 supermarket :belief 0.9)
@@ -222,3 +227,54 @@ def test_record_field_names_and_order_are_fixed(kb):
     assert fields == ["path", "sc", "rs", "filtered", "posterior", "residual",
                       "approved"]
     assert report.render().splitlines()[-1].startswith("counters ")
+
+
+def filter_by_ancestors(base, rs, registry):
+    relevant_type = {inst.instance: inst.schema for inst in rs.insts}
+    return all(any(eq.slot in registry.slots.get(schema, ())
+                   for schema in base.ancestors_or_self(relevant_type[eq.owner]))
+               for eq in rs.eqs)
+
+
+def table_cases():
+    for seed in range(8):
+        base = random_kb(seed + 100, n_schemas=30, n_roles=36)
+        yield base, EngineConfig(half_threshold=0.0, max_depth=5), random_kb_stream(seed, base, 5)
+    for seed in range(3):
+        corpus = synth_corpus(seed + 100, SynthParams(n_plans=12, n_stories=10,
+                                                      corroboration_density=0.6))
+        yield (corpus.kb, EngineConfig(half_threshold=1e-8, max_depth=6),
+               "".join(corpus.streams))
+
+
+def test_records_from_the_load_time_tables_match_the_direct_forms():
+    # `run` reads the scores, link texts, priors and parents the base and
+    # the engine keep; each record must equal what the direct forms give
+    # for the path the engine emitted.
+    checked = passed = 0
+    for base, engine_config, stream in table_cases():
+        report = run(base, RunConfig(engine=engine_config), stream)
+        engine = MarkerEngine(base, engine_config)
+        registry = EvidenceRegistry()
+        for head, payload, _ in parse_stream(stream):
+            if head == "inst":
+                engine.seed(payload)
+                engine.spread()
+            else:
+                registry.add_corroboration(*payload)
+        assert len(report.records) == len(engine.emitted)
+        for index, (path, record) in enumerate(zip(engine.emitted, report.records), start=1):
+            prefix = f"p{index}-gen-"
+            rs = relevant_statements(path, prefix)
+            assert record.sc == score_path(base, path)
+            assert record.path_text == path.render()
+            # The fold oracle renders its statements one by one.
+            assert record.rs_text == rs.render() == relevant_statements_by_fold(
+                base, path, prefix).render()
+            assert rs.insts == tuple(s for s in rs.statements if isinstance(s, Inst))
+            assert rs.eqs == tuple(s for s in rs.statements if isinstance(s, SlotEq))
+            verdict = filter_by_ancestors(base, rs, registry)
+            assert record.filtered == ("pass" if verdict else "fail")
+            checked += 1
+            passed += verdict
+    assert checked > 1000 and 0 < passed < checked

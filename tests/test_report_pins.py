@@ -10,7 +10,6 @@ is meant to alter reports must re-record them and say why.
 """
 
 import hashlib
-import random
 
 import pytest
 
@@ -18,23 +17,7 @@ from planmark import EngineConfig, RunConfig, run, score_path, synth_corpus
 from planmark.paths import parse_path
 from planmark.pipeline import SynthParams, parse_stream
 
-from oracles import random_kb
-
-
-def random_kb_stream(seed, base, n_obs):
-    """Observations on random schemas, with a corroboration of a random
-    declared slot after most of them."""
-    rng = random.Random(seed)
-    names = sorted(base.schemas)
-    lines = []
-    for k in range(n_obs):
-        name = rng.choice(names)
-        belief = 1.0 if base.prior(name) >= 1.0 else round(rng.uniform(0.5, 1.0), 3)
-        lines.append(f"(inst o{k} {name} :belief {belief!r})")
-        owner = base.schemas[rng.choice(names)]
-        if owner.slots and rng.random() < 0.7:
-            lines.append(f"(corroborate {owner.name} {rng.choice(owner.slots)[0]})")
-    return "\n".join(lines) + "\n"
+from oracles import random_kb, random_kb_stream
 
 
 def synth_case(seed, half_threshold):
