@@ -40,7 +40,13 @@ quadratic in the depth of the isa tree.
 
 Priors are normal floats: `load_kb` rejects one below
 ``sys.float_info.min``, since products of subnormal priors lose the
-relative precision the cleave identity is checked to.
+relative precision the cleave identity is checked to.  The children-sum
+rule allows a relative 1e-12 of rounding slack, so it holds at every
+scale of prior.
+
+`load_kb` is one linear pass over the source: the reader splits each flat
+form in one regex match, the isa-cycle check walks each schema once, and
+the link table's moves are built straight from each schema's own fields.
 
 A loaded `KnowledgeBase` is immutable and safe to share across threads.
 """
@@ -50,9 +56,10 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
-from .paths import TraversalLink, read_forms
+from .paths import LinkKind, TraversalLink, read_forms
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
@@ -259,14 +266,18 @@ def load_kb(text: str) -> KnowledgeBase:
             raise KbError(f"unknown parent {parent!r} of schema {name!r}", line)
 
     # isa must be a forest: walk up from each schema looking for a loop.
+    # A walk stops at a schema already known to reach a root, so each
+    # schema is walked through once and the check is linear in the base.
+    rooted: set[str] = set()
     for name in raw_schemas:
-        seen = {name}
+        walked = {name}
         parent = raw_schemas[name][0]
-        while parent is not None:
-            if parent in seen:
+        while parent is not None and parent not in rooted:
+            if parent in walked:
                 raise KbError(f"isa cycle through {name!r}", raw_schemas[name][2])
-            seen.add(parent)
+            walked.add(parent)
             parent = raw_schemas[parent][0]
+        rooted.update(walked)
 
     for name, (parent, prior, line) in raw_schemas.items():
         if parent is not None and prior > raw_schemas[parent][1]:
@@ -280,7 +291,8 @@ def load_kb(text: str) -> KnowledgeBase:
             child_sums[parent] = child_sums.get(parent, 0.0) + prior
     for parent, total in child_sums.items():
         _, parent_prior, parent_line = raw_schemas[parent]
-        if total - parent_prior > 1e-12:
+        # A relative tolerance, so that it scales with tiny priors too.
+        if total > parent_prior * (1 + 1e-12):
             raise KbError(
                 f"children of {parent!r} have priors summing to {total!r}, "
                 f"above the parent prior {parent_prior!r}", parent_line)
@@ -310,40 +322,64 @@ def load_kb(text: str) -> KnowledgeBase:
         )
         for name, (parent, prior, _) in raw_schemas.items()
     }
-    adjacency, moves = _build_adjacency(schemas)
+    priors = {name: prior for name, (_, prior, _) in raw_schemas.items()}
+    adjacency, moves = _build_adjacency(schemas, priors)
     return KnowledgeBase(schemas=schemas, eq_prior=eq_prior,
-                         adjacency=adjacency, moves=moves,
-                         priors={name: schema.prior for name, schema in schemas.items()},
-                         parents={name: schema.parent for name, schema in schemas.items()})
+                         adjacency=adjacency, moves=moves, priors=priors,
+                         parents={name: parent for name, (parent, _, _) in raw_schemas.items()})
 
 
-def _build_adjacency(schemas: dict[str, Schema]
+# The adjacency lists the moves leaving a schema by (destination, kind,
+# slot), the order the marker emits paths in.  Two of them tie on
+# (destination, kind) only when they are role links between the same two
+# schemas; those are built in the order of the owner's sorted slots, so a
+# stable sort on this key orders them by slot as well.
+_BY_DESTINATION_AND_KIND = itemgetter(1, 2)
+
+
+def _build_adjacency(schemas: dict[str, Schema], priors: dict[str, float]
                      ) -> tuple[dict[str, tuple[Move, ...]], dict[TraversalLink, Move]]:
     # The link table and, from the same moves, the adjacency.  Both
     # directions of each KB link are built together, so each move holds the
     # other as its twin.  This is where the spinal contribution's per-link
     # multipliers are defined: p(filled)/p(filler) climbing a role,
-    # p(specific)/p(general) descending an isa edge, 1 otherwise.
+    # p(specific)/p(general) descending an isa edge, 1 otherwise.  Links
+    # and moves are built with tuple.__new__ from the names at hand, the
+    # same values their constructors, `source`, `destination` and
+    # `render` give.
     moves: dict[TraversalLink, Move] = {}
+    leaving: dict[str, list[Move]] = {name: [] for name in schemas}
+    new = tuple.__new__
+    isa_up, isa_down = LinkKind.ISA_UP, LinkKind.ISA_DOWN
+    role_up, role_down = LinkKind.ROLE_UP, LinkKind.ROLE_DOWN
 
-    def add(up: TraversalLink, up_multiplier: float,
-            down: TraversalLink, down_multiplier: float) -> None:
-        moves[up] = Move(up, up.destination, up.kind.order, up_multiplier,
-                         down, down_multiplier, up.render())
-        moves[down] = Move(down, down.destination, down.kind.order, down_multiplier,
-                           up, up_multiplier, down.render())
-
-    for schema in schemas.values():
-        if schema.parent is not None:
-            add(TraversalLink.isa_up(schema.name, schema.parent), 1.0,
-                TraversalLink.isa_down(schema.name, schema.parent),
-                schema.prior / schemas[schema.parent].prior)
+    for name, schema in schemas.items():
+        parent = schema.parent
+        if parent is not None:
+            up = new(TraversalLink, (isa_up, "", "", "", name, parent))
+            down = new(TraversalLink, (isa_down, "", "", "", name, parent))
+            down_multiplier = schema.prior / priors[parent]
+            moves[up] = up_move = new(Move, (
+                up, parent, isa_up.order, 1.0, down, down_multiplier,
+                f"(isa {name} {parent})"))
+            moves[down] = down_move = new(Move, (
+                down, name, isa_down.order, down_multiplier, up, 1.0,
+                f"(isa- {name} {parent})"))
+            leaving[name].append(up_move)
+            leaving[parent].append(down_move)
         for slot, filler in schema.slots:
-            add(TraversalLink.role_up(schema.name, slot, filler),
-                schema.prior / schemas[filler].prior,
-                TraversalLink.role_down(schema.name, slot, filler), 1.0)
+            up = new(TraversalLink, (role_up, name, slot, filler, "", ""))
+            down = new(TraversalLink, (role_down, name, slot, filler, "", ""))
+            up_multiplier = schema.prior / priors[filler]
+            moves[up] = up_move = new(Move, (
+                up, name, role_up.order, up_multiplier, down, 1.0,
+                f"(role {name} {slot} {filler})"))
+            moves[down] = down_move = new(Move, (
+                down, filler, role_down.order, 1.0, up, up_multiplier,
+                f"(role- {name} {slot} {filler})"))
+            leaving[filler].append(up_move)
+            leaving[name].append(down_move)
 
-    adjacency: dict[str, list[Move]] = {name: [] for name in schemas}
-    for move in sorted(moves.values(), key=lambda m: (m.destination, m.kind, m.link.slot)):
-        adjacency[move.link.source].append(move)
-    return {name: tuple(entries) for name, entries in adjacency.items()}, moves
+    for entries in leaving.values():
+        entries.sort(key=_BY_DESTINATION_AND_KIND)
+    return {name: tuple(entries) for name, entries in leaving.items()}, moves

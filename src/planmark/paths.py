@@ -248,6 +248,12 @@ def validate(path: Path) -> bool:
     return state // 2 != _NO_ROLE_YET
 
 
+# Whitespace and ';' comments, then a whole form with no comment or
+# parenthesis inside; group 1 is the text between its parentheses.  A
+# comment must run to the end of its line, so the gap has one reading
+# and a failed match backtracks in linear time.
+_FLAT_FORM_RE = re.compile(r"\s*(?:;[^\n]*(?![^\n])\s*)*\(([^();]*)\)")
+
 # An atom, a parenthesis or a ';' comment running to the end of the line;
 # whitespace between them is skipped.
 _TOKEN_RE = re.compile(r";[^\n]*|[()]|[^\s();]+")
@@ -261,34 +267,53 @@ def read_forms(text: str,
     forms ``(head arg ...)`` with their 1-based line and the character
     position of their opening parenthesis; ``;`` comments run to the end
     of the line and nesting is not allowed.  A syntax error raises
-    ``error(message, line, position)``."""
+    ``error(message, line, position)``.
+
+    A form with no comment inside is read in one regex match and split on
+    whitespace.  A form with a comment inside, the end of the text and
+    every syntax error are read token by token."""
     forms: list[Form] = []
     line, counted = 1, 0
-    items: list[str] | None = None  # the open form's items after the '('
-    at = 0  # position of the open form's '('
-    for match in _TOKEN_RE.finditer(text):
-        tok = match.group()
-        if tok[0] == ";":
-            continue
-        if items is None:
-            at = match.start()
+    pos = 0  # where the text after the last complete form starts
+    match_flat = _FLAT_FORM_RE.match
+    while True:
+        flat = match_flat(text, pos)
+        if flat is not None:
+            at = flat.start(1) - 1
             line += text.count("\n", counted, at)
             counted = at
-            if tok != "(":
-                raise error(f"expected '(' but found {tok!r}", line, at)
-            items = []
-        elif tok == ")":
+            items = flat.group(1).split()
             if not items:
                 raise error("empty form", line, at)
             forms.append((items, line, at))
-            items = None
-        elif tok == "(":
-            raise error("unterminated form", line, at)
+            pos = flat.end()
+            continue
+        items = None  # the open form's items after the '('
+        for match in _TOKEN_RE.finditer(text, pos):
+            tok = match.group()
+            if tok[0] == ";":
+                continue
+            if items is None:
+                at = match.start()
+                line += text.count("\n", counted, at)
+                counted = at
+                if tok != "(":
+                    raise error(f"expected '(' but found {tok!r}", line, at)
+                items = []
+            elif tok == ")":
+                if not items:
+                    raise error("empty form", line, at)
+                forms.append((items, line, at))
+                pos = match.end()
+                break
+            elif tok == "(":
+                raise error("unterminated form", line, at)
+            else:
+                items.append(tok)
         else:
-            items.append(tok)
-    if items is not None:
-        raise error("unterminated form", line, at)
-    return forms
+            if items is not None:
+                raise error("unterminated form", line, at)
+            return forms
 
 
 # The fresh instances of RS(P) are named gen-<j> when a path is translated

@@ -34,6 +34,9 @@ S(P) gives it; `evidence_filter_by_scan` is the original evidence filter,
 which checks every instance (observed, or corroborated for any slot) and
 every slot equality by scanning all corroboration records.  The package
 reads relevant types off the walk's shape and looks slots up in an index.
+`read_forms_by_tokens` is the original s-expression reader, which reads
+every form token by token; the package reads a form with no comment
+inside in one regex match.
 
 The rest are reference evaluators for vertebrate networks.
 
@@ -51,8 +54,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from typing import Callable
 
 import numpy as np
 
@@ -177,6 +182,49 @@ def random_kb_stream(seed: int, base: KnowledgeBase, n_obs: int) -> str:
         if owner.slots and rng.random() < 0.7:
             lines.append(f"(corroborate {owner.name} {rng.choice(owner.slots)[0]})")
     return "\n".join(lines) + "\n"
+
+
+# An atom, a parenthesis or a ';' comment running to the end of the line;
+# whitespace between them is skipped.
+_TOKEN_RE = re.compile(r";[^\n]*|[()]|[^\s();]+")
+
+Form = tuple[list[str], int, int]
+
+
+def read_forms_by_tokens(text: str,
+                         error: Callable[[str, int, int], Exception]) -> list[Form]:
+    """The s-expression reader of the KB, stream and path formats: flat
+    forms ``(head arg ...)`` with their 1-based line and the character
+    position of their opening parenthesis; ``;`` comments run to the end
+    of the line and nesting is not allowed.  A syntax error raises
+    ``error(message, line, position)``."""
+    forms: list[Form] = []
+    line, counted = 1, 0
+    items: list[str] | None = None  # the open form's items after the '('
+    at = 0  # position of the open form's '('
+    for match in _TOKEN_RE.finditer(text):
+        tok = match.group()
+        if tok[0] == ";":
+            continue
+        if items is None:
+            at = match.start()
+            line += text.count("\n", counted, at)
+            counted = at
+            if tok != "(":
+                raise error(f"expected '(' but found {tok!r}", line, at)
+            items = []
+        elif tok == ")":
+            if not items:
+                raise error("empty form", line, at)
+            forms.append((items, line, at))
+            items = None
+        elif tok == "(":
+            raise error("unterminated form", line, at)
+        else:
+            items.append(tok)
+    if items is not None:
+        raise error("unterminated form", line, at)
+    return forms
 
 
 def _no_violation(kinds: list[LinkKind]) -> bool:

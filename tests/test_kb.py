@@ -1,8 +1,12 @@
+import random
+import time
+
 import pytest
 
 from planmark import KbError, load_kb
 from planmark.paths import LinkKind
 
+from conftest import planmark
 from oracles import flip, random_kb
 
 
@@ -41,6 +45,61 @@ def test_children_sum_error_names_the_parent_line():
     assert str(caught.value) == ("line 3: children of 'p' have priors summing "
                                  "to 0.12, above the parent prior 0.1")
     assert caught.value.line == 3
+
+
+def test_children_sum_check_scales_with_tiny_priors():
+    # 1.8e-13 is 80% above the parent's 1e-13 but less than 1e-12 above it.
+    text = ("(eq-prior 1e-15)(schema p :prior 1e-13)"
+            "(schema a :isa p :prior 9e-14)(schema b :isa p :prior 9e-14)")
+    with pytest.raises(KbError) as caught:
+        load_kb(text)
+    assert str(caught.value) == ("line 1: children of 'p' have priors summing "
+                                 "to 1.8e-13, above the parent prior 1e-13")
+
+
+def test_children_sum_allows_rounding_in_the_sum():
+    # 0.1 + 0.2 rounds to 0.30000000000000004, above the parent's 0.3.
+    text = ("(eq-prior 0.01)(schema p :prior 0.3)"
+            "(schema a :isa p :prior 0.1)(schema b :isa p :prior 0.2)")
+    assert load_kb(text).prior("p") == 0.3
+
+
+def test_a_deep_isa_chain_loads_in_linear_time(tmp_path):
+    # An isa-cycle check that walks from every schema to its root takes
+    # time quadratic in the depth: about a minute on this chain.
+    lines = ["(eq-prior 0.5)", "(schema c0 :prior 1.0)"]
+    lines += [f"(schema c{k} :isa c{k - 1} :prior 1.0)" for k in range(1, 20_001)]
+    text = "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    base = load_kb(text)
+    assert time.perf_counter() - start < 5.0
+    assert base.parents["c20000"] == "c19999"
+    kb_file = tmp_path / "chain.kb"
+    kb_file.write_text(text)
+    start = time.perf_counter()
+    result = planmark("check", "--kb", str(kb_file))
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 0
+    assert result.stdout == "ok: 20001 schemas, 0 role links, eq-prior 0.5\n"
+
+
+def test_a_cycle_under_a_long_chain_names_the_first_schema_that_leads_into_it():
+    # A rooted chain first, whose walks the check remembers, then a chain
+    # hanging under the cycle x -> y -> x, its forms shuffled.  Every
+    # schema of the second chain leads into the cycle; the first one in
+    # the text is reported, with its line.
+    lines = ["(eq-prior 0.5)", "(schema r0 :prior 1.0)"]
+    lines += [f"(schema r{k} :isa r{k - 1} :prior 1.0)" for k in range(1, 2000)]
+    hanging = ["(schema x :isa y :prior 1.0)", "(schema y :isa x :prior 1.0)",
+               "(schema d0 :isa x :prior 1.0)"]
+    hanging += [f"(schema d{k} :isa d{k - 1} :prior 1.0)" for k in range(1, 2000)]
+    random.Random(7).shuffle(hanging)
+    lines += hanging
+    first = hanging[0].split()[1]
+    with pytest.raises(KbError) as caught:
+        load_kb("\n".join(lines))
+    assert str(caught.value) == f"line 2002: isa cycle through {first!r}"
+    assert caught.value.line == 2002
 
 
 @pytest.mark.parametrize("text,match", [
@@ -104,6 +163,17 @@ def test_neighbors_of_supermarket(kb):
         "(isa supermarket store-)",
         "(role supermarket-shopping store-of supermarket)",
     ]
+
+
+def test_parallel_role_links_are_listed_by_slot():
+    # Slots declared out of order, all filled by the same schema: the
+    # moves tie on destination and kind, and the slot breaks the tie.
+    base = load_kb("(eq-prior 0.1)(schema trip :prior 0.2)(schema place :prior 0.5)"
+                   "(role trip via place)(role trip from place)(role trip to place)")
+    assert [move.text for move in base.adjacency["place"]] == [
+        "(role trip from place)", "(role trip to place)", "(role trip via place)"]
+    assert [move.text for move in base.adjacency["trip"]] == [
+        "(role- trip from place)", "(role- trip to place)", "(role- trip via place)"]
 
 
 def test_isolated_schema_has_no_neighbors():
@@ -181,6 +251,11 @@ def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
     isa_edges = sum(1 for s in base.schemas.values() if s.parent is not None)
     role_links = sum(len(s.slots) for s in base.schemas.values())
     assert len(base.moves) == len(moves) == 2 * (isa_edges + role_links)
+    # The marker emits in adjacency order, so the report bytes rest on it.
+    for name in base.schemas:
+        leaving = [move for move in base.moves.values() if move.link.source == name]
+        leaving.sort(key=lambda m: (m.destination, m.kind, m.link.slot))
+        assert base.adjacency[name] == tuple(leaving)
     # The filter and the networks read these flat tables.
     assert base.priors == {name: schema.prior for name, schema in base.schemas.items()}
     assert base.parents == {name: schema.parent for name, schema in base.schemas.items()}

@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planmark import Observation, PathError, parse_path, validate
+from planmark import Observation, PathError, load_kb, parse_path, validate
 from planmark.paths import (
     ALL_STATES,
     LinkKind,
     Path,
     START_STATE,
     TraversalLink,
+    read_forms,
 )
 
 from conftest import FIG31_TEXT, sample_paths
-from oracles import declarative_valid, reverse, step
+from oracles import declarative_valid, read_forms_by_tokens, reverse, step
 
 U, D, RU, RD = LinkKind.ISA_UP, LinkKind.ISA_DOWN, LinkKind.ROLE_UP, LinkKind.ROLE_DOWN
 
@@ -205,3 +206,57 @@ def test_readme_path_syntax_block_parses(kb, fig31):
     block = section.split("```", 2)[1]
     assert ";" in block
     assert parse_path(kb, block, beliefs=(0.9, 0.9)) == fig31
+
+
+class ReaderError(Exception):
+    """A reader's syntax error; its args are (message, line, position)."""
+
+
+def read_both(text):
+    """What the package's reader and the token-by-token oracle make of
+    ``text``: their forms, or their error's (message, line, position)."""
+    outcomes = []
+    for reader in (read_forms, read_forms_by_tokens):
+        try:
+            outcomes.append(reader(text, ReaderError))
+        except ReaderError as exc:
+            outcomes.append(exc.args)
+    return outcomes
+
+
+READER_WHITESPACE = ["\n", "\r", "\t", "\x0b", "\x1c", " ", "\u2028", "\u3000"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(alphabet=["(", ")", ";", *READER_WHITESPACE, "a", "b", "x"], max_size=60),
+    st.lists(st.sampled_from(["(", ")", "(a b)", "(x)", "; c)\n", ";", "a", "\n",
+                              "\r\n", " ", "\u2028", "\x1c"]),
+             max_size=12).map("".join),
+))
+def test_reader_agrees_with_the_token_oracle(text):
+    new, old = read_both(text)
+    assert new == old
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("(schema a ; note)\n :prior 0.5)", [(["schema", "a", ":prior", "0.5"], 1, 0)]),
+    ("()", ("empty form", 1, 0)),
+    ("(a)\n( ; c\n)", ("empty form", 2, 4)),
+    ("(a)\n(b (c))", ("unterminated form", 2, 4)),
+    ("(a)\n  )", ("expected '(' but found ')'", 2, 6)),
+    ("(a) b", ("expected '(' but found 'b'", 1, 4)),
+    ("(a)\n(b c", ("unterminated form", 2, 4)),
+    ("(a)\n(b ; c)", ("unterminated form", 2, 4)),
+    ("(a)\r\n(b c)\r\n; d\r\n(e)", [(["a"], 1, 0), (["b", "c"], 2, 5), (["e"], 4, 17)]),
+    ("; only a comment", []),
+    ("", []),
+])
+def test_reader_cases(text, expected):
+    new, old = read_both(text)
+    assert new == old == expected
+
+
+def test_a_comment_inside_a_form_does_not_end_it():
+    base = load_kb("(eq-prior 0.1)\n(schema a ; note)\n :prior 0.5)\n")
+    assert base.prior("a") == 0.5
