@@ -37,13 +37,13 @@ print("isa_star(store-, supermarket):", kb.isa_star("store-", "supermarket"))
 # has its inverse at the far end.
 print()
 print("moves leaving 'supermarket':")
-for link in (move.link for move in kb.adjacency["supermarket"]):
-    print(f"  {link.kind.name:9s} -> {link.destination:22s} {link.render()}")
+for link in kb.adjacency["supermarket"]:
+    print(f"  {link.kind.name:9s} -> {link.destination:22s} {link.text}")
 
 print()
 print("moves leaving 'shopping':")
-for link in (move.link for move in kb.adjacency["shopping"]):
-    print(f"  {link.kind.name:9s} -> {link.destination:22s} {link.render()}")
+for link in kb.adjacency["shopping"]:
+    print(f"  {link.kind.name:9s} -> {link.destination:22s} {link.text}")
 
 # The textual format round-trips exactly.
 assert load_kb(kb.render()) == kb

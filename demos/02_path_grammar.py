@@ -9,7 +9,7 @@ sequences makes the rules concrete.
 """
 
 from planmark import Observation, load_kb, parse_path, validate
-from planmark.paths import LinkKind, Path, START_STATE, STEP, TraversalLink
+from planmark.paths import LinkKind, Path, START_STATE, STEP
 
 kb = load_kb("""
 (eq-prior 0.001)
@@ -60,16 +60,15 @@ print("valid: ", validate(path))
 
 # A path with no role link asserts nothing beyond retyping; invalid.
 no_role = Path(start=Observation("supermarket2", "supermarket"),
-               links=(TraversalLink.isa_up("supermarket", "store-"),),
+               links=(kb.links["(isa supermarket store-)"],),
                end=Observation("store7", "store-"))
 print("isa-only path valid:", validate(no_role))
 
 
 def reverse(path):
     """The same path read from the other end: each link is the same KB link
-    walked the other way, its twin in the base's adjacency."""
-    twin = {move.link: move.twin for moves in kb.adjacency.values() for move in moves}
-    return Path(start=path.end, links=tuple(twin[link] for link in reversed(path.links)),
+    walked the other way, the twin the base's link table pairs it with."""
+    return Path(start=path.end, links=tuple(link.twin for link in reversed(path.links)),
                 end=path.start)
 
 

@@ -46,7 +46,7 @@ paths = engine.spread()
 print(f"marks retained: {len(engine.marks)}")
 for (origin, at, state), mark in engine.marks.items():
     print(f"  from {origin:13s} at {at:22s} {STATE_NAMES[state]:19s} "
-          f"score={mark.score:.4g} depth={len(mark.moves)}")
+          f"score={mark.score:.4g} depth={len(mark.links)}")
 
 print()
 print(f"paths emitted: {len(paths)}")

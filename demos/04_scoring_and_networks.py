@@ -21,7 +21,6 @@ from planmark import (
     score_path,
     statements_of,
 )
-from planmark.paths import TraversalLink
 from planmark.scoring import combine, extend_half, initial_score
 
 kb = load_kb("""
@@ -52,7 +51,7 @@ h1 = initial_score(path.start)
 for link in path.links[:2]:
     h1 = extend_half(kb, h1, link)
 h2 = extend_half(kb, initial_score(path.end),
-                 TraversalLink.role_up("shopping", "go-step", "go"))
+                 kb.links["(role shopping go-step go)"])
 print(f"halves at {meeting!r}: {h1} and {h2};",
       "combined:", combine(kb, meeting, h1, h2))
 

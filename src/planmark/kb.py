@@ -22,31 +22,31 @@ forward references allowed)::
     (schema supermarket :isa store- :prior 0.01)
     (role supermarket-shopping store-of supermarket)
 
-Loading also builds the base's link table, `KnowledgeBase.moves`: each
-role and isa link, in both directions, maps to a `Move` that carries the
-link, where it arrives, the link kind's column in the DFA step table, the
-link's spinal-contribution multiplier, the same link walked the other way
-and that twin's multiplier, and the link's rendered text.
-`_build_adjacency` is the one place those multipliers are defined; the
-marker passer folds them into half and whole-path scores, scoring and path
-parsing look links up in the table, a run joins their texts into a path's,
-and the adjacency the marker spreads over lists the same moves by the
-schema they leave.  Two flat tables serve the per-path work after the
-marker: `priors` (name to prior) and `parents` (name to isa parent, or
-None).  `KnowledgeBase.prior` and `ancestors_or_self` are their checked
-readers, for names that come from input.  A schema's ancestors are walked
-through `parents` rather than stored per schema, which would take memory
-quadratic in the depth of the isa tree.
+Loading also builds the base's link table, `KnowledgeBase.links`: each
+role and isa link, in both directions, is one `TraversalLink` keyed by its
+text, which carries where it leaves and arrives, the link kind's column in
+the DFA step table, the link's spinal-contribution multiplier and the same
+link walked the other way, its twin.  `_build_adjacency` is the one place
+those multipliers are defined; the marker passer folds them into half and
+whole-path scores, path parsing looks links up in the table, a path's text
+joins theirs, and the adjacency the marker spreads over lists the same
+links by the schema they leave.  Two flat tables serve the per-path work
+after the marker: `priors` (name to prior) and `parents` (name to isa
+parent, or None).  `KnowledgeBase.prior` and `ancestors_or_self` are their
+checked readers, for names that come from input.  A schema's ancestors are
+walked through `parents` rather than stored per schema, which would take
+memory quadratic in the depth of the isa tree.
 
-Priors are normal floats: `load_kb` rejects one below
-``sys.float_info.min``, since products of subnormal priors lose the
-relative precision the cleave identity is checked to.  The children-sum
+Priors and observation beliefs are normal floats: `load_kb` and
+`KnowledgeBase.check_observation` reject one below ``sys.float_info.min``,
+since products of subnormal factors lose the relative precision the
+cleave identity is checked to.  The children-sum
 rule allows a relative 1e-12 of rounding slack, so it holds at every
 scale of prior.
 
 `load_kb` is one linear pass over the source: the reader splits each flat
 form in one regex match, the isa-cycle check walks each schema once, and
-the link table's moves are built straight from each schema's own fields.
+the link table's links are built straight from each schema's own fields.
 
 A loaded `KnowledgeBase` is immutable and safe to share across threads.
 """
@@ -56,8 +56,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import NamedTuple
+from operator import attrgetter
 
 from .paths import LinkKind, TraversalLink, read_forms
 
@@ -107,29 +106,12 @@ class Observation:
     belief: float = 1.0
 
 
-class Move(NamedTuple):
-    """One entry of the link table and the adjacency: a link leaving a
-    schema, with what scoring and the marker need precomputed.  ``kind``
-    is the link kind's ``order`` (its column in `paths.STEP`),
-    ``multiplier`` its factor in the spinal contribution, ``twin`` the
-    same KB link walked the other way, ``twin_multiplier`` the twin's
-    factor and ``text`` the link's `TraversalLink.render`."""
-
-    link: TraversalLink
-    destination: str
-    kind: int
-    multiplier: float
-    twin: TraversalLink
-    twin_multiplier: float
-    text: str
-
-
 @dataclass(frozen=True)
 class KnowledgeBase:
     schemas: dict[str, Schema]
     eq_prior: float
-    adjacency: dict[str, tuple[Move, ...]] = field(compare=False)
-    moves: dict[TraversalLink, Move] = field(compare=False)
+    adjacency: dict[str, tuple[TraversalLink, ...]] = field(compare=False)
+    links: dict[str, TraversalLink] = field(compare=False)
     priors: dict[str, float] = field(compare=False)
     parents: dict[str, str | None] = field(compare=False)
 
@@ -157,10 +139,13 @@ class KnowledgeBase:
 
     def check_observation(self, obs: Observation) -> None:
         """Raise `KbError` for an unknown schema, `ValueError` for a belief
-        outside (0,1] or below 1 on a schema whose prior is 1."""
+        outside (0,1], subnormal, or below 1 on a schema whose prior is 1."""
         prior = self.prior(obs.schema)
         if not 0.0 < obs.belief <= 1.0:
             raise ValueError(f"belief must be in (0,1], got {obs.belief!r}")
+        if obs.belief < sys.float_info.min:
+            raise ValueError(f"belief of {obs.instance!r} is subnormal, below "
+                             f"{sys.float_info.min!r}: {obs.belief!r}")
         if prior >= 1.0 and obs.belief < 1.0:
             raise ValueError(
                 f"cannot scale evidence for {obs.instance!r}: type prior is 1 "
@@ -323,63 +308,49 @@ def load_kb(text: str) -> KnowledgeBase:
         for name, (parent, prior, _) in raw_schemas.items()
     }
     priors = {name: prior for name, (_, prior, _) in raw_schemas.items()}
-    adjacency, moves = _build_adjacency(schemas, priors)
+    adjacency, links = _build_adjacency(schemas, priors)
     return KnowledgeBase(schemas=schemas, eq_prior=eq_prior,
-                         adjacency=adjacency, moves=moves, priors=priors,
+                         adjacency=adjacency, links=links, priors=priors,
                          parents={name: parent for name, (parent, _, _) in raw_schemas.items()})
 
 
-# The adjacency lists the moves leaving a schema by (destination, kind,
+# The adjacency lists the links leaving a schema by (destination, kind,
 # slot), the order the marker emits paths in.  Two of them tie on
 # (destination, kind) only when they are role links between the same two
 # schemas; those are built in the order of the owner's sorted slots, so a
 # stable sort on this key orders them by slot as well.
-_BY_DESTINATION_AND_KIND = itemgetter(1, 2)
+_BY_DESTINATION_AND_KIND = attrgetter("destination", "column")
 
 
 def _build_adjacency(schemas: dict[str, Schema], priors: dict[str, float]
-                     ) -> tuple[dict[str, tuple[Move, ...]], dict[TraversalLink, Move]]:
-    # The link table and, from the same moves, the adjacency.  Both
-    # directions of each KB link are built together, so each move holds the
+                     ) -> tuple[dict[str, tuple[TraversalLink, ...]], dict[str, TraversalLink]]:
+    # The link table and, from the same links, the adjacency.  Both
+    # directions of each KB link are built together, so each holds the
     # other as its twin.  This is where the spinal contribution's per-link
     # multipliers are defined: p(filled)/p(filler) climbing a role,
-    # p(specific)/p(general) descending an isa edge, 1 otherwise.  Links
-    # and moves are built with tuple.__new__ from the names at hand, the
-    # same values their constructors, `source`, `destination` and
-    # `render` give.
-    moves: dict[TraversalLink, Move] = {}
-    leaving: dict[str, list[Move]] = {name: [] for name in schemas}
-    new = tuple.__new__
-    isa_up, isa_down = LinkKind.ISA_UP, LinkKind.ISA_DOWN
-    role_up, role_down = LinkKind.ROLE_UP, LinkKind.ROLE_DOWN
+    # p(specific)/p(general) descending an isa edge, 1 otherwise.
+    links: dict[str, TraversalLink] = {}
+    leaving: dict[str, list[TraversalLink]] = {name: [] for name in schemas}
+
+    def pair(up: TraversalLink, down: TraversalLink) -> None:
+        up.twin, down.twin = down, up
+        links[up.text], links[down.text] = up, down
+        leaving[up.source].append(up)
+        leaving[down.source].append(down)
 
     for name, schema in schemas.items():
         parent = schema.parent
         if parent is not None:
-            up = new(TraversalLink, (isa_up, "", "", "", name, parent))
-            down = new(TraversalLink, (isa_down, "", "", "", name, parent))
-            down_multiplier = schema.prior / priors[parent]
-            moves[up] = up_move = new(Move, (
-                up, parent, isa_up.order, 1.0, down, down_multiplier,
-                f"(isa {name} {parent})"))
-            moves[down] = down_move = new(Move, (
-                down, name, isa_down.order, down_multiplier, up, 1.0,
-                f"(isa- {name} {parent})"))
-            leaving[name].append(up_move)
-            leaving[parent].append(down_move)
+            names = (name, parent)
+            pair(TraversalLink(LinkKind.ISA_UP, names, name, parent, 1.0),
+                 TraversalLink(LinkKind.ISA_DOWN, names, parent, name,
+                               schema.prior / priors[parent]))
         for slot, filler in schema.slots:
-            up = new(TraversalLink, (role_up, name, slot, filler, "", ""))
-            down = new(TraversalLink, (role_down, name, slot, filler, "", ""))
-            up_multiplier = schema.prior / priors[filler]
-            moves[up] = up_move = new(Move, (
-                up, name, role_up.order, up_multiplier, down, 1.0,
-                f"(role {name} {slot} {filler})"))
-            moves[down] = down_move = new(Move, (
-                down, filler, role_down.order, 1.0, up, up_multiplier,
-                f"(role- {name} {slot} {filler})"))
-            leaving[filler].append(up_move)
-            leaving[name].append(down_move)
+            names = (name, slot, filler)
+            pair(TraversalLink(LinkKind.ROLE_UP, names, filler, name,
+                               schema.prior / priors[filler]),
+                 TraversalLink(LinkKind.ROLE_DOWN, names, name, filler, 1.0))
 
     for entries in leaving.values():
         entries.sort(key=_BY_DESTINATION_AND_KIND)
-    return {name: tuple(entries) for name, entries in leaving.items()}, moves
+    return {name: tuple(entries) for name, entries in leaving.items()}, links

@@ -2,12 +2,12 @@
 
 Each observation seeds a mark on its schema.  Marks spread outward to
 neighboring schemas in FIFO order, carrying a validity-DFA state (an int),
-a running half-path score (a float) and the adjacency moves they took,
-whose count is the mark's depth.  Taking a move is one lookup in the DFA's
-step table and one multiply by the move's precomputed multiplier; the move
-is kept only if the DFA accepts it and the extended score stays at or
-above the half threshold T.  At most one mark per (origin, schema, DFA
-state) is retained, keeping the best-scoring trail.
+a running half-path score (a float) and the base's links they took, whose
+count is the mark's depth.  Taking a link is one lookup in the DFA's step
+table and one multiply by the link's precomputed multiplier; the move is
+kept only if the DFA accepts it and the extended score stays at or above
+the half threshold T and in the normal float range.  At most one mark per
+(origin, schema, DFA state) is retained, keeping the best-scoring trail.
 
 When a mark lands where marks from other origins already sit, only those
 whose DFA state the seam table pairs with its own are met, in the order
@@ -15,14 +15,14 @@ they arrived: marks from unrelated trails can meet at a plateau or a
 valley, or with no role link between them, and no single valid path
 allows that.  The cleave rule scores each remaining meeting from the two
 half scores and the meeting schema's prior.  Only a meeting whose full
-score clears the full threshold is glued into a whole path, from each
-move's link on one side and its stored twin on the other.  A path not
-emitted before is scored directly, as `score_path` would score it: the
-first mark's half score, which already is the product of the start belief
-and its moves' multipliers, times the twin multiplier of each of the other
-mark's moves from the meeting back to its origin, times the terminal
-factor.  Those are the same floats multiplied in the same order, so the
-score is the same float, read off the moves instead of looked up per link.
+score clears the full threshold, and is a normal float, is glued into a
+whole path: the first mark's links, then the twins of the other mark's
+links from the meeting back to its origin.  A path not emitted before is
+scored directly, as `score_path` would score it: the first mark's half
+score, which already is the product of the start belief and its links'
+multipliers, times the multiplier of each twin in the glued tail, times
+the terminal factor.  Those are the same floats multiplied in the same
+order, so the score is the same float.
 It is checked against the cleave score and emitted with it
 (`MarkerEngine.scores`, the ``sc`` a run reports).  The same path met
 again at another cleave point, which a path of n links can be up to n + 1
@@ -38,10 +38,11 @@ completeness check built on it, live with the tests in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .kb import KnowledgeBase, Move, Observation
+from .kb import KnowledgeBase, Observation
 from .paths import SEAM_VALID, START_STATE, STEP, Path, TraversalLink
 from .scoring import combine, initial_score, terminal_multiplier
 # bench/tracing.py wraps this module's validate, extend_half and
@@ -51,17 +52,20 @@ from .scoring import extend_half, score_path  # noqa: F401
 
 MarkKey = tuple[str, str, int]
 
+# The fixed floor under both thresholds (see `EngineConfig`).
+_NORMAL_MIN = sys.float_info.min
+
 
 @dataclass(slots=True, eq=False)
 class Mark:
     """A half path: where it started, where it is, the DFA state it left,
-    its half score and the adjacency moves it took, oldest first."""
+    its half score and the links it took, oldest first."""
 
     origin: Observation
     at: str
     state: int
     score: float
-    moves: tuple[Move, ...]
+    links: tuple[TraversalLink, ...]
 
 
 @dataclass
@@ -69,7 +73,11 @@ class EngineConfig:
     """Thresholds and limits for one engine run.
 
     ``full_threshold`` defaults to T squared: a whole path is two halves
-    that each cleared T, joined by a division by a prior.
+    that each cleared T, joined by a division by a prior.  Below both
+    thresholds sits a fixed floor, the smallest normal float
+    (``sys.float_info.min``): the engine drops a half or whole score under
+    it even at thresholds of 0, since a subnormal score has lost the
+    relative precision the cleave identity is checked to, or underflowed.
     """
 
     half_threshold: float = 30.0
@@ -121,21 +129,21 @@ class MarkerEngine:
         """Drain the queue breadth-first; returns paths emitted since the
         previous call (including any emitted at seed time)."""
         adjacency = self.kb.adjacency
-        half_threshold = self.config.half_threshold
+        half_floor = max(self.config.half_threshold, _NORMAL_MIN)
         marks, queue, place = self.marks, self._queue, self._place
         while queue:
             mark = queue.popleft()
-            origin, row, score, moves = mark.origin, STEP[mark.state], mark.score, mark.moves
+            origin, row, score, links = mark.origin, STEP[mark.state], mark.score, mark.links
             if marks.get((origin.instance, mark.at, mark.state)) is not mark:
                 continue  # superseded by a better trail
-            for move in adjacency[mark.at]:
-                state = row[move.kind]
+            for link in adjacency[mark.at]:
+                state = row[link.column]
                 if state is None:
                     continue
-                extended = score * move.multiplier
-                if extended < half_threshold:
+                extended = score * link.multiplier
+                if extended < half_floor:
                     continue
-                place(Mark(origin, move.destination, state, extended, moves + (move,)))
+                place(Mark(origin, link.destination, state, extended, links + (link,)))
         out = self._pending
         self._pending = []
         return out
@@ -157,7 +165,7 @@ class MarkerEngine:
         for other in here.values():
             if seam[other.state] and other.origin is not origin:
                 self._collide(mark, other)
-        if len(mark.moves) < self.config.max_depth:
+        if len(mark.links) < self.config.max_depth:
             self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
@@ -165,13 +173,13 @@ class MarkerEngine:
         if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
             m1, m2 = m2, m1
         # The seam is valid, so the glued path is; one that scores below
-        # the full threshold builds nothing.
+        # the full threshold or the normal floor builds nothing.
         kb = self.kb
         full = combine(kb, m1.at, m1.score, m2.score)
-        if full < self.config.full_threshold:
+        if full < self.config.full_threshold or full < _NORMAL_MIN:
             return
-        links = tuple([move.link for move in m1.moves]
-                      + [move.twin for move in reversed(m2.moves)])
+        tail = [link.twin for link in reversed(m2.links)]
+        links = m1.links + tuple(tail)
         # An observed instance has one schema, so this key names the path
         # as exactly as its rendered text.  A path met again at another
         # cleave point is checked against the score it was emitted with.
@@ -182,8 +190,8 @@ class MarkerEngine:
             path = Path(start=m1.origin, links=links, end=m2.origin)
             # `score_path` of the path: the same multipliers, same order.
             direct = m1.score
-            for move in reversed(m2.moves):
-                direct *= move.twin_multiplier
+            for link in tail:
+                direct *= link.multiplier
             direct *= terminal_multiplier(kb, m2.origin)
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(

@@ -19,8 +19,8 @@ re-typing.  The whole grammar compiles to a six-state DFA whose states are
 the ints 0-5: a 6x4 table `STEP` advances it by one move, and a 6x6 table
 `SEAM_VALID` says whether two trails glued end to end form a valid path.
 Both are plain tuple lookups, cheap enough for the marker passer to run at
-every extension and every meeting.  Links are tuples and link kinds hash
-by identity, so paths and their links hash without calling Python code.
+every extension and every meeting.  Links and link kinds hash by
+identity, so paths and their links hash without calling Python code.
 
 Surface syntax, used everywhere a path is printed or parsed::
 
@@ -35,9 +35,11 @@ ones, always with arguments in declaration order: ``(role FILLED SLOT
 FILLER)`` and ``(isa SPECIFIC GENERAL)``.  The parser also accepts a
 link whose tag points the wrong way when the chain of schemas makes the
 intended direction unambiguous, since older renderings of the same paths
-leave the direction to the reader.  ``;`` comments run to the end of the
-line, as in the KB and stream formats, whose reader (`read_forms`) this
-module shares.  Endpoint IDs of the form ``gen-<digits>`` are reserved for
+leave the direction to the reader.  A path's links are the base's own
+link objects: `parse_path` looks each link form up by its text in the
+base's link table, and `Path.render` joins the links' stored texts.
+``;`` comments run to the end of the line, as in the KB and stream
+formats, whose reader (`read_forms`) this module shares.  Endpoint IDs of the form ``gen-<digits>`` are reserved for
 the fresh instances of the path's translation.
 """
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase, Observation
@@ -99,61 +101,38 @@ def _attach_kind_attributes() -> None:
 _attach_kind_attributes()
 
 
-class TraversalLink(NamedTuple):
-    """One move of a walk.  Role kinds carry (filled, slot, filler); isa
-    kinds carry (specific, general).  Unused fields stay empty.  A plain
-    tuple underneath, so links compare and hash in C."""
+class TraversalLink:
+    """One direction of one KB link: the base's link table entry itself.
 
-    kind: LinkKind
-    filled: str = ""
-    slot: str = ""
-    filler: str = ""
-    specific: str = ""
-    general: str = ""
+    ``kind`` is the direction, and the declaration-order names are
+    (``filled``, ``slot``, ``filler``) for role kinds and (``specific``,
+    ``general``) for isa kinds; the unused ones stay empty.  ``source`` and
+    ``destination`` are the schemas the move leaves and reaches, ``column``
+    the kind's column in `STEP`, ``multiplier`` its factor in the spinal
+    contribution, ``twin`` the same KB link walked the other way and
+    ``text`` its surface form.  Only `load_kb` builds links, one object per
+    direction, so links compare and hash by identity, in C."""
 
-    @staticmethod
-    def role_up(filled: str, slot: str, filler: str) -> "TraversalLink":
-        return TraversalLink(LinkKind.ROLE_UP, filled=filled, slot=slot, filler=filler)
+    __slots__ = ("kind", "filled", "slot", "filler", "specific", "general",
+                 "source", "destination", "column", "multiplier", "twin", "text")
 
-    @staticmethod
-    def role_down(filled: str, slot: str, filler: str) -> "TraversalLink":
-        return TraversalLink(LinkKind.ROLE_DOWN, filled=filled, slot=slot, filler=filler)
-
-    @staticmethod
-    def isa_up(specific: str, general: str) -> "TraversalLink":
-        return TraversalLink(LinkKind.ISA_UP, specific=specific, general=general)
-
-    @staticmethod
-    def isa_down(specific: str, general: str) -> "TraversalLink":
-        return TraversalLink(LinkKind.ISA_DOWN, specific=specific, general=general)
-
-    @property
-    def source(self) -> str:
-        """Schema the move departs from."""
-        if self.kind is LinkKind.ROLE_UP:
-            return self.filler
-        if self.kind is LinkKind.ROLE_DOWN:
-            return self.filled
-        if self.kind is LinkKind.ISA_UP:
-            return self.specific
-        return self.general
-
-    @property
-    def destination(self) -> str:
-        """Schema the move arrives at."""
-        if self.kind is LinkKind.ROLE_UP:
-            return self.filled
-        if self.kind is LinkKind.ROLE_DOWN:
-            return self.filler
-        if self.kind is LinkKind.ISA_UP:
-            return self.general
-        return self.specific
-
-    def render(self) -> str:
-        kind = self.kind
+    def __init__(self, kind: LinkKind, names: tuple[str, ...], source: str,
+                 destination: str, multiplier: float):
+        self.kind = kind
         if kind.is_role:
-            return f"({kind.tag} {self.filled} {self.slot} {self.filler})"
-        return f"({kind.tag} {self.specific} {self.general})"
+            self.filled, self.slot, self.filler = names
+            self.specific = self.general = ""
+        else:
+            self.specific, self.general = names
+            self.filled = self.slot = self.filler = ""
+        self.source = source
+        self.destination = destination
+        self.column = kind.order
+        self.multiplier = multiplier
+        self.text = f"({kind.tag} {' '.join(names)})"
+
+    def __repr__(self) -> str:
+        return f"TraversalLink{self.text}"
 
 
 # DFA states are the ints 0-5: twice the role phase, plus one when the
@@ -213,10 +192,10 @@ class Path:
         return len([link for link in self.links if link.kind.is_role])
 
     def render(self) -> str:
-        forms = [f"(inst {self.start.instance} {self.start.schema})"]
-        forms += [link.render() for link in self.links]
-        forms.append(f"(inst {self.end.instance} {self.end.schema})")
-        return "".join(forms)
+        start, end = self.start, self.end
+        return (f"(inst {start.instance} {start.schema})"
+                f"{''.join([link.text for link in self.links])}"
+                f"(inst {end.instance} {end.schema})")
 
 
 def _check_structure(path: Path) -> None:
@@ -358,23 +337,20 @@ def parse_path(kb: "KnowledgeBase", text: str,
         if tag in ("role", "role-"):
             if len(items) != 4:
                 raise PathError("role link needs (role FILLED SLOT FILLER)", at)
-            link = TraversalLink(LinkKind(tag), filled=items[1], slot=items[2],
-                                 filler=items[3])
-            missing = f"no role link (role {items[1]} {items[2]} {items[3]})"
+            missing = "no role link (role"
         elif tag in ("isa", "isa-"):
             if len(items) != 3:
                 raise PathError("isa link needs (isa SPECIFIC GENERAL)", at)
-            link = TraversalLink(LinkKind(tag), specific=items[1], general=items[2])
-            missing = f"no isa edge (isa {items[1]} {items[2]})"
+            missing = "no isa edge (isa"
         else:
             raise PathError(f"unknown link form {tag!r}", at)
-        move = kb.moves.get(link)
-        if move is None:
-            raise PathError(missing, at)
+        link = kb.links.get(f"({' '.join(items)})")
+        if link is None:
+            raise PathError(f"{missing} {' '.join(items[1:])})", at)
         # Prefer the tagged direction; fall back to the flipped reading when
         # only that one chains (legacy renderings leave direction implicit).
         if link.source != at_schema:
-            link = move.twin
+            link = link.twin
             if link.source != at_schema:
                 raise PathError(
                     f"link does not chain: path is at {at_schema!r}", at)

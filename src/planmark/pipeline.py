@@ -13,8 +13,8 @@ ends, every reported path is translated once into its RS(P), which then
 serves the cheap evidence filter, the exact network evaluation (only if
 the filter passes) and the approval test.  A path's ``sc`` is the score
 the marker computed once, when it emitted the path, and equals its
-`score_path`; its text joins the rendered texts the base's link table
-keeps for its links, and equals `Path.render`.
+`score_path`; its text is `Path.render`, which joins the texts the base's
+links carry.
 Three counters mirror the stages: paths reported by the marker, evaluated
 (those that passed the filter) and approved.
 
@@ -176,16 +176,11 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     records = []
     evaluated = 0
     approved_count = 0
-    moves = kb.moves
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(zip(engine.emitted, engine.scores), start=1):
         rs = relevant_statements(path, fresh_prefix=f"p{index}-gen-")
         passed = evidence_filter(kb, rs, registry)
-        start, end = path.start, path.end
-        link_text = "".join([moves[link].text for link in path.links])
-        path_text = (f"(inst {start.instance} {start.schema}){link_text}"
-                     f"(inst {end.instance} {end.schema})")
-        record = PathRecord(path_text=path_text, sc=sc, rs_text=rs.render(),
+        record = PathRecord(path_text=path.render(), sc=sc, rs_text=rs.render(),
                             filtered="pass" if passed else "fail",
                             posterior=None, residual=None, approved=False)
         if passed:

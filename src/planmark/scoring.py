@@ -7,8 +7,8 @@ p(==) = 1e-3, as in `corpus`.
 Scoring a whole path is a single left-to-right product: the start
 observation's belief, one multiplier per link, and a terminal factor
 belief/prior for the end observation.  The per-link multipliers, which
-`kb` computes once at load and keeps in the base's link table
-(`KnowledgeBase.moves`):
+`kb` computes once at load and each link of the base's link table carries
+as ``multiplier``:
 
     RoleUp    p(filled) / p(filler)
     RoleDown  1.0
@@ -28,8 +28,9 @@ their caller to chain links onto the half and to meet halves at ``at``,
 as the marker's construction guarantees.
 
 `score_path` is the direct form, which the CLI and the tests use.  The
-marker does not call it: it folds the same multipliers, read off the moves
-its marks took, in the same order, so its score is the same float.
+marker does not call it: it folds the same multipliers, read off the links
+its marks took and their twins, in the same order, so its score is the
+same float.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ def terminal_multiplier(kb: KnowledgeBase, obs: Observation) -> float:
 def score_path(kb: KnowledgeBase, path: Path) -> Score:
     value = initial_score(path.start)
     for link in path.links:
-        value *= kb.moves[link].multiplier
+        value *= link.multiplier
     return value * terminal_multiplier(kb, path.end)
 
 
 def extend_half(kb: KnowledgeBase, score: Score, link: TraversalLink) -> Score:
-    """Score of a half-path after one more link."""
-    return score * kb.moves[link].multiplier
+    """Score of a half-path after one more link; the link carries its
+    multiplier, so ``kb`` is not read."""
+    return score * link.multiplier
 
 
 def combine(kb: KnowledgeBase, at: str, h1: Score, h2: Score) -> Score:

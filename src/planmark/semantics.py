@@ -41,7 +41,7 @@ from .paths import LinkKind, Path
 
 # Reading a member off the Enum class costs several times a global read,
 # so the walk compares each move's kind against these.
-_ROLE_UP, _ISA_UP, _ISA_DOWN = LinkKind.ROLE_UP, LinkKind.ISA_UP, LinkKind.ISA_DOWN
+_ROLE_UP, _ISA_DOWN = LinkKind.ROLE_UP, LinkKind.ISA_DOWN
 
 # A named tuple's constructor is a Python function around this one.
 _new = tuple.__new__
@@ -123,18 +123,15 @@ def _derive(path: Path, fresh_prefix: str, full: bool
                 # from fills it.
                 eq = _new(SlotEq, (arriving, link.slot, instance))
                 texts.append(f"(= ({link.slot} {arriving}) {instance})")
-                schema = link.filled
             else:
                 eq = _new(SlotEq, (instance, link.slot, arriving))
                 texts.append(f"(= ({link.slot} {instance}) {arriving})")
-                schema = link.filler
             statements.append(eq)
             eqs.append(eq)
             instance, relevant = arriving, True
-        elif kind is _ISA_UP:
-            schema, relevant = link.general, False
         else:
-            schema, relevant = link.specific, True
+            relevant = kind is _ISA_DOWN
+        schema = link.destination
     if full:
         # A valid path has already typed its end instance as observed here.
         last = (_new(Inst, (instance, schema)), _new(Inst, (end.instance, end.schema)))

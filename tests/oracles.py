@@ -1,12 +1,13 @@
 """Reference implementations used only by the tests.
 
 The first helpers restate, for the tests, what the package no longer
-needs: `flip` walks a link the other way (the base stores each move's
-twin instead), `reverse` reads a path from its other end, `path_schemas`
-lists the schema at every position, `step` advances the validity DFA by
-one move or kind, `trail` lists the links a mark walked, and
-`relevant_instance_trace` names the instance at every position of a
-path.
+needs: `link_names` lists a link's declaration-order names, `flip` walks
+a link the other way (the base stores each link's twin instead; `flip`
+looks the flipped tag and the same names up in the link table, so the
+tests cross-check the twin), `reverse` reads a path from its other end,
+`path_schemas` lists the schema at every position, `step` advances the
+validity DFA by one move or kind, and `relevant_instance_trace` names the
+instance at every position of a path.
 
 `enumerate_paths_oracle` is the marker engine's reference point: a plain
 exhaustive DFS over link sequences filtered by `declarative_valid`, a
@@ -55,6 +56,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Callable
@@ -73,14 +75,23 @@ FLIPPED = {LinkKind.ISA_UP: LinkKind.ISA_DOWN, LinkKind.ISA_DOWN: LinkKind.ISA_U
            LinkKind.ROLE_UP: LinkKind.ROLE_DOWN, LinkKind.ROLE_DOWN: LinkKind.ROLE_UP}
 
 
-def flip(link: TraversalLink) -> TraversalLink:
+def link_names(link: TraversalLink) -> tuple[str, ...]:
+    """The link's names in declaration order: (filled, slot, filler) for
+    a role link, (specific, general) for an isa edge."""
+    if link.kind.is_role:
+        return link.filled, link.slot, link.filler
+    return link.specific, link.general
+
+
+def flip(kb: KnowledgeBase, link: TraversalLink) -> TraversalLink:
     """The same KB link traversed the other way."""
-    return TraversalLink(FLIPPED[link.kind], *link[1:])
+    return kb.links[f"({FLIPPED[link.kind].tag} {' '.join(link_names(link))})"]
 
 
-def reverse(path: Path) -> Path:
+def reverse(kb: KnowledgeBase, path: Path) -> Path:
     """The same path read from the other end; an involution."""
-    return Path(start=path.end, links=tuple(flip(link) for link in reversed(path.links)),
+    return Path(start=path.end,
+                links=tuple(flip(kb, link) for link in reversed(path.links)),
                 end=path.start)
 
 
@@ -94,11 +105,6 @@ def step(state: int, link: TraversalLink | LinkKind) -> int | None:
     never extend to a valid path."""
     kind = link.kind if isinstance(link, TraversalLink) else link
     return STEP[state][kind.order]
-
-
-def trail(mark: Mark) -> tuple[TraversalLink, ...]:
-    """The links a mark walked from its origin, in travel order."""
-    return tuple(move.link for move in mark.moves)
 
 
 def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]:
@@ -273,7 +279,7 @@ def enumerate_paths_oracle(kb: KnowledgeBase, obs1: Observation, obs2: Observati
             found.append(path)
         if len(prefix) >= max_depth:
             return
-        for link in (move.link for move in kb.adjacency[at]):
+        for link in kb.adjacency[at]:
             kinds.append(link.kind)
             if _no_violation(kinds):
                 prefix.append(link)
@@ -323,11 +329,12 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
     """Compare an engine run against the oracle.
 
     Lists every oracle path whose full score reaches max(T^2,
-    full_threshold) that the engine failed to emit, except misses explained
-    by the documented best-trail retention rule (some prefix of the path
-    was displaced by a better-scoring trail at the same (origin, schema,
-    state) key).  A listed "half-dip" means no cleave point exists at which
-    both halves stay at or above T all the way out, which is exactly when
+    full_threshold, the smallest normal float) that the engine failed to
+    emit, except misses explained by the documented best-trail retention
+    rule (some prefix of the path was displaced by a better-scoring trail
+    at the same (origin, schema, state) key).  A listed "half-dip" means no
+    cleave point exists at which both halves stay at or above T (and the
+    smallest normal float) all the way out, which is exactly when
     the threshold cutoff is allowed to lose the path; "unexpected" would be
     an engine defect.
     """
@@ -338,21 +345,23 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
     emitted = {p.render() for p in engine.emitted}
 
     obs1, obs2 = seeds
-    threshold = max(config.half_threshold ** 2, config.full_threshold)
+    # The engine drops half and whole scores below the normal float range.
+    half_floor = max(config.half_threshold, sys.float_info.min)
+    threshold = max(config.half_threshold ** 2, config.full_threshold, sys.float_info.min)
     entries: list[MissedPath] = []
     for path in enumerate_paths_oracle(kb, obs1, obs2, config.max_depth):
         sc = score_path(kb, path)
         if sc < threshold or path.render() in emitted:
             continue
-        rev = reverse(path).links
+        rev = reverse(kb, path).links
         fwd_vals = _prefix_values(kb, obs1, path.links)
         back_vals = _prefix_values(kb, obs2, rev)
         n = len(path.links)
         qualifying: list[int] = []
         for j in range(n + 1):
             # Seeds are always placed; the cutoff applies to extensions.
-            fwd_ok = all(v >= config.half_threshold for v in fwd_vals[1:j + 1])
-            back_ok = all(v >= config.half_threshold for v in back_vals[1:n - j + 1])
+            fwd_ok = all(v >= half_floor for v in fwd_vals[1:j + 1])
+            back_ok = all(v >= half_floor for v in back_vals[1:n - j + 1])
             if fwd_ok and back_ok:
                 qualifying.append(j)
         if not qualifying:
@@ -362,8 +371,8 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
         for j in qualifying:
             m1 = engine.marks.get((obs1.instance, schemas[j], _state_after(path.links[:j])))
             m2 = engine.marks.get((obs2.instance, schemas[j], _state_after(rev[:n - j])))
-            if (m1 is not None and trail(m1) == path.links[:j]
-                    and m2 is not None and trail(m2) == rev[:n - j]):
+            if (m1 is not None and m1.links == path.links[:j]
+                    and m2 is not None and m2.links == rev[:n - j]):
                 entries.append(MissedPath(path, sc, "unexpected"))
                 break
         # Otherwise every qualifying cleave was displaced by a better
@@ -393,21 +402,21 @@ class GlueThenValidateEngine(MarkerEngine):
         for other in list(self._at[mark.at].values()):
             if other.origin.instance != mark.origin.instance:
                 self._collide(mark, other)
-        if len(mark.moves) < self.config.max_depth:
+        if len(mark.links) < self.config.max_depth:
             self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.
         if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
             m1, m2 = m2, m1
-        links = trail(m1) + tuple(flip(link) for link in reversed(trail(m2)))
+        links = m1.links + tuple(flip(self.kb, link) for link in reversed(m2.links))
         if not links:
             return
         path = Path(start=m1.origin, links=links, end=m2.origin)
         if not validate(path):
             return  # the seam forms a plateau/valley no single path allows
         full = combine(self.kb, m1.at, m1.score, m2.score)
-        if full < self.config.full_threshold:
+        if full < self.config.full_threshold or full < sys.float_info.min:
             return
         direct = score_path(self.kb, path)
         if not math.isclose(full, direct, rel_tol=1e-9):

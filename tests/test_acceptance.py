@@ -127,7 +127,7 @@ def test_criterion_2_grammar_suite(kb):
                 assert validate(path) == restatement([l.kind for l in links])
                 walk_checked += 1
             if len(links) < 5:
-                for link in (move.link for move in kb.adjacency[at]):
+                for link in kb.adjacency[at]:
                     stack.append((link.destination, links + (link,)))
     assert walk_checked > 100  # the fixture admits 160 such walks
 
@@ -138,7 +138,7 @@ def test_criterion_3_scoring_fixture(kb, fig31):
     assert forward == pytest.approx(16.2, rel=1e-12)
     backward = terminal_multiplier(kb, fig31.end)
     for link in reversed(fig31.links):
-        backward *= kb.moves[link].multiplier
+        backward *= link.multiplier
     backward *= initial_score(fig31.start)
     assert backward == pytest.approx(forward, rel=1e-12)
 
@@ -157,7 +157,7 @@ def test_criterion_4_cleave_identity():
                 h1 = extend_half(base, h1, link)
             h2 = initial_score(path.end)
             for link in reversed(path.links[j:]):
-                h2 = extend_half(base, h2, flip(link))
+                h2 = extend_half(base, h2, flip(base, link))
             at = path_schemas(path)[j]
             assert combine(base, at, h1, h2) == pytest.approx(whole, rel=1e-12)
 

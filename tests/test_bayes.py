@@ -24,7 +24,7 @@ from planmark import (
     render_network,
     score_path,
 )
-from planmark.paths import Path, TraversalLink
+from planmark.paths import Path
 
 from conftest import (
     FIG31_TEXT,
@@ -252,11 +252,10 @@ def test_residual_bound_for_any_interior_strengths(case, gamma1, gamma0):
     assert s1 >= floor * s0 * (1 - 1e-12)
 
 
-def chain_path(length, beliefs=(1.0, 1.0)):
+def chain_path(base, length, beliefs=(1.0, 1.0)):
     """The straight path c0 -> c1 -> ... -> c<length> up the chain base's
     role links, one role per step."""
-    links = tuple(TraversalLink.role_up(f"c{i + 1}", "step", f"c{i}")
-                  for i in range(length))
+    links = tuple(base.links[f"(role c{i + 1} step c{i})"] for i in range(length))
     return Path(start=Observation("x", "c0", beliefs[0]), links=links,
                 end=Observation("y", f"c{length}", beliefs[1]))
 
@@ -264,8 +263,8 @@ def chain_path(length, beliefs=(1.0, 1.0)):
 def test_enumeration_agrees_with_elimination(kb, fig31):
     # Three-way: the closed form against both reference oracles.
     cases = [(kb, fig31)] + sample_paths(seed=61, limit=25, max_roles=4, beliefs=True)
-    cases += [(load_kb(chain_kb_text(n)), chain_path(n, beliefs=(0.7, 0.6)))
-              for n in range(3, 9)]
+    cases += [(base, chain_path(base, n, beliefs=(0.7, 0.6)))
+              for n in range(3, 9) for base in [load_kb(chain_kb_text(n))]]
     cases.append(prior_one_case())
     for base, path in cases:
         network, cpts = network_of(base, path, gamma1=0.8, gamma0=0.3)
@@ -291,7 +290,7 @@ def prior_one_case():
 
 def test_twelve_role_chain_is_evaluated():
     base = load_kb(chain_kb_text(12))
-    path = chain_path(12)
+    path = chain_path(base, 12)
     network = build_network(base, path, relevant_statements(path))
     assert network.non_evidence_count == 25
     cpts = default_cpts(base, network, 0.9, 0.1)

@@ -110,6 +110,48 @@ def test_run_scores_a_path_through_a_tiny_prior(tmp_path):
     assert lines[-1] == "counters reported=1 evaluated=1 approved=1"
 
 
+def test_run_rejects_a_subnormal_belief(tmp_path):
+    # A half score seeded from a subnormal belief has no 1e-9 relative
+    # precision left for the cleave check, so the record is an input error.
+    kb = tmp_path / "plan.kb"
+    kb.write_text("(eq-prior 0.001)(schema plan :prior 0.01)(schema a :prior 0.5)"
+                  "(schema b :prior 0.4)(role plan a-of a)(role plan b-of b)\n")
+    stream = ("(inst a1 a :belief 1e-320)\n(inst b1 b)\n"
+              "(corroborate plan a-of)\n(corroborate plan b-of)\n")
+    result = planmark("run", "--kb", str(kb), "--threshold", "0",
+                      "--full-threshold", "0", stdin=stream)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: line 1: belief of 'a1' is subnormal")
+    assert "Traceback" not in result.stderr
+
+
+UNDERFLOW_KB = ("(eq-prior 1e-300)(schema a :prior 1.0)(schema b :prior 1.0)"
+                "(schema p1 :prior {p1})(schema c1 :isa p1 :prior {c1})"
+                "(schema p2 :prior {p2})"
+                "(role p1 s1 a)(role p2 s2 p1)(role p2 s3 b)\n")
+
+
+@pytest.mark.parametrize("priors,stream,path,sc", [
+    # From b1, the walk up to p2 and down through p1 to c1 carries a half
+    # score of 1e-340, which underflows to 0 before it meets c9's seed.
+    ({"p1": "1e-150", "c1": "1e-290", "p2": "1e-200"}, "(inst c9 c1)\n(inst b1 b)\n",
+     "(inst c9 c1)(isa c1 p1)(role p2 s2 p1)(role- p2 s3 b)(inst b1 b)", "1e-50"),
+    # The detour down to c1 and back scores a subnormal 1e-322.
+    ({"p1": "1e-200", "c1": "1e-300", "p2": "1e-222"}, "(inst a1 a)\n(inst b1 b)\n",
+     "(inst a1 a)(role p1 s1 a)(role p2 s2 p1)(role- p2 s3 b)(inst b1 b)", "1e-222"),
+], ids=["half-underflows-to-zero", "subnormal-detour"])
+def test_run_prunes_scores_below_the_normal_range(tmp_path, priors, stream, path, sc):
+    kb = tmp_path / "deep.kb"
+    kb.write_text(UNDERFLOW_KB.format(**priors))
+    result = planmark("run", "--kb", str(kb), "--threshold", "0",
+                      "--full-threshold", "0", stdin=stream)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[1:3] == [f"path {path}", f"sc {sc}"]
+    assert lines[-1] == "counters reported=1 evaluated=0 approved=0"
+
+
 def test_run_rejects_a_reserved_fresh_name(kb_file, tmp_path):
     stream_file = tmp_path / "story.stream"
     stream_file.write_text("(inst go1 go :belief 0.9)\n"

@@ -128,7 +128,7 @@ def _assert_cleaves_recombine(base, path):
         forward.append(extend_half(base, forward[-1], link))
     backward = [initial_score(path.end)]
     for link in reversed(path.links):
-        backward.append(extend_half(base, backward[-1], flip(link)))
+        backward.append(extend_half(base, backward[-1], flip(base, link)))
     for j in range(n + 1):
         whole = combine(base, schemas[j], forward[j], backward[n - j])
         assert math.isclose(whole, direct, rel_tol=1e-9), (j, path.render())

@@ -7,7 +7,7 @@ from planmark import KbError, load_kb
 from planmark.paths import LinkKind
 
 from conftest import planmark
-from oracles import flip, random_kb
+from oracles import FLIPPED, flip, link_names, random_kb
 
 
 def test_fixture_loads(kb):
@@ -158,8 +158,7 @@ def test_unknown_schema_raises(kb):
 
 
 def test_neighbors_of_supermarket(kb):
-    moves = [move.link for move in kb.adjacency["supermarket"]]
-    assert [m.render() for m in moves] == [
+    assert [link.text for link in kb.adjacency["supermarket"]] == [
         "(isa supermarket store-)",
         "(role supermarket-shopping store-of supermarket)",
     ]
@@ -185,10 +184,10 @@ def test_isolated_schema_has_no_neighbors():
 def test_neighbors_symmetric(seed):
     base = random_kb(seed)
     for name in base.schemas:
-        for link in (move.link for move in base.adjacency[name]):
+        for link in base.adjacency[name]:
             assert link.source == name
-            inverse = flip(link)
-            assert inverse in [move.link for move in base.adjacency[link.destination]]
+            inverse = flip(base, link)
+            assert inverse in base.adjacency[link.destination]
 
 
 def test_prior_invariants_hold_on_random_bases():
@@ -211,7 +210,7 @@ def test_render_round_trip(seed, kb):
 
 
 def test_adjacency_covers_every_link(kb):
-    moves = [move.link for name in kb.schemas for move in kb.adjacency[name]]
+    moves = [link for name in kb.schemas for link in kb.adjacency[name]]
     roles = [m for m in moves if m.kind.is_role]
     isas = [m for m in moves if not m.kind.is_role]
     assert len(roles) == 4  # two role links, one move in each direction
@@ -230,31 +229,52 @@ def prior_ratio(base, link):
     return 1.0
 
 
+def ends(link):
+    """(source, destination) restated from the kind and the names."""
+    if link.kind is LinkKind.ROLE_UP:
+        return link.filler, link.filled
+    if link.kind is LinkKind.ROLE_DOWN:
+        return link.filled, link.filler
+    if link.kind is LinkKind.ISA_UP:
+        return link.specific, link.general
+    return link.general, link.specific
+
+
+def declares(base, link):
+    """Whether the base declares the link its names spell out."""
+    if link.kind.is_role:
+        return (link.slot, link.filler) in base.schemas[link.filled].slots
+    return base.schemas[link.specific].parent == link.general
+
+
 @pytest.mark.parametrize("seed", [None, *range(6)])
 def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
-    # The marker multiplies by a move's cached multiplier, glues from its
-    # cached twin and scores whole paths from the twin multipliers, scoring
-    # and parsing read the link table and a run joins the cached texts, so
-    # the scores and paths they produce rest on these holding exactly.
+    # The marker multiplies by a link's multiplier and glues from its twin,
+    # parsing reads the link table and a path's text joins the links'
+    # texts, so the scores and paths they produce rest on these holding
+    # exactly.  Each is checked against a restatement from the names.
     base = kb if seed is None else random_kb(seed, n_schemas=30, n_roles=30)
-    moves = [move for entries in base.adjacency.values() for move in entries]
-    assert moves
-    for move in moves:
-        link = move.link
-        assert move.multiplier == prior_ratio(base, link)
-        assert move.twin == flip(link)
-        assert move.destination == link.destination
-        assert move.kind == link.kind.order
-        assert base.moves[link] is move
-        assert move.twin_multiplier == base.moves[move.twin].multiplier
-        assert move.text == link.render()
+    links = [link for entries in base.adjacency.values() for link in entries]
+    assert links
+    for link in links:
+        names = link_names(link)
+        assert declares(base, link)
+        assert link.multiplier == prior_ratio(base, link)
+        assert link.text == f"({link.kind.tag} {' '.join(names)})"
+        assert (link.source, link.destination) == ends(link)
+        assert link.column == link.kind.order
+        assert link.twin.kind is FLIPPED[link.kind]
+        assert link_names(link.twin) == names
+        assert link.twin.twin is link
+        assert link.twin is flip(base, link)
+        assert base.links[link.text] is link
     isa_edges = sum(1 for s in base.schemas.values() if s.parent is not None)
     role_links = sum(len(s.slots) for s in base.schemas.values())
-    assert len(base.moves) == len(moves) == 2 * (isa_edges + role_links)
+    assert len(base.links) == len(links) == 2 * (isa_edges + role_links)
     # The marker emits in adjacency order, so the report bytes rest on it.
     for name in base.schemas:
-        leaving = [move for move in base.moves.values() if move.link.source == name]
-        leaving.sort(key=lambda m: (m.destination, m.kind, m.link.slot))
+        leaving = [link for link in base.links.values() if link.source == name]
+        leaving.sort(key=lambda link: (link.destination, link.kind.order, link.slot))
         assert base.adjacency[name] == tuple(leaving)
     # The filter and the networks read these flat tables.
     assert base.priors == {name: schema.prior for name, schema in base.schemas.items()}

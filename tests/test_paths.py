@@ -10,7 +10,6 @@ from planmark.paths import (
     LinkKind,
     Path,
     START_STATE,
-    TraversalLink,
     read_forms,
 )
 
@@ -102,14 +101,14 @@ def test_parse_accepts_direction_left_to_the_chain(kb, fig31):
 
 def test_isa_only_path_is_invalid(kb):
     path = Path(start=Observation("supermarket2", "supermarket"),
-                links=(TraversalLink.isa_up("supermarket", "store-"),),
+                links=(kb.links["(isa supermarket store-)"],),
                 end=Observation("store5", "store-"))
     assert not validate(path)
 
 
 def test_structural_violation_raises_not_false(kb):
     bad = Path(start=Observation("go1", "go"),
-               links=(TraversalLink.isa_up("supermarket", "store-"),),
+               links=(kb.links["(isa supermarket store-)"],),
                end=Observation("store5", "store-"))
     with pytest.raises(PathError, match="departs from"):
         validate(bad)
@@ -119,30 +118,30 @@ def test_structural_violation_raises_not_false(kb):
 
 
 def test_reverse_of_fig31(kb, fig31):
-    rev = reverse(fig31)
+    rev = reverse(kb, fig31)
     assert rev.render() == ("(inst go1 go)"
                             "(role shopping go-step go)"
                             "(isa- supermarket-shopping shopping)"
                             "(role- supermarket-shopping store-of supermarket)"
                             "(inst supermarket2 supermarket)")
     assert validate(rev)
-    assert reverse(rev) == fig31
+    assert reverse(kb, rev) == fig31
 
 
 def test_single_role_reverse(kb):
     path = parse_path(kb, "(inst s1 supermarket)"
                           "(role supermarket-shopping store-of supermarket)"
                           "(inst p1 supermarket-shopping)")
-    assert [l.kind for l in reverse(path).links] == [RD]
+    assert [l.kind for l in reverse(kb, path).links] == [RD]
 
 
 def test_reverse_properties_on_sampled_paths():
     pairs = sample_paths(seed=7, limit=100)
     assert len(pairs) >= 100
     for base, path in pairs:
-        rev = reverse(path)
+        rev = reverse(base, path)
         assert validate(rev)  # the grammar is mirror-symmetric
-        assert reverse(rev) == path
+        assert reverse(base, rev) == path
 
 
 def test_parse_render_round_trip_on_sampled_paths():

@@ -9,8 +9,6 @@ from planmark import (
     score_path,
     terminal_multiplier,
 )
-from planmark.paths import TraversalLink
-
 from conftest import sample_paths
 from oracles import flip, path_schemas, reverse
 
@@ -21,12 +19,12 @@ def test_initial_score_is_the_belief(belief):
 
 
 def test_link_multipliers(kb):
-    role_up = TraversalLink.role_up("supermarket-shopping", "store-of", "supermarket")
-    assert kb.moves[role_up].multiplier == pytest.approx(2.0, rel=1e-12)
-    assert kb.moves[flip(role_up)].multiplier == 1.0
-    isa_up = TraversalLink.isa_up("supermarket-shopping", "shopping")
-    assert kb.moves[isa_up].multiplier == 1.0
-    assert kb.moves[flip(isa_up)].multiplier == pytest.approx(0.4, rel=1e-12)
+    role_up = kb.links["(role supermarket-shopping store-of supermarket)"]
+    assert role_up.multiplier == pytest.approx(2.0, rel=1e-12)
+    assert flip(kb, role_up).multiplier == 1.0
+    isa_up = kb.links["(isa supermarket-shopping shopping)"]
+    assert isa_up.multiplier == 1.0
+    assert flip(kb, isa_up).multiplier == pytest.approx(0.4, rel=1e-12)
 
 
 def test_terminal_multiplier(kb):
@@ -42,7 +40,7 @@ def test_fig31_scores_sixteen_point_two(kb, fig31):
 def right_to_left_score(kb, path):
     value = terminal_multiplier(kb, path.end)
     for link in reversed(path.links):
-        value *= kb.moves[link].multiplier
+        value *= link.multiplier
     return value * initial_score(path.start)
 
 
@@ -61,15 +59,14 @@ def test_single_role_score_reduces_to_belief_product_over_prior(kb):
 
 def test_score_is_direction_symmetric_on_sampled_paths():
     for base, path in sample_paths(seed=41, limit=120, beliefs=True):
-        assert score_path(base, reverse(path)) == pytest.approx(
+        assert score_path(base, reverse(base, path)) == pytest.approx(
             score_path(base, path), rel=1e-12)
 
 
 def test_extend_half_worked_example(kb):
-    up = extend_half(kb, 0.9, TraversalLink.role_up(
-        "supermarket-shopping", "store-of", "supermarket"))
+    up = extend_half(kb, 0.9, kb.links["(role supermarket-shopping store-of supermarket)"])
     assert up == pytest.approx(1.8, rel=1e-12)
-    same = extend_half(kb, up, TraversalLink.isa_up("supermarket-shopping", "shopping"))
+    same = extend_half(kb, up, kb.links["(isa supermarket-shopping shopping)"])
     assert same == up
 
 
@@ -79,7 +76,7 @@ def test_half_fold_equals_closed_form(kb, fig31):
         half = extend_half(kb, half, link)
     product = initial_score(fig31.start)
     for link in fig31.links:
-        product *= kb.moves[link].multiplier
+        product *= link.multiplier
     assert half == pytest.approx(product, rel=1e-12)
 
 
@@ -88,7 +85,7 @@ def test_combine_worked_example(kb, fig31):
     h1 = initial_score(fig31.start)
     for link in fig31.links[:2]:
         h1 = extend_half(kb, h1, link)
-    h2 = extend_half(kb, initial_score(fig31.end), flip(fig31.links[2]))
+    h2 = extend_half(kb, initial_score(fig31.end), flip(kb, fig31.links[2]))
     assert h1 == pytest.approx(1.8, rel=1e-12)
     assert h2 == pytest.approx(0.45, rel=1e-12)
     assert combine(kb, "shopping", h1, h2) == pytest.approx(16.2, rel=1e-12)
@@ -102,7 +99,7 @@ def cleave_at(base, path, j):
         h1 = extend_half(base, h1, link)
     h2 = initial_score(path.end)
     for link in reversed(path.links[j:]):
-        h2 = extend_half(base, h2, flip(link))
+        h2 = extend_half(base, h2, flip(base, link))
     return path_schemas(path)[j], h1, h2
 
 
@@ -127,7 +124,7 @@ def test_monotone_sanity_bound():
     # A half's value never exceeds any of its prefixes by more than the
     # largest multiplier per added link.
     for base, path in sample_paths(seed=47, limit=40):
-        biggest = max(move.multiplier for move in base.moves.values())
+        biggest = max(link.multiplier for link in base.links.values())
         values = [initial_score(path.start)]
         for link in path.links:
             values.append(extend_half(base, values[-1], link))
