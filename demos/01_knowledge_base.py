@@ -28,10 +28,12 @@ for name in sorted(kb.schemas):
     print(f"  {name}: p={schema.prior}{parent}")
 
 # Subset structure: a supermarket is a store, so every ancestor check is a
-# walk up the isa tree.
+# walk up the isa tree, one parent at a time.
 print()
-print("isa_star(supermarket, store-):", kb.isa_star("supermarket", "store-"))
-print("isa_star(store-, supermarket):", kb.isa_star("store-", "supermarket"))
+chain = ["supermarket"]
+while kb.parents[chain[-1]] is not None:
+    chain.append(kb.parents[chain[-1]])
+print("isa chain of supermarket:", " -> ".join(chain))
 
 # The adjacency index is what the marker passer spreads over.  Every move
 # has its inverse at the far end.

@@ -32,10 +32,12 @@ whole-path scores, path parsing looks links up in the table, a path's text
 joins theirs, and the adjacency the marker spreads over lists the same
 links by the schema they leave.  Two flat tables serve the per-path work
 after the marker: `priors` (name to prior) and `parents` (name to isa
-parent, or None).  `KnowledgeBase.prior` and `ancestors_or_self` are their
-checked readers, for names that come from input.  A schema's ancestors are
-walked through `parents` rather than stored per schema, which would take
-memory quadratic in the depth of the isa tree.
+parent, or None); `KnowledgeBase.prior` is the checked reader for schema
+names that come from input.  A third, `slot_owners` (slot name to the
+schemas that declare it), serves the check of a stream's corroboration
+records.  A schema's ancestors are walked through `parents` rather than
+stored per schema, which would take memory quadratic in the depth of the
+isa tree.
 
 Priors and observation beliefs are normal floats: `load_kb` and
 `KnowledgeBase.check_observation` reject one below ``sys.float_info.min``,
@@ -89,12 +91,6 @@ class Schema:
     prior: float
     slots: tuple[tuple[str, str], ...] = ()
 
-    def filler_of(self, slot: str) -> str | None:
-        for slot_name, filler in self.slots:
-            if slot_name == slot:
-                return filler
-        return None
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -114,28 +110,13 @@ class KnowledgeBase:
     links: dict[str, TraversalLink] = field(compare=False)
     priors: dict[str, float] = field(compare=False)
     parents: dict[str, str | None] = field(compare=False)
-
-    def schema(self, name: str) -> Schema:
-        try:
-            return self.schemas[name]
-        except KeyError:
-            raise KbError(f"unknown schema {name!r}") from None
+    slot_owners: dict[str, set[str]] = field(compare=False)
 
     def prior(self, name: str) -> float:
         try:
             return self.priors[name]
         except KeyError:
             raise KbError(f"unknown schema {name!r}") from None
-
-    def isa_star(self, a: str, b: str) -> bool:
-        """True iff ``b`` is a proper isa ancestor of ``a``."""
-        self.schema(b)
-        parent = self.schema(a).parent
-        while parent is not None:
-            if parent == b:
-                return True
-            parent = self.schemas[parent].parent
-        return False
 
     def check_observation(self, obs: Observation) -> None:
         """Raise `KbError` for an unknown schema, `ValueError` for a belief
@@ -150,24 +131,6 @@ class KnowledgeBase:
             raise ValueError(
                 f"cannot scale evidence for {obs.instance!r}: type prior is 1 "
                 f"but belief is {obs.belief!r}")
-
-    def ancestors_or_self(self, name: str) -> list[str]:
-        chain = [name]
-        parent = self.schema(name).parent
-        while parent is not None:
-            chain.append(parent)
-            parent = self.parents[parent]
-        return chain
-
-    def declared_slot(self, owner_type: str, slot: str) -> tuple[str, str] | None:
-        """Find ``slot`` on ``owner_type`` or the nearest ancestor declaring
-        it; returns (declaring schema, filler schema).  Slots are inherited
-        downward because a subtype is a subset of its parent."""
-        for name in self.ancestors_or_self(owner_type):
-            filler = self.schemas[name].filler_of(slot)
-            if filler is not None:
-                return name, filler
-        return None
 
     def render(self) -> str:
         """Canonical textual form; `load_kb` of it reproduces this base."""
@@ -283,6 +246,7 @@ def load_kb(text: str) -> KnowledgeBase:
                 f"above the parent prior {parent_prior!r}", parent_line)
 
     slot_map: dict[str, dict[str, str]] = {name: {} for name in raw_schemas}
+    slot_owners: dict[str, set[str]] = {}
     for filled, slot, filler, line in raw_roles:
         if filled not in raw_schemas:
             raise KbError(f"role on unknown schema {filled!r}", line)
@@ -297,6 +261,7 @@ def load_kb(text: str) -> KnowledgeBase:
                 f"equality prior {eq_prior!r} exceeds the prior of filler "
                 f"type {filler!r}", line)
         slot_map[filled][slot] = filler
+        slot_owners.setdefault(slot, set()).add(filled)
 
     schemas = {
         name: Schema(
@@ -311,7 +276,8 @@ def load_kb(text: str) -> KnowledgeBase:
     adjacency, links = _build_adjacency(schemas, priors)
     return KnowledgeBase(schemas=schemas, eq_prior=eq_prior,
                          adjacency=adjacency, links=links, priors=priors,
-                         parents={name: parent for name, (parent, _, _) in raw_schemas.items()})
+                         parents={name: parent for name, (parent, _, _) in raw_schemas.items()},
+                         slot_owners=slot_owners)
 
 
 # The adjacency lists the links leaving a schema by (destination, kind,

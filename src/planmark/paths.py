@@ -227,11 +227,14 @@ def validate(path: Path) -> bool:
     return state // 2 != _NO_ROLE_YET
 
 
-# Whitespace and ';' comments, then a whole form with no comment or
-# parenthesis inside; group 1 is the text between its parentheses.  A
-# comment must run to the end of its line, so the gap has one reading
-# and a failed match backtracks in linear time.
-_FLAT_FORM_RE = re.compile(r"\s*(?:;[^\n]*(?![^\n])\s*)*\(([^();]*)\)")
+# Whitespace and ';' comments, then a whole form; group 1 is the text
+# between its parentheses, which holds no parenthesis outside a comment.
+# Every comment runs to the end of its line (inside a form, to a newline),
+# so each part of the text has one reading and a failed match backtracks
+# in linear time.
+_FORM_RE = re.compile(r"\s*(?:;[^\n]*(?![^\n])\s*)*\(([^();]*(?:;[^\n]*\n[^();]*)*)\)")
+
+_COMMENT_RE = re.compile(r";[^\n]*")
 
 # An atom, a parenthesis or a ';' comment running to the end of the line;
 # whitespace between them is skipped.
@@ -248,51 +251,34 @@ def read_forms(text: str,
     of the line and nesting is not allowed.  A syntax error raises
     ``error(message, line, position)``.
 
-    A form with no comment inside is read in one regex match and split on
-    whitespace.  A form with a comment inside, the end of the text and
-    every syntax error are read token by token."""
+    Each form is read in one regex match and split on whitespace, after
+    its comments are cut out.  Once no form matches, only whitespace and
+    comments may remain; otherwise the first token names the error."""
     forms: list[Form] = []
     line, counted = 1, 0
     pos = 0  # where the text after the last complete form starts
-    match_flat = _FLAT_FORM_RE.match
-    while True:
-        flat = match_flat(text, pos)
-        if flat is not None:
-            at = flat.start(1) - 1
+    match_form = _FORM_RE.match
+    while (form := match_form(text, pos)) is not None:
+        at = form.start(1) - 1
+        line += text.count("\n", counted, at)
+        counted = at
+        body = form.group(1)
+        if ";" in body:
+            body = _COMMENT_RE.sub("", body)
+        items = body.split()
+        if not items:
+            raise error("empty form", line, at)
+        forms.append((items, line, at))
+        pos = form.end()
+    for match in _TOKEN_RE.finditer(text, pos):
+        tok = match.group()
+        if tok[0] != ";":
+            at = match.start()
             line += text.count("\n", counted, at)
-            counted = at
-            items = flat.group(1).split()
-            if not items:
-                raise error("empty form", line, at)
-            forms.append((items, line, at))
-            pos = flat.end()
-            continue
-        items = None  # the open form's items after the '('
-        for match in _TOKEN_RE.finditer(text, pos):
-            tok = match.group()
-            if tok[0] == ";":
-                continue
-            if items is None:
-                at = match.start()
-                line += text.count("\n", counted, at)
-                counted = at
-                if tok != "(":
-                    raise error(f"expected '(' but found {tok!r}", line, at)
-                items = []
-            elif tok == ")":
-                if not items:
-                    raise error("empty form", line, at)
-                forms.append((items, line, at))
-                pos = match.end()
-                break
-            elif tok == "(":
-                raise error("unterminated form", line, at)
-            else:
-                items.append(tok)
-        else:
-            if items is not None:
-                raise error("unterminated form", line, at)
-            return forms
+            if tok != "(":
+                raise error(f"expected '(' but found {tok!r}", line, at)
+            raise error("unterminated form", line, at)
+    return forms
 
 
 # The fresh instances of RS(P) are named gen-<j> when a path is translated

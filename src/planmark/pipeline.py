@@ -149,11 +149,20 @@ def _check_corroboration(kb: KnowledgeBase, schema: str, slot: str) -> None:
     # A slot equality is corroborated at its owner's relevant type or an
     # ancestor, and that type has the slot, so a record whose slot is
     # declared on no ancestor, descendant or the schema itself never counts.
-    if kb.declared_slot(schema, slot) is None and not any(
-            other.filler_of(slot) is not None and kb.isa_star(other.name, schema)
-            for other in kb.schemas.values()):
-        raise KbError(f"slot {slot!r} is declared neither on {schema!r} nor on "
-                      "its isa ancestors or descendants")
+    kb.prior(schema)  # rejects an unknown schema
+    owners, parents = kb.slot_owners.get(slot, ()), kb.parents
+    name = schema
+    while name is not None:  # declared on the schema or an ancestor
+        if name in owners:
+            return
+        name = parents[name]
+    for name in owners:  # declared on a descendant
+        while name is not None:
+            if name == schema:
+                return
+            name = parents[name]
+    raise KbError(f"slot {slot!r} is declared neither on {schema!r} nor on "
+                  "its isa ancestors or descendants")
 
 
 def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:

@@ -7,7 +7,10 @@ looks the flipped tag and the same names up in the link table, so the
 tests cross-check the twin), `reverse` reads a path from its other end,
 `path_schemas` lists the schema at every position, `step` advances the
 validity DFA by one move or kind, and `relevant_instance_trace` names the
-instance at every position of a path.
+instance at every position of a path.  `ancestors_or_self`, `isa_star`
+and `declared_slot` walk the isa tree and find a slot through each
+`Schema`'s own ``parent`` and ``slots``, so the tests cross-check the
+base's ``parents`` and ``slot_owners`` tables.
 
 `enumerate_paths_oracle` is the marker engine's reference point: a plain
 exhaustive DFS over link sequences filtered by `declarative_valid`, a
@@ -36,8 +39,8 @@ which checks every instance (observed, or corroborated for any slot) and
 every slot equality by scanning all corroboration records.  The package
 reads relevant types off the walk's shape and looks slots up in an index.
 `read_forms_by_tokens` is the original s-expression reader, which reads
-every form token by token; the package reads a form with no comment
-inside in one regex match.
+every form token by token; the package reads each form in one regex
+match.
 
 The rest are reference evaluators for vertebrate networks.
 
@@ -121,6 +124,32 @@ def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]
         else:
             trace.append(trace[-1])
     return trace
+
+
+def ancestors_or_self(kb: KnowledgeBase, name: str) -> list[str]:
+    """``name`` and its isa ancestors, nearest first."""
+    chain = [name]
+    parent = kb.schemas[name].parent
+    while parent is not None:
+        chain.append(parent)
+        parent = kb.schemas[parent].parent
+    return chain
+
+
+def isa_star(kb: KnowledgeBase, a: str, b: str) -> bool:
+    """True iff ``b`` is a proper isa ancestor of ``a``."""
+    return b in ancestors_or_self(kb, a)[1:]
+
+
+def declared_slot(kb: KnowledgeBase, owner_type: str, slot: str) -> tuple[str, str] | None:
+    """(declaring schema, filler schema) of ``slot`` on ``owner_type`` or
+    the nearest ancestor declaring it, or None.  Slots are inherited
+    downward because a subtype is a subset of its parent."""
+    for name in ancestors_or_self(kb, owner_type):
+        for slot_name, filler in kb.schemas[name].slots:
+            if slot_name == slot:
+                return name, filler
+    return None
 
 
 class OracleGuardError(Exception):
@@ -259,8 +288,8 @@ def enumerate_paths_oracle(kb: KnowledgeBase, obs1: Observation, obs2: Observati
     """Every valid path between two observations with at most ``max_depth``
     links, by exhaustive DFS.  Only usable on small bases; raises
     `OracleGuardError` past ``prefix_guard`` visited prefixes."""
-    kb.schema(obs1.schema)
-    kb.schema(obs2.schema)
+    kb.prior(obs1.schema)
+    kb.prior(obs2.schema)
     if obs1.instance == obs2.instance:
         raise ValueError("oracle endpoints must be distinct instances")
     found: list[Path] = []
@@ -434,9 +463,9 @@ class GlueThenValidateEngine(MarkerEngine):
 def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:
     best = types[0]
     for t in types[1:]:
-        if t == best or kb.isa_star(t, best):
+        if t == best or isa_star(kb, t, best):
             best = t
-        elif not kb.isa_star(best, t):
+        elif not isa_star(kb, best, t):
             raise ValueError(
                 f"types of {instance!r} are not on one isa chain: {best!r}, {t!r}")
     return best
@@ -489,7 +518,7 @@ def evidence_filter_by_scan(kb: KnowledgeBase, rs: StatementSet,
         for recorded_schema, recorded_slot in registry.records:
             if slot is not None and recorded_slot != slot:
                 continue
-            if recorded_schema == schema or kb.isa_star(schema, recorded_schema):
+            if recorded_schema == schema or isa_star(kb, schema, recorded_schema):
                 return True
         return False
 

@@ -36,6 +36,7 @@ from conftest import (
 )
 from oracles import (
     ScanRegistry,
+    ancestors_or_self,
     evidence_filter_by_scan,
     masses_by_enumeration,
     posterior_by_elimination,
@@ -352,7 +353,7 @@ def _random_registries(rng, base, path, rs, count):
         records = [(rng.choice(names), rng.choice(slots)) for _ in range(rng.randrange(4))]
         for eq in rs.eqs:
             if rng.random() < 0.8:
-                near = base.ancestors_or_self(rt[eq.owner]) + [rng.choice(names)]
+                near = ancestors_or_self(base, rt[eq.owner]) + [rng.choice(names)]
                 records.append((rng.choice(near), eq.slot))
         index = EvidenceRegistry()
         scan = ScanRegistry(observed={path.start.instance, path.end.instance})

@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from planmark import load_kb
+
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, package_env
 
 ROOT = Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_every_demo_is_found():
@@ -22,8 +25,7 @@ def test_demo_runs(demo):
 
 
 def test_readme_library_example_runs(tmp_path):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library in one breath", 1)[1]
+    section = README.split("## Library in one breath", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     (tmp_path / "fixture.kb").write_text(FIXTURE_KB_TEXT, encoding="utf-8")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -33,3 +35,9 @@ def test_readme_library_example_runs(tmp_path):
     assert first.split(" ", 1)[1] == FIG31_TEXT
     assert float(first.split()[0]) == pytest.approx(16.2, rel=1e-12)
     assert float(second) == pytest.approx(16.2, rel=1e-12)
+
+
+def test_readme_kb_format_block_is_the_fixture_base(kb):
+    section = README.split("## Knowledge base format", 1)[1]
+    text = section.split("```lisp\n", 1)[1].split("```", 1)[0]
+    assert load_kb(text) == kb

@@ -15,7 +15,7 @@ def test_fixture_loads(kb):
     assert sum(len(s.slots) for s in kb.schemas.values()) == 2
     assert kb.eq_prior == 0.001
     assert kb.prior("supermarket") == 0.01
-    assert kb.schema("supermarket").parent == "store-"
+    assert kb.schemas["supermarket"].parent == "store-"
 
 
 def test_empty_input_is_missing_eq_prior():
@@ -135,26 +135,9 @@ def test_comments_and_whitespace_ignored():
     assert load_kb(text).prior("a") == 0.5
 
 
-def test_isa_star(kb):
-    assert kb.isa_star("supermarket", "store-")
-    assert not kb.isa_star("supermarket", "supermarket")  # proper ancestry only
-    assert not kb.isa_star("store-", "supermarket")
-
-
-def test_isa_star_transitive():
-    base = load_kb("(eq-prior 0.1)(schema top :prior 0.5)"
-                   "(schema mid :isa top :prior 0.2)"
-                   "(schema leaf :isa mid :prior 0.1)")
-    assert base.isa_star("leaf", "mid")
-    assert base.isa_star("leaf", "top")
-    assert not base.isa_star("top", "leaf")
-
-
 def test_unknown_schema_raises(kb):
     with pytest.raises(KbError, match="unknown schema"):
         kb.prior("ghost")
-    with pytest.raises(KbError):
-        kb.isa_star("ghost", "store-")
 
 
 def test_neighbors_of_supermarket(kb):
@@ -279,3 +262,9 @@ def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
     # The filter and the networks read these flat tables.
     assert base.priors == {name: schema.prior for name, schema in base.schemas.items()}
     assert base.parents == {name: schema.parent for name, schema in base.schemas.items()}
+    # The corroboration check reads this one.
+    owners = {}
+    for name, schema in base.schemas.items():
+        for slot, _ in schema.slots:
+            owners.setdefault(slot, set()).add(name)
+    assert base.slot_owners == owners

@@ -250,6 +250,7 @@ def test_reader_agrees_with_the_token_oracle(text):
     ("(a)\r\n(b c)\r\n; d\r\n(e)", [(["a"], 1, 0), (["b", "c"], 2, 5), (["e"], 4, 17)]),
     ("; only a comment", []),
     ("", []),
+    ("(a ; (x\n b)", [(["a", "b"], 1, 0)]),
 ])
 def test_reader_cases(text, expected):
     new, old = read_both(text)

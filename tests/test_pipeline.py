@@ -18,7 +18,14 @@ from planmark.scoring import score_path
 from planmark.semantics import Inst, SlotEq, relevant_statements
 
 from conftest import chain_kb_text
-from oracles import random_kb, random_kb_stream, relevant_statements_by_fold
+from oracles import (
+    ancestors_or_self,
+    declared_slot,
+    isa_star,
+    random_kb,
+    random_kb_stream,
+    relevant_statements_by_fold,
+)
 
 FIXTURE_STREAM = """
 (inst supermarket2 supermarket :belief 0.9)
@@ -92,6 +99,65 @@ def test_corroboration_of_an_undeclared_slot_is_rejected(kb):
     report = run(kb, fixture_config(), FIXTURE_STREAM.replace(
         "supermarket-shopping", "shopping"))
     assert report.evaluated == 1
+
+
+def corroboration_error(base, schema, slot):
+    """What `run` says of one corroboration record: None if it accepts it."""
+    try:
+        run(base, RunConfig(), f"(corroborate {schema} {slot})\n")
+    except KbError as exc:
+        return str(exc)
+    return None
+
+
+def declared_around(base, schema, slot):
+    """Whether ``slot`` is declared on ``schema``, an isa ancestor of it or
+    an isa descendant of it."""
+    return declared_slot(base, schema, slot) is not None or any(
+        slot in dict(other.slots) and isa_star(base, other.name, schema)
+        for other in base.schemas.values())
+
+
+def test_corroboration_check_matches_a_restatement(kb):
+    checked = 0
+    for base in [kb] + [random_kb(seed) for seed in range(40)]:
+        slots = {slot for schema in base.schemas.values() for slot, _ in schema.slots}
+        for schema in [*sorted(base.schemas), "ghost"]:
+            for slot in [*sorted(slots), "nope"]:
+                if schema not in base.schemas:
+                    expected = f"line 1: unknown schema {schema!r}"
+                elif declared_around(base, schema, slot):
+                    expected = None
+                else:
+                    expected = (f"line 1: slot {slot!r} is declared neither on "
+                                f"{schema!r} nor on its isa ancestors or descendants")
+                assert corroboration_error(base, schema, slot) == expected, (schema, slot)
+                checked += expected is None
+    assert checked > 100
+
+
+SIBLING_KB_TEXT = ("(eq-prior 0.01)(schema p :prior 0.5)(schema a :isa p :prior 0.2)"
+                   "(schema b :isa p :prior 0.2)(schema c :isa a :prior 0.1)"
+                   "(schema f :prior 0.5)(role a s f)")
+
+
+@pytest.mark.parametrize("schema,slot,message", [
+    ("a", "s", None),   # declared here
+    ("p", "s", None),   # on a descendant
+    ("c", "s", None),   # on an ancestor
+    # A sibling of the declaring schema shares an ancestor with it, but
+    # neither lies above the other.
+    ("b", "s", "slot 's' is declared neither on 'b' nor on its isa ancestors "
+               "or descendants"),
+    ("f", "s", "slot 's' is declared neither on 'f' nor on its isa ancestors "
+               "or descendants"),
+    ("ghost", "s", "unknown schema 'ghost'"),
+    ("a", "nope", "slot 'nope' is declared neither on 'a' nor on its isa "
+                  "ancestors or descendants"),
+])
+def test_corroboration_check_on_siblings(schema, slot, message):
+    expected = None if message is None else f"line 1: {message}"
+    assert corroboration_error(load_kb(SIBLING_KB_TEXT), schema, slot) == expected
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -232,7 +298,7 @@ def test_record_field_names_and_order_are_fixed(kb):
 def filter_by_ancestors(base, rs, registry):
     relevant_type = {inst.instance: inst.schema for inst in rs.insts}
     return all(any(eq.slot in registry.slots.get(schema, ())
-                   for schema in base.ancestors_or_self(relevant_type[eq.owner]))
+                   for schema in ancestors_or_self(base, relevant_type[eq.owner]))
                for eq in rs.eqs)
 
 

@@ -9,7 +9,7 @@ from planmark import (
 from planmark.paths import LinkKind
 
 from conftest import marker_paths, sample_paths
-from oracles import relevant_instance_trace, relevant_statements_by_fold
+from oracles import declared_slot, isa_star, relevant_instance_trace, relevant_statements_by_fold
 
 
 def test_trace_of_fig31(fig31):
@@ -148,7 +148,7 @@ def test_dropped_statements_are_implied(kb):
         rt = {s.instance: s.schema for s in rs.insts}
         for dropped in set(sset.statements) - set(rs.statements):
             assert isinstance(dropped, Inst)
-            assert base.isa_star(rt[dropped.instance], dropped.schema)
+            assert isa_star(base, rt[dropped.instance], dropped.schema)
 
 
 def test_sloteq_well_typed_on_sampled_paths():
@@ -156,11 +156,11 @@ def test_sloteq_well_typed_on_sampled_paths():
         rs = relevant_statements(path)
         rt = {s.instance: s.schema for s in rs.insts}
         for eq in rs.eqs:
-            declared = base.declared_slot(rt[eq.owner], eq.slot)
+            declared = declared_slot(base, rt[eq.owner], eq.slot)
             assert declared is not None, "owner's relevant type must have the slot"
             _, filler_type = declared
             filler_rt = rt[eq.filler]
-            assert filler_rt == filler_type or base.isa_star(filler_rt, filler_type)
+            assert filler_rt == filler_type or isa_star(base, filler_rt, filler_type)
 
 
 def test_determinism(kb, fig31):
