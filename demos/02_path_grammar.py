@@ -33,7 +33,7 @@ def show_dfa(title, kinds):
     state = START_STATE
     trace = []
     for kind in kinds:
-        state = STEP[state][kind.order]
+        state = STEP[state][kind]
         if state is None:
             trace.append("REJECTED")
             break

@@ -9,7 +9,6 @@ small Bayesian network each path induces.
 
 from .bayes import (
     Cpts,
-    EvidenceRegistry,
     VertebrateNetwork,
     approve,
     build_network,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cpts",
-    "EvidenceRegistry",
     "VertebrateNetwork",
     "approve",
     "build_network",

@@ -50,16 +50,16 @@ statements in spine order, each at its relevant type, and the network
 holds those statements with the prior of each one's type, looked up once
 in the base's prior table, and the declared filler type of each equality.
 Before a path is evaluated, `evidence_filter` asks whether the input
-corroborates every slot binding it claims: the registry indexes the
-corroborated slots by schema, and each of RS(P)'s equalities is looked up
-at its owner's relevant type and that type's ancestors, walked through the
-base's parent table.  After evaluation, `approve` compares the posterior
+corroborates every slot binding it claims: a plain dict maps each schema
+to the slots corroborated at it, and each of RS(P)'s equalities is looked
+up at its owner's relevant type and that type's ancestors, walked through
+the base's parent table.  After evaluation, `approve` compares the posterior
 with the prior of the fresh instances the path hypothesizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 from .kb import KnowledgeBase, Observation
@@ -190,30 +190,20 @@ def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, floa
 
 # -- evidence filtering and approval ------------------------------------------
 
-@dataclass
-class EvidenceRegistry:
-    """What the rest of the input corroborates: the slots corroborated at
-    each schema."""
-
-    slots: dict[str, set[str]] = field(default_factory=dict)
-
-    def add_corroboration(self, schema: str, slot: str) -> None:
-        self.slots.setdefault(schema, set()).add(slot)
-
-
 def evidence_filter(kb: KnowledgeBase, rs: StatementSet,
-                    registry: EvidenceRegistry) -> bool:
+                    corroborated: dict[str, set[str]]) -> bool:
     """True iff every slot equality of RS(P) is corroborated for its slot
-    at the owner's relevant type or an ancestor of it.
+    at the owner's relevant type or an ancestor of it; ``corroborated``
+    maps a schema to the slots corroborated at it.
 
     That is all RS(P) asserts that needs support: its two end instances
     were observed, and every fresh instance owns an equality, so the
     record that supports the equality supports the instance too."""
     # An inst statement is an (instance, schema) pair.
-    relevant_type, parents, slots = dict(rs.insts), kb.parents, registry.slots
+    relevant_type, parents = dict(rs.insts), kb.parents
     for owner, slot, _ in rs.eqs:
         schema = relevant_type[owner]
-        while slot not in slots.get(schema, ()):
+        while slot not in corroborated.get(schema, ()):
             schema = parents[schema]
             if schema is None:
                 return False

@@ -24,10 +24,11 @@ forward references allowed)::
 
 Loading also builds the base's link table, `KnowledgeBase.links`: each
 role and isa link, in both directions, is one `TraversalLink` keyed by its
-text, which carries where it leaves and arrives, the link kind's column in
-the DFA step table, the link's spinal-contribution multiplier and the same
-link walked the other way, its twin.  `_build_adjacency` is the one place
-those multipliers are defined; the marker passer folds them into half and
+text, which carries its kind (whose value is its column in the DFA step
+table), the slot and filler type of a role link, where it leaves and
+arrives, its spinal-contribution multiplier and the same link walked the
+other way, its twin.  `_build_adjacency` is the one place those
+multipliers are defined; the marker passer folds them into half and
 whole-path scores, path parsing looks links up in the table, a path's text
 joins theirs, and the adjacency the marker spreads over lists the same
 links by the schema they leave.  Two flat tables serve the per-path work
@@ -285,7 +286,7 @@ def load_kb(text: str) -> KnowledgeBase:
 # (destination, kind) only when they are role links between the same two
 # schemas; those are built in the order of the owner's sorted slots, so a
 # stable sort on this key orders them by slot as well.
-_BY_DESTINATION_AND_KIND = attrgetter("destination", "column")
+_BY_DESTINATION_AND_KIND = attrgetter("destination", "kind")
 
 
 def _build_adjacency(schemas: dict[str, Schema], priors: dict[str, float]

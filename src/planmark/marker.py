@@ -137,7 +137,7 @@ class MarkerEngine:
             if marks.get((origin.instance, mark.at, mark.state)) is not mark:
                 continue  # superseded by a better trail
             for link in adjacency[mark.at]:
-                state = row[link.column]
+                state = row[link.kind]
                 if state is None:
                     continue
                 extended = score * link.multiplier

@@ -19,8 +19,9 @@ re-typing.  The whole grammar compiles to a six-state DFA whose states are
 the ints 0-5: a 6x4 table `STEP` advances it by one move, and a 6x6 table
 `SEAM_VALID` says whether two trails glued end to end form a valid path.
 Both are plain tuple lookups, cheap enough for the marker passer to run at
-every extension and every meeting.  Links and link kinds hash by
-identity, so paths and their links hash without calling Python code.
+every extension and every meeting.  Links hash by identity and link
+kinds as their ints, so paths and their links hash without calling
+Python code.
 
 Surface syntax, used everywhere a path is printed or parsed::
 
@@ -70,64 +71,46 @@ class PathError(Exception):
         return cls(message, position)
 
 
-class LinkKind(enum.Enum):
-    """The four move kinds; ``value`` is the surface tag.  Each member also
-    carries plain attributes: ``tag`` (the same surface tag, read without
-    Enum's ``value`` descriptor), ``is_role`` and ``order`` (its tie-break
-    rank in neighbor listings and its column in the `STEP` table)."""
+class LinkKind(enum.IntEnum):
+    """The four move kinds.  A kind's value is its column in the `STEP`
+    table and its tie-break rank in neighbor listings; each up kind sits
+    beside its down kind.  ``tag`` is its surface tag and ``is_role``
+    whether it crosses a slot.  Link text is written from ``tag``, never
+    by formatting the member, whose `str` differs across Python versions."""
 
-    ROLE_UP = "role"
-    ROLE_DOWN = "role-"
-    ISA_UP = "isa"
-    ISA_DOWN = "isa-"
+    ISA_UP = 0
+    ISA_DOWN = 1
+    ROLE_UP = 2
+    ROLE_DOWN = 3
 
-    # Members are singletons, so identity is equality: hash in C by
-    # address instead of Enum's Python-level hash of the name.
-    __hash__ = object.__hash__
-
-
-# The kinds in their tie-break order for neighbor listings, which is also
-# their column in the `STEP` table; each up kind sits beside its down kind.
-_KINDS_BY_ORDER = (LinkKind.ISA_UP, LinkKind.ISA_DOWN, LinkKind.ROLE_UP, LinkKind.ROLE_DOWN)
-
-
-def _attach_kind_attributes() -> None:
-    for order, kind in enumerate(_KINDS_BY_ORDER):
-        kind.order = order
-        kind.tag = kind.value
-        kind.is_role = order >= 2
-
-
-_attach_kind_attributes()
+    def __init__(self, value: int):
+        self.tag = ("isa", "isa-", "role", "role-")[value]
+        self.is_role = value >= 2
 
 
 class TraversalLink:
     """One direction of one KB link: the base's link table entry itself.
 
-    ``kind`` is the direction, and the declaration-order names are
-    (``filled``, ``slot``, ``filler``) for role kinds and (``specific``,
-    ``general``) for isa kinds; the unused ones stay empty.  ``source`` and
-    ``destination`` are the schemas the move leaves and reaches, ``column``
-    the kind's column in `STEP`, ``multiplier`` its factor in the spinal
-    contribution, ``twin`` the same KB link walked the other way and
-    ``text`` its surface form.  Only `load_kb` builds links, one object per
-    direction, so links compare and hash by identity, in C."""
+    ``kind`` is the direction, ``slot`` and ``filler`` the slot's name and
+    declared filler type for role kinds (empty for isa kinds), ``source``
+    and ``destination`` the schemas the move leaves and reaches,
+    ``multiplier`` its factor in the spinal contribution, ``twin`` the
+    same KB link walked the other way and ``text`` its surface form, with
+    the link's names in declaration order.  Only `load_kb` builds links,
+    one object per direction, so links compare and hash by identity, in C."""
 
-    __slots__ = ("kind", "filled", "slot", "filler", "specific", "general",
-                 "source", "destination", "column", "multiplier", "twin", "text")
+    __slots__ = ("kind", "slot", "filler", "source", "destination",
+                 "multiplier", "twin", "text")
 
     def __init__(self, kind: LinkKind, names: tuple[str, ...], source: str,
                  destination: str, multiplier: float):
         self.kind = kind
         if kind.is_role:
-            self.filled, self.slot, self.filler = names
-            self.specific = self.general = ""
+            _, self.slot, self.filler = names
         else:
-            self.specific, self.general = names
-            self.filled = self.slot = self.filler = ""
+            self.slot = self.filler = ""
         self.source = source
         self.destination = destination
-        self.column = kind.order
         self.multiplier = multiplier
         self.text = f"({kind.tag} {' '.join(names)})"
 
@@ -155,9 +138,9 @@ def _next_state(state: int, kind: LinkKind) -> int | None:
     return 2 * _DOWN_PHASE
 
 
-# STEP[state][kind.order]: the state after one more move, or None when the
+# STEP[state][kind]: the state after one more move, or None when the
 # prefix can never extend to a valid path (rejection is terminal).
-STEP = tuple(tuple(_next_state(state, kind) for kind in _KINDS_BY_ORDER)
+STEP = tuple(tuple(_next_state(state, kind) for kind in LinkKind)
              for state in ALL_STATES)
 
 
@@ -221,7 +204,7 @@ def validate(path: Path) -> bool:
     _check_structure(path)
     state: int | None = START_STATE
     for link in path.links:
-        state = STEP[state][link.kind.order]
+        state = STEP[state][link.kind]
         if state is None:
             return False
     return state // 2 != _NO_ROLE_YET

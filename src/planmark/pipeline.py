@@ -35,7 +35,6 @@ import re
 from dataclasses import dataclass, field
 
 from .bayes import (
-    EvidenceRegistry,
     approve,
     build_network,
     default_cpts,
@@ -167,7 +166,7 @@ def _check_corroboration(kb: KnowledgeBase, schema: str, slot: str) -> None:
 
 def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     engine = MarkerEngine(kb, config.engine)
-    registry = EvidenceRegistry()
+    corroborated: dict[str, set[str]] = {}
 
     for head, payload, line in parse_stream(stream_text):
         # The base rejects a record's unknown schema or belief out of range,
@@ -177,8 +176,9 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 engine.seed(payload)
                 engine.spread()
             else:
-                _check_corroboration(kb, *payload)
-                registry.add_corroboration(*payload)
+                schema, slot = payload
+                _check_corroboration(kb, schema, slot)
+                corroborated.setdefault(schema, set()).add(slot)
         except (KbError, ValueError) as exc:
             raise KbError(str(exc), line) from None
 
@@ -188,7 +188,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(zip(engine.emitted, engine.scores), start=1):
         rs = relevant_statements(path, fresh_prefix=f"p{index}-gen-")
-        passed = evidence_filter(kb, rs, registry)
+        passed = evidence_filter(kb, rs, corroborated)
         record = PathRecord(path_text=path.render(), sc=sc, rs_text=rs.render(),
                             filtered="pass" if passed else "fail",
                             posterior=None, residual=None, approved=False)

@@ -1,7 +1,8 @@
 """Reference implementations used only by the tests.
 
 The first helpers restate, for the tests, what the package no longer
-needs: `link_names` lists a link's declaration-order names, `flip` walks
+needs: `link_names` reads a link's declaration-order names from its
+text (the link keeps only the slot and filler of them), `flip` walks
 a link the other way (the base stores each link's twin instead; `flip`
 looks the flipped tag and the same names up in the link table, so the
 tests cross-check the twin), `reverse` reads a path from its other end,
@@ -79,11 +80,10 @@ FLIPPED = {LinkKind.ISA_UP: LinkKind.ISA_DOWN, LinkKind.ISA_DOWN: LinkKind.ISA_U
 
 
 def link_names(link: TraversalLink) -> tuple[str, ...]:
-    """The link's names in declaration order: (filled, slot, filler) for
-    a role link, (specific, general) for an isa edge."""
-    if link.kind.is_role:
-        return link.filled, link.slot, link.filler
-    return link.specific, link.general
+    """The link's names in declaration order, read from its text:
+    (filled, slot, filler) for a role link, (specific, general) for an
+    isa edge."""
+    return tuple(link.text[1:-1].split()[1:])
 
 
 def flip(kb: KnowledgeBase, link: TraversalLink) -> TraversalLink:
@@ -107,7 +107,7 @@ def step(state: int, link: TraversalLink | LinkKind) -> int | None:
     """Advance the validity DFA by one move; ``None`` means the prefix can
     never extend to a valid path."""
     kind = link.kind if isinstance(link, TraversalLink) else link
-    return STEP[state][kind.order]
+    return STEP[state][kind]
 
 
 def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planmark import (
-    EvidenceRegistry,
     KbError,
     MarkerEngine,
     Observation,
@@ -300,10 +299,7 @@ def test_twelve_role_chain_is_evaluated():
 
 
 def registry_for_fig31():
-    registry = EvidenceRegistry()
-    registry.add_corroboration("supermarket-shopping", "store-of")
-    registry.add_corroboration("supermarket-shopping", "go-step")
-    return registry
+    return {"supermarket-shopping": {"store-of", "go-step"}}
 
 
 def test_evidence_filter_passes_with_full_corroboration(kb, fig31):
@@ -313,31 +309,26 @@ def test_evidence_filter_passes_with_full_corroboration(kb, fig31):
 
 def test_evidence_filter_fails_with_empty_registry(kb, fig31):
     rs = relevant_statements(fig31)
-    assert not evidence_filter(kb, rs, EvidenceRegistry())
+    assert not evidence_filter(kb, rs, {})
 
 
 def test_evidence_filter_needs_every_equality_corroborated(kb, fig31):
     rs = relevant_statements(fig31)
     registry = registry_for_fig31()
-    registry.slots["supermarket-shopping"].discard("go-step")
+    registry["supermarket-shopping"].discard("go-step")
     assert not evidence_filter(kb, rs, registry)
 
 
 def test_evidence_filter_base_path(kb):
     path = single_role_path(kb)
     rs = relevant_statements(path)
-    registry = EvidenceRegistry()
-    registry.add_corroboration("supermarket-shopping", "store-of")
-    assert evidence_filter(kb, rs, registry)
+    assert evidence_filter(kb, rs, {"supermarket-shopping": {"store-of"}})
 
 
 def test_evidence_filter_matches_ancestors(kb, fig31):
     # A record at the isa parent covers the more specific relevant type.
     rs = relevant_statements(fig31)
-    registry = EvidenceRegistry()
-    registry.add_corroboration("shopping", "store-of")
-    registry.add_corroboration("shopping", "go-step")
-    assert evidence_filter(kb, rs, registry)
+    assert evidence_filter(kb, rs, {"shopping": {"store-of", "go-step"}})
 
 
 def _random_registries(rng, base, path, rs, count):
@@ -355,10 +346,10 @@ def _random_registries(rng, base, path, rs, count):
             if rng.random() < 0.8:
                 near = ancestors_or_self(base, rt[eq.owner]) + [rng.choice(names)]
                 records.append((rng.choice(near), eq.slot))
-        index = EvidenceRegistry()
+        index = {}
         scan = ScanRegistry(observed={path.start.instance, path.end.instance})
         for schema, slot in records:
-            index.add_corroboration(schema, slot)
+            index.setdefault(schema, set()).add(slot)
             scan.add_corroboration(schema, slot)
         yield index, scan
 

@@ -203,31 +203,36 @@ def test_adjacency_covers_every_link(kb):
 
 def prior_ratio(base, link):
     """The spinal contribution's factor for one link, restated from the
-    priors: p(filled)/p(filler) up a role, p(specific)/p(general) down an
-    isa edge, 1 otherwise."""
+    priors and the link's names: p(filled)/p(filler) up a role,
+    p(specific)/p(general) down an isa edge, 1 otherwise."""
+    names = link_names(link)
     if link.kind is LinkKind.ROLE_UP:
-        return base.prior(link.filled) / base.prior(link.filler)
+        return base.prior(names[0]) / base.prior(names[2])
     if link.kind is LinkKind.ISA_DOWN:
-        return base.prior(link.specific) / base.prior(link.general)
+        return base.prior(names[0]) / base.prior(names[1])
     return 1.0
 
 
 def ends(link):
     """(source, destination) restated from the kind and the names."""
+    names = link_names(link)
     if link.kind is LinkKind.ROLE_UP:
-        return link.filler, link.filled
+        return names[2], names[0]
     if link.kind is LinkKind.ROLE_DOWN:
-        return link.filled, link.filler
+        return names[0], names[2]
     if link.kind is LinkKind.ISA_UP:
-        return link.specific, link.general
-    return link.general, link.specific
+        return names[0], names[1]
+    return names[1], names[0]
 
 
 def declares(base, link):
     """Whether the base declares the link its names spell out."""
+    names = link_names(link)
     if link.kind.is_role:
-        return (link.slot, link.filler) in base.schemas[link.filled].slots
-    return base.schemas[link.specific].parent == link.general
+        filled, slot, filler = names
+        return (slot, filler) in base.schemas[filled].slots
+    specific, general = names
+    return base.schemas[specific].parent == general
 
 
 @pytest.mark.parametrize("seed", [None, *range(6)])
@@ -245,7 +250,7 @@ def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
         assert link.multiplier == prior_ratio(base, link)
         assert link.text == f"({link.kind.tag} {' '.join(names)})"
         assert (link.source, link.destination) == ends(link)
-        assert link.column == link.kind.order
+        assert (link.slot, link.filler) == (names[1:] if link.kind.is_role else ("", ""))
         assert link.twin.kind is FLIPPED[link.kind]
         assert link_names(link.twin) == names
         assert link.twin.twin is link
@@ -257,7 +262,7 @@ def test_adjacency_moves_cache_what_the_link_implies(kb, seed):
     # The marker emits in adjacency order, so the report bytes rest on it.
     for name in base.schemas:
         leaving = [link for link in base.links.values() if link.source == name]
-        leaving.sort(key=lambda link: (link.destination, link.kind.order, link.slot))
+        leaving.sort(key=lambda link: (link.destination, link.kind, link.slot))
         assert base.adjacency[name] == tuple(leaving)
     # The filter and the networks read these flat tables.
     assert base.priors == {name: schema.prior for name, schema in base.schemas.items()}

@@ -14,7 +14,7 @@ from planmark.paths import (
 )
 
 from conftest import FIG31_TEXT, sample_paths
-from oracles import declarative_valid, read_forms_by_tokens, reverse, step
+from oracles import declarative_valid, random_kb, read_forms_by_tokens, reverse, step
 
 U, D, RU, RD = LinkKind.ISA_UP, LinkKind.ISA_DOWN, LinkKind.ROLE_UP, LinkKind.ROLE_DOWN
 
@@ -63,6 +63,20 @@ def test_exactly_six_reachable_states():
                 frontier.append(nxt)
     assert reachable == set(ALL_STATES)
     assert len(reachable) == 6
+
+
+def test_link_kinds_are_step_table_columns(kb):
+    # A kind's value is its STEP column and its rank in neighbor listings;
+    # link text is written from its tag, never by formatting the member.
+    assert list(LinkKind) == [U, D, RU, RD]
+    assert [kind.value for kind in LinkKind] == [0, 1, 2, 3]
+    assert " ".join(kind.tag for kind in LinkKind) == "isa isa- role role-"
+    assert [kind.is_role for kind in LinkKind] == [False, False, True, True]
+    for base in (kb, random_kb(0, 30, 30)):
+        assert base.links
+        for link in base.links.values():
+            assert repr(link) == f"TraversalLink{link.text}"
+            assert link.text.startswith(f"({link.kind.tag} ")
 
 
 kinds_strategy = st.lists(st.sampled_from(list(LinkKind)), max_size=8)

@@ -11,7 +11,6 @@ from planmark import (
     run,
     synth_corpus,
 )
-from planmark.bayes import EvidenceRegistry
 from planmark.marker import MarkerEngine
 from planmark.pipeline import SynthParams, parse_stream
 from planmark.scoring import score_path
@@ -295,9 +294,9 @@ def test_record_field_names_and_order_are_fixed(kb):
     assert report.render().splitlines()[-1].startswith("counters ")
 
 
-def filter_by_ancestors(base, rs, registry):
+def filter_by_ancestors(base, rs, corroborated):
     relevant_type = {inst.instance: inst.schema for inst in rs.insts}
-    return all(any(eq.slot in registry.slots.get(schema, ())
+    return all(any(eq.slot in corroborated.get(schema, ())
                    for schema in ancestors_or_self(base, relevant_type[eq.owner]))
                for eq in rs.eqs)
 
@@ -321,13 +320,14 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
     for base, engine_config, stream in table_cases():
         report = run(base, RunConfig(engine=engine_config), stream)
         engine = MarkerEngine(base, engine_config)
-        registry = EvidenceRegistry()
+        corroborated = {}
         for head, payload, _ in parse_stream(stream):
             if head == "inst":
                 engine.seed(payload)
                 engine.spread()
             else:
-                registry.add_corroboration(*payload)
+                schema, slot = payload
+                corroborated.setdefault(schema, set()).add(slot)
         assert len(report.records) == len(engine.emitted)
         for index, (path, record) in enumerate(zip(engine.emitted, report.records), start=1):
             prefix = f"p{index}-gen-"
@@ -339,7 +339,7 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
                 base, path, prefix).render()
             assert rs.insts == tuple(s for s in rs.statements if isinstance(s, Inst))
             assert rs.eqs == tuple(s for s in rs.statements if isinstance(s, SlotEq))
-            verdict = filter_by_ancestors(base, rs, registry)
+            verdict = filter_by_ancestors(base, rs, corroborated)
             assert record.filtered == ("pass" if verdict else "fail")
             checked += 1
             passed += verdict

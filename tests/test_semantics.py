@@ -9,7 +9,8 @@ from planmark import (
 from planmark.paths import LinkKind
 
 from conftest import marker_paths, sample_paths
-from oracles import declared_slot, isa_star, relevant_instance_trace, relevant_statements_by_fold
+from oracles import (declared_slot, isa_star, link_names, relevant_instance_trace,
+                     relevant_statements_by_fold)
 
 
 def test_trace_of_fig31(fig31):
@@ -100,14 +101,15 @@ def _typing_events(path, trace):
     multiplicity: endpoints plus one per link arrival."""
     events = [(path.start.instance, path.start.schema)]
     for i, link in enumerate(path.links):
+        names = link_names(link)
         if link.kind is LinkKind.ROLE_UP:
-            events.append((trace[i + 1], link.filled))
+            events.append((trace[i + 1], names[0]))  # the slot's owner
         elif link.kind is LinkKind.ROLE_DOWN:
-            events.append((trace[i + 1], link.filler))
+            events.append((trace[i + 1], names[2]))  # its filler type
         elif link.kind is LinkKind.ISA_UP:
-            events.append((trace[i + 1], link.general))
+            events.append((trace[i + 1], names[1]))  # the general schema
         else:
-            events.append((trace[i + 1], link.specific))
+            events.append((trace[i + 1], names[0]))  # the specific schema
     events.append((path.end.instance, path.end.schema))
     return events
 
