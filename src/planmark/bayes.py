@@ -59,8 +59,8 @@ with the prior of the fresh instances the path hypothesizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .kb import KnowledgeBase, Observation
 from .paths import Path
@@ -68,8 +68,7 @@ from .paths import Path
 from .semantics import Inst, StatementSet, relevant_statements  # noqa: F401
 
 
-@dataclass(frozen=True)
-class VertebrateNetwork:
+class VertebrateNetwork(NamedTuple):
     """RS(P) plus priors: the path's instance statements in spine order,
     each instance's relevant-type prior, and the declared filler type of
     each slot equality in role-link order (equality k is node ``eq<k>``)."""
@@ -108,14 +107,14 @@ def build_network(kb: KnowledgeBase, path: Path,
     instances already run along the spine from the start observation to
     the end one."""
     insts, priors = rs.insts, kb.priors
-    return VertebrateNetwork(
-        insts=insts, priors=tuple([priors[schema] for _, schema in insts]),
-        filler_types=tuple([link.filler for link in path.links if link.kind.is_role]),
-        start_obs=path.start, end_obs=path.end)
+    # tuple.__new__ skips the named tuple's constructor, a Python function.
+    return tuple.__new__(VertebrateNetwork, (
+        insts, tuple([priors[schema] for _, schema in insts]),
+        tuple([link.filler for link in path.links if link.kind.is_role]),
+        path.start, path.end))
 
 
-@dataclass(frozen=True)
-class Cpts:
+class Cpts(NamedTuple):
     """Explicit tables for one network: instance priors, each equality's
     both-parents-true probability, the two end-evidence likelihood pairs
     (P(e|node true), P(e|node false)), interior strengths, and the global
@@ -155,9 +154,8 @@ def default_cpts(kb: KnowledgeBase, network: VertebrateNetwork,
         _evidence_pair(kb, network.start_obs, network.priors[0]),
         _evidence_pair(kb, network.end_obs, network.priors[-1]),
     )
-    return Cpts(inst_prior=network.priors,
-                eq_true=eq_true, evidence=evidence,
-                gamma1=gamma1, gamma0=gamma0, eq_prior=kb.eq_prior)
+    return tuple.__new__(Cpts, (network.priors, eq_true, evidence, gamma1, gamma0,
+                                eq_prior))
 
 
 def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .bayes import build_network, default_cpts, exact_posterior, render_network
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace, out) -> int:
+def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
     if args.command == "synth":
         params = SynthParams(n_plans=args.plans, n_stories=args.stories,
                              corroboration_density=args.density)
@@ -107,7 +108,7 @@ def _dispatch(args: argparse.Namespace, out) -> int:
             for i, stream in enumerate(corpus.streams):
                 out.write(f"; ---- stream {i:03d} ----\n")
                 out.write(stream)
-        return 0
+        return
 
     with open(args.kb, encoding="utf-8") as fh:
         kb = load_kb(fh.read())
@@ -116,7 +117,7 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         roles = sum(len(s.slots) for s in kb.schemas.values())
         out.write(f"ok: {len(kb.schemas)} schemas, {roles} role links, "
                   f"eq-prior {kb.eq_prior!r}\n")
-        return 0
+        return
 
     if args.command == "run":
         config = RunConfig(
@@ -131,7 +132,7 @@ def _dispatch(args: argparse.Namespace, out) -> int:
             with open(args.input, encoding="utf-8") as fh:
                 stream_text = fh.read()
         out.write(run(kb, config, stream_text).render())
-        return 0
+        return
 
     path = parse_path(kb, args.path, beliefs=args.beliefs)
     if args.command == "score":
@@ -156,19 +157,22 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         out.write(f"posterior {joint!r}\n")
         out.write(f"residual {residual!r}\n")
         out.write(f"sc {score_path(kb, path)!r}\n")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out = io.StringIO()  # --output is opened only once the command succeeds
     try:
+        _dispatch(args, out)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
-                return _dispatch(args, fh)
-        return _dispatch(args, sys.stdout)
+                fh.write(out.getvalue())
+        else:
+            sys.stdout.write(out.getvalue())
     except (KbError, PathError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -51,15 +51,16 @@ scale of prior.
 form in one regex match, the isa-cycle check walks each schema once, and
 the link table's links are built straight from each schema's own fields.
 
-A loaded `KnowledgeBase` is immutable and safe to share across threads.
+Nothing changes a `KnowledgeBase` after `load_kb` builds it, so one base
+is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .paths import LinkKind, TraversalLink, read_forms
 
@@ -82,8 +83,7 @@ class KbError(Exception):
         return cls(message, line)
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(NamedTuple):
     """One schema: its isa parent (if any), prior, and declared slots
     as (slot-name, filler-schema) pairs sorted by slot name."""
 
@@ -93,8 +93,7 @@ class Schema:
     slots: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """An observed instance: a unique identifier, the schema it was observed
     as, and the current belief p(inst | evidence) in (0, 1]."""
 
@@ -103,15 +102,26 @@ class Observation:
     belief: float = 1.0
 
 
-@dataclass(frozen=True)
 class KnowledgeBase:
-    schemas: dict[str, Schema]
-    eq_prior: float
-    adjacency: dict[str, tuple[TraversalLink, ...]] = field(compare=False)
-    links: dict[str, TraversalLink] = field(compare=False)
-    priors: dict[str, float] = field(compare=False)
-    parents: dict[str, str | None] = field(compare=False)
-    slot_owners: dict[str, set[str]] = field(compare=False)
+    """Schemas, p(==) and the tables built from them; equal bases have equal
+    schemas and p(==)."""
+
+    def __init__(self, schemas: dict[str, Schema], eq_prior: float,
+                 adjacency: dict[str, tuple[TraversalLink, ...]],
+                 links: dict[str, TraversalLink], priors: dict[str, float],
+                 parents: dict[str, str | None], slot_owners: dict[str, set[str]]):
+        self.schemas = schemas
+        self.eq_prior = eq_prior
+        self.adjacency = adjacency
+        self.links = links
+        self.priors = priors
+        self.parents = parents
+        self.slot_owners = slot_owners
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.schemas, self.eq_prior) == (other.schemas, other.eq_prior)
 
     def prior(self, name: str) -> float:
         try:

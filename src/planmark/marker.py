@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 
 from .kb import KnowledgeBase, Observation
 from .paths import SEAM_VALID, START_STATE, STEP, Path, TraversalLink
@@ -56,21 +55,23 @@ MarkKey = tuple[str, str, int]
 _NORMAL_MIN = sys.float_info.min
 
 
-@dataclass(slots=True, eq=False)
 class Mark:
     """A half path: where it started, where it is, the DFA state it left,
     its half score and the links it took, oldest first."""
 
-    origin: Observation
-    at: str
-    state: int
-    score: float
-    links: tuple[TraversalLink, ...]
+    __slots__ = ("origin", "at", "state", "score", "links")
+
+    def __init__(self, origin: Observation, at: str, state: int, score: float,
+                 links: tuple[TraversalLink, ...]):
+        self.origin = origin
+        self.at = at
+        self.state = state
+        self.score = score
+        self.links = links
 
 
-@dataclass
 class EngineConfig:
-    """Thresholds and limits for one engine run.
+    """Thresholds and limits for one engine run, by default the class attributes.
 
     ``full_threshold`` defaults to T squared: a whole path is two halves
     that each cleared T, joined by a division by a prior.  Below both
@@ -84,13 +85,18 @@ class EngineConfig:
     full_threshold: float | None = None
     max_depth: int = 10
 
-    def __post_init__(self) -> None:
-        if self.full_threshold is None:
-            self.full_threshold = self.half_threshold * self.half_threshold
-        if not (self.half_threshold >= 0 and self.full_threshold >= 0):
+    def __init__(self, half_threshold: float = half_threshold,
+                 full_threshold: float | None = full_threshold,
+                 max_depth: int = max_depth):
+        if full_threshold is None:
+            full_threshold = half_threshold * half_threshold
+        if not (half_threshold >= 0 and full_threshold >= 0):
             raise ValueError("thresholds must be nonnegative")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("max_depth must be positive")
+        self.half_threshold = half_threshold
+        self.full_threshold = full_threshold
+        self.max_depth = max_depth
 
 
 class MarkerEngine:
@@ -187,7 +193,7 @@ class MarkerEngine:
         direct = self._score_by_key.get(key)
         emitted_before = direct is not None
         if not emitted_before:
-            path = Path(start=m1.origin, links=links, end=m2.origin)
+            path = tuple.__new__(Path, (m1.origin, links, m2.origin))
             # `score_path` of the path: the same multipliers, same order.
             direct = m1.score
             for link in tail:

@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase, Observation
@@ -162,8 +161,7 @@ SEAM_VALID = tuple(tuple(_seam_valid(s1, s2) for s2 in ALL_STATES)
                    for s1 in ALL_STATES)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """An alternating walk between two observations.  ``links`` run in
     travel order from ``start`` to ``end``."""
 

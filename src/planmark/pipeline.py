@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bayes import (
     approve,
@@ -49,36 +49,44 @@ from .scoring import score_path  # noqa: F401
 from .semantics import relevant_statements
 
 
-@dataclass
 class RunConfig:
-    """Engine settings, interior evidence strengths and approval ratio."""
+    """Engine settings, interior evidence strengths and approval ratio;
+    the class attributes are the defaults."""
 
-    engine: EngineConfig = field(default_factory=EngineConfig)
     gamma1: float = 0.9
     gamma0: float = 1e-7
     approval_ratio: float = 1000.0
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gamma1 <= 1.0 and 0.0 < self.gamma0 <= 1.0):
+    def __init__(self, engine: EngineConfig | None = None, gamma1: float = gamma1,
+                 gamma0: float = gamma0, approval_ratio: float = approval_ratio):
+        if not (0.0 < gamma1 <= 1.0 and 0.0 < gamma0 <= 1.0):
             raise ValueError("interior strengths must be in (0,1]")
-        if not self.approval_ratio >= 0:
+        if not approval_ratio >= 0:
             raise ValueError("approval ratio must be nonnegative")
+        self.engine = EngineConfig() if engine is None else engine
+        self.gamma1 = gamma1
+        self.gamma0 = gamma0
+        self.approval_ratio = approval_ratio
 
 
-@dataclass
 class PathRecord:
-    path_text: str
-    sc: float
-    rs_text: str
-    filtered: str          # "pass" or "fail"
-    posterior: float | None
-    residual: float | None
-    approved: bool
+    __slots__ = ("path_text", "sc", "rs_text", "filtered", "posterior", "residual",
+                 "approved")
+
+    def __init__(self, path_text: str, sc: float, rs_text: str, filtered: str,
+                 posterior: float | None = None, residual: float | None = None,
+                 approved: bool = False):
+        self.path_text = path_text
+        self.sc = sc
+        self.rs_text = rs_text
+        self.filtered = filtered  # "pass" or "fail"
+        self.posterior = posterior
+        self.residual = residual
+        self.approved = approved
 
     def render(self) -> str:
         if self.posterior is None:
-            posterior = "-"
-            residual = "-"
+            posterior = residual = "-"
         else:
             posterior = repr(self.posterior)
             residual = repr(self.residual)
@@ -93,12 +101,13 @@ class PathRecord:
         ])
 
 
-@dataclass
 class RunReport:
-    records: list[PathRecord]
-    reported: int
-    evaluated: int
-    approved: int
+    def __init__(self, records: list[PathRecord], reported: int, evaluated: int,
+                 approved: int):
+        self.records = records
+        self.reported = reported
+        self.evaluated = evaluated
+        self.approved = approved
 
     def render(self) -> str:
         lines = ["# planmark run report"]
@@ -189,19 +198,14 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     for index, (path, sc) in enumerate(zip(engine.emitted, engine.scores), start=1):
         rs = relevant_statements(path, fresh_prefix=f"p{index}-gen-")
         passed = evidence_filter(kb, rs, corroborated)
-        record = PathRecord(path_text=path.render(), sc=sc, rs_text=rs.render(),
-                            filtered="pass" if passed else "fail",
-                            posterior=None, residual=None, approved=False)
+        record = PathRecord(path.render(), sc, rs.render(), "pass" if passed else "fail")
         if passed:
             network = build_network(kb, path, rs)
-            joint, residual = exact_posterior(network, default_cpts(
+            record.posterior, record.residual = exact_posterior(network, default_cpts(
                 kb, network, config.gamma1, config.gamma0))
             evaluated += 1
-            record.posterior = joint
-            record.residual = residual
-            record.approved = approve(network, joint, ratio=config.approval_ratio)
-            if record.approved:
-                approved_count += 1
+            record.approved = approve(network, record.posterior, ratio=config.approval_ratio)
+            approved_count += record.approved
         records.append(record)
 
     return RunReport(records=records, reported=len(engine.emitted),
@@ -210,19 +214,21 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
 
 # -- synthetic corpora ---------------------------------------------------------
 
-@dataclass
 class SynthParams:
     n_plans: int = 6
     n_stories: int = 6
     corroboration_density: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.corroboration_density <= 1.0:
+    def __init__(self, n_plans: int = n_plans, n_stories: int = n_stories,
+                 corroboration_density: float = corroboration_density):
+        if not 0.0 <= corroboration_density <= 1.0:
             raise ValueError("corroboration density must be in [0,1]")
+        self.n_plans = n_plans
+        self.n_stories = n_stories
+        self.corroboration_density = corroboration_density
 
 
-@dataclass
-class SynthCorpus:
+class SynthCorpus(NamedTuple):
     kb: KnowledgeBase
     kb_text: str
     streams: list[str]

@@ -236,6 +236,32 @@ def test_output_flag_writes_file(kb_file, tmp_path):
     assert out.read_text() == "16.2\n"
 
 
+def test_a_failing_command_leaves_its_output_file_alone(tmp_path):
+    bad, out = tmp_path / "bad.kb", tmp_path / "out.txt"
+    bad.write_text("(eq-prior 0.1)(schema a :isa b :prior 0.2)(schema b :isa a :prior 0.2)")
+    out.write_text("earlier output\n")
+    result = planmark("check", "--kb", str(bad), "--output", str(out))
+    assert result.returncode == 1
+    assert out.read_text() == "earlier output\n"
+
+
+def test_run_may_write_its_report_over_its_input(kb_file, tmp_path):
+    stream = tmp_path / "story.stream"
+    stream.write_text("(inst supermarket2 supermarket)\n(inst go1 go)\n")
+    expected = planmark("run", "--kb", kb_file, "--input", str(stream), *SPREAD_FLAGS)
+    assert "counters reported=1 " in expected.stdout
+    result = planmark("run", "--kb", kb_file, "--input", str(stream),
+                      "--output", str(stream), *SPREAD_FLAGS)
+    assert result.returncode == 0
+    assert stream.read_text() == expected.stdout
+
+
+def test_run_help_names_the_class_defaults():
+    result = planmark("run", "--help")
+    assert result.returncode == 0
+    assert "(default 30.0)" in " ".join(result.stdout.split())
+
+
 def test_synth_writes_files(tmp_path):
     prefix = str(tmp_path / "story-")
     result = planmark("synth", "--seed", "7", "--stories", "3",

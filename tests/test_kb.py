@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from planmark import KbError, load_kb
+from planmark import KbError, KnowledgeBase, Observation, load_kb
 from planmark.paths import LinkKind
 
 from conftest import planmark
@@ -190,6 +190,24 @@ def test_prior_invariants_hold_on_random_bases():
 def test_render_round_trip(seed, kb):
     for base in (kb, random_kb(seed)):
         assert load_kb(base.render()) == base
+
+
+def test_equal_schemas_and_observations_hash_equal(kb):
+    copy = load_kb(kb.render())
+    for name, schema in kb.schemas.items():
+        assert copy.schemas[name] is not schema
+        assert copy.schemas[name] == schema and hash(copy.schemas[name]) == hash(schema)
+    assert {schema: name for name, schema in kb.schemas.items()}[copy.schemas["go"]] == "go"
+    obs, twin = Observation("a", "go", 0.5), Observation(instance="a", schema="go", belief=0.5)
+    assert obs == twin and hash(obs) == hash(twin) and {obs: 1}[twin] == 1
+    assert Observation("a", "go") == Observation("a", "go", 1.0) != obs
+
+
+def test_bases_compare_on_schemas_and_eq_prior_only(kb):
+    assert load_kb(kb.render()) == kb
+    assert KnowledgeBase(kb.schemas, kb.eq_prior, {}, {}, {}, {}, {}) == kb
+    assert load_kb(kb.render().replace("(eq-prior 0.001)", "(eq-prior 0.002)")) != kb
+    assert load_kb(kb.render().replace(":prior 0.1)", ":prior 0.2)")) != kb
 
 
 def test_adjacency_covers_every_link(kb):

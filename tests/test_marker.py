@@ -79,6 +79,24 @@ def test_seeding_twice_is_idempotent(kb):
         engine.seed(Observation("supermarket2", "supermarket", 0.5))
 
 
+def test_a_conflicting_reobservation_names_the_first(kb):
+    engine = MarkerEngine(kb, small_config())
+    engine.seed(Observation("a", "go"))
+    with pytest.raises(ValueError) as raised:
+        engine.seed(Observation("a", "go", 0.5))
+    assert str(raised.value) == ("instance 'a' already observed as "
+                                 "Observation(instance='a', schema='go', belief=1.0)")
+
+
+def test_engine_config_defaults():
+    assert (EngineConfig.half_threshold, EngineConfig.full_threshold,
+            EngineConfig.max_depth) == (30.0, None, 10)
+    config = EngineConfig()
+    assert (config.half_threshold, config.full_threshold, config.max_depth) == (30.0, 900.0, 10)
+    assert EngineConfig(half_threshold=0.1).full_threshold == 0.1 * 0.1
+    assert EngineConfig(half_threshold=0.1, full_threshold=0.5).full_threshold == 0.5
+
+
 def test_seed_validation(kb):
     engine = MarkerEngine(kb, small_config())
     with pytest.raises(KbError):

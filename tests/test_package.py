@@ -1,8 +1,12 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import planmark
+
+from conftest import package_env
 
 ROOT = Path(__file__).parents[1]
 
@@ -31,3 +35,18 @@ def test_every_exported_name_is_used_by_the_package_or_the_readme():
     unused = [name for name in planmark.__all__
               if name not in used and not re.search(rf"\b{name}\b", blocks)]
     assert unused == []
+
+
+def test_import_loads_no_heavy_standard_module():
+    # A cold `planmark run` is mostly interpreter start-up and import, so
+    # importing the package must not pull in the dataclasses machinery
+    # (and with it inspect, ast and dis) or the command-line surface.
+    # Modules the interpreter had loaded before the import do not count.
+    code = ("import sys; before = set(sys.modules); import planmark; "
+            "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=package_env())
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "planmark.kb" in added
+    assert added & {"dataclasses", "inspect", "argparse", "planmark.cli"} == set()

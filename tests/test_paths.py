@@ -113,6 +113,13 @@ def test_parse_accepts_direction_left_to_the_chain(kb, fig31):
     assert parse_path(kb, legacy, beliefs=(0.9, 0.9)) == fig31
 
 
+def test_equal_paths_hash_equal(kb, fig31):
+    again = parse_path(kb, FIG31_TEXT, beliefs=(0.9, 0.9))
+    assert again is not fig31
+    assert again == fig31 and hash(again) == hash(fig31) and {fig31: 1}[again] == 1
+    assert parse_path(kb, FIG31_TEXT) != fig31
+
+
 def test_isa_only_path_is_invalid(kb):
     path = Path(start=Observation("supermarket2", "supermarket"),
                 links=(kb.links["(isa supermarket store-)"],),

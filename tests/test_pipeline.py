@@ -177,6 +177,17 @@ def test_run_config_rejects_a_nan_or_negative_approval_ratio(ratio):
         RunConfig(approval_ratio=ratio)
 
 
+def test_run_config_and_synth_params_defaults():
+    assert (RunConfig.gamma1, RunConfig.gamma0, RunConfig.approval_ratio) == (0.9, 1e-7, 1000.0)
+    config = RunConfig()
+    assert (config.gamma1, config.gamma0, config.approval_ratio) == (0.9, 1e-7, 1000.0)
+    assert (config.engine.half_threshold, config.engine.full_threshold,
+            config.engine.max_depth) == (30.0, 900.0, 10)
+    assert RunConfig().engine is not config.engine
+    params = SynthParams()
+    assert (params.n_plans, params.n_stories, params.corroboration_density) == (6, 6, 1.0)
+
+
 def test_stream_parser():
     records = parse_stream("(inst a go)\n(inst b go :belief 0.5)\n(corroborate go x)")
     assert [r[0] for r in records] == ["inst", "inst", "corroborate"]
