@@ -12,8 +12,10 @@ bound.
 
 from planmark import (
     build_network,
+    combine,
     default_cpts,
     exact_posterior,
+    extend_half,
     load_kb,
     parse_path,
     relevant_statements,
@@ -21,7 +23,6 @@ from planmark import (
     score_path,
     statements_of,
 )
-from planmark.scoring import combine, extend_half, initial_score
 
 kb = load_kb("""
 (eq-prior 0.001)
@@ -47,10 +48,10 @@ print("spinal contribution:", sc)
 # The same number from two halves glued at the collision schema: the
 # first half walks two links, the second climbs from go up the go-step slot.
 meeting = path.links[1].destination
-h1 = initial_score(path.start)
+h1 = path.start.belief
 for link in path.links[:2]:
     h1 = extend_half(kb, h1, link)
-h2 = extend_half(kb, initial_score(path.end),
+h2 = extend_half(kb, path.end.belief,
                  kb.links["(role shopping go-step go)"])
 print(f"halves at {meeting!r}: {h1} and {h2};",
       "combined:", combine(kb, meeting, h1, h2))

@@ -18,7 +18,14 @@ from .bayes import (
     render_network,
 )
 from .kb import KbError, KnowledgeBase, Observation, Schema, load_kb
-from .marker import EngineConfig, Mark, MarkerEngine
+from .marker import (
+    EngineConfig,
+    Mark,
+    MarkerEngine,
+    combine,
+    extend_half,
+    score_path,
+)
 from .paths import (
     LinkKind,
     Path,
@@ -35,13 +42,6 @@ from .pipeline import (
     SynthParams,
     run,
     synth_corpus,
-)
-from .scoring import (
-    combine,
-    extend_half,
-    initial_score,
-    score_path,
-    terminal_multiplier,
 )
 from .semantics import (
     Inst,
@@ -70,6 +70,9 @@ __all__ = [
     "EngineConfig",
     "Mark",
     "MarkerEngine",
+    "combine",
+    "extend_half",
+    "score_path",
     "LinkKind",
     "Path",
     "PathError",
@@ -83,11 +86,6 @@ __all__ = [
     "SynthParams",
     "run",
     "synth_corpus",
-    "combine",
-    "extend_half",
-    "initial_score",
-    "score_path",
-    "terminal_multiplier",
     "Inst",
     "SlotEq",
     "StatementSet",

@@ -8,10 +8,9 @@ import sys
 
 from .bayes import build_network, default_cpts, exact_posterior, render_network
 from .kb import KbError, load_kb
-from .marker import EngineConfig
+from .marker import EngineConfig, score_path
 from .paths import PathError, parse_path
 from .pipeline import RunConfig, SynthParams, run, synth_corpus
-from .scoring import score_path
 from .semantics import relevant_statements, statements_of
 
 

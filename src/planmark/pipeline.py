@@ -43,9 +43,9 @@ from .bayes import (
 )
 from .kb import KbError, KnowledgeBase, Observation, load_kb
 from .marker import EngineConfig, MarkerEngine
-from .paths import read_forms
 # bench/tracing.py wraps this module's score_path, so it stays imported.
-from .scoring import score_path  # noqa: F401
+from .marker import score_path  # noqa: F401
+from .paths import read_forms
 from .semantics import relevant_statements
 
 
@@ -195,7 +195,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     evaluated = 0
     approved_count = 0
     # The engine scored each path when it emitted it.
-    for index, (path, sc) in enumerate(zip(engine.emitted, engine.scores), start=1):
+    for index, (path, sc) in enumerate(engine.scores.items(), start=1):
         rs = relevant_statements(path, fresh_prefix=f"p{index}-gen-")
         passed = evidence_filter(kb, rs, corroborated)
         record = PathRecord(path.render(), sc, rs.render(), "pass" if passed else "fail")

@@ -18,20 +18,25 @@ exhaustive DFS over link sequences filtered by `declarative_valid`, a
 direct restatement of the validity rules independent of the DFA, practical
 only on small bases.  `completeness_check` runs the engine, compares its
 emissions with the oracle's and classifies every high-scoring path the
-engine missed.  `random_kb` builds the small reproducible bases they are
-run on: a shallow isa forest with subset-consistent priors and random role
-links, with no planted structure, and `random_kb_stream` a stream of
-observations and corroborations on one.  The pinned report hashes cover
+engine missed; `qualifying_cleaves` is its half-dip test, and
+`blocked_at_depth` finds the one way best-trail retention can lose a path
+without keeping one at least as good.  `random_kb` builds the small
+reproducible bases they are run on: a shallow isa forest with
+subset-consistent priors and random role links, with no planted
+structure, and `random_kb_stream` a stream of observations and
+corroborations on one.  The pinned report hashes cover
 runs on both, so their output may not drift.
 
 `GlueThenValidateEngine` is the marker engine with its original meeting
 handler: every meeting of marks from two origins is glued into a whole
 path and run through `validate` before it is scored, with links flipped
-one by one and duplicates found by rendered text.  The engine itself
-hands only meetings the seam table allows to `_collide`, scores them
-before building anything, glues stored twins and deduplicates on link
-tuples; this class replaces both `_place` and `_collide`, so none of that
-is shared.
+one by one, scored with `score_path` and duplicates found by rendered
+text.  It records an emission where the engine does, in ``emitted`` and
+the path → score table ``scores``, so the engine's own `spread` returns
+its paths.  The engine itself hands only meetings the seam table allows
+to `_collide`, scores them before building anything, glues stored twins
+and finds duplicates in ``scores``; this class replaces both `_place` and
+`_collide`, so none of that is shared.
 
 `relevant_statements_by_fold` is the original RS(P) translation, which
 picks each instance's relevant type by folding `isa_star` over every type
@@ -69,9 +74,9 @@ import numpy as np
 
 from planmark.bayes import Cpts, VertebrateNetwork
 from planmark.kb import KnowledgeBase, Observation, load_kb
-from planmark.marker import EngineConfig, Mark, MarkerEngine
+from planmark.marker import (EngineConfig, Mark, MarkerEngine, combine, extend_half,
+                             score_path)
 from planmark.paths import START_STATE, STEP, LinkKind, Path, TraversalLink, validate
-from planmark.scoring import combine, extend_half, initial_score, score_path
 from planmark.semantics import Inst, SlotEq, StatementSet, statements_of
 
 
@@ -338,7 +343,7 @@ class CompletenessReport:
 
 def _prefix_values(kb: KnowledgeBase, obs: Observation,
                    links: tuple[TraversalLink, ...]) -> list[float]:
-    values = [initial_score(obs)]
+    values = [obs.belief]
     for link in links:
         values.append(extend_half(kb, values[-1], link))
     return values
@@ -351,6 +356,37 @@ def _state_after(links: tuple[TraversalLink, ...]) -> int:
     for link in links:
         state = step(state, link)
     return state
+
+
+def qualifying_cleaves(kb: KnowledgeBase, config: EngineConfig, path: Path) -> list[int]:
+    """Every cleave index j (links before the meeting) at which both
+    halves stay at or above T, and the smallest normal float, all the way
+    out; a path with none is a half-dip, which the cutoff may lose."""
+    half_floor = max(config.half_threshold, sys.float_info.min)
+    fwd_vals = _prefix_values(kb, path.start, path.links)
+    back_vals = _prefix_values(kb, path.end, reverse(kb, path).links)
+    n = len(path.links)
+    # Seeds are always placed; the cutoff applies to extensions.
+    return [j for j in range(n + 1)
+            if all(v >= half_floor for v in fwd_vals[1:j + 1])
+            and all(v >= half_floor for v in back_vals[1:n - j + 1])]
+
+
+def blocked_at_depth(engine: MarkerEngine, path: Path, cleave: int) -> bool:
+    """Whether, on a key one of the path's halves passes before the cleave
+    point, the engine retained a mark at its depth limit.  That mark is
+    never extended, so the half's rest is not walked from that key: the
+    one way retention loses a path without keeping one at least as good."""
+    n = len(path.links)
+    schemas = path_schemas(path)
+    halves = ((path.start.instance, path.links[:cleave], schemas),
+              (path.end.instance, reverse(engine.kb, path).links[:n - cleave], schemas[::-1]))
+    for instance, links, at in halves:
+        for i in range(len(links)):
+            mark = engine.marks.get((instance, at[i], _state_after(links[:i])))
+            if mark is not None and len(mark.links) >= engine.config.max_depth:
+                return True
+    return False
 
 
 def completeness_check(kb: KnowledgeBase, config: EngineConfig,
@@ -375,27 +411,18 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
 
     obs1, obs2 = seeds
     # The engine drops half and whole scores below the normal float range.
-    half_floor = max(config.half_threshold, sys.float_info.min)
     threshold = max(config.half_threshold ** 2, config.full_threshold, sys.float_info.min)
     entries: list[MissedPath] = []
     for path in enumerate_paths_oracle(kb, obs1, obs2, config.max_depth):
         sc = score_path(kb, path)
         if sc < threshold or path.render() in emitted:
             continue
-        rev = reverse(kb, path).links
-        fwd_vals = _prefix_values(kb, obs1, path.links)
-        back_vals = _prefix_values(kb, obs2, rev)
-        n = len(path.links)
-        qualifying: list[int] = []
-        for j in range(n + 1):
-            # Seeds are always placed; the cutoff applies to extensions.
-            fwd_ok = all(v >= half_floor for v in fwd_vals[1:j + 1])
-            back_ok = all(v >= half_floor for v in back_vals[1:n - j + 1])
-            if fwd_ok and back_ok:
-                qualifying.append(j)
+        qualifying = qualifying_cleaves(kb, config, path)
         if not qualifying:
             entries.append(MissedPath(path, sc, "half-dip"))
             continue
+        rev = reverse(kb, path).links
+        n = len(path.links)
         schemas = path_schemas(path)
         for j in qualifying:
             m1 = engine.marks.get((obs1.instance, schemas[j], _state_after(path.links[:j])))
@@ -455,9 +482,8 @@ class GlueThenValidateEngine(MarkerEngine):
         if text in self._emitted_texts:
             return
         self._emitted_texts.add(text)
+        self.scores[path] = direct
         self.emitted.append(path)
-        self.scores.append(direct)
-        self._pending.append(path)
 
 
 def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:

@@ -18,6 +18,7 @@ from planmark import (
     build_network,
     default_cpts,
     exact_posterior,
+    extend_half,
     relevant_statements,
     run,
     score_path,
@@ -27,11 +28,6 @@ from planmark import (
 )
 from planmark.paths import LinkKind, Path
 from planmark.pipeline import RunConfig, SynthParams
-from planmark.scoring import (
-    extend_half,
-    initial_score,
-    terminal_multiplier,
-)
 
 from conftest import (
     FIG31_TEXT,
@@ -136,26 +132,26 @@ def test_criterion_2_grammar_suite(kb):
 def test_criterion_3_scoring_fixture(kb, fig31):
     forward = score_path(kb, fig31)
     assert forward == pytest.approx(16.2, rel=1e-12)
-    backward = terminal_multiplier(kb, fig31.end)
+    backward = fig31.end.belief / kb.priors[fig31.end.schema]
     for link in reversed(fig31.links):
         backward *= link.multiplier
-    backward *= initial_score(fig31.start)
+    backward *= fig31.start.belief
     assert backward == pytest.approx(forward, rel=1e-12)
 
 
 @criterion(4, "cleave identity at every position of 100+ random paths", 30.0)
 def test_criterion_4_cleave_identity():
-    from planmark.scoring import combine
+    from planmark import combine
 
     pairs = sample_paths(seed=643, n_kbs=8, limit=150, beliefs=True)
     assert len(pairs) >= 100
     for base, path in pairs:
         whole = score_path(base, path)
         for j in range(len(path.links) + 1):
-            h1 = initial_score(path.start)
+            h1 = path.start.belief
             for link in path.links[:j]:
                 h1 = extend_half(base, h1, link)
-            h2 = initial_score(path.end)
+            h2 = path.end.belief
             for link in reversed(path.links[j:]):
                 h2 = extend_half(base, h2, flip(base, link))
             at = path_schemas(path)[j]

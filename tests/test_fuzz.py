@@ -8,6 +8,7 @@ direct score, misses no path the oracle finds except by a half-dip, and
 emits the same paths on a rerun."""
 
 import math
+import sys
 from itertools import combinations
 
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +22,6 @@ from planmark import (
     PathError,
     combine,
     extend_half,
-    initial_score,
     load_kb,
     parse_path,
     score_path,
@@ -30,7 +30,15 @@ from planmark import (
 from planmark.pipeline import parse_stream
 
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT
-from oracles import completeness_check, flip, path_schemas, random_kb
+from oracles import (
+    blocked_at_depth,
+    completeness_check,
+    enumerate_paths_oracle,
+    flip,
+    path_schemas,
+    qualifying_cleaves,
+    random_kb,
+)
 
 KB = load_kb(FIXTURE_KB_TEXT)
 
@@ -111,22 +119,29 @@ def test_parse_path_raises_only_path_errors(text):
 
 
 def _emissions(base, config, observations):
-    # Each observation spreads before the next arrives, as in `run`.
+    # Each observation spreads before the next arrives, as in `run`, and
+    # once more after the last.  Every emission, seed-time collisions
+    # included, is returned by exactly one `spread`, in emission order,
+    # and recorded once with its score.
     engine = MarkerEngine(base, config)
+    returned = []
     for obs in observations:
         engine.seed(obs)
-        engine.spread()
-    return engine.emitted
+        returned += engine.spread()
+    returned += engine.spread()
+    assert returned == engine.emitted
+    assert list(engine.scores) == engine.emitted
+    return engine
 
 
 def _assert_cleaves_recombine(base, path):
     direct = score_path(base, path)
     schemas = path_schemas(path)
     n = len(path.links)
-    forward = [initial_score(path.start)]
+    forward = [path.start.belief]
     for link in path.links:
         forward.append(extend_half(base, forward[-1], link))
-    backward = [initial_score(path.end)]
+    backward = [path.end.belief]
     for link in reversed(path.links):
         backward.append(extend_half(base, backward[-1], flip(base, link)))
     for j in range(n + 1):
@@ -153,12 +168,14 @@ def test_marker_engine_on_random_bases(seed, n_schemas, n_roles, half_threshold,
     config = EngineConfig(half_threshold=half_threshold,
                           full_threshold=full_threshold, max_depth=max_depth)
 
-    emitted = _emissions(base, config, observations)
+    engine = _emissions(base, config, observations)
+    emitted = engine.emitted
     for path in emitted:
         assert validate(path)
+        assert engine.scores[path] == score_path(base, path)
         assert score_path(base, path) >= config.full_threshold
         _assert_cleaves_recombine(base, path)
-    rerun = _emissions(base, config, observations)
+    rerun = _emissions(base, config, observations).emitted
     assert [p.render() for p in rerun] == [p.render() for p in emitted]
 
     # A path is lost only when every cleave dips one half below T, which a
@@ -168,3 +185,41 @@ def test_marker_engine_on_random_bases(seed, n_schemas, n_roles, half_threshold,
         assert all(entry.reason == "half-dip" for entry in report.entries)
         if half_threshold == 0.0:
             assert report.empty
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10 ** 6), n_schemas=st.integers(4, 14),
+       n_roles=st.integers(1, 14),
+       half_threshold=st.sampled_from([0.0, 1e-3, 0.02, 0.2, 0.5]),
+       full_threshold=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+       max_depth=st.integers(1, 4), data=st.data())
+def test_retention_keeps_a_path_at_least_as_good(seed, n_schemas, n_roles, half_threshold,
+                                                  full_threshold, max_depth, data):
+    # A trail displaced at a key leaves one there that scores at least as
+    # high, and the last marks retained at any two keys meet, since the
+    # later to arrive meets the other.  So a path lost to retention, not
+    # to a half-dip, has an emitted path between the same observations
+    # that scores at least as high, to the cleave check's 1e-9: trails
+    # tied on half score can fold to direct scores an ulp apart.  The
+    # argument needs the retained trail to go on where the lost one would
+    # have: it fails only where one sits at the depth limit
+    # (`test_marker.py::test_retention_at_the_depth_limit_can_lose_the_best_path`).
+    base = random_kb(seed, n_schemas=n_schemas, n_roles=n_roles)
+    names = sorted(base.schemas)
+    seeds = tuple(Observation(instance, data.draw(st.sampled_from(names)),
+                              data.draw(st.floats(0.3, 1.0)))
+                  for instance in ("a", "b"))
+    config = EngineConfig(half_threshold=half_threshold,
+                          full_threshold=full_threshold, max_depth=max_depth)
+    engine = _emissions(base, config, seeds)
+    best = max(engine.scores.values(), default=0.0)
+    threshold = max(full_threshold, sys.float_info.min)
+    for path in enumerate_paths_oracle(base, *seeds, max_depth):
+        sc = score_path(base, path)
+        if sc < threshold or path in engine.scores:
+            continue
+        cleaves = qualifying_cleaves(base, config, path)
+        if all(blocked_at_depth(engine, path, j) for j in cleaves):
+            continue  # a half-dip (no cleave), or blocked at the depth limit
+        assert best >= sc or math.isclose(best, sc, rel_tol=1e-9), path.render()

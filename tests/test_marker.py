@@ -18,10 +18,12 @@ from oracles import (
     FLIPPED,
     GlueThenValidateEngine,
     OracleGuardError,
+    blocked_at_depth,
     completeness_check,
     declarative_valid,
     enumerate_paths_oracle,
     flip,
+    qualifying_cleaves,
     random_kb,
     step,
 )
@@ -373,3 +375,27 @@ def test_random_base_emits_like_glue_then_validate(seed, thresholds):
     config = EngineConfig(half_threshold=thresholds[0], full_threshold=thresholds[1],
                           max_depth=4)
     assert _assert_emits_like_glue_then_validate(base, seeds, config) > 0
+
+
+def test_retention_at_the_depth_limit_can_lose_the_best_path():
+    # The boundary of the dominance guarantee.  a's one-link trail to s4
+    # and a two-link trail through s2 both multiply by p(s4)/p(s3); the
+    # longer one rounds an ulp higher and displaces the shorter before it
+    # is extended.  At max_depth 2 the longer one is never extended
+    # either, and b's one-link half dips below T, so the best path
+    # between a and b is lost and nothing is emitted.
+    base = random_kb(36, n_schemas=5, n_roles=6)
+    seeds = (Observation("a", "s3"), Observation("b", "s0", 0.5))
+    config = EngineConfig(half_threshold=0.5, full_threshold=0.0, max_depth=2)
+    engine = _engine_run(base, seeds, config)
+    assert engine.emitted == []
+    lost = [path for path in enumerate_paths_oracle(base, *seeds, 2)
+            if qualifying_cleaves(base, config, path)]
+    assert [path.render() for path in lost] == [
+        "(inst a s3)(role s4 slot-3 s3)(role- s4 slot-2 s0)(inst b s0)"]
+    assert qualifying_cleaves(base, config, lost[0]) == [2]
+    assert blocked_at_depth(engine, lost[0], 2)
+    assert engine.marks["a", "s4", 2].links == tuple(
+        base.links[text] for text in ("(role s2 slot-5 s3)", "(role s4 slot-1 s2)"))
+    # `completeness_check` excuses it under the retention rule.
+    assert completeness_check(base, config, seeds).empty

@@ -50,3 +50,15 @@ def test_import_loads_no_heavy_standard_module():
     added = set(result.stdout.split())
     assert "planmark.kb" in added
     assert added & {"dataclasses", "inspect", "argparse", "planmark.cli"} == set()
+
+
+def test_readme_layout_names_every_module():
+    # One row per module under src/planmark, so a row cannot outlive its
+    # module nor a new module go without one.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `planmark\.(\w+)` \|", layout, re.MULTILINE)
+    modules = sorted(source.stem for source in (ROOT / "src" / "planmark").glob("*.py")
+                     if source.stem not in ("__init__", "__main__"))
+    assert sorted(rows) == modules
+    assert len(rows) == len(set(rows))

@@ -11,9 +11,8 @@ from planmark import (
     run,
     synth_corpus,
 )
-from planmark.marker import MarkerEngine
+from planmark.marker import MarkerEngine, score_path
 from planmark.pipeline import SynthParams, parse_stream
-from planmark.scoring import score_path
 from planmark.semantics import Inst, SlotEq, relevant_statements
 
 from conftest import chain_kb_text

@@ -2,20 +2,14 @@ import pytest
 
 from planmark import (
     Observation,
+    Path,
     combine,
     extend_half,
-    initial_score,
     parse_path,
     score_path,
-    terminal_multiplier,
 )
 from conftest import sample_paths
 from oracles import flip, path_schemas, reverse
-
-
-@pytest.mark.parametrize("belief", [0.9, 1.0, 0.42])
-def test_initial_score_is_the_belief(belief):
-    assert initial_score(Observation("x", "go", belief)) == belief
 
 
 def test_link_multipliers(kb):
@@ -27,10 +21,17 @@ def test_link_multipliers(kb):
     assert flip(kb, isa_up).multiplier == pytest.approx(0.4, rel=1e-12)
 
 
-def test_terminal_multiplier(kb):
-    assert terminal_multiplier(kb, Observation("go1", "go", 0.9)) == pytest.approx(9.0, rel=1e-12)
-    assert terminal_multiplier(kb, Observation("s", "shopping", 0.05)) == pytest.approx(1.0, rel=1e-12)
-    assert terminal_multiplier(kb, Observation("m", "supermarket", 1.0)) == pytest.approx(100.0, rel=1e-12)
+def test_terminal_multiplier(kb, fig31):
+    # `score_path`'s last factor is the end's belief over its schema's prior.
+    back = reverse(kb, fig31)
+    cases = [(Path(fig31.start, fig31.links, Observation("go1", "go", 0.9)), 9.0),
+             (Path(fig31.start, fig31.links[:2], Observation("s", "shopping", 0.05)), 1.0),
+             (Path(back.start, back.links, Observation("m", "supermarket", 1.0)), 100.0)]
+    for path, factor in cases:
+        spine = path.start.belief
+        for link in path.links:
+            spine *= link.multiplier
+        assert score_path(kb, path) / spine == pytest.approx(factor, rel=1e-12)
 
 
 def test_fig31_scores_sixteen_point_two(kb, fig31):
@@ -38,10 +39,10 @@ def test_fig31_scores_sixteen_point_two(kb, fig31):
 
 
 def right_to_left_score(kb, path):
-    value = terminal_multiplier(kb, path.end)
+    value = path.end.belief / kb.priors[path.end.schema]
     for link in reversed(path.links):
         value *= link.multiplier
-    return value * initial_score(path.start)
+    return value * path.start.belief
 
 
 def test_accumulation_directions_agree(kb, fig31):
@@ -71,10 +72,10 @@ def test_extend_half_worked_example(kb):
 
 
 def test_half_fold_equals_closed_form(kb, fig31):
-    half = initial_score(fig31.start)
+    half = fig31.start.belief
     for link in fig31.links:
         half = extend_half(kb, half, link)
-    product = initial_score(fig31.start)
+    product = fig31.start.belief
     for link in fig31.links:
         product *= link.multiplier
     assert half == pytest.approx(product, rel=1e-12)
@@ -82,10 +83,10 @@ def test_half_fold_equals_closed_form(kb, fig31):
 
 def test_combine_worked_example(kb, fig31):
     # Cleave at shopping: H1 = 0.9 * 2.0 * 1.0 = 1.8, H2 = 0.9 * 0.5 = 0.45.
-    h1 = initial_score(fig31.start)
+    h1 = fig31.start.belief
     for link in fig31.links[:2]:
         h1 = extend_half(kb, h1, link)
-    h2 = extend_half(kb, initial_score(fig31.end), flip(kb, fig31.links[2]))
+    h2 = extend_half(kb, fig31.end.belief, flip(kb, fig31.links[2]))
     assert h1 == pytest.approx(1.8, rel=1e-12)
     assert h2 == pytest.approx(0.45, rel=1e-12)
     assert combine(kb, "shopping", h1, h2) == pytest.approx(16.2, rel=1e-12)
@@ -94,10 +95,10 @@ def test_combine_worked_example(kb, fig31):
 def cleave_at(base, path, j):
     """The meeting schema and both half scores of the cleave after link j,
     in the order `combine` takes them."""
-    h1 = initial_score(path.start)
+    h1 = path.start.belief
     for link in path.links[:j]:
         h1 = extend_half(base, h1, link)
-    h2 = initial_score(path.end)
+    h2 = path.end.belief
     for link in reversed(path.links[j:]):
         h2 = extend_half(base, h2, flip(base, link))
     return path_schemas(path)[j], h1, h2
@@ -125,7 +126,7 @@ def test_monotone_sanity_bound():
     # largest multiplier per added link.
     for base, path in sample_paths(seed=47, limit=40):
         biggest = max(link.multiplier for link in base.links.values())
-        values = [initial_score(path.start)]
+        values = [path.start.belief]
         for link in path.links:
             values.append(extend_half(base, values[-1], link))
         for i, early in enumerate(values):
