@@ -45,16 +45,17 @@ a polytree, where this is Pearl's (1988, ch. 4) message passing in closed
 form.  The test suite checks it against full enumeration and against
 variable elimination.
 
-The network is RS(P) plus priors: `semantics` derives RS(P)'s instance
-statements in spine order, each at its relevant type, and the network
-holds those statements with the prior of each one's type, looked up once
-in the base's prior table, and the declared filler type of each equality.
-Before a path is evaluated, `evidence_filter` asks whether the input
-corroborates every slot binding it claims: a plain dict maps each schema
-to the slots corroborated at it, and each of RS(P)'s equalities is looked
-up at its owner's relevant type and that type's ancestors, walked through
-the base's parent table.  After evaluation, `approve` compares the posterior
-with the prior of the fresh instances the path hypothesizes.
+The network is RS(P) plus priors: `semantics` derives RS(P)'s relevant
+types in spine order, and the network holds RS(P) with the prior of each
+relevant type, looked up once in the base's prior table, and the declared
+filler type of each role link.  Before a path is evaluated,
+`evidence_filter` asks whether the input corroborates every slot binding
+it claims.  A plain dict maps each slot to the schemas it is corroborated
+at, so an equality whose slot nothing corroborates fails at one lookup;
+otherwise the owner's relevant type, read off RS(P) beside the role link,
+and that type's ancestors are looked up in the slot's set, walked through
+the base's parent table.  After evaluation, `approve` compares the
+posterior with the prior of the fresh instances the path hypothesizes.
 """
 
 from __future__ import annotations
@@ -63,31 +64,37 @@ from math import prod
 from typing import NamedTuple
 
 from .kb import KnowledgeBase, Observation
-from .paths import Path
+from .paths import LinkKind, Path
 # bench/tracing.py wraps this module's relevant_statements, so it stays imported.
-from .semantics import Inst, StatementSet, relevant_statements  # noqa: F401
+from .semantics import Inst, RelevantStatements, relevant_statements  # noqa: F401
+
+_ROLE_UP = LinkKind.ROLE_UP
 
 
 class VertebrateNetwork(NamedTuple):
-    """RS(P) plus priors: the path's instance statements in spine order,
-    each instance's relevant-type prior, and the declared filler type of
-    each slot equality in role-link order (equality k is node ``eq<k>``)."""
+    """RS(P) plus priors: the path's RS(P), each instance's relevant-type
+    prior in spine order, and the declared filler type of each slot
+    equality in role-link order (equality k is node ``eq<k>``)."""
 
-    insts: tuple[Inst, ...]
+    rs: RelevantStatements
     priors: tuple[float, ...]
     filler_types: tuple[str, ...]
     start_obs: Observation
     end_obs: Observation
 
     @property
+    def insts(self) -> tuple[Inst, ...]:
+        return self.rs.insts
+
+    @property
     def non_evidence_count(self) -> int:
-        return len(self.insts) + len(self.filler_types)
+        return len(self.priors) + len(self.filler_types)
 
     def edges(self) -> list[tuple[str, str]]:
         """Directed edges, deterministic order: instance chain, end
         evidence, equality parents, interior."""
         out: list[tuple[str, str]] = []
-        names = [inst.instance for inst in self.insts]
+        names = self.rs.names
         for i in range(1, len(names) - 1):
             out.append((names[i], names[i + 1]))
         out.append((names[0], "e1"))
@@ -102,16 +109,15 @@ class VertebrateNetwork(NamedTuple):
 
 
 def build_network(kb: KnowledgeBase, path: Path,
-                  rs: StatementSet) -> VertebrateNetwork:
+                  rs: RelevantStatements) -> VertebrateNetwork:
     """Build the unique network for a valid path and its RS(P), whose
     instances already run along the spine from the start observation to
     the end one."""
-    insts, priors = rs.insts, kb.priors
+    priors = kb.priors
     # tuple.__new__ skips the named tuple's constructor, a Python function.
     return tuple.__new__(VertebrateNetwork, (
-        insts, tuple([priors[schema] for _, schema in insts]),
-        tuple([link.filler for link in path.links if link.kind.is_role]),
-        path.start, path.end))
+        rs, tuple([priors[schema] for schema in rs.types]),
+        tuple([link.filler for link in rs.roles]), path.start, path.end))
 
 
 class Cpts(NamedTuple):
@@ -188,20 +194,23 @@ def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, floa
 
 # -- evidence filtering and approval ------------------------------------------
 
-def evidence_filter(kb: KnowledgeBase, rs: StatementSet,
+def evidence_filter(kb: KnowledgeBase, rs: RelevantStatements,
                     corroborated: dict[str, set[str]]) -> bool:
     """True iff every slot equality of RS(P) is corroborated for its slot
     at the owner's relevant type or an ancestor of it; ``corroborated``
-    maps a schema to the slots corroborated at it.
+    maps a slot to the schemas it is corroborated at.
 
     That is all RS(P) asserts that needs support: its two end instances
     were observed, and every fresh instance owns an equality, so the
     record that supports the equality supports the instance too."""
-    # An inst statement is an (instance, schema) pair.
-    relevant_type, parents = dict(rs.insts), kb.parents
-    for owner, slot, _ in rs.eqs:
-        schema = relevant_type[owner]
-        while slot not in corroborated.get(schema, ()):
+    types, parents = rs.types, kb.parents
+    for k, link in enumerate(rs.roles):
+        schemas = corroborated.get(link.slot)
+        if schemas is None:
+            return False
+        # Role k joins instances k and k+1; a RoleUp's owner is the latter.
+        schema = types[k + 1] if link.kind is _ROLE_UP else types[k]
+        while schema not in schemas:
             schema = parents[schema]
             if schema is None:
                 return False
@@ -220,8 +229,8 @@ def approve(network: VertebrateNetwork, posterior: float, ratio: float) -> bool:
 def render_network(network: VertebrateNetwork) -> str:
     """Deterministic text dump: one node line, then one edge line each."""
     lines = []
-    for inst, prior in zip(network.insts, network.priors):
-        lines.append(f"node {inst.instance} kind=inst type={inst.schema} prior={prior!r}")
+    for name, schema, prior in zip(network.rs.names, network.rs.types, network.priors):
+        lines.append(f"node {name} kind=inst type={schema} prior={prior!r}")
     for k in range(1, len(network.filler_types) + 1):
         lines.append(f"node eq{k} kind=eq type=- prior=-")
     lines.append("node e1 kind=ev type=- prior=-")

@@ -7,16 +7,18 @@
 
 Each observation seeds the marker engine and spreads immediately, so paths
 surface in story order; each corroboration goes into the evidence index,
-unless its slot is declared neither on its schema nor on an isa ancestor
-or descendant of it, which makes it an input error.  After the stream
-ends, every reported path is translated once into its RS(P), which then
-serves the cheap evidence filter, the exact network evaluation (only if
-the filter passes) and the approval test.  A path's ``sc`` is the score
-the marker computed once, when it emitted the path, and equals its
-`score_path`; its text is `Path.render`, which joins the texts the base's
-links carry.
-Three counters mirror the stages: paths reported by the marker, evaluated
-(those that passed the filter) and approved.
+which maps each slot to the schemas it is corroborated at, unless its
+slot is declared neither on its schema nor on an isa ancestor or
+descendant of it, which makes it an input error.  After the stream ends,
+every reported path is translated once into its RS(P), which then serves
+the cheap evidence filter, the exact network evaluation (only if the
+filter passes) and the approval test.  A rejected path costs its RS(P)
+text, relevant types and role links, and no statement objects.  A path's
+``sc`` is the score the marker computed once, when it emitted the path,
+and equals its `score_path`; its text is `Path.render`, which joins the
+texts the base's links carry.  Three counters mirror the stages: paths
+reported by the marker, evaluated (those that passed the filter) and
+approved.
 
 The report is plain structured text: one ``#`` header line, then a fixed
 field order (path, sc, rs, filtered, posterior, residual, approved per
@@ -88,17 +90,10 @@ class PathRecord:
         if self.posterior is None:
             posterior = residual = "-"
         else:
-            posterior = repr(self.posterior)
-            residual = repr(self.residual)
-        return "\n".join([
-            f"path {self.path_text}",
-            f"sc {self.sc!r}",
-            f"rs {self.rs_text}",
-            f"filtered {self.filtered}",
-            f"posterior {posterior}",
-            f"residual {residual}",
-            f"approved {'yes' if self.approved else 'no'}",
-        ])
+            posterior, residual = repr(self.posterior), repr(self.residual)
+        return (f"path {self.path_text}\nsc {self.sc!r}\nrs {self.rs_text}\n"
+                f"filtered {self.filtered}\nposterior {posterior}\nresidual {residual}\n"
+                f"approved {'yes' if self.approved else 'no'}")
 
 
 class RunReport:
@@ -175,7 +170,7 @@ def _check_corroboration(kb: KnowledgeBase, schema: str, slot: str) -> None:
 
 def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     engine = MarkerEngine(kb, config.engine)
-    corroborated: dict[str, set[str]] = {}
+    corroborated: dict[str, set[str]] = {}  # slot -> schemas it is corroborated at
 
     for head, payload, line in parse_stream(stream_text):
         # The base rejects a record's unknown schema or belief out of range,
@@ -187,7 +182,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
             else:
                 schema, slot = payload
                 _check_corroboration(kb, schema, slot)
-                corroborated.setdefault(schema, set()).add(slot)
+                corroborated.setdefault(slot, set()).add(schema)
         except (KbError, ValueError) as exc:
             raise KbError(str(exc), line) from None
 
@@ -196,9 +191,9 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     approved_count = 0
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(engine.scores.items(), start=1):
-        rs = relevant_statements(path, fresh_prefix=f"p{index}-gen-")
+        rs = relevant_statements(path, f"p{index}-gen-")
         passed = evidence_filter(kb, rs, corroborated)
-        record = PathRecord(path.render(), sc, rs.render(), "pass" if passed else "fail")
+        record = PathRecord(path.render(), sc, rs.text, "pass" if passed else "fail")
         if passed:
             network = build_network(kb, path, rs)
             record.posterior, record.residual = exact_posterior(network, default_cpts(

@@ -15,29 +15,32 @@ but only one ``inst`` statement per instance, at its most specific
 (relevant) type; the dropped retypings are implied by the retained ones
 through the isa tree.
 
-This module is the one place that decides what a path claims.  One flat
-walk derives either set as a list, and the instance at each position is
-read off the same walk: the grammar fixes the shape of each instance's isa
-moves, so the walk can tell which typing is the relevant one without
-consulting the isa tree.  RS(P) of a valid path runs along the spine, with
-the start instance first, the end instance last and the fresh instances in
-between, so its inst statements name every instance the path mentions, in
-spine order.  Every fresh instance owns one of the path's slot equalities
-(a fresh instance that only fills slots would sit in a slot-filler valley).
+This module is the one place that decides what a path claims.  Each set
+has one walk, and the instance at each position is read off it: the
+grammar fixes the shape of each instance's isa moves, so the RS(P) walk
+can tell which typing is the relevant one without consulting the isa
+tree.  RS(P) of a valid path runs along the spine, with the start
+instance first, the end instance last and the fresh instances in between,
+so its inst statements name every instance the path mentions, in spine
+order, and role link k joins instances k and k+1.  Every fresh instance
+owns one of the path's slot equalities (a fresh instance that only fills
+slots would sit in a slot-filler valley).
 
-A `StatementSet` holds the statements in derivation order and, from the
-same walk, its inst statements and its slot equalities apart, which is how
-the evidence filter and the network builder read RS(P), and its text, which
-is how a run report prints it.  Statements are named tuples, built in the
-walk without a Python-level call each, and the set's text is written in
-the walk too, so neither costs a Python-level call per statement.
+A `StatementSet` holds S(P): its statements in derivation order, its inst
+statements and slot equalities apart, and its text.  RS(P) is a
+`RelevantStatements`, which holds only what a run reads of every path it
+reports, most of which the evidence filter rejects: the text the report
+prints, each instance's name and relevant type in spine order, and the
+path's role links, which give each equality's slot, filler type and
+owner.  Its statements, inst statements and equalities are built when
+read, for the single-path commands and the tests.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .paths import LinkKind, Path
+from .paths import LinkKind, Path, TraversalLink
 
 # Reading a member off the Enum class costs several times a global read,
 # so the walk compares each move's kind against these.
@@ -68,9 +71,9 @@ Statement = Inst | SlotEq
 
 
 class StatementSet(NamedTuple):
-    """Statements in derivation order (first occurrence wins), the same
-    set's inst statements and slot equalities, each in that order, and
-    its rendered text."""
+    """S(P): statements in derivation order (first occurrence wins), the
+    same set's inst statements and slot equalities, each in that order,
+    and its rendered text."""
 
     statements: tuple[Statement, ...]
     insts: tuple[Inst, ...]
@@ -81,82 +84,108 @@ class StatementSet(NamedTuple):
         return self.text
 
 
-def _derive(path: Path, fresh_prefix: str, full: bool
-            ) -> tuple[list[Statement], list[Inst], list[SlotEq], list[str]]:
-    """Walk the path once: the statements of S(P) in derivation order, with
-    repeats, when ``full``, else those of RS(P); with them, the inst
-    statements and the slot equalities among them, and each statement's
-    text.
+class RelevantStatements(NamedTuple):
+    """RS(P) as a run reads it: its text, each instance's name and relevant
+    type in spine order, and the path's role links in travel order (role k
+    joins instances k and k+1).  Its statements are built only when read."""
 
-    Isa moves carry the instance forward; each role move hands off to a
-    fresh instance, except the last role move of the path, which hands off
-    to the end observation's instance (any trailing isa moves just re-type
-    it).  The grammar leaves each instance's isa moves as a run of IsaDowns
+    text: str
+    names: tuple[str, ...]
+    types: tuple[str, ...]
+    roles: tuple[TraversalLink, ...]
+
+    def render(self) -> str:
+        return self.text
+
+    @property
+    def insts(self) -> tuple[Inst, ...]:
+        return tuple(map(Inst, self.names, self.types))
+
+    @property
+    def eqs(self) -> tuple[SlotEq, ...]:
+        # A RoleUp's arriving instance owns the slot that the instance it
+        # came from fills; a RoleDown's is the filler.
+        names = self.names
+        return tuple([SlotEq(names[k + 1], link.slot, names[k]) if link.kind is _ROLE_UP
+                      else SlotEq(names[k], link.slot, names[k + 1])
+                      for k, link in enumerate(self.roles)])
+
+    @property
+    def statements(self) -> tuple[Statement, ...]:
+        insts = self.insts
+        return (insts[0], *[s for pair in zip(self.eqs, insts[1:]) for s in pair])
+
+
+def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
+    """S(P): every typing and slot equality the path asserts, in derivation
+    order.  Isa moves carry the instance forward and re-type it; each role
+    move hands off to a fresh instance, except the last role move of the
+    path, which hands off to the end observation's instance."""
+    end = path.end
+    last = path.role_count()
+    statements: list[Statement] = []
+    instance, schema = path.start.instance, path.start.schema
+    handed = 0
+    for link in path.links:
+        statements.append(Inst(instance, schema))
+        if link.kind.is_role:
+            handed += 1
+            arriving = f"{fresh_prefix}{handed}" if handed < last else end.instance
+            if link.kind is _ROLE_UP:
+                statements.append(SlotEq(arriving, link.slot, instance))
+            else:
+                statements.append(SlotEq(instance, link.slot, arriving))
+            instance = arriving
+        schema = link.destination
+    # A valid path has already typed its end instance as observed here.
+    statements += (Inst(instance, schema), Inst(end.instance, end.schema))
+    statements = list(dict.fromkeys(statements))
+    return StatementSet(tuple(statements),
+                        tuple([s for s in statements if type(s) is Inst]),
+                        tuple([s for s in statements if type(s) is SlotEq]),
+                        "".join([s.render() for s in statements]))
+
+
+def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> RelevantStatements:
+    """RS(P) of a valid path in one walk: every slot equality and one inst
+    statement per instance at its relevant type, in S(P) order.  That order
+    runs along the spine: start instance, first equality, first fresh
+    instance, ..., last equality, end instance.
+
+    The grammar leaves each instance's isa moves as a run of IsaDowns
     followed by a run of IsaUps (an IsaUp followed by an IsaDown is an isa
     plateau), so an instance's relevant type is the schema it arrived at,
     or the schema its last IsaDown landed on: the typing that no IsaDown
     follows, and that no IsaUp produced.  Each typing therefore waits for
-    the next move before RS(P) keeps or drops it.
-    """
-    end = path.end
-    roles = path.role_count()
-    statements: list[Statement] = []
-    insts: list[Inst] = []
-    eqs: list[SlotEq] = []
+    the next move before RS(P) keeps or drops it."""
+    links, end = path.links, path.end
+    roles = tuple([link for link in links if link.kind.is_role])
+    last = len(roles)
+    names = [path.start.instance]
+    types: list[str] = []
     texts: list[str] = []
     # The instance at the current position, the schema it was just typed
     # as, and whether that typing can be its relevant one.
-    instance, schema, relevant = path.start.instance, path.start.schema, True
-    handed = 0
-    for link in path.links:
+    instance, schema, relevant = names[0], path.start.schema, True
+    for link in links:
         kind = link.kind
-        if full or (relevant and kind is not _ISA_DOWN):
-            inst = _new(Inst, (instance, schema))
-            statements.append(inst)
-            insts.append(inst)
+        if relevant and kind is not _ISA_DOWN:
+            types.append(schema)
             texts.append(f"(inst {instance} {schema})")
         if kind.is_role:
-            handed += 1
-            arriving = f"{fresh_prefix}{handed}" if handed < roles else end.instance
+            # Instance j of the spine is fresh, except the last, the end's.
+            j = len(names)
+            arriving = f"{fresh_prefix}{j}" if j < last else end.instance
+            names.append(arriving)
             if kind is _ROLE_UP:
-                # The arriving instance owns the slot; the instance we came
-                # from fills it.
-                eq = _new(SlotEq, (arriving, link.slot, instance))
                 texts.append(f"(= ({link.slot} {arriving}) {instance})")
             else:
-                eq = _new(SlotEq, (instance, link.slot, arriving))
                 texts.append(f"(= ({link.slot} {instance}) {arriving})")
-            statements.append(eq)
-            eqs.append(eq)
             instance, relevant = arriving, True
         else:
             relevant = kind is _ISA_DOWN
         schema = link.destination
-    if full:
-        # A valid path has already typed its end instance as observed here.
-        last = (_new(Inst, (instance, schema)), _new(Inst, (end.instance, end.schema)))
-        statements += last
-        insts += last
-        texts += (f"(inst {instance} {schema})", f"(inst {end.instance} {end.schema})")
-    elif relevant:
-        inst = _new(Inst, (instance, schema))
-        statements.append(inst)
-        insts.append(inst)
+    if relevant:
+        types.append(schema)
         texts.append(f"(inst {instance} {schema})")
-    return statements, insts, eqs, texts
-
-
-def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
-    """S(P): every typing and slot equality the path asserts."""
-    statements, insts, eqs, texts = _derive(path, fresh_prefix, full=True)
-    return StatementSet(tuple(dict.fromkeys(statements)), tuple(dict.fromkeys(insts)),
-                        tuple(dict.fromkeys(eqs)), "".join(dict.fromkeys(texts)))
-
-
-def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
-    """RS(P) of a valid path: every slot equality and one inst statement per
-    instance at its relevant type, in S(P) order.  That order runs along
-    the spine: start instance, first equality, first fresh instance, ...,
-    last equality, end instance."""
-    statements, insts, eqs, texts = _derive(path, fresh_prefix, full=False)
-    return _new(StatementSet, (tuple(statements), tuple(insts), tuple(eqs), "".join(texts)))
+    return _new(RelevantStatements, ("".join(texts), tuple(names), tuple(types), roles))

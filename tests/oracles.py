@@ -43,12 +43,15 @@ picks each instance's relevant type by folding `isa_star` over every type
 S(P) gives it; `evidence_filter_by_scan` is the original evidence filter,
 which checks every instance (observed, or corroborated for any slot) and
 every slot equality by scanning all corroboration records.  The package
-reads relevant types off the walk's shape and looks slots up in an index.
+reads relevant types off the walk's shape and looks each equality's slot
+up in an index from slot to the schemas it is corroborated at.
 `read_forms_by_tokens` is the original s-expression reader, which reads
 every form token by token; the package reads each form in one regex
 match.
 
 The rest are reference evaluators for vertebrate networks.
+`posterior_by_fractions` evaluates `exact_posterior`'s closed form in
+exact rationals, for inputs whose masses leave the float range.
 
 `planmark.bayes.exact_posterior` computes (joint, residual) in closed form.
 The two evaluators here reach the same quantities without relying on the
@@ -67,6 +70,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable
 
@@ -557,6 +561,30 @@ def evidence_filter_by_scan(kb: KnowledgeBase, rs: StatementSet,
         if not matches(rt[eq.owner], eq.slot):
             return False
     return True
+
+
+def posterior_by_fractions(kb: KnowledgeBase, path: Path, gamma1: float,
+                           gamma0: float) -> Fraction:
+    """The joint `exact_posterior` computes for ``path``, from the same
+    float inputs in exact rational arithmetic, so no float range limits
+    it: gamma1*A / (gamma0*s0 + (gamma1 - gamma0)*A), with s0 the product
+    of the two end normalizers and A the all-true weight."""
+    q = [Fraction(kb.prior(inst.schema))
+         for inst in relevant_statements_by_fold(kb, path).insts]
+    eq_true = [Fraction(kb.eq_prior) / Fraction(kb.prior(link.filler))
+               for link in path.links if link.kind.is_role]
+
+    def likelihoods(obs: Observation, qe: Fraction) -> tuple[Fraction, Fraction]:
+        if qe == 1:
+            return Fraction(1), Fraction(0)
+        b = Fraction(obs.belief) * qe / Fraction(kb.prior(obs.schema))
+        return b / qe, (1 - b) / (1 - qe)
+
+    (t1, f1), (t2, f2) = likelihoods(path.start, q[0]), likelihoods(path.end, q[-1])
+    s0 = (q[0] * t1 + (1 - q[0]) * f1) * (q[-1] * t2 + (1 - q[-1]) * f2)
+    a = t1 * t2 * math.prod(q) * math.prod(eq_true)
+    g1, g0 = Fraction(gamma1), Fraction(gamma0)
+    return g1 * a / (g0 * s0 + (g1 - g0) * a)
 
 
 _CHUNK_BITS = 16

@@ -40,6 +40,7 @@ from oracles import (
     masses_by_enumeration,
     posterior_by_elimination,
     posterior_by_enumeration,
+    posterior_by_fractions,
 )
 
 
@@ -118,6 +119,16 @@ def test_equality_prior_above_filler_prior_rejected(tmp_path):
     kb_file.write_text(text)
     assert_rejected(planmark("check", "--kb", str(kb_file)),
                     "line 4: equality prior 0.5 exceeds the prior of filler type 'tiny'")
+
+
+def test_exact_posterior_matches_the_rational_closed_form():
+    # The oracle the out-of-range CLI cases check against agrees with the
+    # package on in-range paths.
+    for base, path in sample_paths(seed=61, limit=80, max_roles=5, beliefs=True):
+        network, cpts = network_of(base, path)
+        joint, _ = exact_posterior(network, cpts)
+        exact = float(posterior_by_fractions(base, path, cpts.gamma1, cpts.gamma0))
+        assert joint == pytest.approx(exact, rel=1e-9), path.render()
 
 
 def test_gamma_range_checked(tmp_path):
@@ -299,7 +310,9 @@ def test_twelve_role_chain_is_evaluated():
 
 
 def registry_for_fig31():
-    return {"supermarket-shopping": {"store-of", "go-step"}}
+    # The index `run` keeps: each slot maps to the schemas it is
+    # corroborated at.
+    return {"store-of": {"supermarket-shopping"}, "go-step": {"supermarket-shopping"}}
 
 
 def test_evidence_filter_passes_with_full_corroboration(kb, fig31):
@@ -315,24 +328,33 @@ def test_evidence_filter_fails_with_empty_registry(kb, fig31):
 def test_evidence_filter_needs_every_equality_corroborated(kb, fig31):
     rs = relevant_statements(fig31)
     registry = registry_for_fig31()
-    registry["supermarket-shopping"].discard("go-step")
+    registry["go-step"].discard("supermarket-shopping")
     assert not evidence_filter(kb, rs, registry)
 
 
 def test_evidence_filter_base_path(kb):
     path = single_role_path(kb)
     rs = relevant_statements(path)
-    assert evidence_filter(kb, rs, {"supermarket-shopping": {"store-of"}})
+    assert evidence_filter(kb, rs, {"store-of": {"supermarket-shopping"}})
 
 
 def test_evidence_filter_matches_ancestors(kb, fig31):
     # A record at the isa parent covers the more specific relevant type.
     rs = relevant_statements(fig31)
-    assert evidence_filter(kb, rs, {"shopping": {"store-of", "go-step"}})
+    assert evidence_filter(kb, rs, {"store-of": {"shopping"}, "go-step": {"shopping"}})
+
+
+def test_evidence_filter_needs_the_slot_at_the_owner_or_an_ancestor(kb):
+    # The slot is indexed either way; only a record at the owner's relevant
+    # type or an isa ancestor of it corroborates the equality.
+    rs = relevant_statements(single_role_path(kb))
+    assert not evidence_filter(kb, rs, {"store-of": {"go"}})
+    assert evidence_filter(kb, rs, {"store-of": {"shopping"}})
 
 
 def _random_registries(rng, base, path, rs, count):
-    """Registries holding the same random records twice: as a slot index,
+    """Registries holding the same random records twice: as the index
+    `run` keeps, from each slot to the schemas it is corroborated at,
     and as the record set of the scan, which also lists the path's ends as
     observed, as `run` does for every path it reports.  Most of a path's
     equalities get a record for their slot at a random ancestor of the
@@ -349,7 +371,7 @@ def _random_registries(rng, base, path, rs, count):
         index = {}
         scan = ScanRegistry(observed={path.start.instance, path.end.instance})
         for schema, slot in records:
-            index.setdefault(schema, set()).add(slot)
+            index.setdefault(slot, set()).add(schema)
             scan.add_corroboration(schema, slot)
         yield index, scan
 

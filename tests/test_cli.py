@@ -1,12 +1,16 @@
 import argparse
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-from planmark import cli
+from planmark import RunConfig, cli, load_kb, parse_path
 from planmark.cli import build_parser
+from planmark.pipeline import parse_stream
 
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, planmark
+from oracles import posterior_by_fractions
 
 SPREAD_FLAGS = ["--threshold", "0.1", "--full-threshold", "1.0"]
 
@@ -150,6 +154,59 @@ def test_run_prunes_scores_below_the_normal_range(tmp_path, priors, stream, path
     lines = result.stdout.splitlines()
     assert lines[1:3] == [f"path {path}", f"sc {sc}"]
     assert lines[-1] == "counters reported=1 evaluated=0 approved=0"
+
+
+TWO_SLOT_KB = ("(eq-prior {eq})(schema plan :prior 1e-3)(schema a :prior {a})"
+               "(schema b :prior {b})(role plan a-of a)(role plan b-of b)\n")
+HALF_BELIEF_STREAM = ("(inst a1 a :belief 0.5)\n(inst b1 b :belief 0.5)\n"
+                      "(corroborate plan a-of)\n(corroborate plan b-of)\n")
+
+
+# Bases the loader accepts whose scores or masses leave the float range.
+# Either the run rejects the input, naming its line, or every posterior it
+# reports is the closed form's exact value.  The first case is in range
+# and shows the check can pass; each of the others breaks it today.
+OUT_OF_RANGE = pytest.mark.xfail(strict=True,
+                                 reason="no numeric range is enforced on accepted bases")
+
+
+@pytest.mark.parametrize("kb_text,stream,flags", [
+    pytest.param(TWO_SLOT_KB.format(eq="1e-6", a="1e-5", b="1e-5"), HALF_BELIEF_STREAM, [],
+                 id="in-range"),
+    # s0 = Z1*Z2 underflows to 0, and so does s1: ZeroDivisionError.
+    pytest.param(TWO_SLOT_KB.format(eq="1e-200", a="1e-160", b="1e-160"),
+                 HALF_BELIEF_STREAM, [], id="masses-underflow", marks=OUT_OF_RANGE),
+    # Reports sc 2.5e+256 and posterior 0.0; the exact value is 2.25e-137.
+    pytest.param(TWO_SLOT_KB.format(eq="1e-200", a="1e-160", b="1e-100"),
+                 HALF_BELIEF_STREAM, [], id="score-overflows", marks=OUT_OF_RANGE),
+    # The direct fold underflows to 0 before the end's terminal factor, and
+    # the cleave check fails on a combined score of 1e-140.
+    pytest.param(UNDERFLOW_KB.format(p1="1e-150", c1="1e-290", p2="1e-200"),
+                 "(inst a1 a)\n(inst x1 p2)\n", ["--threshold", "0", "--full-threshold", "0"],
+                 id="direct-fold-underflows", marks=OUT_OF_RANGE),
+])
+def test_run_outside_the_float_range_fails_cleanly_or_is_exact(tmp_path, kb_text,
+                                                               stream, flags):
+    kb = tmp_path / "range.kb"
+    kb.write_text(kb_text)
+    result = planmark("run", "--kb", str(kb), *flags, stdin=stream)
+    assert "Traceback" not in result.stderr
+    if result.returncode == 1:
+        assert re.match(r"error: line [0-9]+: ", result.stderr), result.stderr
+        return
+    assert result.returncode == 0, result.stderr
+    base = load_kb(kb_text)
+    beliefs = {obs.instance: obs.belief
+               for head, obs, _ in parse_stream(stream) if head == "inst"}
+    config = RunConfig()
+    records = re.findall(r"^path (.*)\n(?:.*\n){3}posterior (.*)$", result.stdout, re.MULTILINE)
+    assert records
+    for text, posterior in records:
+        assert posterior != "-"
+        ends = re.findall(r"\(inst (\S+) ", text)
+        path = parse_path(base, text, beliefs=(beliefs[ends[0]], beliefs[ends[-1]]))
+        exact = float(posterior_by_fractions(base, path, config.gamma1, config.gamma0))
+        assert math.isclose(float(posterior), exact, rel_tol=1e-9), (posterior, exact)
 
 
 def test_run_rejects_a_reserved_fresh_name(kb_file, tmp_path):

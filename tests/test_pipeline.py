@@ -305,8 +305,9 @@ def test_record_field_names_and_order_are_fixed(kb):
 
 
 def filter_by_ancestors(base, rs, corroborated):
+    # ``corroborated`` maps each slot to the schemas it is corroborated at.
     relevant_type = {inst.instance: inst.schema for inst in rs.insts}
-    return all(any(eq.slot in corroborated.get(schema, ())
+    return all(any(schema in corroborated.get(eq.slot, ())
                    for schema in ancestors_or_self(base, relevant_type[eq.owner]))
                for eq in rs.eqs)
 
@@ -337,7 +338,7 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
                 engine.spread()
             else:
                 schema, slot = payload
-                corroborated.setdefault(schema, set()).add(slot)
+                corroborated.setdefault(slot, set()).add(schema)
         assert len(report.records) == len(engine.emitted)
         for index, (path, record) in enumerate(zip(engine.emitted, report.records), start=1):
             prefix = f"p{index}-gen-"
@@ -345,8 +346,12 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
             assert record.sc == score_path(base, path)
             assert record.path_text == path.render()
             # The fold oracle renders its statements one by one.
-            assert record.rs_text == rs.render() == relevant_statements_by_fold(
-                base, path, prefix).render()
+            folded = relevant_statements_by_fold(base, path, prefix)
+            assert record.rs_text == rs.render() == rs.text == folded.text
+            assert rs.insts == folded.insts
+            assert rs.eqs == folded.eqs
+            assert rs.statements == folded.statements
+            assert rs.types == tuple(inst.schema for inst in folded.insts)
             assert rs.insts == tuple(s for s in rs.statements if isinstance(s, Inst))
             assert rs.eqs == tuple(s for s in rs.statements if isinstance(s, SlotEq))
             verdict = filter_by_ancestors(base, rs, corroborated)

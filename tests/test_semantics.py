@@ -86,7 +86,11 @@ def test_rs_equals_s_without_isa_links(kb):
     path = parse_path(kb, "(inst s1 supermarket)"
                           "(role supermarket-shopping store-of supermarket)"
                           "(inst p1 supermarket-shopping)")
-    assert relevant_statements(path) == statements_of(path)
+    rs, full = relevant_statements(path), statements_of(path)
+    assert rs.text == full.text
+    assert rs.insts == full.insts
+    assert rs.eqs == full.eqs
+    assert rs.statements == full.statements
 
 
 def test_fresh_prefix_is_configurable(fig31):
@@ -177,5 +181,10 @@ def test_rs_matches_the_isa_fold():
     assert len(pairs) >= 5000
     cases = [(base, path, "gen-") for base, path in pairs] + marker_paths()
     for base, path, prefix in cases:
-        assert (relevant_statements(path, prefix)
-                == relevant_statements_by_fold(base, path, prefix)), path.render()
+        rs = relevant_statements(path, prefix)
+        folded = relevant_statements_by_fold(base, path, prefix)
+        assert rs.text == folded.text, path.render()
+        assert rs.insts == folded.insts, path.render()
+        assert rs.eqs == folded.eqs, path.render()
+        assert rs.statements == folded.statements, path.render()
+        assert rs.types == tuple(inst.schema for inst in folded.insts), path.render()
