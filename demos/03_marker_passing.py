@@ -43,10 +43,13 @@ paths = engine.spread()
 
 # A mark is kept per (origin, schema, DFA state); the state is a small int
 # that STATE_NAMES spells out as the walk's role phase and last isa move.
+# Each schema keeps its own table of marks, so `marks` lists them schema
+# by schema.  A mark holds only the link it arrived by and the mark it
+# extended; its depth counts the links back to its origin.
 print(f"marks retained: {len(engine.marks)}")
 for (origin, at, state), mark in engine.marks.items():
     print(f"  from {origin:13s} at {at:22s} {STATE_NAMES[state]:19s} "
-          f"score={mark.score:.4g} depth={len(mark.links)}")
+          f"score={mark.score:.4g} depth={mark.depth}")
 
 print()
 print(f"paths emitted: {len(paths)}")

@@ -20,7 +20,6 @@ from .bayes import (
 from .kb import KbError, KnowledgeBase, Observation, Schema, load_kb
 from .marker import (
     EngineConfig,
-    Mark,
     MarkerEngine,
     combine,
     extend_half,
@@ -68,7 +67,6 @@ __all__ = [
     "Schema",
     "load_kb",
     "EngineConfig",
-    "Mark",
     "MarkerEngine",
     "combine",
     "extend_half",

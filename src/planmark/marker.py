@@ -19,39 +19,40 @@ the base's link table carries as ``multiplier``:
 Each observation seeds a mark on its schema.  Marks spread outward to
 neighboring schemas in FIFO order, carrying a validity-DFA state (an int),
 a running half-path score (a float: the same product without the terminal
-factor) and the base's links they took, whose count is the mark's depth.
-Taking a link is one lookup in the DFA's step table and one multiply by
-the link's multiplier, as in `extend_half`; the move is kept only if the
-DFA accepts it and the extended score stays at or above the half
-threshold T and in the normal float range.  At most one mark per (origin, schema, DFA
-state) is retained, keeping the best-scoring trail.
+factor), the link they arrived by, the mark they extended and their depth.
+Taking a link is one table step and one multiply, as in `extend_half`; the
+move is kept only if the DFA accepts it, the extended score stays at or
+above the half threshold T and in the normal float range, and it beats the
+mark its schema's table holds at its key (origin seed rank, DFA state):
+one mark per key, the best-scoring trail.  A displaced mark is flagged.
 
 When a mark lands where marks from other origins already sit, only those
 whose DFA state the seam table pairs with its own are met, in the order
 they arrived: marks from unrelated trails can meet at a plateau or a
-valley, or with no role link between them, and no single valid path
-allows that.  The cleave rule (`combine`) scores each remaining meeting at
-schema n from the two half scores as ``h1 * (h2 / p(n))``, which equals
-the whole path's score.  Dividing first keeps the intermediate at the size
-of a score: two halves that each carry a tiny prior ratio would multiply
-into the subnormal range and lose the precision the identity is checked
-to.  That identity is what lets the engine prune on a threshold while
+valley, or with no role link between them, and no single valid path allows
+that.  The cleave rule (`combine`) scores each remaining meeting at schema
+n from the two half scores as ``h1 * (h2 / p(n))``, which equals the whole
+path's score.  Dividing first keeps the intermediate at the size of a
+score: two halves that each carry a tiny prior ratio would multiply into
+the subnormal range and lose the precision the identity is checked to.
+That identity is what lets the engine prune on a threshold while
 spreading, before it knows which paths will meet.  Only a meeting whose
 full score clears the full threshold, and is a normal float, is glued into
 a whole path: the first mark's links, then the twins of the other mark's
-links from the meeting back to its origin.  A path not emitted before is
-scored directly by the fold `score_path` runs, started from the first
-mark's half score, which already is the start belief times its links'
-multipliers, and run over the glued tail: the same floats in the same
-order, so the score is `score_path`'s, bit for bit.  It is checked
-against the cleave score and emitted with it (`MarkerEngine.scores`, the
-``sc`` a run reports).  The same path met again at another cleave point,
-which a path of n links can be up to n + 1 times, is neither built nor
-scored again: its cleave score is checked against the stored one, so the
-cleave identity is still checked at every meeting that clears the full
-threshold.  Marks extend only along the base's adjacency and meet only at
-the schema they share, so `extend_half` and `combine` trust their caller
-to chain a link onto the half and to meet halves at ``at``.
+links from the meeting back to its origin, both read back along the marks'
+``prev``.  A path not emitted before is scored directly by the fold
+`score_path` runs, started from the first mark's half score, which already
+is the start belief times its links' multipliers, and run over the glued
+tail: the same floats in the same order, so the score is `score_path`'s,
+bit for bit.  It is checked against the cleave score and emitted with it
+(`MarkerEngine.scores`, the ``sc`` a run reports).  The same path met
+again at another cleave point, which a path of n links can be up to n + 1
+times, is neither built nor scored again: its cleave score is checked
+against the stored one, so the cleave identity is still checked at every
+meeting that clears the full threshold.  Marks extend only along the
+base's adjacency and meet only at the schema they share, so `extend_half`
+and `combine` trust their caller to chain a link onto the half and to meet
+halves at ``at``.
 
 What retention loses is dominated: a path at or above the full threshold
 with a cleave point where both halves stay at or above T all the way out
@@ -71,11 +72,9 @@ import sys
 from collections import deque
 
 from .kb import KnowledgeBase, Observation
-from .paths import SEAM_VALID, START_STATE, STEP, Path, TraversalLink
+from .paths import ALL_STATES, SEAM_VALID, START_STATE, STEP, Path, TraversalLink
 # bench/tracing.py wraps this module's validate, so it stays imported.
 from .paths import validate  # noqa: F401
-
-MarkKey = tuple[str, str, int]
 
 # The fixed floor under both thresholds (see `EngineConfig`).
 _NORMAL_MIN = sys.float_info.min
@@ -109,17 +108,30 @@ def combine(kb: KnowledgeBase, at: str, h1: float, h2: float) -> float:
 
 class Mark:
     """A half path: where it started, where it is, the DFA state it left,
-    its half score and the links it took, oldest first."""
+    its half score, the link it arrived by and the mark it extended (None
+    for a seed), its depth, and whether a better trail displaced it."""
 
-    __slots__ = ("origin", "at", "state", "score", "links")
+    __slots__ = ("origin", "at", "state", "score", "link", "prev", "depth", "displaced")
 
     def __init__(self, origin: Observation, at: str, state: int, score: float,
-                 links: tuple[TraversalLink, ...]):
+                 link: TraversalLink | None, prev: Mark | None):
         self.origin = origin
         self.at = at
         self.state = state
         self.score = score
-        self.links = links
+        self.link = link
+        self.prev = prev
+        self.depth = 0 if prev is None else prev.depth + 1
+        self.displaced = False
+
+    @property
+    def links(self) -> tuple[TraversalLink, ...]:
+        """The links the trail took, oldest first."""
+        links, mark = [], self
+        while mark.prev is not None:
+            links.append(mark.link)
+            mark = mark.prev
+        return tuple(reversed(links))
 
 
 class EngineConfig:
@@ -157,15 +169,21 @@ class MarkerEngine:
     def __init__(self, kb: KnowledgeBase, config: EngineConfig | None = None):
         self.kb = kb
         self.config = config or EngineConfig()
-        self.marks: dict[MarkKey, Mark] = {}
-        self._at: dict[str, dict[MarkKey, Mark]] = {}
+        # Per schema, its marks by their origin's `_seed_order` + DFA state.
+        self._at: dict[str, dict[int, Mark]] = {}
         self._queue: deque[Mark] = deque()
-        self._seed_order: dict[str, int] = {}
+        self._seed_order: dict[str, int] = {}  # seed rank * len(ALL_STATES)
         self._seeds: dict[str, Observation] = {}
         # Each emitted path and its direct score, in emission order.
         self.scores: dict[Path, float] = {}
         self.emitted: list[Path] = []
         self._returned = 0  # how many of `emitted` `spread` has returned
+
+    @property
+    def marks(self) -> dict[tuple[str, str, int], Mark]:
+        """A copy of the retained marks by (instance, schema, DFA state), schema by schema."""
+        return {(mark.origin.instance, at, mark.state): mark
+                for at, here in self._at.items() for mark in here.values()}
 
     def seed(self, obs: Observation) -> None:
         """Place a depth-0 mark for an observation; idempotent for an
@@ -179,20 +197,21 @@ class MarkerEngine:
                     f"instance {obs.instance!r} already observed as {previous}")
             return
         self._seeds[obs.instance] = obs
-        self._seed_order[obs.instance] = len(self._seed_order)
-        self._place(Mark(obs, obs.schema, START_STATE, obs.belief, ()))
+        rank = self._seed_order[obs.instance] = len(self._seed_order) * len(ALL_STATES)
+        self._place(obs, rank, obs.schema, START_STATE, obs.belief, None, None)
 
     def spread(self) -> list[Path]:
         """Drain the queue breadth-first; returns paths emitted since the
         previous call (including any emitted at seed time)."""
         adjacency = self.kb.adjacency
         half_floor = max(self.config.half_threshold, _NORMAL_MIN)
-        marks, queue, place = self.marks, self._queue, self._place
+        queue, place, seed_order = self._queue, self._place, self._seed_order
         while queue:
             mark = queue.popleft()
-            origin, row, score, links = mark.origin, STEP[mark.state], mark.score, mark.links
-            if marks.get((origin.instance, mark.at, mark.state)) is not mark:
+            if mark.displaced:
                 continue  # superseded by a better trail
+            origin, row, score = mark.origin, STEP[mark.state], mark.score
+            rank = seed_order[origin.instance]
             for link in adjacency[mark.at]:
                 state = row[link.kind]
                 if state is None:
@@ -200,28 +219,28 @@ class MarkerEngine:
                 extended = score * link.multiplier
                 if extended < half_floor:
                     continue
-                place(Mark(origin, link.destination, state, extended, links + (link,)))
+                place(origin, rank, link.destination, state, extended, link, mark)
         since, self._returned = self._returned, len(self.emitted)
         return self.emitted[since:]
 
-    def _place(self, mark: Mark) -> None:
-        key = (mark.origin.instance, mark.at, mark.state)
-        incumbent = self.marks.get(key)
-        if incumbent is not None and incumbent.score >= mark.score:
-            return
-        self.marks[key] = mark
-        here = self._at.get(mark.at)
-        if here is None:
-            here = self._at[mark.at] = {}
-        here[key] = mark
+    def _place(self, origin: Observation, rank: int, at: str, state: int, score: float,
+               link: TraversalLink | None, prev: Mark | None) -> None:
+        here = self._at.get(at) or self._at.setdefault(at, {})
+        key = rank + state
+        incumbent = here.get(key)
+        if incumbent is not None:
+            if incumbent.score >= score:
+                return
+            incumbent.displaced = True
+        mark = here[key] = Mark(origin, at, state, score, link, prev)
         # Only a meeting the seam table allows can yield a valid path, so
         # only those reach `_collide`, in the order the marks arrived here.
         # Every mark of an origin carries its one seeded observation.
-        seam, origin = SEAM_VALID[mark.state], mark.origin
+        seam = SEAM_VALID[state]
         for other in here.values():
             if seam[other.state] and other.origin is not origin:
                 self._collide(mark, other)
-        if len(mark.links) < self.config.max_depth:
+        if mark.depth < self.config.max_depth:
             self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
@@ -234,7 +253,10 @@ class MarkerEngine:
         full = combine(kb, m1.at, m1.score, m2.score)
         if full < self.config.full_threshold or full < _NORMAL_MIN:
             return
-        tail = tuple([link.twin for link in reversed(m2.links)])
+        tail = ()
+        while m2.prev is not None:
+            tail += (m2.link.twin,)
+            m2 = m2.prev
         # The key equals the glued `Path` and hashes the same, so a `Path`
         # is built only when it is first emitted.  A path met again at
         # another cleave point is checked against the score it was

@@ -33,10 +33,14 @@ path and run through `validate` before it is scored, with links flipped
 one by one, scored with `score_path` and duplicates found by rendered
 text.  It records an emission where the engine does, in ``emitted`` and
 the path → score table ``scores``, so the engine's own `spread` returns
-its paths.  The engine itself hands only meetings the seam table allows
-to `_collide`, scores them before building anything, glues stored twins
-and finds duplicates in ``scores``; this class replaces both `_place` and
-`_collide`, so none of that is shared.
+its paths.  The engine itself keys retention by seed rank and DFA state,
+hands only meetings the seam table allows to `_collide`, scores them
+before building anything, reads trails back along `Mark.prev` with
+`Mark.links` and its own walk, glues stored twins and finds duplicates in
+``scores``.  This class replaces both `_place` and `_collide`: it keys
+retention by instance name, scans every mark at the schema, and reads
+trails with `trail`, so none of that is shared.  It shares only the
+spread loop, which skips the marks its `_place` flags as displaced.
 
 `relevant_statements_by_fold` is the original RS(P) translation, which
 picks each instance's relevant type by folding `isa_star` over every type
@@ -49,9 +53,10 @@ up in an index from slot to the schemas it is corroborated at.
 every form token by token; the package reads each form in one regex
 match.
 
-The rest are reference evaluators for vertebrate networks.
-`posterior_by_fractions` evaluates `exact_posterior`'s closed form in
-exact rationals, for inputs whose masses leave the float range.
+The rest are reference evaluators.  `sc_by_fractions` is a path's spinal
+contribution in exact rationals.  `posterior_by_fractions` evaluates
+`exact_posterior`'s closed form in exact rationals, for inputs whose
+masses leave the float range.
 
 `planmark.bayes.exact_posterior` computes (joint, residual) in closed form.
 The two evaluators here reach the same quantities without relying on the
@@ -353,6 +358,12 @@ def _prefix_values(kb: KnowledgeBase, obs: Observation,
     return values
 
 
+def trail(mark: Mark) -> tuple[TraversalLink, ...]:
+    """The links a mark's trail took, oldest first, read from the marks
+    it extended without `Mark.links`."""
+    return () if mark.prev is None else trail(mark.prev) + (mark.link,)
+
+
 def _state_after(links: tuple[TraversalLink, ...]) -> int:
     """The DFA state, as it appears in a mark's key, that a grammatical
     trail of these links leaves a mark in."""
@@ -385,10 +396,11 @@ def blocked_at_depth(engine: MarkerEngine, path: Path, cleave: int) -> bool:
     schemas = path_schemas(path)
     halves = ((path.start.instance, path.links[:cleave], schemas),
               (path.end.instance, reverse(engine.kb, path).links[:n - cleave], schemas[::-1]))
+    marks = engine.marks
     for instance, links, at in halves:
         for i in range(len(links)):
-            mark = engine.marks.get((instance, at[i], _state_after(links[:i])))
-            if mark is not None and len(mark.links) >= engine.config.max_depth:
+            mark = marks.get((instance, at[i], _state_after(links[:i])))
+            if mark is not None and mark.depth >= engine.config.max_depth:
                 return True
     return False
 
@@ -412,6 +424,7 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
         engine.seed(obs)
     engine.spread()
     emitted = {p.render() for p in engine.emitted}
+    marks = engine.marks
 
     obs1, obs2 = seeds
     # The engine drops half and whole scores below the normal float range.
@@ -429,8 +442,8 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
         n = len(path.links)
         schemas = path_schemas(path)
         for j in qualifying:
-            m1 = engine.marks.get((obs1.instance, schemas[j], _state_after(path.links[:j])))
-            m2 = engine.marks.get((obs2.instance, schemas[j], _state_after(rev[:n - j])))
+            m1 = marks.get((obs1.instance, schemas[j], _state_after(path.links[:j])))
+            m2 = marks.get((obs2.instance, schemas[j], _state_after(rev[:n - j])))
             if (m1 is not None and m1.links == path.links[:j]
                     and m2 is not None and m2.links == rev[:n - j]):
                 entries.append(MissedPath(path, sc, "unexpected"))
@@ -450,26 +463,30 @@ class GlueThenValidateEngine(MarkerEngine):
         super().__init__(*args, **kwargs)
         self._emitted_texts: set[str] = set()
 
-    def _place(self, mark: Mark) -> None:
-        # The engine's best-trail retention, then every meeting with a
-        # mark from another origin, in the order the marks arrived here.
-        key = (mark.origin.instance, mark.at, mark.state)
-        incumbent = self.marks.get(key)
-        if incumbent is not None and incumbent.score >= mark.score:
-            return
-        self.marks[key] = mark
-        self._at.setdefault(mark.at, {})[key] = mark
-        for other in list(self._at[mark.at].values()):
-            if other.origin.instance != mark.origin.instance:
+    def _place(self, origin: Observation, rank: int, at: str, state: int, score: float,
+               link: TraversalLink | None, prev: Mark | None) -> None:
+        # The engine's best-trail retention, keyed by instance name, not
+        # by seed rank; then every meeting with a mark from another
+        # origin, in the order the marks arrived here.
+        key = (origin.instance, at, state)
+        here = self._at.setdefault(at, {})
+        incumbent = here.get(key)
+        if incumbent is not None:
+            if incumbent.score >= score:
+                return
+            incumbent.displaced = True
+        mark = here[key] = Mark(origin, at, state, score, link, prev)
+        for other in list(here.values()):
+            if other.origin.instance != origin.instance:
                 self._collide(mark, other)
-        if len(mark.links) < self.config.max_depth:
+        if len(trail(mark)) < self.config.max_depth:
             self._queue.append(mark)
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.
         if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
             m1, m2 = m2, m1
-        links = m1.links + tuple(flip(self.kb, link) for link in reversed(m2.links))
+        links = trail(m1) + tuple(flip(self.kb, link) for link in reversed(trail(m2)))
         if not links:
             return
         path = Path(start=m1.origin, links=links, end=m2.origin)
@@ -585,6 +602,16 @@ def posterior_by_fractions(kb: KnowledgeBase, path: Path, gamma1: float,
     a = t1 * t2 * math.prod(q) * math.prod(eq_true)
     g1, g0 = Fraction(gamma1), Fraction(gamma0)
     return g1 * a / (g0 * s0 + (g1 - g0) * a)
+
+
+def sc_by_fractions(kb: KnowledgeBase, path: Path) -> Fraction:
+    """`score_path` of ``path`` from the same float inputs in exact
+    rational arithmetic: the start belief, each link's multiplier, and
+    end.belief / p(end)."""
+    value = Fraction(path.start.belief)
+    for link in path.links:
+        value *= Fraction(link.multiplier)
+    return value * Fraction(path.end.belief) / Fraction(kb.prior(path.end.schema))
 
 
 _CHUNK_BITS = 16

@@ -4,11 +4,13 @@ Whatever the text, a KB, stream or path source either loads or fails with
 the reader's own domain error, which the CLI turns into exit 1 with a
 message.  Whatever the random base, thresholds, depth and observation
 order, the engine emits only valid paths whose halves recombine to their
-direct score, misses no path the oracle finds except by a half-dip, and
-emits the same paths on a rerun."""
+direct score, which is the exact rational product of its inputs to 1e-12,
+misses no path the oracle finds except by a half-dip, and emits the same
+paths on a rerun."""
 
 import math
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import HealthCheck, given, settings
@@ -38,6 +40,7 @@ from oracles import (
     path_schemas,
     qualifying_cleaves,
     random_kb,
+    sc_by_fractions,
 )
 
 KB = load_kb(FIXTURE_KB_TEXT)
@@ -149,22 +152,31 @@ def _assert_cleaves_recombine(base, path):
         assert math.isclose(whole, direct, rel_tol=1e-9), (j, path.render())
 
 
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 10 ** 6), n_schemas=st.integers(4, 14),
-       n_roles=st.integers(1, 14),
-       half_threshold=st.sampled_from([0.0, 1e-3, 0.02, 0.2]),
-       full_threshold=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
-       max_depth=st.integers(1, 3), data=st.data())
-def test_marker_engine_on_random_bases(seed, n_schemas, n_roles, half_threshold,
-                                       full_threshold, max_depth, data):
-    base = random_kb(seed, n_schemas=n_schemas, n_roles=n_roles)
+# Random bases, thresholds and depths, and 2 to 4 observations in a
+# random order on each (`_draw_observations`).
+RANDOM_RUNS = dict(seed=st.integers(0, 10 ** 6), n_schemas=st.integers(4, 14),
+                   n_roles=st.integers(1, 14),
+                   half_threshold=st.sampled_from([0.0, 1e-3, 0.02, 0.2]),
+                   full_threshold=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+                   max_depth=st.integers(1, 3), data=st.data())
+
+
+def _draw_observations(data, base):
     names = sorted(base.schemas)
     count = data.draw(st.integers(2, 4), label="observations")
-    observations = data.draw(st.permutations([
+    return data.draw(st.permutations([
         Observation(f"o{k}", data.draw(st.sampled_from(names)),
                     data.draw(st.floats(0.3, 1.0)))
         for k in range(count)]), label="order")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**RANDOM_RUNS)
+def test_marker_engine_on_random_bases(seed, n_schemas, n_roles, half_threshold,
+                                       full_threshold, max_depth, data):
+    base = random_kb(seed, n_schemas=n_schemas, n_roles=n_roles)
+    observations = _draw_observations(data, base)
     config = EngineConfig(half_threshold=half_threshold,
                           full_threshold=full_threshold, max_depth=max_depth)
 
@@ -185,6 +197,23 @@ def test_marker_engine_on_random_bases(seed, n_schemas, n_roles, half_threshold,
         assert all(entry.reason == "half-dip" for entry in report.entries)
         if half_threshold == 0.0:
             assert report.empty
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**RANDOM_RUNS)
+def test_emitted_scores_match_exact_rationals(seed, n_schemas, n_roles, half_threshold,
+                                              full_threshold, max_depth, data):
+    # Every emitted score is in the normal float range, so the float fold
+    # rounds each of its few products once: to 1e-12 it is the exact
+    # rational product of the same inputs.
+    base = random_kb(seed, n_schemas=n_schemas, n_roles=n_roles)
+    config = EngineConfig(half_threshold=half_threshold,
+                          full_threshold=full_threshold, max_depth=max_depth)
+    engine = _emissions(base, config, _draw_observations(data, base))
+    for path, sc in engine.scores.items():
+        exact = sc_by_fractions(base, path)
+        assert abs(Fraction(sc) - exact) <= exact * Fraction(1e-12), path.render()
 
 
 @settings(max_examples=100, deadline=None,

@@ -2,7 +2,10 @@
 
 Each case runs a whole stream through `run` and hashes the rendered
 report, so any change to which paths the marker emits, their order, their
-scores or their downstream records shows up here.  The hashes were
+scores or their downstream records shows up here.  The benchmark's
+traffic is pinned the same way: each workload's full-size base and
+eight streams of one seed, read from `bench/workloads.py` without
+changing it.  The hashes were
 first recorded from the engine before its inner loop was flattened, and
 re-recorded when the report dropped its ``asserted`` counter and the
 header comment explaining it, every other byte unchanged.  A change that
@@ -10,14 +13,19 @@ is meant to alter reports must re-record them and say why.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
-from planmark import EngineConfig, RunConfig, run, score_path, synth_corpus
+from planmark import EngineConfig, RunConfig, load_kb, run, score_path, synth_corpus
 from planmark.paths import parse_path
 from planmark.pipeline import SynthParams, parse_stream
 
 from oracles import random_kb, random_kb_stream
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 def synth_case(seed, half_threshold):
@@ -80,3 +88,27 @@ def test_sc_is_the_score_of_the_reported_path(case, seed, half_threshold):
         path = parse_path(base, record.path_text,
                           (beliefs[ends.start.instance], beliefs[ends.end.instance]))
         assert record.sc == score_path(base, path)
+
+
+# workload -> (reported paths, sha256 of the reports) over `stream(11, i)`,
+# i = 0..7, each run with the benchmark's own thresholds and depth.
+BENCH_PINS = {
+    "corpus": (9820, "a3089617f4ce7b1ce62dc5f119aaba69d64a698899606a36c9e206054550b84d"),
+    "spread": (8873, "499bddadfd659d0b29e8ecc7f2071d50efd2309828f0cb8e3c522d3a309add80"),
+    "longpath": (96, "7f6dfe84eaefba35b827ee9e7be09c9620e071f56fee4d772e6f35a41513a245"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINS))
+def test_benchmark_traffic_is_pinned(name):
+    wl = workloads.build(name, smoke=False)
+    base = load_kb(wl.kb_text)
+    config = RunConfig(engine=EngineConfig(half_threshold=wl.threshold,
+                                           full_threshold=wl.full_threshold,
+                                           max_depth=wl.max_depth))
+    digest, reported = hashlib.sha256(), 0
+    for index in range(8):
+        report = run(base, config, wl.stream(11, index).text)
+        digest.update(report.render().encode())
+        reported += report.reported
+    assert (reported, digest.hexdigest()) == BENCH_PINS[name]
