@@ -109,7 +109,8 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
                 out.write(stream)
         return
 
-    with open(args.kb, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors put at the start.
+    with open(args.kb, encoding="utf-8-sig") as fh:
         kb = load_kb(fh.read())
 
     if args.command == "check":
@@ -128,7 +129,7 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
         if args.input is None:
             stream_text = sys.stdin.read()
         else:
-            with open(args.input, encoding="utf-8") as fh:
+            with open(args.input, encoding="utf-8-sig") as fh:
                 stream_text = fh.read()
         out.write(run(kb, config, stream_text).render())
         return

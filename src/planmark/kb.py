@@ -47,9 +47,18 @@ cleave identity is checked to.  The children-sum
 rule allows a relative 1e-12 of rounding slack, so it holds at every
 scale of prior.
 
-`load_kb` is one linear pass over the source: the reader splits each flat
-form in one regex match, the isa-cycle check walks each schema once, and
-the link table's links are built straight from each schema's own fields.
+`load_kb` is one linear pass over the source.  The reader splits the
+whole text into forms in one regex pass; the line of a form is found
+only when a problem with it is reported.  A name is one string object,
+the first one read, in every table: the schema table's keys, each
+`Schema`'s parent and slots, `priors`, `parents`, `slot_owners`, each
+link's ends, slot and filler, and the adjacency's keys.  The distinct
+names are checked all at once after the forms are read; if one is bad,
+or a form is, the forms are read again checking each name as it comes,
+so that the problem reported is the first in the text.  The isa-cycle
+check walks each schema once.  Both directions of a KB link are built
+together, their texts from one text of the link's names, and only a
+schema with two or more links leaving it has its list sorted.
 
 Nothing changes a `KnowledgeBase` after `load_kb` builds it, so one base
 is safe to share across threads.
@@ -57,15 +66,11 @@ is safe to share across threads.
 
 from __future__ import annotations
 
-import re
 import sys
-from operator import attrgetter
-from typing import NamedTuple
+from operator import attrgetter, itemgetter
+from typing import Callable, Collection, Iterable, NamedTuple
 
-from .paths import LinkKind, TraversalLink, read_forms
-
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-
+from .paths import LinkKind, TraversalLink, form_start, read_forms
 
 class KbError(Exception):
     """Raised for both syntactic and semantic problems in a KB source.
@@ -156,139 +161,206 @@ class KnowledgeBase:
         return "\n".join(lines) + "\n"
 
 
-def _parse_float(token: str, line: int) -> float:
+def _all_names(tokens: Collection[str]) -> bool:
+    """Whether every token is a name: an ASCII letter, then ASCII letters,
+    digits, ``_`` or ``-``.  Each string test runs once over all the
+    tokens joined, rather than once per token."""
+    if not tokens:
+        return True
+    joined = "".join(tokens)
+    return (joined.isascii() and "".join(map(itemgetter(0), tokens)).isalpha()
+            and joined.replace("-", "_").isidentifier())
+
+
+def _checked_name(token: str, _: str) -> str:
+    """`_declarations`' ``intern`` for a source with a problem: checks each
+    name token as it is read, so the first problem raises first."""
+    if not _all_names((token,)):
+        raise KbError(f"bad name {token!r}")
+    return token
+
+
+def _parse_float(token: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise KbError(f"bad number {token!r}", line) from None
+        raise KbError(f"bad number {token!r}") from None
     return value
 
 
-def _check_name(token: str, line: int) -> str:
-    if not NAME_RE.match(token):
-        raise KbError(f"bad name {token!r}", line)
-    return token
+_SCHEMA_FORM = "schema form is (schema NAME [:isa NAME] :prior FLOAT)"
+_MIN_NORMAL = sys.float_info.min
+
+
+def _declarations(text: str, forms: Iterable[list[str]],
+                  intern: Callable[[str, str], str]):
+    """What the forms of a KB source declare: its eq-prior, each schema's
+    parent, prior and form index, and its roles as a flat list of filled
+    schema, slot, filler and form index.  ``intern(token, token)`` is the
+    object the tables hold for a name token.  A problem raises `KbError`
+    with the line of its form."""
+    parents: dict[str, str | None] = {}
+    priors: dict[str, float] = {}
+    declared: dict[str, int] = {}
+    roles: list[str | int] = []
+    eq_prior: float | None = None
+    # A problem with one form is raised without a line, and named with the
+    # line of the form being read here.
+    try:
+        for index, items in enumerate(forms):
+            head = items[0]
+            if head == "schema":
+                size = len(items)
+                if size != 4 and size != 6:
+                    raise KbError(_SCHEMA_FORM)
+                name = intern(items[1], items[1])
+                if items[2] == ":isa":
+                    parent = intern(items[3], items[3])
+                    if size == 4:
+                        raise KbError(_SCHEMA_FORM)
+                    key, value = items[4], items[5]
+                elif size == 6:
+                    raise KbError(_SCHEMA_FORM)
+                else:
+                    parent = None
+                    key, value = items[2], items[3]
+                if key != ":prior":
+                    raise KbError(_SCHEMA_FORM)
+                prior = _parse_float(value)
+                if name in priors:
+                    raise KbError(f"duplicate schema {name!r}")
+                if not 0.0 < prior <= 1.0:
+                    raise KbError(f"prior of {name!r} must be in (0,1], got {prior!r}")
+                if prior < _MIN_NORMAL:
+                    raise KbError(f"prior of {name!r} is subnormal, below "
+                                  f"{_MIN_NORMAL!r}: {prior!r}")
+                parents[name] = parent
+                priors[name] = prior
+                declared[name] = index
+            elif head == "role":
+                if len(items) != 4:
+                    raise KbError("role form is (role FILLED SLOT FILLER)")
+                _, filled, slot, filler = items
+                roles += (intern(filled, filled), intern(slot, slot),
+                          intern(filler, filler), index)
+            elif head == "eq-prior":
+                if len(items) != 2:
+                    raise KbError("eq-prior form is (eq-prior FLOAT)")
+                if eq_prior is not None:
+                    raise KbError("duplicate eq-prior")
+                eq_prior = _parse_float(items[1])
+                if not 0.0 < eq_prior < 1.0:
+                    raise KbError(f"eq-prior must be in (0,1), got {eq_prior!r}")
+            else:
+                raise KbError(f"unknown form {head!r}")
+    except KbError as exc:
+        raise KbError(str(exc), form_start(text, index)[0]) from None
+    return eq_prior, parents, priors, declared, roles
 
 
 def load_kb(text: str) -> KnowledgeBase:
     """Parse and validate a KB source; raises `KbError` on the first
     syntactic or semantic problem."""
-    raw_schemas: dict[str, tuple[str | None, float, int]] = {}
-    raw_roles: list[tuple[str, str, str, int]] = []
-    eq_prior: float | None = None
+    forms = read_forms(text, KbError.from_reader)
 
-    for items, line, _ in read_forms(text, KbError.from_reader):
-        head = items[0]
-        if head == "schema":
-            if len(items) not in (4, 6):
-                raise KbError("schema form is (schema NAME [:isa NAME] :prior FLOAT)", line)
-            name = _check_name(items[1], line)
-            rest = items[2:]
-            parent = None
-            if rest[0] == ":isa":
-                parent = _check_name(rest[1], line)
-                rest = rest[2:]
-            if len(rest) != 2 or rest[0] != ":prior":
-                raise KbError("schema form is (schema NAME [:isa NAME] :prior FLOAT)", line)
-            prior = _parse_float(rest[1], line)
-            if name in raw_schemas:
-                raise KbError(f"duplicate schema {name!r}", line)
-            if not 0.0 < prior <= 1.0:
-                raise KbError(f"prior of {name!r} must be in (0,1], got {prior!r}", line)
-            if prior < sys.float_info.min:
-                raise KbError(f"prior of {name!r} is subnormal, below "
-                              f"{sys.float_info.min!r}: {prior!r}", line)
-            raw_schemas[name] = (parent, prior, line)
-        elif head == "role":
-            if len(items) != 4:
-                raise KbError("role form is (role FILLED SLOT FILLER)", line)
-            filled = _check_name(items[1], line)
-            slot = _check_name(items[2], line)
-            filler = _check_name(items[3], line)
-            raw_roles.append((filled, slot, filler, line))
-        elif head == "eq-prior":
-            if len(items) != 2:
-                raise KbError("eq-prior form is (eq-prior FLOAT)", line)
-            if eq_prior is not None:
-                raise KbError("duplicate eq-prior", line)
-            eq_prior = _parse_float(items[1], line)
-            if not 0.0 < eq_prior < 1.0:
-                raise KbError(f"eq-prior must be in (0,1), got {eq_prior!r}", line)
-        else:
-            raise KbError(f"unknown form {head!r}", line)
+    def line(index: int) -> int:
+        return form_start(text, index)[0]
+
+    # The tables hold one object per name, the first read.  The distinct
+    # names are checked together once every form is read; if one is bad,
+    # or a form is, the forms are read again checking each name as it
+    # comes, so that the problem reported is the first in the text.
+    names: dict[str, str] = {}
+    try:
+        eq_prior, parents, priors, declared, roles = _declarations(
+            text, forms, names.setdefault)
+        if not _all_names(names):
+            raise KbError("bad name")
+    except KbError:
+        _declarations(text, read_forms(text, KbError.from_reader), _checked_name)
+        raise
 
     if eq_prior is None:
         raise KbError("missing eq-prior")
 
-    for name, (parent, _, line) in raw_schemas.items():
-        if parent is not None and parent not in raw_schemas:
-            raise KbError(f"unknown parent {parent!r} of schema {name!r}", line)
+    for name, parent in parents.items():
+        if parent is not None and parent not in priors:
+            raise KbError(f"unknown parent {parent!r} of schema {name!r}",
+                          line(declared[name]))
 
     # isa must be a forest: walk up from each schema looking for a loop.
     # A walk stops at a schema already known to reach a root, so each
     # schema is walked through once and the check is linear in the base.
     rooted: set[str] = set()
-    for name in raw_schemas:
+    for name in parents:
+        if name in rooted:
+            continue
         walked = {name}
-        parent = raw_schemas[name][0]
+        parent = parents[name]
         while parent is not None and parent not in rooted:
             if parent in walked:
-                raise KbError(f"isa cycle through {name!r}", raw_schemas[name][2])
+                raise KbError(f"isa cycle through {name!r}", line(declared[name]))
             walked.add(parent)
-            parent = raw_schemas[parent][0]
+            parent = parents[parent]
         rooted.update(walked)
 
-    for name, (parent, prior, line) in raw_schemas.items():
-        if parent is not None and prior > raw_schemas[parent][1]:
-            raise KbError(
-                f"schema {name!r} has prior {prior!r} above its parent "
-                f"{parent!r} ({raw_schemas[parent][1]!r})", line)
-
     child_sums: dict[str, float] = {}
-    for name, (parent, prior, _) in raw_schemas.items():
+    for name, parent in parents.items():
         if parent is not None:
+            prior = priors[name]
+            if prior > priors[parent]:
+                raise KbError(
+                    f"schema {name!r} has prior {prior!r} above its parent "
+                    f"{parent!r} ({priors[parent]!r})", line(declared[name]))
             child_sums[parent] = child_sums.get(parent, 0.0) + prior
     for parent, total in child_sums.items():
-        _, parent_prior, parent_line = raw_schemas[parent]
         # A relative tolerance, so that it scales with tiny priors too.
-        if total > parent_prior * (1 + 1e-12):
+        if total > priors[parent] * (1 + 1e-12):
             raise KbError(
                 f"children of {parent!r} have priors summing to {total!r}, "
-                f"above the parent prior {parent_prior!r}", parent_line)
+                f"above the parent prior {priors[parent]!r}", line(declared[parent]))
 
-    slot_map: dict[str, dict[str, str]] = {name: {} for name in raw_schemas}
+    owned: dict[str, list[tuple[str, str]]] = {}  # schemas that declare a slot
     slot_owners: dict[str, set[str]] = {}
-    for filled, slot, filler, line in raw_roles:
-        if filled not in raw_schemas:
-            raise KbError(f"role on unknown schema {filled!r}", line)
-        if filler not in raw_schemas:
-            raise KbError(f"unknown filler {filler!r} in role of {filled!r}", line)
-        if slot in slot_map[filled]:
-            raise KbError(f"duplicate slot {slot!r} on schema {filled!r}", line)
+    flat = iter(roles)
+    for filled, slot, filler, index in zip(flat, flat, flat, flat):
+        if filled not in priors:
+            raise KbError(f"role on unknown schema {filled!r}", line(index))
+        filler_prior = priors.get(filler)
+        if filler_prior is None:
+            raise KbError(f"unknown filler {filler!r} in role of {filled!r}", line(index))
+        owners = slot_owners.get(slot)
+        if owners is None:
+            slot_owners[slot] = owners = set()
+        elif filled in owners:
+            raise KbError(f"duplicate slot {slot!r} on schema {filled!r}", line(index))
         # The slot's equality holds with probability p(==)/p(filler) when
         # both ends exist, so that ratio must be a probability.
-        if eq_prior > raw_schemas[filler][1]:
+        if eq_prior > filler_prior:
             raise KbError(
                 f"equality prior {eq_prior!r} exceeds the prior of filler "
-                f"type {filler!r}", line)
-        slot_map[filled][slot] = filler
-        slot_owners.setdefault(slot, set()).add(filled)
+                f"type {filler!r}", line(index))
+        owners.add(filled)
+        slots = owned.get(filled)
+        if slots is None:
+            owned[filled] = [(slot, filler)]
+        else:
+            slots.append((slot, filler))
 
-    schemas = {
-        name: Schema(
-            name=name,
-            parent=parent,
-            prior=prior,
-            slots=tuple(sorted(slot_map[name].items())),
-        )
-        for name, (parent, prior, _) in raw_schemas.items()
-    }
-    priors = {name: prior for name, (_, prior, _) in raw_schemas.items()}
+    new_schema = tuple.__new__
+    schemas = {}
+    for name, parent in parents.items():
+        slots = owned.get(name)
+        if slots is None:
+            slots = ()
+        else:
+            slots.sort()
+            slots = tuple(slots)
+        schemas[name] = new_schema(Schema, (name, parent, priors[name], slots))
     adjacency, links = _build_adjacency(schemas, priors)
     return KnowledgeBase(schemas=schemas, eq_prior=eq_prior,
                          adjacency=adjacency, links=links, priors=priors,
-                         parents={name: parent for name, (parent, _, _) in raw_schemas.items()},
-                         slot_owners=slot_owners)
+                         parents=parents, slot_owners=slot_owners)
 
 
 # The adjacency lists the links leaving a schema by (destination, kind,
@@ -298,36 +370,43 @@ def load_kb(text: str) -> KnowledgeBase:
 # stable sort on this key orders them by slot as well.
 _BY_DESTINATION_AND_KIND = attrgetter("destination", "kind")
 
+ISA_UP, ISA_DOWN, ROLE_UP, ROLE_DOWN = LinkKind
+
 
 def _build_adjacency(schemas: dict[str, Schema], priors: dict[str, float]
                      ) -> tuple[dict[str, tuple[TraversalLink, ...]], dict[str, TraversalLink]]:
     # The link table and, from the same links, the adjacency.  Both
-    # directions of each KB link are built together, so each holds the
-    # other as its twin.  This is where the spinal contribution's per-link
-    # multipliers are defined: p(filled)/p(filler) climbing a role,
-    # p(specific)/p(general) descending an isa edge, 1 otherwise.
+    # directions of each KB link are built together from one text of its
+    # names, so each holds the other as its twin.  This is where the
+    # spinal contribution's per-link multipliers are defined:
+    # p(filled)/p(filler) climbing a role, p(specific)/p(general)
+    # descending an isa edge, 1 otherwise.
     links: dict[str, TraversalLink] = {}
     leaving: dict[str, list[TraversalLink]] = {name: [] for name in schemas}
-
-    def pair(up: TraversalLink, down: TraversalLink) -> None:
-        up.twin, down.twin = down, up
-        links[up.text], links[down.text] = up, down
-        leaving[up.source].append(up)
-        leaving[down.source].append(down)
-
-    for name, schema in schemas.items():
-        parent = schema.parent
+    for name, parent, prior, slots in schemas.values():
+        here = leaving[name]
         if parent is not None:
-            names = (name, parent)
-            pair(TraversalLink(LinkKind.ISA_UP, names, name, parent, 1.0),
-                 TraversalLink(LinkKind.ISA_DOWN, names, parent, name,
-                               schema.prior / priors[parent]))
-        for slot, filler in schema.slots:
-            names = (name, slot, filler)
-            pair(TraversalLink(LinkKind.ROLE_UP, names, filler, name,
-                               schema.prior / priors[filler]),
-                 TraversalLink(LinkKind.ROLE_DOWN, names, name, filler, 1.0))
+            names = f" {name} {parent})"
+            up_text, down_text = "(isa" + names, "(isa-" + names
+            up = TraversalLink(ISA_UP, "", "", name, parent, 1.0, up_text)
+            down = TraversalLink(ISA_DOWN, "", "", parent, name, prior / priors[parent],
+                                 down_text)
+            up.twin, down.twin = down, up
+            links[up_text], links[down_text] = up, down
+            here.append(up)
+            leaving[parent].append(down)
+        for slot, filler in slots:
+            names = f" {name} {slot} {filler})"
+            up_text, down_text = "(role" + names, "(role-" + names
+            up = TraversalLink(ROLE_UP, slot, filler, filler, name, prior / priors[filler],
+                               up_text)
+            down = TraversalLink(ROLE_DOWN, slot, filler, name, filler, 1.0, down_text)
+            up.twin, down.twin = down, up
+            links[up_text], links[down_text] = up, down
+            leaving[filler].append(up)
+            here.append(down)
 
     for entries in leaving.values():
-        entries.sort(key=_BY_DESTINATION_AND_KIND)
-    return {name: tuple(entries) for name, entries in leaving.items()}, links
+        if len(entries) > 1:
+            entries.sort(key=_BY_DESTINATION_AND_KIND)
+    return dict(zip(leaving, map(tuple, leaving.values()))), links

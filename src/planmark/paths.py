@@ -40,15 +40,17 @@ leave the direction to the reader.  A path's links are the base's own
 link objects: `parse_path` looks each link form up by its text in the
 base's link table, and `Path.render` joins the links' stored texts.
 ``;`` comments run to the end of the line, as in the KB and stream
-formats, whose reader (`read_forms`) this module shares.  Endpoint IDs of the form ``gen-<digits>`` are reserved for
-the fresh instances of the path's translation.
+formats, whose reader (`read_forms`) this module shares.  Endpoint IDs
+of the form ``gen-<digits>`` are reserved for the fresh instances of the
+path's translation.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kb import KnowledgeBase, Observation
@@ -101,17 +103,15 @@ class TraversalLink:
     __slots__ = ("kind", "slot", "filler", "source", "destination",
                  "multiplier", "twin", "text")
 
-    def __init__(self, kind: LinkKind, names: tuple[str, ...], source: str,
-                 destination: str, multiplier: float):
+    def __init__(self, kind: LinkKind, slot: str, filler: str, source: str,
+                 destination: str, multiplier: float, text: str):
         self.kind = kind
-        if kind.is_role:
-            _, self.slot, self.filler = names
-        else:
-            self.slot = self.filler = ""
+        self.slot = slot
+        self.filler = filler
         self.source = source
         self.destination = destination
         self.multiplier = multiplier
-        self.text = f"({kind.tag} {' '.join(names)})"
+        self.text = text
 
     def __repr__(self) -> str:
         return f"TraversalLink{self.text}"
@@ -208,12 +208,11 @@ def validate(path: Path) -> bool:
     return state // 2 != _NO_ROLE_YET
 
 
-# Whitespace and ';' comments, then a whole form; group 1 is the text
-# between its parentheses, which holds no parenthesis outside a comment.
-# Every comment runs to the end of its line (inside a form, to a newline),
-# so each part of the text has one reading and a failed match backtracks
-# in linear time.
-_FORM_RE = re.compile(r"\s*(?:;[^\n]*(?![^\n])\s*)*\(([^();]*(?:;[^\n]*\n[^();]*)*)\)")
+# A form with at least one item, once comments are cut out: group 1 is
+# the text between its parentheses after any leading whitespace.
+# Splitting a text on it leaves the forms' bodies at the odd indices and
+# what lies outside them at the even ones.
+_FORM_RE = re.compile(r"\(\s*([^\s()][^()]*)\)")
 
 _COMMENT_RE = re.compile(r";[^\n]*")
 
@@ -221,45 +220,65 @@ _COMMENT_RE = re.compile(r";[^\n]*")
 # whitespace between them is skipped.
 _TOKEN_RE = re.compile(r";[^\n]*|[()]|[^\s();]+")
 
-Form = tuple[list[str], int, int]
-
 
 def read_forms(text: str,
-               error: Callable[[str, int, int], Exception]) -> list[Form]:
-    """The s-expression reader of the KB, stream and path formats: flat
-    forms ``(head arg ...)`` with their 1-based line and the character
-    position of their opening parenthesis; ``;`` comments run to the end
-    of the line and nesting is not allowed.  A syntax error raises
-    ``error(message, line, position)``.
+               error: Callable[[str, int, int], Exception]) -> Iterator[list[str]]:
+    """The s-expression reader of the KB, stream and path formats: the
+    items of each flat form ``(head arg ...)``, in order; ``;`` comments
+    run to the end of the line and nesting is not allowed.  A syntax error
+    raises ``error(message, line, position)``, with the 1-based line and
+    the character position of the token at fault.
 
-    Each form is read in one regex match and split on whitespace, after
-    its comments are cut out.  Once no form matches, only whitespace and
-    comments may remain; otherwise the first token names the error."""
-    forms: list[Form] = []
-    line, counted = 1, 0
-    pos = 0  # where the text after the last complete form starts
-    match_form = _FORM_RE.match
-    while (form := match_form(text, pos)) is not None:
-        at = form.start(1) - 1
-        line += text.count("\n", counted, at)
-        counted = at
-        body = form.group(1)
-        if ";" in body:
-            body = _COMMENT_RE.sub("", body)
-        items = body.split()
-        if not items:
-            raise error("empty form", line, at)
-        forms.append((items, line, at))
-        pos = form.end()
-    for match in _TOKEN_RE.finditer(text, pos):
+    The comments are cut out and the text is split into forms in one
+    regex pass, which checks the whole text; only an error reads it again,
+    token by token.  Each form is split on whitespace as the caller takes
+    it, so one form's list is alive at a time.  Where a form starts is
+    found by `form_start`, when a caller reports a problem with it."""
+    source = text
+    if ";" in text:
+        text = _COMMENT_RE.sub("", text)
+    parts = _FORM_RE.split(text)
+    outside = "".join(parts[::2])
+    if outside and not outside.isspace():
+        raise _syntax_error(source, error)
+    return map(str.split, parts[1::2])
+
+
+def _line(text: str, at: int) -> int:
+    return text.count("\n", 0, at) + 1
+
+
+def _syntax_error(text: str, error: Callable[[str, int, int], Exception]) -> Exception:
+    # The first problem a token-by-token reading of a malformed text meets.
+    at = None  # where the open form's '(' is
+    empty = True
+    for match in _TOKEN_RE.finditer(text):
         tok = match.group()
-        if tok[0] != ";":
+        if tok[0] == ";":
+            continue
+        if at is None:
             at = match.start()
-            line += text.count("\n", counted, at)
             if tok != "(":
-                raise error(f"expected '(' but found {tok!r}", line, at)
-            raise error("unterminated form", line, at)
-    return forms
+                return error(f"expected '(' but found {tok!r}", _line(text, at), at)
+            empty = True
+        elif tok == ")":
+            if empty:
+                return error("empty form", _line(text, at), at)
+            at = None
+        elif tok == "(":
+            break
+        else:
+            empty = False
+    return error("unterminated form", _line(text, at), at)
+
+
+def form_start(text: str, index: int) -> tuple[int, int]:
+    """The 1-based line and the position of the opening parenthesis of
+    form ``index`` of a text that `read_forms` read without error."""
+    opens = (match.start() for match in _TOKEN_RE.finditer(text)
+             if match.group() == "(")
+    at = next(itertools.islice(opens, index, None))
+    return _line(text, at), at
 
 
 # The fresh instances of RS(P) are named gen-<j> when a path is translated
@@ -278,49 +297,54 @@ def parse_path(kb: "KnowledgeBase", text: str,
     """
     from .kb import KbError, Observation
 
-    forms = read_forms(text, PathError.from_reader)
-    if len(forms) < 3:
+    forms = list(read_forms(text, PathError.from_reader))
+    last = len(forms) - 1
+    if last < 2:
         raise PathError("a path needs two (inst ...) forms and at least one link")
-    head, _, head_at = forms[0]
-    tail, _, tail_at = forms[-1]
-    for items, at in ((head, head_at), (tail, tail_at)):
+
+    def at(index: int) -> int:
+        return form_start(text, index)[1]
+
+    head, tail = forms[0], forms[last]
+    for items, index in ((head, 0), (tail, last)):
         if items[0] != "inst" or len(items) != 3:
-            raise PathError("path must begin and end with (inst ID SCHEMA)", at)
+            raise PathError("path must begin and end with (inst ID SCHEMA)", at(index))
         if _RESERVED_ID_RE.match(items[1]):
             raise PathError(f"instance ID {items[1]!r} is reserved: gen-<j> names "
-                            "the fresh instances of a path", at)
+                            "the fresh instances of a path", at(index))
     start = Observation(instance=head[1], schema=head[2], belief=beliefs[0])
     end = Observation(instance=tail[1], schema=tail[2], belief=beliefs[1])
-    for obs, at in ((start, head_at), (end, tail_at)):
+    for obs, index in ((start, 0), (end, last)):
         try:
             kb.check_observation(obs)
         except (KbError, ValueError) as exc:
-            raise PathError(str(exc), at) from None
+            raise PathError(str(exc), at(index)) from None
 
     links = []
     at_schema = start.schema
-    for items, _, at in forms[1:-1]:
+    for index in range(1, last):
+        items = forms[index]
         tag = items[0]
         if tag in ("role", "role-"):
             if len(items) != 4:
-                raise PathError("role link needs (role FILLED SLOT FILLER)", at)
+                raise PathError("role link needs (role FILLED SLOT FILLER)", at(index))
             missing = "no role link (role"
         elif tag in ("isa", "isa-"):
             if len(items) != 3:
-                raise PathError("isa link needs (isa SPECIFIC GENERAL)", at)
+                raise PathError("isa link needs (isa SPECIFIC GENERAL)", at(index))
             missing = "no isa edge (isa"
         else:
-            raise PathError(f"unknown link form {tag!r}", at)
+            raise PathError(f"unknown link form {tag!r}", at(index))
         link = kb.links.get(f"({' '.join(items)})")
         if link is None:
-            raise PathError(f"{missing} {' '.join(items[1:])})", at)
+            raise PathError(f"{missing} {' '.join(items[1:])})", at(index))
         # Prefer the tagged direction; fall back to the flipped reading when
         # only that one chains (legacy renderings leave direction implicit).
         if link.source != at_schema:
             link = link.twin
             if link.source != at_schema:
                 raise PathError(
-                    f"link does not chain: path is at {at_schema!r}", at)
+                    f"link does not chain: path is at {at_schema!r}", at(index))
         links.append(link)
         at_schema = link.destination
 
@@ -329,8 +353,8 @@ def parse_path(kb: "KnowledgeBase", text: str,
     try:
         valid = validate(path)
     except PathError as exc:
-        raise PathError(str(exc), tail_at) from None
+        raise PathError(str(exc), at(last)) from None
     if not valid:
-        raise PathError("link sequence violates the path validity grammar", tail_at)
+        raise PathError("link sequence violates the path validity grammar", at(last))
     return path
 

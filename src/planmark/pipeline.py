@@ -47,7 +47,7 @@ from .kb import KbError, KnowledgeBase, Observation, load_kb
 from .marker import EngineConfig, MarkerEngine
 # bench/tracing.py wraps this module's score_path, so it stays imported.
 from .marker import score_path  # noqa: F401
-from .paths import read_forms
+from .paths import form_start, read_forms
 from .semantics import relevant_statements
 
 
@@ -120,31 +120,37 @@ _RESERVED_ID_RE = re.compile(r"p[0-9]+-gen-[0-9]+\Z")
 
 
 def parse_stream(text: str) -> list[tuple[str, tuple, int]]:
-    """Input records in order: ("inst", Observation, line) and
-    ("corroborate", (schema, slot), line)."""
+    """Input records in order: ("inst", Observation, index) and
+    ("corroborate", (schema, slot), index), where ``index`` counts the
+    text's forms and `paths.form_start` finds the line of one."""
+    forms = read_forms(text, KbError.from_reader)
     records = []
-    for items, line, _ in read_forms(text, KbError.from_reader):
-        head = items[0]
-        if head == "inst":
-            if len(items) == 3:
-                belief = 1.0
-            elif len(items) == 5 and items[3] == ":belief":
-                try:
-                    belief = float(items[4])
-                except ValueError:
-                    raise KbError(f"bad belief {items[4]!r}", line) from None
+    # A problem with one record is named with the line of its form.
+    try:
+        for index, items in enumerate(forms):
+            head = items[0]
+            if head == "inst":
+                if len(items) == 3:
+                    belief = 1.0
+                elif len(items) == 5 and items[3] == ":belief":
+                    try:
+                        belief = float(items[4])
+                    except ValueError:
+                        raise KbError(f"bad belief {items[4]!r}") from None
+                else:
+                    raise KbError("inst record is (inst ID SCHEMA [:belief FLOAT])")
+                if _RESERVED_ID_RE.match(items[1]):
+                    raise KbError(f"instance ID {items[1]!r} is reserved: p<k>-gen-<j> "
+                                  "names the fresh instances of path k")
+                records.append(("inst", Observation(items[1], items[2], belief), index))
+            elif head == "corroborate":
+                if len(items) != 3:
+                    raise KbError("corroborate record is (corroborate SCHEMA SLOT)")
+                records.append(("corroborate", (items[1], items[2]), index))
             else:
-                raise KbError("inst record is (inst ID SCHEMA [:belief FLOAT])", line)
-            if _RESERVED_ID_RE.match(items[1]):
-                raise KbError(f"instance ID {items[1]!r} is reserved: p<k>-gen-<j> "
-                              "names the fresh instances of path k", line)
-            records.append(("inst", Observation(items[1], items[2], belief), line))
-        elif head == "corroborate":
-            if len(items) != 3:
-                raise KbError("corroborate record is (corroborate SCHEMA SLOT)", line)
-            records.append(("corroborate", (items[1], items[2]), line))
-        else:
-            raise KbError(f"unknown record {head!r}", line)
+                raise KbError(f"unknown record {head!r}")
+    except KbError as exc:
+        raise KbError(str(exc), form_start(text, index)[0]) from None
     return records
 
 
@@ -172,7 +178,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     engine = MarkerEngine(kb, config.engine)
     corroborated: dict[str, set[str]] = {}  # slot -> schemas it is corroborated at
 
-    for head, payload, line in parse_stream(stream_text):
+    for head, payload, index in parse_stream(stream_text):
         # The base rejects a record's unknown schema or belief out of range,
         # the engine a conflicting re-observation; name its line.
         try:
@@ -184,7 +190,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 _check_corroboration(kb, schema, slot)
                 corroborated.setdefault(slot, set()).add(schema)
         except (KbError, ValueError) as exc:
-            raise KbError(str(exc), line) from None
+            raise KbError(str(exc), form_start(stream_text, index)[0]) from None
 
     records = []
     evaluated = 0

@@ -21,11 +21,11 @@ emissions with the oracle's and classifies every high-scoring path the
 engine missed; `qualifying_cleaves` is its half-dip test, and
 `blocked_at_depth` finds the one way best-trail retention can lose a path
 without keeping one at least as good.  `random_kb` builds the small
-reproducible bases they are run on: a shallow isa forest with
-subset-consistent priors and random role links, with no planted
-structure, and `random_kb_stream` a stream of observations and
-corroborations on one.  The pinned report hashes cover
-runs on both, so their output may not drift.
+reproducible bases they are run on from the text `random_kb_text`
+writes: a shallow isa forest with subset-consistent priors and random
+role links, with no planted structure, and `random_kb_stream` a stream
+of observations and corroborations on one.  The pinned report hashes
+cover runs on both, so their output may not drift.
 
 `GlueThenValidateEngine` is the marker engine with its original meeting
 handler: every meeting of marks from two origins is glued into a whole
@@ -50,8 +50,14 @@ every slot equality by scanning all corroboration records.  The package
 reads relevant types off the walk's shape and looks each equality's slot
 up in an index from slot to the schemas it is corroborated at.
 `read_forms_by_tokens` is the original s-expression reader, which reads
-every form token by token; the package reads each form in one regex
-match.
+every form token by token and gives each form's line and position; the
+package splits the whole text into forms in one regex pass and finds a
+form's start only for an error.  `load_kb_reference` is the loader as it
+was before it held one object per name: it checks every name token with
+a regex, keeps each schema's fields in a tuple and builds each link's
+text by joining its names, as a `ReferenceLink`.  The tests hold the
+package's loader to the same tables, link fields and adjacency order,
+and to the same error message and line.
 
 The rest are reference evaluators.  `sc_by_fractions` is a path's spinal
 contribution in exact rationals.  `posterior_by_fractions` evaluates
@@ -77,12 +83,13 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from planmark.bayes import Cpts, VertebrateNetwork
-from planmark.kb import KnowledgeBase, Observation, load_kb
+from planmark.kb import KbError, KnowledgeBase, Observation, Schema, load_kb
 from planmark.marker import (EngineConfig, Mark, MarkerEngine, combine, extend_half,
                              score_path)
 from planmark.paths import START_STATE, STEP, LinkKind, Path, TraversalLink, validate
@@ -174,6 +181,11 @@ def random_kb(seed: int, n_schemas: int = 18, n_roles: int = 14) -> KnowledgeBas
     """A reproducible random base for oracle-vs-engine comparisons: a
     shallow isa forest with subset-consistent priors and random role links.
     Unlike `synth_corpus` there is no planted structure."""
+    return load_kb(random_kb_text(seed, n_schemas, n_roles))
+
+
+def random_kb_text(seed: int, n_schemas: int = 18, n_roles: int = 14) -> str:
+    """The source text `random_kb` loads."""
     rng = random.Random(seed)
     names = [f"s{k}" for k in range(n_schemas)]
     parent: dict[str, str | None] = {}
@@ -214,7 +226,7 @@ def random_kb(seed: int, n_schemas: int = 18, n_roles: int = 14) -> KnowledgeBas
     # Keep every equality CPT a probability: p(==) below the smallest prior.
     eq_prior = min(prior.values()) * rng.uniform(0.1, 0.9)
     lines.insert(0, f"(eq-prior {eq_prior!r})")
-    return load_kb("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def random_kb_stream(seed: int, base: KnowledgeBase, n_obs: int) -> str:
@@ -274,6 +286,209 @@ def read_forms_by_tokens(text: str,
     if items is not None:
         raise error("unterminated form", line, at)
     return forms
+
+
+# -- the loader before names were interned and links built from one text ------
+
+_REFERENCE_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+
+
+class ReferenceLink:
+    """`TraversalLink` as the reference loader builds it: the same fields,
+    its text joined from its kind's tag and names."""
+
+    __slots__ = ("kind", "slot", "filler", "source", "destination",
+                 "multiplier", "twin", "text")
+
+    def __init__(self, kind: LinkKind, names: tuple[str, ...], source: str,
+                 destination: str, multiplier: float):
+        self.kind = kind
+        if kind.is_role:
+            _, self.slot, self.filler = names
+        else:
+            self.slot = self.filler = ""
+        self.source = source
+        self.destination = destination
+        self.multiplier = multiplier
+        self.text = f"({kind.tag} {' '.join(names)})"
+
+
+def _reference_float(token: str, line: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise KbError(f"bad number {token!r}", line) from None
+    return value
+
+
+def _reference_name(token: str, line: int) -> str:
+    if not _REFERENCE_NAME_RE.match(token):
+        raise KbError(f"bad name {token!r}", line)
+    return token
+
+
+def load_kb_reference(text: str) -> KnowledgeBase:
+    """Parse and validate a KB source; raises `KbError` on the first
+    syntactic or semantic problem.  (`load_kb` as it was before it
+    interned names, with its links as `ReferenceLink`s.)"""
+    raw_schemas: dict[str, tuple[str | None, float, int]] = {}
+    raw_roles: list[tuple[str, str, str, int]] = []
+    eq_prior: float | None = None
+
+    for items, line, _ in read_forms_by_tokens(text, KbError.from_reader):
+        head = items[0]
+        if head == "schema":
+            if len(items) not in (4, 6):
+                raise KbError("schema form is (schema NAME [:isa NAME] :prior FLOAT)", line)
+            name = _reference_name(items[1], line)
+            rest = items[2:]
+            parent = None
+            if rest[0] == ":isa":
+                parent = _reference_name(rest[1], line)
+                rest = rest[2:]
+            if len(rest) != 2 or rest[0] != ":prior":
+                raise KbError("schema form is (schema NAME [:isa NAME] :prior FLOAT)", line)
+            prior = _reference_float(rest[1], line)
+            if name in raw_schemas:
+                raise KbError(f"duplicate schema {name!r}", line)
+            if not 0.0 < prior <= 1.0:
+                raise KbError(f"prior of {name!r} must be in (0,1], got {prior!r}", line)
+            if prior < sys.float_info.min:
+                raise KbError(f"prior of {name!r} is subnormal, below "
+                              f"{sys.float_info.min!r}: {prior!r}", line)
+            raw_schemas[name] = (parent, prior, line)
+        elif head == "role":
+            if len(items) != 4:
+                raise KbError("role form is (role FILLED SLOT FILLER)", line)
+            filled = _reference_name(items[1], line)
+            slot = _reference_name(items[2], line)
+            filler = _reference_name(items[3], line)
+            raw_roles.append((filled, slot, filler, line))
+        elif head == "eq-prior":
+            if len(items) != 2:
+                raise KbError("eq-prior form is (eq-prior FLOAT)", line)
+            if eq_prior is not None:
+                raise KbError("duplicate eq-prior", line)
+            eq_prior = _reference_float(items[1], line)
+            if not 0.0 < eq_prior < 1.0:
+                raise KbError(f"eq-prior must be in (0,1), got {eq_prior!r}", line)
+        else:
+            raise KbError(f"unknown form {head!r}", line)
+
+    if eq_prior is None:
+        raise KbError("missing eq-prior")
+
+    for name, (parent, _, line) in raw_schemas.items():
+        if parent is not None and parent not in raw_schemas:
+            raise KbError(f"unknown parent {parent!r} of schema {name!r}", line)
+
+    # isa must be a forest: walk up from each schema looking for a loop.
+    # A walk stops at a schema already known to reach a root, so each
+    # schema is walked through once and the check is linear in the base.
+    rooted: set[str] = set()
+    for name in raw_schemas:
+        walked = {name}
+        parent = raw_schemas[name][0]
+        while parent is not None and parent not in rooted:
+            if parent in walked:
+                raise KbError(f"isa cycle through {name!r}", raw_schemas[name][2])
+            walked.add(parent)
+            parent = raw_schemas[parent][0]
+        rooted.update(walked)
+
+    for name, (parent, prior, line) in raw_schemas.items():
+        if parent is not None and prior > raw_schemas[parent][1]:
+            raise KbError(
+                f"schema {name!r} has prior {prior!r} above its parent "
+                f"{parent!r} ({raw_schemas[parent][1]!r})", line)
+
+    child_sums: dict[str, float] = {}
+    for name, (parent, prior, _) in raw_schemas.items():
+        if parent is not None:
+            child_sums[parent] = child_sums.get(parent, 0.0) + prior
+    for parent, total in child_sums.items():
+        _, parent_prior, parent_line = raw_schemas[parent]
+        # A relative tolerance, so that it scales with tiny priors too.
+        if total > parent_prior * (1 + 1e-12):
+            raise KbError(
+                f"children of {parent!r} have priors summing to {total!r}, "
+                f"above the parent prior {parent_prior!r}", parent_line)
+
+    slot_map: dict[str, dict[str, str]] = {name: {} for name in raw_schemas}
+    slot_owners: dict[str, set[str]] = {}
+    for filled, slot, filler, line in raw_roles:
+        if filled not in raw_schemas:
+            raise KbError(f"role on unknown schema {filled!r}", line)
+        if filler not in raw_schemas:
+            raise KbError(f"unknown filler {filler!r} in role of {filled!r}", line)
+        if slot in slot_map[filled]:
+            raise KbError(f"duplicate slot {slot!r} on schema {filled!r}", line)
+        # The slot's equality holds with probability p(==)/p(filler) when
+        # both ends exist, so that ratio must be a probability.
+        if eq_prior > raw_schemas[filler][1]:
+            raise KbError(
+                f"equality prior {eq_prior!r} exceeds the prior of filler "
+                f"type {filler!r}", line)
+        slot_map[filled][slot] = filler
+        slot_owners.setdefault(slot, set()).add(filled)
+
+    schemas = {
+        name: Schema(
+            name=name,
+            parent=parent,
+            prior=prior,
+            slots=tuple(sorted(slot_map[name].items())),
+        )
+        for name, (parent, prior, _) in raw_schemas.items()
+    }
+    priors = {name: prior for name, (_, prior, _) in raw_schemas.items()}
+    adjacency, links = _build_adjacency_reference(schemas, priors)
+    return KnowledgeBase(schemas=schemas, eq_prior=eq_prior,
+                         adjacency=adjacency, links=links, priors=priors,
+                         parents={name: parent for name, (parent, _, _) in raw_schemas.items()},
+                         slot_owners=slot_owners)
+
+
+# The adjacency lists the links leaving a schema by (destination, kind,
+# slot), the order the marker emits paths in.  Two of them tie on
+# (destination, kind) only when they are role links between the same two
+# schemas; those are built in the order of the owner's sorted slots, so a
+# stable sort on this key orders them by slot as well.
+_BY_DESTINATION_AND_KIND = attrgetter("destination", "kind")
+
+
+def _build_adjacency_reference(schemas: dict[str, Schema], priors: dict[str, float]
+                               ) -> tuple[dict[str, tuple[ReferenceLink, ...]], dict[str, ReferenceLink]]:
+    # The link table and, from the same links, the adjacency.  Both
+    # directions of each KB link are built together, so each holds the
+    # other as its twin.  This is where the spinal contribution's per-link
+    # multipliers are defined: p(filled)/p(filler) climbing a role,
+    # p(specific)/p(general) descending an isa edge, 1 otherwise.
+    links: dict[str, ReferenceLink] = {}
+    leaving: dict[str, list[ReferenceLink]] = {name: [] for name in schemas}
+
+    def pair(up: ReferenceLink, down: ReferenceLink) -> None:
+        up.twin, down.twin = down, up
+        links[up.text], links[down.text] = up, down
+        leaving[up.source].append(up)
+        leaving[down.source].append(down)
+
+    for name, schema in schemas.items():
+        parent = schema.parent
+        if parent is not None:
+            names = (name, parent)
+            pair(ReferenceLink(LinkKind.ISA_UP, names, name, parent, 1.0),
+                 ReferenceLink(LinkKind.ISA_DOWN, names, parent, name,
+                               schema.prior / priors[parent]))
+        for slot, filler in schema.slots:
+            names = (name, slot, filler)
+            pair(ReferenceLink(LinkKind.ROLE_UP, names, filler, name,
+                               schema.prior / priors[filler]),
+                 ReferenceLink(LinkKind.ROLE_DOWN, names, name, filler, 1.0))
+
+    for entries in leaving.values():
+        entries.sort(key=_BY_DESTINATION_AND_KIND)
+    return {name: tuple(entries) for name, entries in leaving.items()}, links
 
 
 def _no_violation(kinds: list[LinkKind]) -> bool:

@@ -96,6 +96,38 @@ def test_run_from_stdin_and_counters(kb_file):
     assert f"path {FIG31_TEXT}" in lines
 
 
+BOM_STREAM = ("(inst supermarket2 supermarket :belief 0.9)\n(inst go1 go :belief 0.9)\n"
+              "(corroborate supermarket-shopping store-of)\n")
+
+
+def write_with_bom(path, text, bom):
+    path.write_text("\ufeff" * bom + text, encoding="utf-8")
+    return str(path)
+
+
+# Some editors start a UTF-8 file with a byte-order mark; the file means
+# the same with it as without it.
+def test_check_reads_a_kb_file_with_a_byte_order_mark(tmp_path):
+    plain = planmark("check", "--kb", write_with_bom(tmp_path / "plain.kb", FIXTURE_KB_TEXT, False))
+    marked = planmark("check", "--kb", write_with_bom(tmp_path / "bom.kb", FIXTURE_KB_TEXT, True))
+    assert plain.returncode == 0
+    assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, "")
+
+
+@pytest.mark.parametrize("kb_bom,input_bom", [(True, False), (False, True), (True, True)],
+                         ids=["kb", "input", "both"])
+def test_run_reads_files_with_a_byte_order_mark(tmp_path, kb_bom, input_bom):
+    def run_on(name, kb_bom, input_bom):
+        return planmark("run", *SPREAD_FLAGS,
+                        "--kb", write_with_bom(tmp_path / f"{name}.kb", FIXTURE_KB_TEXT, kb_bom),
+                        "--input", write_with_bom(tmp_path / f"{name}.stream", BOM_STREAM,
+                                                  input_bom))
+
+    plain, marked = run_on("plain", False, False), run_on("bom", kb_bom, input_bom)
+    assert plain.returncode == 0 and "counters reported=1" in plain.stdout
+    assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, "")
+
+
 def test_run_scores_a_path_through_a_tiny_prior(tmp_path):
     # Two halves that each carry p(plan) = 1e-160 multiply to 5e-320, a
     # subnormal, so the cleave score divides by p(plan) before it multiplies.

@@ -7,7 +7,7 @@ from planmark import KbError, KnowledgeBase, Observation, load_kb
 from planmark.paths import LinkKind
 
 from conftest import planmark
-from oracles import FLIPPED, flip, link_names, random_kb
+from oracles import FLIPPED, flip, link_names, random_kb, random_kb_text
 
 
 def test_fixture_loads(kb):
@@ -138,6 +138,38 @@ def test_comments_and_whitespace_ignored():
 def test_unknown_schema_raises(kb):
     with pytest.raises(KbError, match="unknown schema"):
         kb.prior("ghost")
+
+
+@pytest.mark.parametrize("text", [
+    random_kb_text(3, n_schemas=200, n_roles=160),
+    # Names met in roles and :isa before their schema forms, and one slot
+    # on several owners.  (One-character names are one object anyway.)
+    "(eq-prior 0.01)(role bb ss aa)(role cc ss aa)(schema cc :isa bb :prior 0.2)\n"
+    "(role aa tt bb)(schema aa :prior 0.5)(schema bb :prior 0.4)",
+], ids=["random", "forward"])
+def test_every_name_in_the_tables_is_one_object(text):
+    base = load_kb(text)
+    key = dict(zip(base.schemas, base.schemas))  # a name to the schema table's own key
+    slots: dict[str, str] = {}
+
+    def one_slot(slot):
+        return slots.setdefault(slot, slot) is slot
+
+    for name, schema in base.schemas.items():
+        assert schema.name is name
+        assert schema.parent is None or schema.parent is key[schema.parent]
+        for slot, filler in schema.slots:
+            assert filler is key[filler] and one_slot(slot)
+    for table in (base.priors, base.parents, base.adjacency):
+        assert all(name is key[name] for name in table)
+    assert all(parent is None or parent is key[parent] for parent in base.parents.values())
+    for slot, owners in base.slot_owners.items():
+        assert one_slot(slot) and all(owner is key[owner] for owner in owners)
+    for link in base.links.values():
+        assert link.source is key[link.source] and link.destination is key[link.destination]
+        if link.kind.is_role:
+            assert link.filler is key[link.filler] and one_slot(link.slot)
+    assert len(slots) == len(base.slot_owners)
 
 
 def test_neighbors_of_supermarket(kb):

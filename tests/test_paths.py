@@ -10,6 +10,7 @@ from planmark.paths import (
     LinkKind,
     Path,
     START_STATE,
+    form_start,
     read_forms,
 )
 
@@ -232,11 +233,18 @@ class ReaderError(Exception):
     """A reader's syntax error; its args are (message, line, position)."""
 
 
+def read_with_starts(text, error):
+    """The package's reader, each form's items given with the line and
+    position `form_start` finds for it, as the oracle gives them."""
+    return [(items, *form_start(text, index))
+            for index, items in enumerate(read_forms(text, error))]
+
+
 def read_both(text):
     """What the package's reader and the token-by-token oracle make of
     ``text``: their forms, or their error's (message, line, position)."""
     outcomes = []
-    for reader in (read_forms, read_forms_by_tokens):
+    for reader in (read_with_starts, read_forms_by_tokens):
         try:
             outcomes.append(reader(text, ReaderError))
         except ReaderError as exc:

@@ -2,15 +2,19 @@ import math
 import re
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from planmark import (
     EngineConfig,
     KbError,
     RunConfig,
     load_kb,
+    parse_path,
     run,
     synth_corpus,
 )
+from planmark.bayes import build_network
 from planmark.marker import MarkerEngine, score_path
 from planmark.pipeline import SynthParams, parse_stream
 from planmark.semantics import Inst, SlotEq, relevant_statements
@@ -248,6 +252,55 @@ def test_counter_chain_inequality_on_synth_runs():
         for stream in corpus.streams:
             report = run(corpus.kb, config, stream)
             assert report.approved <= report.evaluated <= report.reported
+
+
+# A draw of `random_kb` streams, the interior strengths and the approval
+# ratio; the ratio is log-uniform over ten decades.
+APPROVAL_RUNS = st.tuples(
+    st.integers(0, 400),
+    st.floats(1e-3, 1.0),
+    st.floats(1e-9, 1.0),
+    st.floats(-6.0, 4.0).map(lambda exponent: 10.0 ** exponent),
+)
+
+
+def approved_records_clearing_the_bound(seed, gamma1, gamma0, ratio):
+    """Run a random stream and check that every approved record's sc is
+    at least ratio * prod p(fresh) * min(gamma0, gamma1) / (p(==)^k *
+    gamma1), to 1e-9 relative; return the number approved.  The bound is
+    approve's test, posterior >= ratio * prod p(fresh), with posterior =
+    sc * residual and residual at most p(==)^k * gamma1 / min(gamma0,
+    gamma1) for a path of k role links."""
+    base = random_kb(seed, n_schemas=24, n_roles=30)
+    stream = random_kb_stream(seed, base, 6)
+    config = RunConfig(engine=EngineConfig(half_threshold=0.0, max_depth=4),
+                       gamma1=gamma1, gamma0=gamma0, approval_ratio=ratio)
+    beliefs = {obs.instance: obs.belief
+               for head, obs, _ in parse_stream(stream) if head == "inst"}
+    approved = [record for record in run(base, config, stream).records if record.approved]
+    for record in approved:
+        ends = parse_path(base, record.path_text)
+        path = parse_path(base, record.path_text,
+                          (beliefs[ends.start.instance], beliefs[ends.end.instance]))
+        fresh = math.prod(build_network(base, path, relevant_statements(path)).priors[1:-1])
+        bound = (ratio * fresh * min(gamma0, gamma1)
+                 / (base.eq_prior ** path.role_count() * gamma1))
+        assert record.sc >= bound * (1 - 1e-9), (record.path_text, record.sc, bound)
+    return len(approved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(APPROVAL_RUNS)
+def test_approved_records_clear_the_approval_bound(draw):
+    approved_records_clearing_the_bound(*draw)
+
+
+def test_some_drawn_runs_approve():
+    # The bound is checked on approved records only, so some draws must
+    # approve for it to be checked at all.
+    find(APPROVAL_RUNS, lambda draw: approved_records_clearing_the_bound(*draw) > 0,
+         settings=settings(max_examples=200, deadline=None, database=None,
+                           phases=[Phase.generate]))
 
 
 def test_synth_is_deterministic():
