@@ -58,9 +58,9 @@ print(f"halves at {meeting!r}: {h1} and {h2};",
 
 # What the path asserts, and the subset RS(P) the network is made of.
 print()
-print("S(P): ", statements_of(path).render())
+print("S(P): ", "".join(statement.render() for statement in statements_of(path)))
 rs = relevant_statements(path)
-print("RS(P):", rs.render())
+print("RS(P):", rs.text)
 
 # The network is RS(P) plus priors: one node per inst statement, carrying
 # its relevant type's prior, and one node eq<k> per slot equality.

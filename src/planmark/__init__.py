@@ -45,7 +45,6 @@ from .pipeline import (
 from .semantics import (
     Inst,
     SlotEq,
-    StatementSet,
     relevant_statements,
     statements_of,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "synth_corpus",
     "Inst",
     "SlotEq",
-    "StatementSet",
     "relevant_statements",
     "statements_of",
 ]

@@ -47,15 +47,17 @@ variable elimination.
 
 The network is RS(P) plus priors: `semantics` derives RS(P)'s relevant
 types in spine order, and the network holds RS(P) with the prior of each
-relevant type, looked up once in the base's prior table, and the declared
-filler type of each role link.  Before a path is evaluated,
-`evidence_filter` asks whether the input corroborates every slot binding
-it claims.  A plain dict maps each slot to the schemas it is corroborated
-at, so an equality whose slot nothing corroborates fails at one lookup;
-otherwise the owner's relevant type, read off RS(P) beside the role link,
-and that type's ancestors are looked up in the slot's set, walked through
-the base's parent table.  After evaluation, `approve` compares the
-posterior with the prior of the fresh instances the path hypothesizes.
+relevant type, looked up once in the base's prior table.  RS(P)'s role
+links give each equality its declared filler type, and the priors are
+the instance nodes' tables, which the CPTs do not copy.  Before a path
+is evaluated, `evidence_filter` asks whether the input corroborates
+every slot binding it claims.  A plain dict maps each slot to the
+schemas it is corroborated at, so an equality whose slot nothing
+corroborates fails at one lookup; otherwise the owner's relevant type,
+read off RS(P) beside the role link, and that type's ancestors are
+looked up in the slot's set, walked through the base's parent table.
+After evaluation, `approve` compares the posterior with the prior of the
+fresh instances the path hypothesizes.
 """
 
 from __future__ import annotations
@@ -66,29 +68,24 @@ from typing import NamedTuple
 from .kb import KnowledgeBase, Observation
 from .paths import LinkKind, Path
 # bench/tracing.py wraps this module's relevant_statements, so it stays imported.
-from .semantics import Inst, RelevantStatements, relevant_statements  # noqa: F401
+from .semantics import RelevantStatements, relevant_statements  # noqa: F401
 
 _ROLE_UP = LinkKind.ROLE_UP
 
 
 class VertebrateNetwork(NamedTuple):
     """RS(P) plus priors: the path's RS(P), each instance's relevant-type
-    prior in spine order, and the declared filler type of each slot
-    equality in role-link order (equality k is node ``eq<k>``)."""
+    prior in spine order, and the two observations at its ends.  The k-th
+    of RS(P)'s role links gives node ``eq<k>`` its declared filler type."""
 
     rs: RelevantStatements
     priors: tuple[float, ...]
-    filler_types: tuple[str, ...]
     start_obs: Observation
     end_obs: Observation
 
     @property
-    def insts(self) -> tuple[Inst, ...]:
-        return self.rs.insts
-
-    @property
     def non_evidence_count(self) -> int:
-        return len(self.priors) + len(self.filler_types)
+        return len(self.priors) + len(self.rs.roles)
 
     def edges(self) -> list[tuple[str, str]]:
         """Directed edges, deterministic order: instance chain, end
@@ -99,7 +96,7 @@ class VertebrateNetwork(NamedTuple):
             out.append((names[i], names[i + 1]))
         out.append((names[0], "e1"))
         out.append((names[-1], "e2"))
-        eq_ids = [f"eq{k}" for k in range(1, len(self.filler_types) + 1)]
+        eq_ids = [f"eq{k}" for k in range(1, len(self.rs.roles) + 1)]
         for k, eq_id in enumerate(eq_ids):
             out.append((names[k], eq_id))
             out.append((names[k + 1], eq_id))
@@ -116,17 +113,16 @@ def build_network(kb: KnowledgeBase, path: Path,
     priors = kb.priors
     # tuple.__new__ skips the named tuple's constructor, a Python function.
     return tuple.__new__(VertebrateNetwork, (
-        rs, tuple([priors[schema] for schema in rs.types]),
-        tuple([link.filler for link in rs.roles]), path.start, path.end))
+        rs, tuple([priors[schema] for schema in rs.types]), path.start, path.end))
 
 
 class Cpts(NamedTuple):
-    """Explicit tables for one network: instance priors, each equality's
-    both-parents-true probability, the two end-evidence likelihood pairs
-    (P(e|node true), P(e|node false)), interior strengths, and the global
-    equality prior carried along for the residual."""
+    """Explicit tables for one network beyond its instance priors: each
+    equality's both-parents-true probability, the two end-evidence
+    likelihood pairs (P(e|node true), P(e|node false)), interior
+    strengths, and the global equality prior carried along for the
+    residual."""
 
-    inst_prior: tuple[float, ...]
     eq_true: tuple[float, ...]
     evidence: tuple[tuple[float, float], tuple[float, float]]
     gamma1: float
@@ -154,14 +150,12 @@ def default_cpts(kb: KnowledgeBase, network: VertebrateNetwork,
     """The tables above, for interior strengths in (0,1] (`RunConfig`
     checks them); `load_kb` keeps every p(==)/p(f) at most 1."""
     eq_prior, priors = kb.eq_prior, kb.priors
-    eq_true = tuple([eq_prior / priors[filler_type]
-                     for filler_type in network.filler_types])
+    eq_true = tuple([eq_prior / priors[link.filler] for link in network.rs.roles])
     evidence = (
         _evidence_pair(kb, network.start_obs, network.priors[0]),
         _evidence_pair(kb, network.end_obs, network.priors[-1]),
     )
-    return tuple.__new__(Cpts, (network.priors, eq_true, evidence, gamma1, gamma0,
-                                eq_prior))
+    return tuple.__new__(Cpts, (eq_true, evidence, gamma1, gamma0, eq_prior))
 
 
 def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, float]:
@@ -182,9 +176,10 @@ def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, floa
     the residual by p(==)^k * gamma1 / min(gamma0, gamma1).
     """
     (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
-    q1, q2 = cpts.inst_prior[0], cpts.inst_prior[-1]
+    priors = network.priors
+    q1, q2 = priors[0], priors[-1]
     s0 = (q1 * e1_t + (1.0 - q1) * e1_f) * (q2 * e2_t + (1.0 - q2) * e2_f)
-    all_true = e1_t * e2_t * prod(cpts.inst_prior) * prod(cpts.eq_true)
+    all_true = e1_t * e2_t * prod(priors) * prod(cpts.eq_true)
     s1 = cpts.gamma0 * s0 + (cpts.gamma1 - cpts.gamma0) * all_true
     joint = cpts.gamma1 * all_true / s1
     p_ei_given_ends = s1 / s0
@@ -231,7 +226,7 @@ def render_network(network: VertebrateNetwork) -> str:
     lines = []
     for name, schema, prior in zip(network.rs.names, network.rs.types, network.priors):
         lines.append(f"node {name} kind=inst type={schema} prior={prior!r}")
-    for k in range(1, len(network.filler_types) + 1):
+    for k in range(1, len(network.rs.roles) + 1):
         lines.append(f"node eq{k} kind=eq type=- prior=-")
     lines.append("node e1 kind=ev type=- prior=-")
     lines.append("node e2 kind=ev type=- prior=-")

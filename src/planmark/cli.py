@@ -53,6 +53,14 @@ def _beliefs(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _read(name: str | None) -> str:
+    """The text of file ``name``, or of stdin when None, read as UTF-8
+    without the byte-order mark some editors put at its start."""
+    with open(sys.stdin.fileno() if name is None else name, encoding="utf-8-sig",
+              closefd=name is not None) as fh:
+        return fh.read()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="planmark")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,9 +117,7 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
                 out.write(stream)
         return
 
-    # utf-8-sig drops the byte-order mark some editors put at the start.
-    with open(args.kb, encoding="utf-8-sig") as fh:
-        kb = load_kb(fh.read())
+    kb = load_kb(_read(args.kb))
 
     if args.command == "check":
         roles = sum(len(s.slots) for s in kb.schemas.values())
@@ -126,25 +132,18 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
                                 max_depth=args.max_depth),
             gamma1=args.gamma1, gamma0=args.gamma0,
             approval_ratio=args.approval_ratio)
-        if args.input is None:
-            stream_text = sys.stdin.read()
-        else:
-            with open(args.input, encoding="utf-8-sig") as fh:
-                stream_text = fh.read()
-        out.write(run(kb, config, stream_text).render())
+        out.write(run(kb, config, _read(args.input)).render())
         return
 
     path = parse_path(kb, args.path, beliefs=args.beliefs)
     if args.command == "score":
         out.write(f"{score_path(kb, path)!r}\n")
     elif args.command == "translate":
-        full = statements_of(path)
-        rs = relevant_statements(path)
         out.write("S(P):\n")
-        for statement in full.statements:
+        for statement in statements_of(path):
             out.write(f"  {statement.render()}\n")
         out.write("RS(P):\n")
-        for statement in rs.statements:
+        for statement in relevant_statements(path).statements:
             out.write(f"  {statement.render()}\n")
     elif args.command == "network":
         network = build_network(kb, path, relevant_statements(path))

@@ -377,17 +377,18 @@ def _build_adjacency(schemas: dict[str, Schema], priors: dict[str, float]
                      ) -> tuple[dict[str, tuple[TraversalLink, ...]], dict[str, TraversalLink]]:
     # The link table and, from the same links, the adjacency.  Both
     # directions of each KB link are built together from one text of its
-    # names, so each holds the other as its twin.  This is where the
-    # spinal contribution's per-link multipliers are defined:
-    # p(filled)/p(filler) climbing a role, p(specific)/p(general)
-    # descending an isa edge, 1 otherwise.
+    # names, so each holds the other as its twin; each text opens with its
+    # kind's tag.  This is where the spinal contribution's per-link
+    # multipliers are defined: p(filled)/p(filler) climbing a role,
+    # p(specific)/p(general) descending an isa edge, 1 otherwise.
     links: dict[str, TraversalLink] = {}
     leaving: dict[str, list[TraversalLink]] = {name: [] for name in schemas}
+    isa_up, isa_down, role_up, role_down = [f"({kind.tag}" for kind in LinkKind]
     for name, parent, prior, slots in schemas.values():
         here = leaving[name]
         if parent is not None:
             names = f" {name} {parent})"
-            up_text, down_text = "(isa" + names, "(isa-" + names
+            up_text, down_text = isa_up + names, isa_down + names
             up = TraversalLink(ISA_UP, "", "", name, parent, 1.0, up_text)
             down = TraversalLink(ISA_DOWN, "", "", parent, name, prior / priors[parent],
                                  down_text)
@@ -397,7 +398,7 @@ def _build_adjacency(schemas: dict[str, Schema], priors: dict[str, float]
             leaving[parent].append(down)
         for slot, filler in slots:
             names = f" {name} {slot} {filler})"
-            up_text, down_text = "(role" + names, "(role-" + names
+            up_text, down_text = role_up + names, role_down + names
             up = TraversalLink(ROLE_UP, slot, filler, filler, name, prior / priors[filler],
                                up_text)
             down = TraversalLink(ROLE_DOWN, slot, filler, name, filler, 1.0, down_text)

@@ -285,6 +285,9 @@ def form_start(text: str, index: int) -> tuple[int, int]:
 # on its own, so a path literal may not use that form for an endpoint.
 _RESERVED_ID_RE = re.compile(r"gen-[0-9]+\Z")
 
+# A path literal's link forms, by the tags link text is written from.
+_KIND_OF_TAG = {kind.tag: kind for kind in LinkKind}
+
 
 def parse_path(kb: "KnowledgeBase", text: str,
                beliefs: tuple[float, float] = (1.0, 1.0)) -> Path:
@@ -324,17 +327,17 @@ def parse_path(kb: "KnowledgeBase", text: str,
     at_schema = start.schema
     for index in range(1, last):
         items = forms[index]
-        tag = items[0]
-        if tag in ("role", "role-"):
+        kind = _KIND_OF_TAG.get(items[0])
+        if kind is None:
+            raise PathError(f"unknown link form {items[0]!r}", at(index))
+        if kind.is_role:
             if len(items) != 4:
                 raise PathError("role link needs (role FILLED SLOT FILLER)", at(index))
             missing = "no role link (role"
-        elif tag in ("isa", "isa-"):
+        else:
             if len(items) != 3:
                 raise PathError("isa link needs (isa SPECIFIC GENERAL)", at(index))
             missing = "no isa edge (isa"
-        else:
-            raise PathError(f"unknown link form {tag!r}", at(index))
         link = kb.links.get(f"({' '.join(items)})")
         if link is None:
             raise PathError(f"{missing} {' '.join(items[1:])})", at(index))

@@ -26,14 +26,14 @@ order, and role link k joins instances k and k+1.  Every fresh instance
 owns one of the path's slot equalities (a fresh instance that only fills
 slots would sit in a slot-filler valley).
 
-A `StatementSet` holds S(P): its statements in derivation order, its inst
-statements and slot equalities apart, and its text.  RS(P) is a
-`RelevantStatements`, which holds only what a run reads of every path it
-reports, most of which the evidence filter rejects: the text the report
-prints, each instance's name and relevant type in spine order, and the
-path's role links, which give each equality's slot, filler type and
-owner.  Its statements, inst statements and equalities are built when
-read, for the single-path commands and the tests.
+S(P) is a tuple of statements in derivation order, for the single-path
+commands and the tests.  RS(P) is a `RelevantStatements`, which holds
+only what a run reads of every path it reports, most of which the
+evidence filter rejects: the text the report prints, each instance's
+name and relevant type in spine order, and the path's role links, which
+give each equality's slot, filler type and owner.  Its statements, inst
+statements and equalities are built when read, for the single-path
+commands and the tests.
 """
 
 from __future__ import annotations
@@ -70,20 +70,6 @@ class SlotEq(NamedTuple):
 Statement = Inst | SlotEq
 
 
-class StatementSet(NamedTuple):
-    """S(P): statements in derivation order (first occurrence wins), the
-    same set's inst statements and slot equalities, each in that order,
-    and its rendered text."""
-
-    statements: tuple[Statement, ...]
-    insts: tuple[Inst, ...]
-    eqs: tuple[SlotEq, ...]
-    text: str
-
-    def render(self) -> str:
-        return self.text
-
-
 class RelevantStatements(NamedTuple):
     """RS(P) as a run reads it: its text, each instance's name and relevant
     type in spine order, and the path's role links in travel order (role k
@@ -93,9 +79,6 @@ class RelevantStatements(NamedTuple):
     names: tuple[str, ...]
     types: tuple[str, ...]
     roles: tuple[TraversalLink, ...]
-
-    def render(self) -> str:
-        return self.text
 
     @property
     def insts(self) -> tuple[Inst, ...]:
@@ -116,11 +99,12 @@ class RelevantStatements(NamedTuple):
         return (insts[0], *[s for pair in zip(self.eqs, insts[1:]) for s in pair])
 
 
-def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
+def statements_of(path: Path, fresh_prefix: str = "gen-") -> tuple[Statement, ...]:
     """S(P): every typing and slot equality the path asserts, in derivation
-    order.  Isa moves carry the instance forward and re-type it; each role
-    move hands off to a fresh instance, except the last role move of the
-    path, which hands off to the end observation's instance."""
+    order, the first occurrence of each kept.  Isa moves carry the
+    instance forward and re-type it; each role move hands off to a fresh
+    instance, except the last role move of the path, which hands off to
+    the end observation's instance."""
     end = path.end
     last = path.role_count()
     statements: list[Statement] = []
@@ -139,11 +123,7 @@ def statements_of(path: Path, fresh_prefix: str = "gen-") -> StatementSet:
         schema = link.destination
     # A valid path has already typed its end instance as observed here.
     statements += (Inst(instance, schema), Inst(end.instance, end.schema))
-    statements = list(dict.fromkeys(statements))
-    return StatementSet(tuple(statements),
-                        tuple([s for s in statements if type(s) is Inst]),
-                        tuple([s for s in statements if type(s) is SlotEq]),
-                        "".join([s.render() for s in statements]))
+    return tuple(dict.fromkeys(statements))
 
 
 def relevant_statements(path: Path, fresh_prefix: str = "gen-") -> RelevantStatements:

@@ -93,7 +93,7 @@ from planmark.kb import KbError, KnowledgeBase, Observation, Schema, load_kb
 from planmark.marker import (EngineConfig, Mark, MarkerEngine, combine, extend_half,
                              score_path)
 from planmark.paths import START_STATE, STEP, LinkKind, Path, TraversalLink, validate
-from planmark.semantics import Inst, SlotEq, StatementSet, statements_of
+from planmark.semantics import Inst, RelevantStatements, SlotEq, Statement, statements_of
 
 
 FLIPPED = {LinkKind.ISA_UP: LinkKind.ISA_DOWN, LinkKind.ISA_DOWN: LinkKind.ISA_UP,
@@ -733,24 +733,28 @@ def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:
     return best
 
 
+def insts_of(statements: tuple[Statement, ...]) -> tuple[Inst, ...]:
+    return tuple(s for s in statements if isinstance(s, Inst))
+
+
+def eqs_of(statements: tuple[Statement, ...]) -> tuple[SlotEq, ...]:
+    return tuple(s for s in statements if isinstance(s, SlotEq))
+
+
+def text_of(statements: tuple[Statement, ...]) -> str:
+    return "".join(s.render() for s in statements)
+
+
 def relevant_statements_by_fold(kb: KnowledgeBase, path: Path,
-                                fresh_prefix: str = "gen-") -> StatementSet:
+                                fresh_prefix: str = "gen-") -> tuple[Statement, ...]:
     """RS(P): all slot equalities, one inst statement per instance at its
     relevant type, in S(P) order."""
     full = statements_of(path, fresh_prefix)
     types: dict[str, list[str]] = {}
-    for s in full.statements:
-        if isinstance(s, Inst):
-            types.setdefault(s.instance, []).append(s.schema)
+    for s in insts_of(full):
+        types.setdefault(s.instance, []).append(s.schema)
     rts = {i: _most_specific(kb, i, ts) for i, ts in types.items()}
-    kept = tuple(
-        s for s in full.statements
-        if isinstance(s, SlotEq) or rts[s.instance] == s.schema
-    )
-    return StatementSet(statements=kept,
-                        insts=tuple(s for s in kept if isinstance(s, Inst)),
-                        eqs=tuple(s for s in kept if isinstance(s, SlotEq)),
-                        text="".join(s.render() for s in kept))
+    return tuple(s for s in full if isinstance(s, SlotEq) or rts[s.instance] == s.schema)
 
 
 @dataclass
@@ -768,7 +772,7 @@ class ScanRegistry:
         self.observed.add(instance)
 
 
-def evidence_filter_by_scan(kb: KnowledgeBase, rs: StatementSet,
+def evidence_filter_by_scan(kb: KnowledgeBase, rs: RelevantStatements,
                             registry: ScanRegistry) -> bool:
     """True iff everything RS(P) asserts has some support: each instance is
     observed or corroborated at its relevant type (or an ancestor), and
@@ -802,7 +806,7 @@ def posterior_by_fractions(kb: KnowledgeBase, path: Path, gamma1: float,
     it: gamma1*A / (gamma0*s0 + (gamma1 - gamma0)*A), with s0 the product
     of the two end normalizers and A the all-true weight."""
     q = [Fraction(kb.prior(inst.schema))
-         for inst in relevant_statements_by_fold(kb, path).insts]
+         for inst in insts_of(relevant_statements_by_fold(kb, path))]
     eq_true = [Fraction(kb.eq_prior) / Fraction(kb.prior(link.filler))
                for link in path.links if link.kind.is_role]
 
@@ -837,11 +841,11 @@ def masses_by_enumeration(network: VertebrateNetwork,
     """(s0, s1, numerator) by full enumeration: the probability of the end
     evidence, of the end and interior evidence together, and of those with
     every instance and equality node true."""
-    n_inst = len(cpts.inst_prior)
+    n_inst = len(network.priors)
     n_eq = len(cpts.eq_true)
     n = n_inst + n_eq
 
-    priors = np.asarray(cpts.inst_prior)
+    priors = np.asarray(network.priors)
     eq_p = np.asarray(cpts.eq_true)
     (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
 
@@ -932,13 +936,13 @@ def _eliminate_all(factors: list[_Factor], order: list[int]) -> float:
 
 def posterior_by_elimination(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, float]:
     """Same (joint, residual) by sum-product variable elimination."""
-    n_inst = len(cpts.inst_prior)
+    n_inst = len(network.priors)
     n_eq = len(cpts.eq_true)
     inst_var = list(range(n_inst))
     eq_var = [n_inst + k for k in range(n_eq)]
 
     factors: list[_Factor] = []
-    for i, q in enumerate(cpts.inst_prior):
+    for i, q in enumerate(network.priors):
         factors.append(_Factor((inst_var[i],), {(1,): q, (0,): 1.0 - q}))
     (e1_t, e1_f), (e2_t, e2_f) = cpts.evidence
     factors.append(_Factor((inst_var[0],), {(1,): e1_t, (0,): e1_f}))

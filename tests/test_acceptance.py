@@ -65,7 +65,7 @@ def test_criterion_1_worked_example(kb, fig31):
     # sits between the two observed ones.
     (fresh,) = rs.insts[1:-1]
     generated = fresh.instance
-    rendered = [s.render().replace(generated, "shopping3") for s in sset.statements]
+    rendered = [s.render().replace(generated, "shopping3") for s in sset]
     assert rendered == [
         "(inst supermarket2 supermarket)",
         "(= (store-of shopping3) supermarket2)",

@@ -58,8 +58,8 @@ def network_of(kb, path, gamma1=0.9, gamma0=1e-7):
 
 def test_base_spine_shape(kb):
     network, _ = network_of(kb, single_role_path(kb))
-    assert len(network.insts) == 2
-    assert len(network.filler_types) == 1
+    assert len(network.rs.insts) == 2
+    assert len(network.rs.roles) == 1
     ids = {src for src, _ in network.edges()} | {dst for _, dst in network.edges()}
     assert {"e1", "e2", "EI"} <= ids
     assert len(network.edges()) == 5
@@ -67,9 +67,9 @@ def test_base_spine_shape(kb):
 
 def test_fig31_network_shape(kb, fig31):
     network, _ = network_of(kb, fig31)
-    assert [n.instance for n in network.insts] == ["supermarket2", "gen-1", "go1"]
-    assert [n.schema for n in network.insts] == ["supermarket", "supermarket-shopping", "go"]
-    assert len(network.filler_types) == 2
+    assert [n.instance for n in network.rs.insts] == ["supermarket2", "gen-1", "go1"]
+    assert [n.schema for n in network.rs.insts] == ["supermarket", "supermarket-shopping", "go"]
+    assert len(network.rs.roles) == 2
     interior_edges = [e for e in network.edges() if e[1] == "EI"]
     assert len(interior_edges) == 2
 
@@ -78,19 +78,20 @@ def test_structural_recurrence_on_sampled_paths():
     for base, path in sample_paths(seed=53, limit=80, beliefs=True):
         rs = relevant_statements(path)
         network = build_network(base, path, rs)
+        cpts = default_cpts(base, network, 0.9, 1e-7)
         roles = path.role_count()
-        assert len(network.insts) == roles + 1
-        assert len(network.filler_types) == roles
+        assert len(network.rs.insts) == roles + 1
+        assert len(network.rs.roles) == roles
         assert len(network.edges()) == 4 * roles + 1
         # Thm-style bijection: non-evidence nodes <-> RS(P) statements.
         assert network.non_evidence_count == len(rs.statements)
         # The network is RS(P) plus priors: its instances are RS(P)'s own,
-        # each with its relevant type's prior, and each equality carries
-        # its role link's declared filler type.
-        assert network.insts == rs.insts
+        # each with its relevant type's prior, and each equality's table
+        # reads its role link's declared filler type.
+        assert network.rs is rs
         assert network.priors == tuple(base.prior(inst.schema) for inst in rs.insts)
-        assert network.filler_types == tuple(
-            link.filler for link in path.links if link.kind.is_role)
+        assert cpts.eq_true == tuple(base.eq_prior / base.prior(link.filler)
+                                     for link in path.links if link.kind.is_role)
 
 
 def test_equality_cpt_value(kb):
@@ -216,7 +217,7 @@ def test_retyped_endpoint_still_satisfies_identity():
     path = parse_path(base, "(inst p1 plan)(role- plan step-of go)"
                             "(isa go act)(inst a1 act)", beliefs=(0.9, 0.6))
     network = build_network(base, path, relevant_statements(path))
-    assert network.insts[-1].schema == "go"
+    assert network.rs.insts[-1].schema == "go"
     cpts = default_cpts(base, network, 0.7, 0.01)
     joint, residual = exact_posterior(network, cpts)
     assert joint == pytest.approx(score_path(base, path) * residual, rel=1e-9)
@@ -261,6 +262,39 @@ def test_residual_bound_for_any_interior_strengths(case, gamma1, gamma0):
     assert residual <= bound * (1 + 1e-12) + sys.float_info.min
     s0, s1, _ = masses_by_enumeration(network, cpts)
     assert s1 >= floor * s0 * (1 - 1e-12)
+
+
+def tightness_case(x):
+    """A two-role path between two `a` instances observed at belief 1, so
+    both end evidence nodes are certain, on a base with p(plan) = x and
+    p(==)/p(a) = x: the all-true weight is A/s0 = x**3 of the end mass."""
+    base = load_kb(f"(eq-prior {0.2 * x!r})(schema a :prior 0.2)(schema plan :prior {x!r})"
+                   "(role plan x-of a)(role plan y-of a)")
+    return base, parse_path(base, "(inst a1 a)(role plan x-of a)(role- plan y-of a)"
+                                  "(inst a2 a)")
+
+
+@pytest.mark.parametrize("gamma1,gamma0,toward", [(0.9, 0.1, 0.0), (0.1, 0.9, 1.0)],
+                         ids=["gamma0-below-A-to-0", "gamma1-below-A-to-1"])
+def test_residual_bound_is_tight(gamma1, gamma0, toward):
+    # residual / bound = min(gamma0, gamma1) / (gamma0 + (gamma1 - gamma0) * A/s0),
+    # so the bound is reached as A/s0 -> 0 when gamma0 < gamma1, and as
+    # A/s0 -> 1 when gamma1 < gamma0.
+    gaps = []
+    for eps in (1e-1, 1e-3, 1e-5):
+        base, path = tightness_case(abs(toward - eps))
+        network, cpts = network_of(base, path, gamma1, gamma0)
+        _, residual = exact_posterior(network, cpts)
+        ratio = residual / (cpts.eq_prior ** path.role_count() * gamma1 / min(gamma0, gamma1))
+        s0, _, numerator = masses_by_enumeration(network, cpts)
+        a = numerator / gamma1 / s0
+        assert abs(a - toward) <= 3 * eps
+        assert ratio == pytest.approx(
+            min(gamma0, gamma1) / (gamma0 + (gamma1 - gamma0) * a), rel=1e-12)
+        assert ratio <= 1
+        gaps.append(1 - ratio)
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-3
 
 
 def chain_path(base, length, beliefs=(1.0, 1.0)):

@@ -1,6 +1,8 @@
 import argparse
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ from planmark import RunConfig, cli, load_kb, parse_path
 from planmark.cli import build_parser
 from planmark.pipeline import parse_stream
 
-from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, planmark
+from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, package_env, planmark
 from oracles import posterior_by_fractions
 
 SPREAD_FLAGS = ["--threshold", "0.1", "--full-threshold", "1.0"]
@@ -126,6 +128,23 @@ def test_run_reads_files_with_a_byte_order_mark(tmp_path, kb_bom, input_bom):
     plain, marked = run_on("plain", False, False), run_on("bom", kb_bom, input_bom)
     assert plain.returncode == 0 and "counters reported=1" in plain.stdout
     assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, "")
+
+
+@pytest.mark.parametrize("io_encoding", [None, "latin-1"], ids=["default", "latin-1"])
+def test_run_reads_stdin_with_a_byte_order_mark(kb_file, io_encoding):
+    # stdin is read as UTF-8, whatever the interpreter's stream encoding.
+    env = package_env()
+    if io_encoding is not None:
+        env["PYTHONIOENCODING"] = io_encoding
+
+    def run_on(data):
+        return subprocess.run([sys.executable, "-m", "planmark", "run", "--kb", kb_file,
+                               *SPREAD_FLAGS], input=data, capture_output=True, env=env)
+
+    plain = run_on(BOM_STREAM.encode())
+    marked = run_on(b"\xef\xbb\xbf" + BOM_STREAM.encode())
+    assert plain.returncode == 0 and b"counters reported=1" in plain.stdout
+    assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, b"")
 
 
 def test_run_scores_a_path_through_a_tiny_prior(tmp_path):

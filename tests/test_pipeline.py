@@ -26,7 +26,10 @@ from oracles import (
     isa_star,
     random_kb,
     random_kb_stream,
+    eqs_of,
+    insts_of,
     relevant_statements_by_fold,
+    text_of,
 )
 
 FIXTURE_STREAM = """
@@ -400,11 +403,11 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
             assert record.path_text == path.render()
             # The fold oracle renders its statements one by one.
             folded = relevant_statements_by_fold(base, path, prefix)
-            assert record.rs_text == rs.render() == rs.text == folded.text
-            assert rs.insts == folded.insts
-            assert rs.eqs == folded.eqs
-            assert rs.statements == folded.statements
-            assert rs.types == tuple(inst.schema for inst in folded.insts)
+            assert record.rs_text == rs.text == text_of(folded)
+            assert rs.insts == insts_of(folded)
+            assert rs.eqs == eqs_of(folded)
+            assert rs.statements == folded
+            assert rs.types == tuple(inst.schema for inst in insts_of(folded))
             assert rs.insts == tuple(s for s in rs.statements if isinstance(s, Inst))
             assert rs.eqs == tuple(s for s in rs.statements if isinstance(s, SlotEq))
             verdict = filter_by_ancestors(base, rs, corroborated)

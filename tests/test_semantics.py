@@ -9,8 +9,8 @@ from planmark import (
 from planmark.paths import LinkKind
 
 from conftest import marker_paths, sample_paths
-from oracles import (declared_slot, isa_star, link_names, relevant_instance_trace,
-                     relevant_statements_by_fold)
+from oracles import (declared_slot, eqs_of, insts_of, isa_star, link_names,
+                     relevant_instance_trace, relevant_statements_by_fold, text_of)
 
 
 def test_trace_of_fig31(fig31):
@@ -32,7 +32,7 @@ def test_two_role_path_has_one_fresh_instance(fig31):
 
 def test_statements_of_fig31_match_the_worked_example(fig31):
     sset = statements_of(fig31)
-    assert sset.statements == (
+    assert sset == (
         Inst("supermarket2", "supermarket"),
         SlotEq("gen-1", "store-of", "supermarket2"),
         Inst("gen-1", "supermarket-shopping"),
@@ -40,7 +40,7 @@ def test_statements_of_fig31_match_the_worked_example(fig31):
         SlotEq("gen-1", "go-step", "go1"),
         Inst("go1", "go"),
     )
-    assert sset.render() == ("(inst supermarket2 supermarket)"
+    assert text_of(sset) == ("(inst supermarket2 supermarket)"
                              "(= (store-of gen-1) supermarket2)"
                              "(inst gen-1 supermarket-shopping)"
                              "(inst gen-1 shopping)"
@@ -53,8 +53,8 @@ def test_single_role_path_statements(kb):
                           "(role supermarket-shopping store-of supermarket)"
                           "(inst p1 supermarket-shopping)")
     sset = statements_of(path)
-    assert len(sset.insts) == 2
-    assert sset.eqs == (SlotEq("p1", "store-of", "s1"),)
+    assert len(insts_of(sset)) == 2
+    assert eqs_of(sset) == (SlotEq("p1", "store-of", "s1"),)
 
 
 def test_relevant_type_picks_most_specific(fig31):
@@ -71,14 +71,14 @@ def test_relevant_type_three_level_chain():
     path = parse_path(base, "(inst p1 plan)(role- plan thing-of top)"
                             "(isa- mid top)(isa- leaf mid)(inst t1 leaf)")
     sset = statements_of(path)
-    assert [s.schema for s in sset.insts if s.instance == "t1"] == ["top", "mid", "leaf"]
+    assert [s.schema for s in insts_of(sset) if s.instance == "t1"] == ["top", "mid", "leaf"]
     assert relevant_statements(path).insts[-1] == Inst("t1", "leaf")
 
 
 def test_relevant_statements_of_fig31(kb, fig31):
     rs = relevant_statements(fig31)
     full = statements_of(fig31)
-    assert set(rs.statements) == set(full.statements) - {Inst("gen-1", "shopping")}
+    assert set(rs.statements) == set(full) - {Inst("gen-1", "shopping")}
     assert len(rs.insts) == 3
 
 
@@ -87,15 +87,15 @@ def test_rs_equals_s_without_isa_links(kb):
                           "(role supermarket-shopping store-of supermarket)"
                           "(inst p1 supermarket-shopping)")
     rs, full = relevant_statements(path), statements_of(path)
-    assert rs.text == full.text
-    assert rs.insts == full.insts
-    assert rs.eqs == full.eqs
-    assert rs.statements == full.statements
+    assert rs.text == text_of(full)
+    assert rs.insts == insts_of(full)
+    assert rs.eqs == eqs_of(full)
+    assert rs.statements == full
 
 
 def test_fresh_prefix_is_configurable(fig31):
     sset = statements_of(fig31, fresh_prefix="p3-gen-")
-    assert Inst("p3-gen-1", "supermarket-shopping") in sset.statements
+    assert Inst("p3-gen-1", "supermarket-shopping") in sset
     rs = relevant_statements(fig31, fresh_prefix="p3-gen-")
     assert [s.instance for s in rs.insts[1:-1]] == ["p3-gen-1"]
 
@@ -126,15 +126,15 @@ def test_structural_counts_on_sampled_paths():
         rs = relevant_statements(path)
         roles = path.role_count()
         isas = len(path.links) - roles
-        assert len(sset.eqs) == roles
+        assert len(eqs_of(sset)) == roles
         assert len(rs.eqs) == roles
         events = _typing_events(path, relevant_instance_trace(path))
-        assert len(sset.insts) == len(set(events))
+        assert len(insts_of(sset)) == len(set(events))
         if len(set(events)) == len(events):
             # No revisits: the closed-form count applies.
-            assert len(sset.insts) == 2 + isas + roles - 1
+            assert len(insts_of(sset)) == 2 + isas + roles - 1
         assert len(rs.insts) == roles + 1  # one per distinct instance
-        assert set(rs.statements) <= set(sset.statements)
+        assert set(rs.statements) <= set(sset)
         # Spine order: the ends first and last, the fresh instances between.
         fresh = [f"gen-{j}" for j in range(1, roles)]
         assert [s.instance for s in rs.insts] == [
@@ -152,7 +152,7 @@ def test_dropped_statements_are_implied(kb):
         sset = statements_of(path)
         rs = relevant_statements(path)
         rt = {s.instance: s.schema for s in rs.insts}
-        for dropped in set(sset.statements) - set(rs.statements):
+        for dropped in set(sset) - set(rs.statements):
             assert isinstance(dropped, Inst)
             assert isa_star(base, rt[dropped.instance], dropped.schema)
 
@@ -183,8 +183,8 @@ def test_rs_matches_the_isa_fold():
     for base, path, prefix in cases:
         rs = relevant_statements(path, prefix)
         folded = relevant_statements_by_fold(base, path, prefix)
-        assert rs.text == folded.text, path.render()
-        assert rs.insts == folded.insts, path.render()
-        assert rs.eqs == folded.eqs, path.render()
-        assert rs.statements == folded.statements, path.render()
-        assert rs.types == tuple(inst.schema for inst in folded.insts), path.render()
+        assert rs.text == text_of(folded), path.render()
+        assert rs.insts == insts_of(folded), path.render()
+        assert rs.eqs == eqs_of(folded), path.render()
+        assert rs.statements == folded, path.render()
+        assert rs.types == tuple(inst.schema for inst in insts_of(folded)), path.render()
