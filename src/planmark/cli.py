@@ -56,6 +56,8 @@ def _beliefs(text: str) -> tuple[float, float]:
 def _read(name: str | None) -> str:
     """The text of file ``name``, or of stdin when None, read as UTF-8
     without the byte-order mark some editors put at its start."""
+    if name is None and sys.stdin is None:  # started with fd 0 closed
+        raise OSError("standard input is closed")
     with open(sys.stdin.fileno() if name is None else name, encoding="utf-8-sig",
               closefd=name is not None) as fh:
         return fh.read()
@@ -88,9 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit a synthetic corpus")
     p.add_argument("--output", default=None, help="output file (default stdout)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stories", type=_positive_int, default=6)
-    p.add_argument("--plans", type=_positive_int, default=6)
-    p.add_argument("--density", type=float, default=1.0)
+    p.add_argument("--stories", type=_positive_int, default=SynthParams.n_stories,
+                   help="stories to emit (default %(default)s)")
+    p.add_argument("--plans", type=_positive_int, default=SynthParams.n_plans,
+                   help="plans to plant (default %(default)s)")
+    p.add_argument("--density", type=float, default=SynthParams.corroboration_density,
+                   help="chance of each corroboration record (default %(default)s)")
     p.add_argument("--out-kb", default=None, help="write the KB here")
     p.add_argument("--out-streams", default=None,
                    help="write one stream file per story under this prefix")

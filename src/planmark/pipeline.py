@@ -25,9 +25,10 @@ field order (path, sc, rs, filtered, posterior, residual, approved per
 record, then one counters record), so identical inputs produce
 byte-identical reports.
 
-`synth_corpus` stands in for hand-built story corpora: a reproducible
-random base with planted plans whose slot fillers get observed pairwise,
-plus corroboration records emitted with a configurable density.
+`synth_corpus` stands in for hand-built story corpora: the text of a
+reproducible random base with planted plans whose slot fillers get
+observed pairwise, plus corroboration records emitted with a configurable
+density.  The caller loads the base, so `planmark synth` parses nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .bayes import (
     evidence_filter,
     exact_posterior,
 )
-from .kb import KbError, KnowledgeBase, Observation, load_kb
+from .kb import KbError, KnowledgeBase, Observation
 from .marker import EngineConfig, MarkerEngine
 # bench/tracing.py wraps this module's score_path, so it stays imported.
 from .marker import score_path  # noqa: F401
@@ -72,35 +73,33 @@ class RunConfig:
 
 
 class PathRecord:
-    __slots__ = ("path_text", "sc", "rs_text", "filtered", "posterior", "residual",
-                 "approved")
+    # `run` gives a record a posterior exactly when its path passes the
+    # evidence filter, so the posterior decides the ``filtered`` line.
+    __slots__ = ("path_text", "sc", "rs_text", "posterior", "residual", "approved")
 
-    def __init__(self, path_text: str, sc: float, rs_text: str, filtered: str,
+    def __init__(self, path_text: str, sc: float, rs_text: str,
                  posterior: float | None = None, residual: float | None = None,
                  approved: bool = False):
         self.path_text = path_text
         self.sc = sc
         self.rs_text = rs_text
-        self.filtered = filtered  # "pass" or "fail"
         self.posterior = posterior
         self.residual = residual
         self.approved = approved
 
     def render(self) -> str:
         if self.posterior is None:
-            posterior = residual = "-"
+            judged = "fail\nposterior -\nresidual -"
         else:
-            posterior, residual = repr(self.posterior), repr(self.residual)
+            judged = f"pass\nposterior {self.posterior!r}\nresidual {self.residual!r}"
         return (f"path {self.path_text}\nsc {self.sc!r}\nrs {self.rs_text}\n"
-                f"filtered {self.filtered}\nposterior {posterior}\nresidual {residual}\n"
-                f"approved {'yes' if self.approved else 'no'}")
+                f"filtered {judged}\napproved {'yes' if self.approved else 'no'}")
 
 
 class RunReport:
-    def __init__(self, records: list[PathRecord], reported: int, evaluated: int,
-                 approved: int):
+    def __init__(self, records: list[PathRecord], evaluated: int, approved: int):
         self.records = records
-        self.reported = reported
+        self.reported = len(records)
         self.evaluated = evaluated
         self.approved = approved
 
@@ -198,9 +197,8 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(engine.scores.items(), start=1):
         rs = relevant_statements(path, f"p{index}-gen-")
-        passed = evidence_filter(kb, rs, corroborated)
-        record = PathRecord(path.render(), sc, rs.text, "pass" if passed else "fail")
-        if passed:
+        record = PathRecord(path.render(), sc, rs.text)
+        if evidence_filter(kb, rs, corroborated):
             network = build_network(kb, path, rs)
             record.posterior, record.residual = exact_posterior(network, default_cpts(
                 kb, network, config.gamma1, config.gamma0))
@@ -209,8 +207,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
             approved_count += record.approved
         records.append(record)
 
-    return RunReport(records=records, reported=len(engine.emitted),
-                     evaluated=evaluated, approved=approved_count)
+    return RunReport(records=records, evaluated=evaluated, approved=approved_count)
 
 
 # -- synthetic corpora ---------------------------------------------------------
@@ -230,7 +227,6 @@ class SynthParams:
 
 
 class SynthCorpus(NamedTuple):
-    kb: KnowledgeBase
     kb_text: str
     streams: list[str]
 
@@ -258,7 +254,6 @@ def synth_corpus(seed: int, params: SynthParams | None = None) -> SynthCorpus:
         lines.append(f"(role {plan} second-of {kinds[1]})")
         plans.append((plan, kinds))
     kb_text = "\n".join(lines) + "\n"
-    kb = load_kb(kb_text)
 
     streams = []
     for s in range(params.n_stories):
@@ -271,5 +266,5 @@ def synth_corpus(seed: int, params: SynthParams | None = None) -> SynthCorpus:
             if rng.random() < params.corroboration_density:
                 story.append(f"(corroborate {plan} {slot})")
         streams.append("\n".join(story) + "\n")
-    return SynthCorpus(kb=kb, kb_text=kb_text, streams=streams)
+    return SynthCorpus(kb_text=kb_text, streams=streams)
 

@@ -31,9 +31,9 @@ commands and the tests.  RS(P) is a `RelevantStatements`, which holds
 only what a run reads of every path it reports, most of which the
 evidence filter rejects: the text the report prints, each instance's
 name and relevant type in spine order, and the path's role links, which
-give each equality's slot, filler type and owner.  Its statements, inst
-statements and equalities are built when read, for the single-path
-commands and the tests.
+give each equality's slot, filler type and owner.  Its statements are
+built when read, for the single-path commands and the tests, which pick
+the inst statements and equalities out of them.
 """
 
 from __future__ import annotations
@@ -81,22 +81,16 @@ class RelevantStatements(NamedTuple):
     roles: tuple[TraversalLink, ...]
 
     @property
-    def insts(self) -> tuple[Inst, ...]:
-        return tuple(map(Inst, self.names, self.types))
-
-    @property
-    def eqs(self) -> tuple[SlotEq, ...]:
-        # A RoleUp's arriving instance owns the slot that the instance it
-        # came from fills; a RoleDown's is the filler.
-        names = self.names
-        return tuple([SlotEq(names[k + 1], link.slot, names[k]) if link.kind is _ROLE_UP
-                      else SlotEq(names[k], link.slot, names[k + 1])
-                      for k, link in enumerate(self.roles)])
-
-    @property
     def statements(self) -> tuple[Statement, ...]:
-        insts = self.insts
-        return (insts[0], *[s for pair in zip(self.eqs, insts[1:]) for s in pair])
+        names, types = self.names, self.types
+        statements = [Inst(names[0], types[0])]
+        for k, link in enumerate(self.roles):
+            # A RoleUp's arriving instance owns the slot that the instance
+            # it came from fills; a RoleDown's is the filler.
+            here, there = names[k], names[k + 1]
+            owner, filler = (there, here) if link.kind is _ROLE_UP else (here, there)
+            statements += (SlotEq(owner, link.slot, filler), Inst(there, types[k + 1]))
+        return tuple(statements)
 
 
 def statements_of(path: Path, fresh_prefix: str = "gen-") -> tuple[Statement, ...]:

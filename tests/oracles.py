@@ -778,7 +778,7 @@ def evidence_filter_by_scan(kb: KnowledgeBase, rs: RelevantStatements,
     observed or corroborated at its relevant type (or an ancestor), and
     each slot equality is corroborated for that slot at the owner's
     relevant type (or an ancestor)."""
-    rt = {s.instance: s.schema for s in rs.insts}
+    rt = {s.instance: s.schema for s in insts_of(rs.statements)}
 
     def matches(schema: str, slot: str | None) -> bool:
         for recorded_schema, recorded_slot in registry.records:
@@ -788,12 +788,12 @@ def evidence_filter_by_scan(kb: KnowledgeBase, rs: RelevantStatements,
                 return True
         return False
 
-    for inst in rs.insts:
+    for inst in insts_of(rs.statements):
         if inst.instance in registry.observed:
             continue
         if not matches(inst.schema, None):
             return False
-    for eq in rs.eqs:
+    for eq in eqs_of(rs.statements):
         if not matches(rt[eq.owner], eq.slot):
             return False
     return True

@@ -19,6 +19,7 @@ from planmark import (
     default_cpts,
     exact_posterior,
     extend_half,
+    load_kb,
     relevant_statements,
     run,
     score_path,
@@ -36,7 +37,7 @@ from conftest import (
     package_env,
     sample_paths,
 )
-from oracles import completeness_check, flip, path_schemas, random_kb, step
+from oracles import completeness_check, flip, insts_of, path_schemas, random_kb, step
 
 
 def criterion(number, title, limit_seconds):
@@ -63,7 +64,7 @@ def test_criterion_1_worked_example(kb, fig31):
     rs = relevant_statements(fig31)
     # RS(P) names the instances in spine order: the one fresh instance
     # sits between the two observed ones.
-    (fresh,) = rs.insts[1:-1]
+    (fresh,) = insts_of(rs.statements)[1:-1]
     generated = fresh.instance
     rendered = [s.render().replace(generated, "shopping3") for s in sset]
     assert rendered == [
@@ -214,8 +215,9 @@ def test_criterion_7_synth_approval_rate():
     evaluated = approved = 0
     for seed in range(20):
         corpus = synth_corpus(seed, SynthParams(corroboration_density=1.0))
+        base = load_kb(corpus.kb_text)
         for stream in corpus.streams:
-            report = run(corpus.kb, config, stream)
+            report = run(base, config, stream)
             evaluated += report.evaluated
             approved += report.approved
     assert evaluated >= 20

@@ -36,7 +36,9 @@ from conftest import (
 from oracles import (
     ScanRegistry,
     ancestors_or_self,
+    eqs_of,
     evidence_filter_by_scan,
+    insts_of,
     masses_by_enumeration,
     posterior_by_elimination,
     posterior_by_enumeration,
@@ -58,7 +60,7 @@ def network_of(kb, path, gamma1=0.9, gamma0=1e-7):
 
 def test_base_spine_shape(kb):
     network, _ = network_of(kb, single_role_path(kb))
-    assert len(network.rs.insts) == 2
+    assert len(insts_of(network.rs.statements)) == 2
     assert len(network.rs.roles) == 1
     ids = {src for src, _ in network.edges()} | {dst for _, dst in network.edges()}
     assert {"e1", "e2", "EI"} <= ids
@@ -67,8 +69,9 @@ def test_base_spine_shape(kb):
 
 def test_fig31_network_shape(kb, fig31):
     network, _ = network_of(kb, fig31)
-    assert [n.instance for n in network.rs.insts] == ["supermarket2", "gen-1", "go1"]
-    assert [n.schema for n in network.rs.insts] == ["supermarket", "supermarket-shopping", "go"]
+    insts = insts_of(network.rs.statements)
+    assert [n.instance for n in insts] == ["supermarket2", "gen-1", "go1"]
+    assert [n.schema for n in insts] == ["supermarket", "supermarket-shopping", "go"]
     assert len(network.rs.roles) == 2
     interior_edges = [e for e in network.edges() if e[1] == "EI"]
     assert len(interior_edges) == 2
@@ -80,7 +83,7 @@ def test_structural_recurrence_on_sampled_paths():
         network = build_network(base, path, rs)
         cpts = default_cpts(base, network, 0.9, 1e-7)
         roles = path.role_count()
-        assert len(network.rs.insts) == roles + 1
+        assert len(insts_of(network.rs.statements)) == roles + 1
         assert len(network.rs.roles) == roles
         assert len(network.edges()) == 4 * roles + 1
         # Thm-style bijection: non-evidence nodes <-> RS(P) statements.
@@ -89,7 +92,7 @@ def test_structural_recurrence_on_sampled_paths():
         # each with its relevant type's prior, and each equality's table
         # reads its role link's declared filler type.
         assert network.rs is rs
-        assert network.priors == tuple(base.prior(inst.schema) for inst in rs.insts)
+        assert network.priors == tuple(base.prior(inst.schema) for inst in insts_of(rs.statements))
         assert cpts.eq_true == tuple(base.eq_prior / base.prior(link.filler)
                                      for link in path.links if link.kind.is_role)
 
@@ -217,7 +220,7 @@ def test_retyped_endpoint_still_satisfies_identity():
     path = parse_path(base, "(inst p1 plan)(role- plan step-of go)"
                             "(isa go act)(inst a1 act)", beliefs=(0.9, 0.6))
     network = build_network(base, path, relevant_statements(path))
-    assert network.rs.insts[-1].schema == "go"
+    assert insts_of(network.rs.statements)[-1].schema == "go"
     cpts = default_cpts(base, network, 0.7, 0.01)
     joint, residual = exact_posterior(network, cpts)
     assert joint == pytest.approx(score_path(base, path) * residual, rel=1e-9)
@@ -395,10 +398,10 @@ def _random_registries(rng, base, path, rs, count):
     owner's relevant type or at a random schema; random noise is added."""
     names = sorted(base.schemas)
     slots = sorted({slot for schema in base.schemas.values() for slot, _ in schema.slots})
-    rt = {s.instance: s.schema for s in rs.insts}
+    rt = {s.instance: s.schema for s in insts_of(rs.statements)}
     for _ in range(count):
         records = [(rng.choice(names), rng.choice(slots)) for _ in range(rng.randrange(4))]
-        for eq in rs.eqs:
+        for eq in eqs_of(rs.statements):
             if rng.random() < 0.8:
                 near = ancestors_or_self(base, rt[eq.owner]) + [rng.choice(names)]
                 records.append((rng.choice(near), eq.slot))

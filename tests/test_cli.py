@@ -1,18 +1,20 @@
 import argparse
 import math
+import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from planmark import RunConfig, cli, load_kb, parse_path
 from planmark.cli import build_parser
-from planmark.pipeline import parse_stream
+from planmark.pipeline import SynthParams, parse_stream
 
 from conftest import FIG31_TEXT, FIXTURE_KB_TEXT, package_env, planmark
-from oracles import posterior_by_fractions
+from oracles import posterior_by_fractions, sc_by_fractions
 
 SPREAD_FLAGS = ["--threshold", "0.1", "--full-threshold", "1.0"]
 
@@ -147,6 +149,17 @@ def test_run_reads_stdin_with_a_byte_order_mark(kb_file, io_encoding):
     assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, b"")
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="closes fd 0 before exec")
+def test_run_with_stdin_closed_fails_cleanly(kb_file):
+    # A child started with fd 0 closed has sys.stdin None.
+    result = subprocess.run([sys.executable, "-m", "planmark", "run", "--kb", kb_file],
+                            capture_output=True, text=True, env=package_env(),
+                            preexec_fn=lambda: os.close(0))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: standard input is closed\n"
+
+
 def test_run_scores_a_path_through_a_tiny_prior(tmp_path):
     # Two halves that each carry p(plan) = 1e-160 multiply to 5e-320, a
     # subnormal, so the cleave score divides by p(plan) before it multiplies.
@@ -260,6 +273,35 @@ def test_run_outside_the_float_range_fails_cleanly_or_is_exact(tmp_path, kb_text
         assert math.isclose(float(posterior), exact, rel_tol=1e-9), (posterior, exact)
 
 
+# With no corroboration no record has a posterior, so only sc is checked:
+# either the run rejects the input, naming its line, or every sc it
+# reports is finite and the exact product of the path's floats.
+@pytest.mark.parametrize("kb_text", [
+    pytest.param(TWO_SLOT_KB.format(eq="1e-6", a="1e-5", b="1e-5"), id="in-range"),
+    # Exits 0 and reports sc inf.
+    pytest.param(TWO_SLOT_KB.format(eq="1e-250", a="1e-200", b="1e-200"),
+                 id="score-overflows-to-inf", marks=OUT_OF_RANGE),
+])
+def test_uncorroborated_run_outside_the_float_range_fails_cleanly_or_is_exact(tmp_path,
+                                                                             kb_text):
+    kb = tmp_path / "range.kb"
+    kb.write_text(kb_text)
+    stream = "(inst a1 a :belief 0.5)\n(inst b1 b :belief 0.5)\n"
+    result = planmark("run", "--kb", str(kb), stdin=stream)
+    assert "Traceback" not in result.stderr
+    if result.returncode == 1:
+        assert re.match(r"error: line [0-9]+: ", result.stderr), result.stderr
+        return
+    assert result.returncode == 0, result.stderr
+    base = load_kb(kb_text)
+    records = re.findall(r"^path (.*)\nsc (.*)$", result.stdout, re.MULTILINE)
+    assert records
+    for text, sc in records:
+        assert math.isfinite(float(sc)), sc
+        exact = sc_by_fractions(base, parse_path(base, text, beliefs=(0.5, 0.5)))
+        assert abs(Fraction(float(sc)) - exact) <= exact * Fraction(1e-12), (sc, float(exact))
+
+
 def test_run_rejects_a_reserved_fresh_name(kb_file, tmp_path):
     stream_file = tmp_path / "story.stream"
     stream_file.write_text("(inst go1 go :belief 0.9)\n"
@@ -368,6 +410,16 @@ def test_run_help_names_the_class_defaults():
     result = planmark("run", "--help")
     assert result.returncode == 0
     assert "(default 30.0)" in " ".join(result.stdout.split())
+
+
+def test_synth_help_names_the_class_defaults():
+    result = planmark("synth", "--help")
+    assert result.returncode == 0
+    text = " ".join(result.stdout.split())
+    for flag, default in (("--stories", SynthParams.n_stories),
+                          ("--plans", SynthParams.n_plans),
+                          ("--density", SynthParams.corroboration_density)):
+        assert re.search(rf"{flag} [A-Z]+ [^()]*\(default {default!r}\)", text), flag
 
 
 def test_synth_writes_files(tmp_path):

@@ -32,7 +32,7 @@ def synth_case(seed, half_threshold):
     corpus = synth_corpus(seed, SynthParams(n_plans=8, n_stories=8,
                                             corroboration_density=0.7))
     config = RunConfig(engine=EngineConfig(half_threshold=half_threshold, max_depth=6))
-    return corpus.kb, config, "".join(corpus.streams)
+    return load_kb(corpus.kb_text), config, "".join(corpus.streams)
 
 
 def random_kb_case(seed, half_threshold):

@@ -22,12 +22,12 @@ def test_single_role_path_has_no_fresh_instance(kb):
                           "(role supermarket-shopping store-of supermarket)"
                           "(inst p1 supermarket-shopping)")
     assert relevant_instance_trace(path) == ["s1", "p1"]
-    assert relevant_statements(path).insts[1:-1] == ()
+    assert insts_of(relevant_statements(path).statements)[1:-1] == ()
 
 
 def test_two_role_path_has_one_fresh_instance(fig31):
     assert fig31.role_count() == 2
-    assert [s.instance for s in relevant_statements(fig31).insts[1:-1]] == ["gen-1"]
+    assert [s.instance for s in insts_of(relevant_statements(fig31).statements)[1:-1]] == ["gen-1"]
 
 
 def test_statements_of_fig31_match_the_worked_example(fig31):
@@ -58,7 +58,7 @@ def test_single_role_path_statements(kb):
 
 
 def test_relevant_type_picks_most_specific(fig31):
-    rt = {s.instance: s.schema for s in relevant_statements(fig31).insts}
+    rt = {s.instance: s.schema for s in insts_of(relevant_statements(fig31).statements)}
     assert rt["gen-1"] == "supermarket-shopping"
     assert rt["go1"] == "go"
 
@@ -72,14 +72,14 @@ def test_relevant_type_three_level_chain():
                             "(isa- mid top)(isa- leaf mid)(inst t1 leaf)")
     sset = statements_of(path)
     assert [s.schema for s in insts_of(sset) if s.instance == "t1"] == ["top", "mid", "leaf"]
-    assert relevant_statements(path).insts[-1] == Inst("t1", "leaf")
+    assert insts_of(relevant_statements(path).statements)[-1] == Inst("t1", "leaf")
 
 
 def test_relevant_statements_of_fig31(kb, fig31):
     rs = relevant_statements(fig31)
     full = statements_of(fig31)
     assert set(rs.statements) == set(full) - {Inst("gen-1", "shopping")}
-    assert len(rs.insts) == 3
+    assert len(insts_of(rs.statements)) == 3
 
 
 def test_rs_equals_s_without_isa_links(kb):
@@ -88,8 +88,8 @@ def test_rs_equals_s_without_isa_links(kb):
                           "(inst p1 supermarket-shopping)")
     rs, full = relevant_statements(path), statements_of(path)
     assert rs.text == text_of(full)
-    assert rs.insts == insts_of(full)
-    assert rs.eqs == eqs_of(full)
+    assert insts_of(rs.statements) == insts_of(full)
+    assert eqs_of(rs.statements) == eqs_of(full)
     assert rs.statements == full
 
 
@@ -97,7 +97,7 @@ def test_fresh_prefix_is_configurable(fig31):
     sset = statements_of(fig31, fresh_prefix="p3-gen-")
     assert Inst("p3-gen-1", "supermarket-shopping") in sset
     rs = relevant_statements(fig31, fresh_prefix="p3-gen-")
-    assert [s.instance for s in rs.insts[1:-1]] == ["p3-gen-1"]
+    assert [s.instance for s in insts_of(rs.statements)[1:-1]] == ["p3-gen-1"]
 
 
 def _typing_events(path, trace):
@@ -124,26 +124,27 @@ def test_structural_counts_on_sampled_paths():
     for base, path in pairs:
         sset = statements_of(path)
         rs = relevant_statements(path)
+        insts, eqs = insts_of(rs.statements), eqs_of(rs.statements)
         roles = path.role_count()
         isas = len(path.links) - roles
         assert len(eqs_of(sset)) == roles
-        assert len(rs.eqs) == roles
+        assert len(eqs) == roles
         events = _typing_events(path, relevant_instance_trace(path))
         assert len(insts_of(sset)) == len(set(events))
         if len(set(events)) == len(events):
             # No revisits: the closed-form count applies.
             assert len(insts_of(sset)) == 2 + isas + roles - 1
-        assert len(rs.insts) == roles + 1  # one per distinct instance
+        assert len(insts) == roles + 1  # one per distinct instance
         assert set(rs.statements) <= set(sset)
         # Spine order: the ends first and last, the fresh instances between.
         fresh = [f"gen-{j}" for j in range(1, roles)]
-        assert [s.instance for s in rs.insts] == [
+        assert [s.instance for s in insts] == [
             path.start.instance, *fresh, path.end.instance]
         # No fresh instance only fills slots (slot-filler valley ban).
-        assert set(fresh) <= {eq.owner for eq in rs.eqs}
+        assert set(fresh) <= {eq.owner for eq in eqs}
         # An endpoint's relevant type is no likelier than its observed schema.
-        assert base.prior(rs.insts[0].schema) <= base.prior(path.start.schema)
-        assert base.prior(rs.insts[-1].schema) <= base.prior(path.end.schema)
+        assert base.prior(insts[0].schema) <= base.prior(path.start.schema)
+        assert base.prior(insts[-1].schema) <= base.prior(path.end.schema)
 
 
 def test_dropped_statements_are_implied(kb):
@@ -151,7 +152,7 @@ def test_dropped_statements_are_implied(kb):
     for base, path in pairs:
         sset = statements_of(path)
         rs = relevant_statements(path)
-        rt = {s.instance: s.schema for s in rs.insts}
+        rt = {s.instance: s.schema for s in insts_of(rs.statements)}
         for dropped in set(sset) - set(rs.statements):
             assert isinstance(dropped, Inst)
             assert isa_star(base, rt[dropped.instance], dropped.schema)
@@ -160,8 +161,8 @@ def test_dropped_statements_are_implied(kb):
 def test_sloteq_well_typed_on_sampled_paths():
     for base, path in sample_paths(seed=37, limit=100):
         rs = relevant_statements(path)
-        rt = {s.instance: s.schema for s in rs.insts}
-        for eq in rs.eqs:
+        rt = {s.instance: s.schema for s in insts_of(rs.statements)}
+        for eq in eqs_of(rs.statements):
             declared = declared_slot(base, rt[eq.owner], eq.slot)
             assert declared is not None, "owner's relevant type must have the slot"
             _, filler_type = declared
@@ -184,7 +185,7 @@ def test_rs_matches_the_isa_fold():
         rs = relevant_statements(path, prefix)
         folded = relevant_statements_by_fold(base, path, prefix)
         assert rs.text == text_of(folded), path.render()
-        assert rs.insts == insts_of(folded), path.render()
-        assert rs.eqs == eqs_of(folded), path.render()
+        assert insts_of(rs.statements) == insts_of(folded), path.render()
+        assert eqs_of(rs.statements) == eqs_of(folded), path.render()
         assert rs.statements == folded, path.render()
         assert rs.types == tuple(inst.schema for inst in insts_of(folded)), path.render()
