@@ -53,9 +53,10 @@ the instance nodes' tables, which the CPTs do not copy.  Before a path
 is evaluated, `evidence_filter` asks whether the input corroborates
 every slot binding it claims.  A plain dict maps each slot to the
 schemas it is corroborated at, so an equality whose slot nothing
-corroborates fails at one lookup; otherwise the owner's relevant type,
-read off RS(P) beside the role link, and that type's ancestors are
-looked up in the slot's set, walked through the base's parent table.
+corroborates fails at one lookup; otherwise the owner's relevant type
+and its ancestors are looked up in the slot's set, walked through the
+base's parent table.  The owner of role link k is RS(P)'s instance k
+plus the ``owner_side`` of the link's kind, read here, not decided.
 After evaluation, `approve` compares the posterior with the prior of the
 fresh instances the path hypothesizes.
 """
@@ -66,11 +67,9 @@ from math import prod
 from typing import NamedTuple
 
 from .kb import KnowledgeBase, Observation
-from .paths import LinkKind, Path
+from .paths import Path
 # bench/tracing.py wraps this module's relevant_statements, so it stays imported.
 from .semantics import RelevantStatements, relevant_statements  # noqa: F401
-
-_ROLE_UP = LinkKind.ROLE_UP
 
 
 class VertebrateNetwork(NamedTuple):
@@ -203,8 +202,8 @@ def evidence_filter(kb: KnowledgeBase, rs: RelevantStatements,
         schemas = corroborated.get(link.slot)
         if schemas is None:
             return False
-        # Role k joins instances k and k+1; a RoleUp's owner is the latter.
-        schema = types[k + 1] if link.kind is _ROLE_UP else types[k]
+        # Role k joins instances k and k+1; its kind says which owns the slot.
+        schema = types[k + link.kind.owner_side]
         while schema not in schemas:
             schema = parents[schema]
             if schema is None:

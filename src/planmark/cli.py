@@ -47,10 +47,12 @@ def _add_gammas(parser: argparse.ArgumentParser) -> None:
 
 
 def _beliefs(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated beliefs")
-    return float(parts[0]), float(parts[1])
+    try:
+        first, second = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated beliefs, got {text!r}") from None
+    return first, second
 
 
 def _read(name: str | None) -> str:

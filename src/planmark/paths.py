@@ -75,9 +75,12 @@ class PathError(Exception):
 class LinkKind(enum.IntEnum):
     """The four move kinds.  A kind's value is its column in the `STEP`
     table and its tie-break rank in neighbor listings; each up kind sits
-    beside its down kind.  ``tag`` is its surface tag and ``is_role``
-    whether it crosses a slot.  Link text is written from ``tag``, never
-    by formatting the member, whose `str` differs across Python versions."""
+    beside its down kind.  ``tag`` is its surface tag, ``is_role`` whether
+    it crosses a slot, and ``owner_side`` which of the two instances a
+    role move joins owns the slot: 0 for RoleDown, the one it leaves, 1
+    for RoleUp, the one it reaches (None for isa kinds).  Link text is
+    written from ``tag``, never by formatting the member, whose `str`
+    differs across Python versions."""
 
     ISA_UP = 0
     ISA_DOWN = 1
@@ -87,6 +90,7 @@ class LinkKind(enum.IntEnum):
     def __init__(self, value: int):
         self.tag = ("isa", "isa-", "role", "role-")[value]
         self.is_role = value >= 2
+        self.owner_side = (None, None, 1, 0)[value]
 
 
 class TraversalLink:
@@ -168,9 +172,6 @@ class Path(NamedTuple):
     start: "Observation"
     links: tuple[TraversalLink, ...]
     end: "Observation"
-
-    def role_count(self) -> int:
-        return len([link for link in self.links if link.kind.is_role])
 
     def render(self) -> str:
         start, end = self.start, self.end

@@ -11,7 +11,8 @@ from planmark import MarkerEngine, Observation, load_kb, validate
 from planmark.marker import EngineConfig
 from planmark.paths import Path, parse_path
 
-from oracles import OracleGuardError, completeness_check, enumerate_paths_oracle, random_kb
+from oracles import (OracleGuardError, completeness_check, enumerate_paths_oracle, random_kb,
+                     role_count)
 
 # The running example base: shopping plans and their stores.
 FIXTURE_KB_TEXT = """
@@ -78,7 +79,7 @@ def sample_paths(seed, n_kbs=4, max_depth=5, max_roles=None, limit=200,
             except OracleGuardError:
                 continue
             for path in found:
-                if max_roles is not None and path.role_count() > max_roles:
+                if max_roles is not None and role_count(path) > max_roles:
                     continue
                 out.append((base, path))
                 if len(out) >= limit:

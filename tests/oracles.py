@@ -7,8 +7,9 @@ a link the other way (the base stores each link's twin instead; `flip`
 looks the flipped tag and the same names up in the link table, so the
 tests cross-check the twin), `reverse` reads a path from its other end,
 `path_schemas` lists the schema at every position, `step` advances the
-validity DFA by one move or kind, and `relevant_instance_trace` names the
-instance at every position of a path.  `ancestors_or_self`, `isa_star`
+validity DFA by one move or kind, `role_count` counts a path's role
+links, and `relevant_instance_trace` names the instance at every
+position of a path.  `ancestors_or_self`, `isa_star`
 and `declared_slot` walk the isa tree and find a slot through each
 `Schema`'s own ``parent`` and ``slots``, so the tests cross-check the
 base's ``parents`` and ``slot_owners`` tables.
@@ -42,13 +43,18 @@ retention by instance name, scans every mark at the schema, and reads
 trails with `trail`, so none of that is shared.  It shares only the
 spread loop, which skips the marks its `_place` flags as displaced.
 
-`relevant_statements_by_fold` is the original RS(P) translation, which
+`statements_by_walk` is the original S(P) translation, a walk of its
+own that names the instances with its own counter and picks each
+equality's owner by comparing the link's kind, and
+`relevant_statements_by_fold` the original RS(P) translation, which
 picks each instance's relevant type by folding `isa_star` over every type
-S(P) gives it; `evidence_filter_by_scan` is the original evidence filter,
+that walk's S(P) gives it; `evidence_filter_by_scan` is the original evidence filter,
 which checks every instance (observed, or corroborated for any slot) and
 every slot equality by scanning all corroboration records.  The package
-reads relevant types off the walk's shape and looks each equality's slot
-up in an index from slot to the schemas it is corroborated at.
+derives S(P) and RS(P) from one walk, reads relevant types off the
+walk's shape and each owner off the link's kind, and looks each
+equality's slot up in an index from slot to the schemas it is
+corroborated at.
 `read_forms_by_tokens` is the original s-expression reader, which reads
 every form token by token and gives each form's line and position; the
 package splits the whole text into forms in one regex pass and finds a
@@ -93,7 +99,7 @@ from planmark.kb import KbError, KnowledgeBase, Observation, Schema, load_kb
 from planmark.marker import (EngineConfig, Mark, MarkerEngine, combine, extend_half,
                              score_path)
 from planmark.paths import START_STATE, STEP, LinkKind, Path, TraversalLink, validate
-from planmark.semantics import Inst, RelevantStatements, SlotEq, Statement, statements_of
+from planmark.semantics import Inst, RelevantStatements, SlotEq, Statement
 
 
 FLIPPED = {LinkKind.ISA_UP: LinkKind.ISA_DOWN, LinkKind.ISA_DOWN: LinkKind.ISA_UP,
@@ -131,11 +137,15 @@ def step(state: int, link: TraversalLink | LinkKind) -> int | None:
     return STEP[state][kind]
 
 
+def role_count(path: Path) -> int:
+    return len([link for link in path.links if link.kind.is_role])
+
+
 def relevant_instance_trace(path: Path, fresh_prefix: str = "gen-") -> list[str]:
     """Instance occupying each path position, start first: isa moves keep
     the instance, each role move hands off to the next fresh instance, and
     the last role move to the end observation's instance."""
-    roles = path.role_count()
+    roles = role_count(path)
     trace = [path.start.instance]
     handed = 0
     for link in path.links:
@@ -745,11 +755,38 @@ def text_of(statements: tuple[Statement, ...]) -> str:
     return "".join(s.render() for s in statements)
 
 
+def statements_by_walk(path: Path, fresh_prefix: str = "gen-") -> tuple[Statement, ...]:
+    """S(P): every typing and slot equality the path asserts, in derivation
+    order, the first occurrence of each kept.  Isa moves carry the
+    instance forward and re-type it; each role move hands off to a fresh
+    instance, except the last role move of the path, which hands off to
+    the end observation's instance."""
+    end = path.end
+    last = role_count(path)
+    statements: list[Statement] = []
+    instance, schema = path.start.instance, path.start.schema
+    handed = 0
+    for link in path.links:
+        statements.append(Inst(instance, schema))
+        if link.kind.is_role:
+            handed += 1
+            arriving = f"{fresh_prefix}{handed}" if handed < last else end.instance
+            if link.kind is LinkKind.ROLE_UP:
+                statements.append(SlotEq(arriving, link.slot, instance))
+            else:
+                statements.append(SlotEq(instance, link.slot, arriving))
+            instance = arriving
+        schema = link.destination
+    # A valid path has already typed its end instance as observed here.
+    statements += (Inst(instance, schema), Inst(end.instance, end.schema))
+    return tuple(dict.fromkeys(statements))
+
+
 def relevant_statements_by_fold(kb: KnowledgeBase, path: Path,
                                 fresh_prefix: str = "gen-") -> tuple[Statement, ...]:
     """RS(P): all slot equalities, one inst statement per instance at its
     relevant type, in S(P) order."""
-    full = statements_of(path, fresh_prefix)
+    full = statements_by_walk(path, fresh_prefix)
     types: dict[str, list[str]] = {}
     for s in insts_of(full):
         types.setdefault(s.instance, []).append(s.schema)

@@ -248,6 +248,14 @@ OUT_OF_RANGE = pytest.mark.xfail(strict=True,
     pytest.param(UNDERFLOW_KB.format(p1="1e-150", c1="1e-290", p2="1e-200"),
                  "(inst a1 a)\n(inst x1 p2)\n", ["--threshold", "0", "--full-threshold", "0"],
                  id="direct-fold-underflows", marks=OUT_OF_RANGE),
+    # The direct fold passes through a subnormal 1e-320 before the end's
+    # terminal factor, keeps about 11 bits, and the cleave check fails:
+    # combined 9.999999999999999e-31 vs direct 9.999888671826829e-31.
+    pytest.param("(eq-prior 1e-300)(schema a :prior 1.0)(schema g1 :prior 1.0)"
+                 "(schema o1 :isa g1 :prior 1e-160)(schema o2 :prior 1e-160)"
+                 "(schema b :prior 1e-290)(role o1 s1 a)(role o2 s2 g1)(role o2 s3 b)",
+                 "(inst a1 a)\n(inst b1 b)\n", ["--threshold", "0", "--full-threshold", "0"],
+                 id="direct-fold-subnormal", marks=OUT_OF_RANGE),
 ])
 def test_run_outside_the_float_range_fails_cleanly_or_is_exact(tmp_path, kb_text,
                                                                stream, flags):
@@ -477,6 +485,26 @@ def test_usage_error_exits_two(kb_file):
                        "--end", "(inst b go)")
     assert unknown.returncode == 2
     assert "invalid choice" in unknown.stderr
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("run", "--max-depth", "x"),
+    ("synth", "--stories", "2.5"),
+    ("synth", "--plans", "0"),
+    ("score", "--beliefs", "1.0"),
+    ("score", "--beliefs", "a,b"),
+], ids=["max-depth-x", "stories-2.5", "plans-0", "beliefs-one", "beliefs-not-numbers"])
+def test_a_malformed_option_value_is_a_usage_error_naming_the_flag(kb_file, command, flag,
+                                                                    value):
+    source = ["--seed", "1"] if command == "synth" else ["--kb", kb_file]
+    if command == "score":
+        source += ["--path", FIG31_TEXT]
+    result = planmark(command, *source, flag, value, stdin="")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"argument {flag}: " in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "_beliefs" not in result.stderr
 
 
 @pytest.mark.parametrize("command", [

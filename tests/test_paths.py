@@ -73,6 +73,7 @@ def test_link_kinds_are_step_table_columns(kb):
     assert [kind.value for kind in LinkKind] == [0, 1, 2, 3]
     assert " ".join(kind.tag for kind in LinkKind) == "isa isa- role role-"
     assert [kind.is_role for kind in LinkKind] == [False, False, True, True]
+    assert [kind.owner_side for kind in LinkKind] == [None, None, 1, 0]
     for base in (kb, random_kb(0, 30, 30)):
         assert base.links
         for link in base.links.values():

@@ -29,6 +29,7 @@ from oracles import (
     eqs_of,
     insts_of,
     relevant_statements_by_fold,
+    role_count,
     text_of,
 )
 
@@ -288,7 +289,7 @@ def approved_records_clearing_the_bound(seed, gamma1, gamma0, ratio):
                           (beliefs[ends.start.instance], beliefs[ends.end.instance]))
         fresh = math.prod(build_network(base, path, relevant_statements(path)).priors[1:-1])
         bound = (ratio * fresh * min(gamma0, gamma1)
-                 / (base.eq_prior ** path.role_count() * gamma1))
+                 / (base.eq_prior ** role_count(path) * gamma1))
         assert record.sc >= bound * (1 - 1e-9), (record.path_text, record.sc, bound)
     return len(approved)
 

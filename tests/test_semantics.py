@@ -10,7 +10,8 @@ from planmark.paths import LinkKind
 
 from conftest import marker_paths, sample_paths
 from oracles import (declared_slot, eqs_of, insts_of, isa_star, link_names,
-                     relevant_instance_trace, relevant_statements_by_fold, text_of)
+                     relevant_instance_trace, relevant_statements_by_fold, role_count,
+                     statements_by_walk, text_of)
 
 
 def test_trace_of_fig31(fig31):
@@ -26,7 +27,7 @@ def test_single_role_path_has_no_fresh_instance(kb):
 
 
 def test_two_role_path_has_one_fresh_instance(fig31):
-    assert fig31.role_count() == 2
+    assert role_count(fig31) == 2
     assert [s.instance for s in insts_of(relevant_statements(fig31).statements)[1:-1]] == ["gen-1"]
 
 
@@ -125,7 +126,7 @@ def test_structural_counts_on_sampled_paths():
         sset = statements_of(path)
         rs = relevant_statements(path)
         insts, eqs = insts_of(rs.statements), eqs_of(rs.statements)
-        roles = path.role_count()
+        roles = role_count(path)
         isas = len(path.links) - roles
         assert len(eqs_of(sset)) == roles
         assert len(eqs) == roles
@@ -189,3 +190,17 @@ def test_rs_matches_the_isa_fold():
         assert eqs_of(rs.statements) == eqs_of(folded), path.render()
         assert rs.statements == folded, path.render()
         assert rs.types == tuple(inst.schema for inst in insts_of(folded)), path.render()
+
+
+def test_statements_of_matches_the_independent_walk():
+    # S(P) shares RS(P)'s walk, instance naming and owner rule; the
+    # reference walk names instances with its own counter and picks each
+    # owner by comparing the link's kind.
+    pairs = sample_paths(seed=43, n_kbs=120, limit=6000)
+    assert len(pairs) >= 5000
+    cases = [(path, "p1-gen-") for _, path in pairs]
+    cases += [(path, prefix) for _, path, prefix in marker_paths()]
+    for path, prefix in cases:
+        for fresh_prefix in ("gen-", prefix):
+            assert statements_of(path, fresh_prefix) == statements_by_walk(path, fresh_prefix), \
+                path.render()
