@@ -42,12 +42,7 @@ from .pipeline import (
     run,
     synth_corpus,
 )
-from .semantics import (
-    Inst,
-    SlotEq,
-    relevant_statements,
-    statements_of,
-)
+from .semantics import relevant_statements, statements_of
 
 __version__ = "0.1.0"
 
@@ -83,8 +78,6 @@ __all__ = [
     "SynthParams",
     "run",
     "synth_corpus",
-    "Inst",
-    "SlotEq",
     "relevant_statements",
     "statements_of",
 ]

@@ -84,8 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=description)
         _add_common(p)
         p.add_argument("--path", required=True, help="path literal")
-        p.add_argument("--beliefs", type=_beliefs, default=(1.0, 1.0),
-                       help="start,end beliefs (default 1.0,1.0)")
+        if name in ("score", "eval"):
+            p.add_argument("--beliefs", type=_beliefs, default=(1.0, 1.0),
+                           help="start,end beliefs (default 1.0,1.0)")
+        else:  # no output of these depends on the end beliefs
+            p.set_defaults(beliefs=(1.0, 1.0))
         if name == "eval":
             _add_gammas(p)
 
@@ -148,10 +151,10 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
     elif args.command == "translate":
         out.write("S(P):\n")
         for statement in statements_of(path):
-            out.write(f"  {statement.render()}\n")
+            out.write(f"  {statement}\n")
         out.write("RS(P):\n")
         for statement in relevant_statements(path).statements:
-            out.write(f"  {statement.render()}\n")
+            out.write(f"  {statement}\n")
     elif args.command == "network":
         network = build_network(kb, path, relevant_statements(path))
         out.write(render_network(network))

@@ -27,10 +27,12 @@ mark its schema's table holds at its key (origin seed rank, DFA state):
 one mark per key, the best-scoring trail.  A displaced mark is flagged.
 
 When a mark lands where marks from other origins already sit, only those
-whose DFA state the seam table pairs with its own are met, in the order
-they arrived: marks from unrelated trails can meet at a plateau or a
-valley, or with no role link between them, and no single valid path allows
-that.  The cleave rule (`combine`) scores each remaining meeting at schema
+whose DFA state the seam table pairs with its own are met: marks from
+unrelated trails can meet at a plateau or a valley, or with no role link
+between them, and no single valid path allows that.  They are met in the
+order their retention keys were first filled at that schema, which is not
+always the order they arrived: a mark that displaces another takes its
+place.  The cleave rule (`combine`) scores each remaining meeting at schema
 n from the two half scores as ``h1 * (h2 / p(n))``, which equals the whole
 path's score.  Dividing first keeps the intermediate at the size of a
 score: two halves that each carry a tiny prior ratio would multiply into
@@ -234,7 +236,8 @@ class MarkerEngine:
             incumbent.displaced = True
         mark = here[key] = Mark(origin, at, state, score, link, prev)
         # Only a meeting the seam table allows can yield a valid path, so
-        # only those reach `_collide`, in the order the marks arrived here.
+        # only those reach `_collide`, in the order their keys were first
+        # filled here: a mark that displaced another sits in its place.
         # Every mark of an origin carries its one seeded observation.
         seam = SEAM_VALID[state]
         for other in here.values():

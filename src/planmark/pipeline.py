@@ -13,12 +13,12 @@ descendant of it, which makes it an input error.  After the stream ends,
 every reported path is translated once into its RS(P), which then serves
 the cheap evidence filter, the exact network evaluation (only if the
 filter passes) and the approval test.  A rejected path costs its RS(P)
-text, relevant types and role links, and no statement objects.  A path's
-``sc`` is the score the marker computed once, when it emitted the path,
-and equals its `score_path`; its text is `Path.render`, which joins the
-texts the base's links carry.  Three counters mirror the stages: paths
-reported by the marker, evaluated (those that passed the filter) and
-approved.
+walk and nothing more, and the report prints its statement texts joined.
+A path's ``sc`` is the score the marker computed once, when it emitted
+the path, and equals its `score_path`; its text is `Path.render`, which
+joins the texts the base's links carry.  Three counters mirror the
+stages: paths reported by the marker, evaluated (those that passed the
+filter) and approved.
 
 The report is plain structured text: one ``#`` header line, then a fixed
 field order (path, sc, rs, filtered, posterior, residual, approved per
@@ -197,7 +197,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(engine.scores.items(), start=1):
         rs = relevant_statements(path, f"p{index}-gen-")
-        record = PathRecord(path.render(), sc, rs.text)
+        record = PathRecord(path.render(), sc, "".join(rs.statements))
         if evidence_filter(kb, rs, corroborated):
             network = build_network(kb, path, rs)
             record.posterior, record.residual = exact_posterior(network, default_cpts(

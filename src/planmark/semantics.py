@@ -18,23 +18,23 @@ but only one ``inst`` statement per instance, at its most specific
 through the isa tree.
 
 This module is the one place that decides what a path claims.  One walk
-(`_walker`) names the instances and renders the statements for both
-sets, which differ only in the typings it keeps; the grammar fixes the
-shape of each instance's isa moves, so the walk tells the relevant
-typing without consulting the isa tree.  RS(P) of a valid path runs along
-the spine, with the start instance first, the end instance last and the
-fresh instances in between, so role link k joins instances k and k+1.
-Every fresh instance owns one of the path's slot equalities (a fresh
-instance that only fills slots would sit in a slot-filler valley).
+(`_walker`) names the instances and writes each statement as its text,
+``(inst instance schema)`` or ``(= (slot owner) filler)``, choosing each
+equality's owner as it goes; the two sets differ only in the typings it
+keeps.  The grammar fixes the shape of each instance's isa moves, so the
+walk tells the relevant typing without consulting the isa tree.  RS(P)
+of a valid path runs along the spine, with the start instance first, the
+end instance last and the fresh instances in between, so role link k
+joins instances k and k+1.  Every fresh instance owns one of the path's
+slot equalities (a fresh instance that only fills slots would sit in a
+slot-filler valley).
 
-S(P) is a tuple of statements, for the single-path commands and the
+S(P) is a tuple of statement texts, for the single-path commands and the
 tests.  RS(P) is a `RelevantStatements`, which holds only what a run
 reads of every path it reports, most of which the evidence filter
-rejects: the text the report prints, each instance's name and relevant
-type in spine order, and the path's role links, which give each
-equality's slot, filler type and owner.  One function builds both sets'
-statements from the spine, the kept typings and the moves between them;
-RS(P)'s only when read.
+rejects: its statement texts, which the report prints joined, each
+instance's name and relevant type in spine order, and the path's role
+links, which give each equality's slot, filler type and owner.
 """
 
 from __future__ import annotations
@@ -47,55 +47,15 @@ from .paths import LinkKind, Path, TraversalLink
 _new = tuple.__new__
 
 
-class Inst(NamedTuple):
-    instance: str
-    schema: str
-
-    def render(self) -> str:
-        return f"(inst {self.instance} {self.schema})"
-
-
-class SlotEq(NamedTuple):
-    owner: str
-    slot: str
-    filler: str
-
-    def render(self) -> str:
-        return f"(= ({self.slot} {self.owner}) {self.filler})"
-
-
-Statement = Inst | SlotEq
-
-
-def _statements(names: tuple[str, ...], types: tuple[str, ...],
-                moves: tuple[TraversalLink, ...]) -> list[Statement]:
-    """The statements of typings ``types`` of the spine's ``names``, made
-    in travel order with ``moves`` between them."""
-    statements = [Inst(names[0], types[0])]
-    j = 0
-    for i, link in enumerate(moves, 1):
-        side = link.kind.owner_side
-        if side is not None:
-            j += 1
-            ends = names[j - 1], names[j]
-            statements.append(SlotEq(ends[side], link.slot, ends[not side]))
-        statements.append(Inst(names[j], types[i]))
-    return statements
-
-
 class RelevantStatements(NamedTuple):
-    """RS(P) as a run reads it: its text, each instance's name and relevant
-    type in spine order, and the path's role links in travel order (role k
-    joins instances k and k+1).  Its statements are built only when read."""
+    """RS(P) as a run reads it: its statements' texts in S(P) order, each
+    instance's name and relevant type in spine order, and the path's role
+    links in travel order (role k joins instances k and k+1)."""
 
-    text: str
+    statements: tuple[str, ...]
     names: tuple[str, ...]
     types: tuple[str, ...]
     roles: tuple[TraversalLink, ...]
-
-    @property
-    def statements(self) -> tuple[Statement, ...]:
-        return tuple(_statements(self.names, self.types, self.roles))
 
 
 def _walker(refines: LinkKind | None,
@@ -105,8 +65,8 @@ def _walker(refines: LinkKind | None,
     The rule is fixed per walk, so a run's walk makes no choice per call."""
 
     def walk(path: Path, fresh_prefix: str = "gen-") -> RelevantStatements:
-        """A valid path's text, spine instances, kept typings and role
-        links, its fresh instances named ``fresh_prefix`` and a number."""
+        """A valid path's statements, spine instances, kept typings and
+        role links, its fresh instances named ``fresh_prefix`` and a number."""
         links, end = path.links, path.end
         roles = tuple([link for link in links if link.kind.is_role])
         last = len(roles)
@@ -138,7 +98,7 @@ def _walker(refines: LinkKind | None,
         if keep:
             types.append(schema)
             texts.append(f"(inst {instance} {schema})")
-        return _new(RelevantStatements, ("".join(texts), tuple(names), tuple(types), roles))
+        return _new(RelevantStatements, (tuple(texts), tuple(names), tuple(types), roles))
     return walk
 
 
@@ -155,8 +115,7 @@ relevant_statements.__name__ = relevant_statements.__qualname__ = "relevant_stat
 _every_typing = _walker(None, None)
 
 
-def statements_of(path: Path, fresh_prefix: str = "gen-") -> tuple[Statement, ...]:
+def statements_of(path: Path, fresh_prefix: str = "gen-") -> tuple[str, ...]:
     """S(P) of a valid path: every typing and slot equality it asserts, in
     derivation order, the first occurrence of each kept."""
-    walked = _every_typing(path, fresh_prefix)
-    return tuple(dict.fromkeys(_statements(walked.names, walked.types, path.links)))
+    return tuple(dict.fromkeys(_every_typing(path, fresh_prefix).statements))

@@ -48,13 +48,17 @@ own that names the instances with its own counter and picks each
 equality's owner by comparing the link's kind, and
 `relevant_statements_by_fold` the original RS(P) translation, which
 picks each instance's relevant type by folding `isa_star` over every type
-that walk's S(P) gives it; `evidence_filter_by_scan` is the original evidence filter,
-which checks every instance (observed, or corroborated for any slot) and
-every slot equality by scanning all corroboration records.  The package
-derives S(P) and RS(P) from one walk, reads relevant types off the
-walk's shape and each owner off the link's kind, and looks each
-equality's slot up in an index from slot to the schemas it is
-corroborated at.
+that walk's S(P) gives it.  Both build statements of their own types,
+`Inst` and `SlotEq`, whose ``render`` gives the text the package writes
+(`texts_of` renders a tuple of them), so the tests compare texts with
+the package and read owners and relevant types off these.
+`evidence_filter_by_scan` is the original evidence filter, run on the
+fold's RS(P): it checks every instance (observed, or corroborated for
+any slot) and every slot equality by scanning all corroboration records.
+The package writes each statement's text once, in one walk that gives
+S(P) and RS(P), reads relevant types off the walk's shape and each owner
+off the link's kind, and looks each equality's slot up in an index from
+slot to the schemas it is corroborated at.
 `read_forms_by_tokens` is the original s-expression reader, which reads
 every form token by token and gives each form's line and position; the
 package splits the whole text into forms in one regex pass and finds a
@@ -90,7 +94,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,7 +103,6 @@ from planmark.kb import KbError, KnowledgeBase, Observation, Schema, load_kb
 from planmark.marker import (EngineConfig, Mark, MarkerEngine, combine, extend_half,
                              score_path)
 from planmark.paths import START_STATE, STEP, LinkKind, Path, TraversalLink, validate
-from planmark.semantics import Inst, RelevantStatements, SlotEq, Statement
 
 
 FLIPPED = {LinkKind.ISA_UP: LinkKind.ISA_DOWN, LinkKind.ISA_DOWN: LinkKind.ISA_UP,
@@ -743,6 +746,26 @@ def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:
     return best
 
 
+class Inst(NamedTuple):
+    instance: str
+    schema: str
+
+    def render(self) -> str:
+        return f"(inst {self.instance} {self.schema})"
+
+
+class SlotEq(NamedTuple):
+    owner: str
+    slot: str
+    filler: str
+
+    def render(self) -> str:
+        return f"(= ({self.slot} {self.owner}) {self.filler})"
+
+
+Statement = Inst | SlotEq
+
+
 def insts_of(statements: tuple[Statement, ...]) -> tuple[Inst, ...]:
     return tuple(s for s in statements if isinstance(s, Inst))
 
@@ -751,8 +774,9 @@ def eqs_of(statements: tuple[Statement, ...]) -> tuple[SlotEq, ...]:
     return tuple(s for s in statements if isinstance(s, SlotEq))
 
 
-def text_of(statements: tuple[Statement, ...]) -> str:
-    return "".join(s.render() for s in statements)
+def texts_of(statements: tuple[Statement, ...]) -> tuple[str, ...]:
+    """The statements as the package writes them, one text each."""
+    return tuple(s.render() for s in statements)
 
 
 def statements_by_walk(path: Path, fresh_prefix: str = "gen-") -> tuple[Statement, ...]:
@@ -809,13 +833,14 @@ class ScanRegistry:
         self.observed.add(instance)
 
 
-def evidence_filter_by_scan(kb: KnowledgeBase, rs: RelevantStatements,
-                            registry: ScanRegistry) -> bool:
-    """True iff everything RS(P) asserts has some support: each instance is
-    observed or corroborated at its relevant type (or an ancestor), and
-    each slot equality is corroborated for that slot at the owner's
-    relevant type (or an ancestor)."""
-    rt = {s.instance: s.schema for s in insts_of(rs.statements)}
+def evidence_filter_by_scan(kb: KnowledgeBase, path: Path, registry: ScanRegistry,
+                            fresh_prefix: str = "gen-") -> bool:
+    """True iff everything the path's RS(P), as the fold gives it, asserts
+    has some support: each instance is observed or corroborated at its
+    relevant type (or an ancestor), and each slot equality is corroborated
+    for that slot at the owner's relevant type (or an ancestor)."""
+    rs = relevant_statements_by_fold(kb, path, fresh_prefix)
+    rt = {s.instance: s.schema for s in insts_of(rs)}
 
     def matches(schema: str, slot: str | None) -> bool:
         for recorded_schema, recorded_slot in registry.records:
@@ -825,12 +850,12 @@ def evidence_filter_by_scan(kb: KnowledgeBase, rs: RelevantStatements,
                 return True
         return False
 
-    for inst in insts_of(rs.statements):
+    for inst in insts_of(rs):
         if inst.instance in registry.observed:
             continue
         if not matches(inst.schema, None):
             return False
-    for eq in eqs_of(rs.statements):
+    for eq in eqs_of(rs):
         if not matches(rt[eq.owner], eq.slot):
             return False
     return True

@@ -43,6 +43,7 @@ from oracles import (
     posterior_by_elimination,
     posterior_by_enumeration,
     posterior_by_fractions,
+    relevant_statements_by_fold,
     role_count,
 )
 
@@ -61,7 +62,7 @@ def network_of(kb, path, gamma1=0.9, gamma0=1e-7):
 
 def test_base_spine_shape(kb):
     network, _ = network_of(kb, single_role_path(kb))
-    assert len(insts_of(network.rs.statements)) == 2
+    assert network.rs.names == ("s1", "p1")
     assert len(network.rs.roles) == 1
     ids = {src for src, _ in network.edges()} | {dst for _, dst in network.edges()}
     assert {"e1", "e2", "EI"} <= ids
@@ -70,9 +71,8 @@ def test_base_spine_shape(kb):
 
 def test_fig31_network_shape(kb, fig31):
     network, _ = network_of(kb, fig31)
-    insts = insts_of(network.rs.statements)
-    assert [n.instance for n in insts] == ["supermarket2", "gen-1", "go1"]
-    assert [n.schema for n in insts] == ["supermarket", "supermarket-shopping", "go"]
+    assert network.rs.names == ("supermarket2", "gen-1", "go1")
+    assert network.rs.types == ("supermarket", "supermarket-shopping", "go")
     assert len(network.rs.roles) == 2
     interior_edges = [e for e in network.edges() if e[1] == "EI"]
     assert len(interior_edges) == 2
@@ -84,7 +84,7 @@ def test_structural_recurrence_on_sampled_paths():
         network = build_network(base, path, rs)
         cpts = default_cpts(base, network, 0.9, 1e-7)
         roles = role_count(path)
-        assert len(insts_of(network.rs.statements)) == roles + 1
+        assert len(network.rs.names) == len(network.rs.types) == roles + 1
         assert len(network.rs.roles) == roles
         assert len(network.edges()) == 4 * roles + 1
         # Thm-style bijection: non-evidence nodes <-> RS(P) statements.
@@ -93,7 +93,8 @@ def test_structural_recurrence_on_sampled_paths():
         # each with its relevant type's prior, and each equality's table
         # reads its role link's declared filler type.
         assert network.rs is rs
-        assert network.priors == tuple(base.prior(inst.schema) for inst in insts_of(rs.statements))
+        folded = relevant_statements_by_fold(base, path)
+        assert network.priors == tuple(base.prior(inst.schema) for inst in insts_of(folded))
         assert cpts.eq_true == tuple(base.eq_prior / base.prior(link.filler)
                                      for link in path.links if link.kind.is_role)
 
@@ -221,7 +222,7 @@ def test_retyped_endpoint_still_satisfies_identity():
     path = parse_path(base, "(inst p1 plan)(role- plan step-of go)"
                             "(isa go act)(inst a1 act)", beliefs=(0.9, 0.6))
     network = build_network(base, path, relevant_statements(path))
-    assert insts_of(network.rs.statements)[-1].schema == "go"
+    assert network.rs.types[-1] == "go"
     cpts = default_cpts(base, network, 0.7, 0.01)
     joint, residual = exact_posterior(network, cpts)
     assert joint == pytest.approx(score_path(base, path) * residual, rel=1e-9)
@@ -390,7 +391,7 @@ def test_evidence_filter_needs_the_slot_at_the_owner_or_an_ancestor(kb):
     assert evidence_filter(kb, rs, {"store-of": {"shopping"}})
 
 
-def _random_registries(rng, base, path, rs, count):
+def _random_registries(rng, base, path, folded, count):
     """Registries holding the same random records twice: as the index
     `run` keeps, from each slot to the schemas it is corroborated at,
     and as the record set of the scan, which also lists the path's ends as
@@ -399,10 +400,10 @@ def _random_registries(rng, base, path, rs, count):
     owner's relevant type or at a random schema; random noise is added."""
     names = sorted(base.schemas)
     slots = sorted({slot for schema in base.schemas.values() for slot, _ in schema.slots})
-    rt = {s.instance: s.schema for s in insts_of(rs.statements)}
+    rt = {s.instance: s.schema for s in insts_of(folded)}
     for _ in range(count):
         records = [(rng.choice(names), rng.choice(slots)) for _ in range(rng.randrange(4))]
-        for eq in eqs_of(rs.statements):
+        for eq in eqs_of(folded):
             if rng.random() < 0.8:
                 near = ancestors_or_self(base, rt[eq.owner]) + [rng.choice(names)]
                 records.append((rng.choice(near), eq.slot))
@@ -421,9 +422,10 @@ def test_evidence_filter_matches_the_record_scan():
     verdicts = Counter()
     for base, path, prefix in [(b, p, "gen-") for b, p in pairs] + marker_paths():
         rs = relevant_statements(path, prefix)
-        for index, scan in _random_registries(rng, base, path, rs, 8):
+        folded = relevant_statements_by_fold(base, path, prefix)
+        for index, scan in _random_registries(rng, base, path, folded, 8):
             passed = evidence_filter(base, rs, index)
-            assert passed == evidence_filter_by_scan(base, rs, scan), path.render()
+            assert passed == evidence_filter_by_scan(base, path, scan, prefix), path.render()
             verdicts[passed] += 1
     assert min(verdicts[True], verdicts[False]) >= 0.2 * sum(verdicts.values())
 

@@ -70,6 +70,15 @@ def test_translate_lists_both_statement_sets(kb_file):
     assert "  (inst gen-1 shopping)" not in lines[rs_at + 1:]
 
 
+@pytest.mark.parametrize("command", ["translate", "network"])
+def test_beliefs_is_a_usage_error_where_no_output_reads_it(kb_file, command):
+    # Neither output depends on the end beliefs, so neither takes the flag.
+    result = planmark(command, "--kb", kb_file, "--path", FIG31_TEXT, "--beliefs", "0.9,0.9")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "unrecognized arguments: --beliefs 0.9,0.9" in result.stderr
+
+
 def test_network_dump(kb_file):
     result = planmark("network", "--kb", kb_file, "--path", FIG31_TEXT)
     assert result.returncode == 0

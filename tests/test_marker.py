@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from planmark import (
@@ -134,6 +136,26 @@ def test_no_mark_below_threshold_is_placed(kb):
     for mark in engine.marks.values():
         if mark.links:
             assert mark.score >= 0.3
+
+
+def test_no_mark_below_the_normal_range_is_placed_at_threshold_zero():
+    # Walking down from a at g through c (x 1e-200/0.9) to d (x 1e-100)
+    # leaves a half score of about 1.1e-309, a subnormal.  Without the floor
+    # under every half threshold the marks (a, c, 1) and (a, d, 0) are kept
+    # at that score.  The emitted path and its score are the same either
+    # way, so only the retained marks show the floor.
+    base = load_kb("(eq-prior 1e-301)(schema g :prior 0.9)(schema c :isa g :prior 1e-200)"
+                   "(schema d :isa c :prior 1e-300)(schema o :prior 0.5)(role o s d)")
+    engine = MarkerEngine(base, EngineConfig(0, 0, 6))
+    emitted = []
+    for obs in (Observation("a", "g", 1e-9), Observation("b", "o", 1.0)):
+        engine.seed(obs)
+        emitted += engine.spread()
+    assert [path.render() for path in emitted] == [
+        "(inst a g)(isa- c g)(isa- d c)(role o s d)(inst b o)"]
+    marks = engine.marks
+    assert ("a", "c", 1) not in marks and ("a", "d", 0) not in marks
+    assert min(mark.score for mark in marks.values()) >= sys.float_info.min
 
 
 def test_determinism_of_emission_order():

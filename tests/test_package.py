@@ -52,6 +52,17 @@ def test_import_loads_no_heavy_standard_module():
     assert added & {"dataclasses", "inspect", "argparse", "planmark.cli"} == set()
 
 
+def test_readme_names_every_python_version_ci_tests_on():
+    # The README's sentence on the tier-1 matrix lists exactly the versions
+    # the workflow runs, so a version added to one must be added to both.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"runs the tier-1 suite once on each of\s+Python ([^`]*?) as a",
+                           readme)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (matrix,) = re.findall(r"^\s*python-version: \[(.*)\]$", workflow, re.MULTILINE)
+    assert re.findall(r"\d+\.\d+", listed) == re.findall(r"\d+\.\d+", matrix)
+
+
 def test_readme_layout_names_every_module():
     # One row per module under src/planmark, so a row cannot outlive its
     # module nor a new module go without one.

@@ -17,7 +17,7 @@ from planmark import (
 from planmark.bayes import build_network
 from planmark.marker import MarkerEngine, score_path
 from planmark.pipeline import SynthParams, parse_stream
-from planmark.semantics import Inst, relevant_statements
+from planmark.semantics import relevant_statements
 
 from conftest import chain_kb_text
 from oracles import (
@@ -30,7 +30,7 @@ from oracles import (
     insts_of,
     relevant_statements_by_fold,
     role_count,
-    text_of,
+    texts_of,
 )
 
 FIXTURE_STREAM = """
@@ -365,12 +365,12 @@ def test_record_field_names_and_order_are_fixed(kb):
     assert report.render().splitlines()[-1].startswith("counters ")
 
 
-def filter_by_ancestors(base, rs, corroborated):
+def filter_by_ancestors(base, statements, corroborated):
     # ``corroborated`` maps each slot to the schemas it is corroborated at.
-    relevant_type = {inst.instance: inst.schema for inst in insts_of(rs.statements)}
+    relevant_type = {inst.instance: inst.schema for inst in insts_of(statements)}
     return all(any(schema in corroborated.get(eq.slot, ())
                    for schema in ancestors_or_self(base, relevant_type[eq.owner]))
-               for eq in eqs_of(rs.statements))
+               for eq in eqs_of(statements))
 
 
 def table_cases():
@@ -408,14 +408,13 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
             assert record.path_text == path.render()
             # The fold oracle renders its statements one by one.
             folded = relevant_statements_by_fold(base, path, prefix)
-            assert record.rs_text == rs.text == text_of(folded)
-            assert insts_of(rs.statements) == insts_of(folded)
-            assert eqs_of(rs.statements) == eqs_of(folded)
-            assert rs.statements == folded
-            assert rs.types == tuple(inst.schema for inst in insts_of(folded))
-            assert insts_of(rs.statements) == tuple(map(Inst, rs.names, rs.types))
-            assert [eq.slot for eq in eqs_of(rs.statements)] == [link.slot for link in rs.roles]
-            verdict = filter_by_ancestors(base, rs, corroborated)
+            assert rs.statements == texts_of(folded)
+            assert record.rs_text == "".join(rs.statements)
+            insts = insts_of(folded)
+            assert rs.names == tuple(inst.instance for inst in insts)
+            assert rs.types == tuple(inst.schema for inst in insts)
+            assert [eq.slot for eq in eqs_of(folded)] == [link.slot for link in rs.roles]
+            verdict = filter_by_ancestors(base, folded, corroborated)
             assert (record.posterior is not None) == verdict
             checked += 1
             passed += verdict
