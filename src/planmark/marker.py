@@ -40,21 +40,22 @@ the subnormal range and lose the precision the identity is checked to.
 That identity is what lets the engine prune on a threshold while
 spreading, before it knows which paths will meet.  Only a meeting whose
 full score clears the full threshold, and is a normal float, is glued into
-a whole path: the first mark's links, then the twins of the other mark's
-links from the meeting back to its origin, both read back along the marks'
-``prev``.  A path not emitted before is scored directly by the fold
-`score_path` runs, started from the first mark's half score, which already
-is the start belief times its links' multipliers, and run over the glued
-tail: the same floats in the same order, so the score is `score_path`'s,
-bit for bit.  It is checked against the cleave score and emitted with it
-(`MarkerEngine.scores`, the ``sc`` a run reports).  The same path met
-again at another cleave point, which a path of n links can be up to n + 1
-times, is neither built nor scored again: its cleave score is checked
-against the stored one, so the cleave identity is still checked at every
-meeting that clears the full threshold.  Marks extend only along the
-base's adjacency and meet only at the schema they share, so `extend_half`
-and `combine` trust their caller to chain a link onto the half and to meet
-halves at ``at``.
+a whole path in one pass: the first mark's links, read back along the
+marks' ``prev`` into one list and reversed, then the twins of the other
+mark's links from the meeting back to its origin, appended as they are
+read, and the list made one tuple.  A path not emitted before is scored
+directly by the fold `score_path` runs, started from the first mark's
+half score, which already is the start belief times its links'
+multipliers, and run over the tuple's glued tail: the same floats in the
+same order, so the score is `score_path`'s, bit for bit.  It is checked
+against the cleave score and emitted with it (`MarkerEngine.scores`, the
+``sc`` a run reports).  The same path met again at another cleave point,
+which a path of n links can be up to n + 1 times, is neither built as a
+`Path` nor scored again: its cleave score is checked against the stored
+one, so the cleave identity is still checked at every meeting that clears
+the full threshold.  Marks extend only along the base's adjacency and meet
+only at the schema they share, so `extend_half` and `combine` trust their
+caller to chain a link onto the half and to meet halves at ``at``.
 
 What retention loses is dominated: a path at or above the full threshold
 with a cleave point where both halves stay at or above T all the way out
@@ -125,15 +126,6 @@ class Mark:
         self.prev = prev
         self.depth = 0 if prev is None else prev.depth + 1
         self.displaced = False
-
-    @property
-    def links(self) -> tuple[TraversalLink, ...]:
-        """The links the trail took, oldest first."""
-        links, mark = [], self
-        while mark.prev is not None:
-            links.append(mark.link)
-            mark = mark.prev
-        return tuple(reversed(links))
 
 
 class EngineConfig:
@@ -256,19 +248,24 @@ class MarkerEngine:
         full = combine(kb, m1.at, m1.score, m2.score)
         if full < self.config.full_threshold or full < _NORMAL_MIN:
             return
-        tail = ()
+        links, mark = [], m1
+        while mark.prev is not None:
+            links.append(mark.link)
+            mark = mark.prev
+        links.reverse()
+        cleave = len(links)
         while m2.prev is not None:
-            tail += (m2.link.twin,)
+            links.append(m2.link.twin)
             m2 = m2.prev
         # The key equals the glued `Path` and hashes the same, so a `Path`
         # is built only when it is first emitted.  A path met again at
         # another cleave point is checked against the score it was
         # emitted with.
-        key = (m1.origin, m1.links + tail, m2.origin)
+        key = (m1.origin, tuple(links), m2.origin)
         direct = self.scores.get(key)
         emitted_before = direct is not None
         if not emitted_before:
-            direct = _fold(kb, m1.score, tail, m2.origin)
+            direct = _fold(kb, m1.score, key[1][cleave:], m2.origin)
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(
                 f"cleave identity violated: combined {full!r} vs direct {direct!r}")

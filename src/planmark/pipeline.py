@@ -9,12 +9,19 @@ Each observation seeds the marker engine and spreads immediately, so paths
 surface in story order; each corroboration goes into the evidence index,
 which maps each slot to the schemas it is corroborated at, unless its
 slot is declared neither on its schema nor on an isa ancestor or
-descendant of it, which makes it an input error.  After the stream ends,
-every reported path is translated once into its RS(P), which then serves
-the cheap evidence filter, the exact network evaluation (only if the
-filter passes) and the approval test.  A rejected path costs its RS(P)
+descendant of it, which makes it an input error; a record already in
+the index passed that check and is not checked again.  After the stream
+ends, every reported path is translated once into its RS(P), which then
+serves the cheap evidence filter, the exact network evaluation (only if
+the filter passes) and the approval test.  A rejected path costs its RS(P)
 walk and nothing more, and the report prints its statement texts joined.
-A path's ``sc`` is the score the marker computed once, when it emitted
+Each distinct claim is evaluated once per run: the network a passing path
+induces is fixed by its links, which fix its end schemas and its relevant
+and filler types, and by its two end beliefs, so (links, start belief,
+end belief) keys the stored posterior, residual and approval.  The key
+holds no instance name because the evaluation reads none, so paths
+through a shared plan that repeat a claim with other instances reuse its
+values; only a path that passes the filter builds a key.  A path's ``sc`` is the score the marker computed once, when it emitted
 the path, and equals its `score_path`; its text is `Path.render`, which
 joins the texts the base's links carry.  Three counters mirror the
 stages: paths reported by the marker, evaluated (those that passed the
@@ -141,7 +148,8 @@ def parse_stream(text: str) -> list[tuple[str, tuple, int]]:
                 if _RESERVED_ID_RE.match(items[1]):
                     raise KbError(f"instance ID {items[1]!r} is reserved: p<k>-gen-<j> "
                                   "names the fresh instances of path k")
-                records.append(("inst", Observation(items[1], items[2], belief), index))
+                records.append(("inst", tuple.__new__(
+                    Observation, (items[1], items[2], belief)), index))
             elif head == "corroborate":
                 if len(items) != 3:
                     raise KbError("corroborate record is (corroborate SCHEMA SLOT)")
@@ -186,24 +194,34 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 engine.spread()
             else:
                 schema, slot = payload
-                _check_corroboration(kb, schema, slot)
-                corroborated.setdefault(slot, set()).add(schema)
+                schemas = corroborated.setdefault(slot, set())
+                if schema not in schemas:  # a repeat passed the first time
+                    _check_corroboration(kb, schema, slot)
+                    schemas.add(schema)
         except (KbError, ValueError) as exc:
             raise KbError(str(exc), form_start(stream_text, index)[0]) from None
 
     records = []
     evaluated = 0
     approved_count = 0
+    # (links, start belief, end belief) -> (posterior, residual, approved)
+    judged: dict[tuple, tuple[float, float, bool]] = {}
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(engine.scores.items(), start=1):
         rs = relevant_statements(path, f"p{index}-gen-")
         record = PathRecord(path.render(), sc, "".join(rs.statements))
         if evidence_filter(kb, rs, corroborated):
-            network = build_network(kb, path, rs)
-            record.posterior, record.residual = exact_posterior(network, default_cpts(
-                kb, network, config.gamma1, config.gamma0))
+            claim = (path.links, path.start.belief, path.end.belief)
+            judgement = judged.get(claim)
+            if judgement is None:
+                network = build_network(kb, path, rs)
+                posterior, residual = exact_posterior(network, default_cpts(
+                    kb, network, config.gamma1, config.gamma0))
+                judgement = judged[claim] = (
+                    posterior, residual,
+                    approve(network, posterior, ratio=config.approval_ratio))
+            record.posterior, record.residual, record.approved = judgement
             evaluated += 1
-            record.approved = approve(network, record.posterior, ratio=config.approval_ratio)
             approved_count += record.approved
         records.append(record)
 

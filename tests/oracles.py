@@ -36,11 +36,11 @@ text.  It records an emission where the engine does, in ``emitted`` and
 the path → score table ``scores``, so the engine's own `spread` returns
 its paths.  The engine itself keys retention by seed rank and DFA state,
 hands only meetings the seam table allows to `_collide`, scores them
-before building anything, reads trails back along `Mark.prev` with
-`Mark.links` and its own walk, glues stored twins and finds duplicates in
-``scores``.  This class replaces both `_place` and `_collide`: it keys
-retention by instance name, scans every mark at the schema, and reads
-trails with `trail`, so none of that is shared.  It shares only the
+before building anything, reads both trails back along `Mark.prev` into
+one list of links and stored twins and finds duplicates in ``scores``.
+This class replaces both `_place` and `_collide`: it keys retention by
+instance name, scans every mark at the schema, and reads trails with
+`trail`, so none of that is shared.  It shares only the
 spread loop, which skips the marks its `_place` flags as displaced.
 
 `statements_by_walk` is the original S(P) translation, a walk of its
@@ -588,7 +588,7 @@ def _prefix_values(kb: KnowledgeBase, obs: Observation,
 
 def trail(mark: Mark) -> tuple[TraversalLink, ...]:
     """The links a mark's trail took, oldest first, read from the marks
-    it extended without `Mark.links`."""
+    it extended."""
     return () if mark.prev is None else trail(mark.prev) + (mark.link,)
 
 
@@ -672,8 +672,8 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
         for j in qualifying:
             m1 = marks.get((obs1.instance, schemas[j], _state_after(path.links[:j])))
             m2 = marks.get((obs2.instance, schemas[j], _state_after(rev[:n - j])))
-            if (m1 is not None and m1.links == path.links[:j]
-                    and m2 is not None and m2.links == rev[:n - j]):
+            if (m1 is not None and trail(m1) == path.links[:j]
+                    and m2 is not None and trail(m2) == rev[:n - j]):
                 entries.append(MissedPath(path, sc, "unexpected"))
                 break
         # Otherwise every qualifying cleave was displaced by a better

@@ -28,6 +28,7 @@ from oracles import (
     qualifying_cleaves,
     random_kb,
     step,
+    trail,
 )
 
 
@@ -128,13 +129,28 @@ def test_incremental_seeding_collides_at_seed_time(kb):
     assert emitted[0].start == o1 and emitted[0].end == o2
 
 
+def test_a_re_meeting_checks_the_stored_score(kb):
+    # The path emitted when the second end is seeded is met again as that
+    # end's marks spread back along it; each such meeting checks its cleave
+    # score against the stored one, so a stored score off by 1% is caught.
+    engine = MarkerEngine(kb, small_config(max_depth=6))
+    o1, o2 = fixture_seeds()
+    engine.seed(o1)
+    engine.spread()
+    engine.seed(o2)
+    (path,) = engine.emitted
+    engine.scores[path] *= 1.01
+    with pytest.raises(AssertionError, match="cleave identity violated"):
+        engine.spread()
+
+
 def test_no_mark_below_threshold_is_placed(kb):
     engine = MarkerEngine(kb, EngineConfig(half_threshold=0.3, max_depth=10))
     for obs in fixture_seeds():
         engine.seed(obs)
     engine.spread()
     for mark in engine.marks.values():
-        if mark.links:
+        if mark.prev is not None:
             assert mark.score >= 0.3
 
 
@@ -286,7 +302,7 @@ class MeetingRecorder(MarkerEngine):
         m1, m2 = self.meeting
         return any(
             (a.origin.instance, b.origin.instance,
-             a.links + tuple(flip(self.kb, link) for link in reversed(b.links))) in emitted
+             trail(a) + tuple(flip(self.kb, link) for link in reversed(trail(b)))) in emitted
             for a, b in ((m1, m2), (m2, m1)))
 
 
@@ -417,7 +433,7 @@ def test_retention_at_the_depth_limit_can_lose_the_best_path():
         "(inst a s3)(role s4 slot-3 s3)(role- s4 slot-2 s0)(inst b s0)"]
     assert qualifying_cleaves(base, config, lost[0]) == [2]
     assert blocked_at_depth(engine, lost[0], 2)
-    assert engine.marks["a", "s4", 2].links == tuple(
+    assert trail(engine.marks["a", "s4", 2]) == tuple(
         base.links[text] for text in ("(role s2 slot-5 s3)", "(role s4 slot-1 s2)"))
     # `completeness_check` excuses it under the retention rule.
     assert completeness_check(base, config, seeds).empty

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import planmark
+from planmark import marker, pipeline
 
 from conftest import package_env
 
@@ -73,3 +74,53 @@ def test_readme_layout_names_every_module():
                      if source.stem not in ("__init__", "__main__"))
     assert sorted(rows) == modules
     assert len(rows) == len(set(rows))
+
+
+
+# The names the benchmark's tracer wraps with a span or a count that a run
+# still calls, as (owner, attribute).
+TRACED_CALLS = [
+    (pipeline, "parse_stream"),
+    (pipeline, "relevant_statements"),
+    (pipeline, "evidence_filter"),
+    (pipeline, "build_network"),
+    (pipeline, "default_cpts"),
+    (pipeline, "exact_posterior"),
+    (pipeline, "approve"),
+    (pipeline.MarkerEngine, "seed"),
+    (pipeline.MarkerEngine, "spread"),
+    (pipeline.RunReport, "render"),
+    (marker, "combine"),
+]
+
+
+def test_every_traced_call_site_is_live(kb, monkeypatch):
+    """Each name the benchmark's tracer times or counts is still called by
+    a corroborated run, so a layer cannot read 0 because the program
+    stopped calling the name its wrapper sits on.  Five wrapped names are
+    already dead and are left out: `pipeline.score_path`,
+    `marker.score_path`, `marker.extend_half`, `marker.validate` and
+    `bayes.relevant_statements`."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in TRACED_CALLS:
+        name = f"{owner.__name__}.{attr}"
+        calls[name] = 0
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    config = planmark.RunConfig(engine=planmark.EngineConfig(
+        half_threshold=0.1, full_threshold=1.0))
+    report = planmark.run(kb, config, """
+        (inst supermarket2 supermarket :belief 0.9)
+        (inst go1 go :belief 0.9)
+        (corroborate supermarket-shopping store-of)
+        (corroborate supermarket-shopping go-step)
+    """)
+    report.render()
+    assert report.evaluated == 1
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -11,10 +11,11 @@ from planmark import (
     RunConfig,
     load_kb,
     parse_path,
+    pipeline,
     run,
     synth_corpus,
 )
-from planmark.bayes import build_network
+from planmark.bayes import approve, build_network, default_cpts, exact_posterior
 from planmark.marker import MarkerEngine, score_path
 from planmark.pipeline import SynthParams, parse_stream
 from planmark.semantics import relevant_statements
@@ -419,3 +420,78 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
             checked += 1
             passed += verdict
     assert checked > 1000 and 0 < passed < checked
+
+
+# Two stories of one plan, the first with its second filler at belief 0.5:
+# the paths a1 -> b1 and a1 -> b2 take the same links but differ in their
+# end belief.
+MIXED_BELIEF_STREAM = """
+(inst a1 kind-0a)
+(inst b1 kind-0b :belief 0.5)
+(inst a2 kind-0a)
+(inst b2 kind-0b)
+(corroborate plan-0 first-of)
+(corroborate plan-0 second-of)
+"""
+
+
+def test_each_evaluated_record_equals_a_fresh_evaluation_of_its_own_path():
+    # `run` evaluates each distinct claim once and reuses its values for
+    # every path that repeats it; each record must equal what evaluating
+    # its own path afresh gives.
+    mixed_base = load_kb(synth_corpus(0, SynthParams(n_plans=1, n_stories=1)).kb_text)
+    cases = list(table_cases()) + [
+        (mixed_base, EngineConfig(half_threshold=1e-8, max_depth=6), MIXED_BELIEF_STREAM)]
+    evaluated = shared = 0
+    for base, engine_config, stream in cases:
+        config = RunConfig(engine=engine_config)
+        report = run(base, config, stream)
+        engine = MarkerEngine(base, engine_config)
+        for head, payload, _ in parse_stream(stream):
+            if head == "inst":
+                engine.seed(payload)
+                engine.spread()
+        beliefs_by_links = {}
+        for index, (path, record) in enumerate(zip(engine.emitted, report.records), start=1):
+            if record.posterior is None:
+                continue
+            network = build_network(base, path, relevant_statements(path, f"p{index}-gen-"))
+            posterior, residual = exact_posterior(network, default_cpts(
+                base, network, config.gamma1, config.gamma0))
+            assert (record.posterior, record.residual) == (posterior, residual)
+            assert record.approved == approve(network, posterior, ratio=config.approval_ratio)
+            evaluated += 1
+            beliefs_by_links.setdefault(path.links, set()).add(
+                (path.start.belief, path.end.belief))
+        shared += sum(len(beliefs) > 1 for beliefs in beliefs_by_links.values())
+    # Some evaluated paths share their links but not their end beliefs.
+    assert evaluated > 50 and shared > 0
+
+
+def test_a_repeated_corroboration_is_checked_once(kb, monkeypatch):
+    checked, indexes = [], []
+    check, evidence_filter = pipeline._check_corroboration, pipeline.evidence_filter
+
+    def counting_check(base, schema, slot):
+        checked.append((schema, slot))
+        check(base, schema, slot)
+
+    def recording_filter(base, rs, corroborated):
+        indexes.append({slot: set(schemas) for slot, schemas in corroborated.items()})
+        return evidence_filter(base, rs, corroborated)
+
+    expected = run(kb, fixture_config(), FIXTURE_STREAM).render()
+    monkeypatch.setattr(pipeline, "_check_corroboration", counting_check)
+    monkeypatch.setattr(pipeline, "evidence_filter", recording_filter)
+    repeated = FIXTURE_STREAM + "(corroborate supermarket-shopping store-of)\n" * 3
+    assert run(kb, fixture_config(), repeated).render() == expected
+    assert checked == [("supermarket-shopping", "store-of"),
+                       ("supermarket-shopping", "go-step")]
+    assert indexes == [{"store-of": {"supermarket-shopping"},
+                        "go-step": {"supermarket-shopping"}}]
+
+
+def test_a_repeated_bad_corroboration_fails_at_its_first_line(kb):
+    stream = FIXTURE_STREAM + "(corroborate supermarket-shopping store-off)\n" * 2
+    with pytest.raises(KbError, match="^line 6: slot 'store-off' is declared neither"):
+        run(kb, fixture_config(), stream)
