@@ -39,7 +39,7 @@ engine = MarkerEngine(kb, EngineConfig(half_threshold=0.1, full_threshold=1.0,
                                        max_depth=10))
 engine.seed(seen_store)
 engine.seed(seen_go)
-paths = engine.spread()
+engine.spread()
 
 # A mark is kept per (origin, schema, DFA state); the state is a small int
 # that STATE_NAMES spells out as the walk's role phase and last isa move.
@@ -52,14 +52,18 @@ for (origin, at, state), mark in engine.marks.items():
           f"score={mark.score:.4g} depth={mark.depth}")
 
 print()
-print(f"paths emitted: {len(paths)}")
-for path in paths:
+# `scores` is the engine's record of what it emitted: each path, in the
+# order it was emitted, with the score it was emitted at, which is the
+# path's `score_path`.
+print(f"paths emitted: {len(engine.scores)}")
+for path, score in engine.scores.items():
     print(" ", path.render())
-    print("  score:", score_path(kb, path))
+    print("  score:", score, "=", score_path(kb, path))
 
 # Raise T past what any half-path can sustain and the spread dies out.
 strict = MarkerEngine(kb, EngineConfig(half_threshold=5.0, max_depth=10))
 strict.seed(seen_store)
 strict.seed(seen_go)
-print("with T=5.0:", len(strict.spread()), "paths,",
+strict.spread()
+print("with T=5.0:", len(strict.scores), "paths,",
       len(strict.marks), "marks (just the seeds)")

@@ -89,19 +89,13 @@ class VertebrateNetwork(NamedTuple):
     def edges(self) -> list[tuple[str, str]]:
         """Directed edges, deterministic order: instance chain, end
         evidence, equality parents, interior."""
-        out: list[tuple[str, str]] = []
         names = self.rs.names
-        for i in range(1, len(names) - 1):
-            out.append((names[i], names[i + 1]))
-        out.append((names[0], "e1"))
-        out.append((names[-1], "e2"))
+        out = [(names[i], names[i + 1]) for i in range(1, len(names) - 1)]
+        out += [(names[0], "e1"), (names[-1], "e2")]
         eq_ids = [f"eq{k}" for k in range(1, len(self.rs.roles) + 1)]
         for k, eq_id in enumerate(eq_ids):
-            out.append((names[k], eq_id))
-            out.append((names[k + 1], eq_id))
-        for eq_id in eq_ids:
-            out.append((eq_id, "EI"))
-        return out
+            out += [(names[k], eq_id), (names[k + 1], eq_id)]
+        return out + [(eq_id, "EI") for eq_id in eq_ids]
 
 
 def build_network(kb: KnowledgeBase, path: Path,

@@ -169,7 +169,13 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # synth writes either one --output or the --out-kb and --out-streams files.
+    if args.command == "synth" and args.output is not None:
+        for flag, value in (("--out-kb", args.out_kb), ("--out-streams", args.out_streams)):
+            if value is not None:
+                parser.error(f"argument --output: not allowed with argument {flag}")
     out = io.StringIO()  # --output is opened only once the command succeeds
     try:
         _dispatch(args, out)

@@ -19,12 +19,13 @@ the base's link table carries as ``multiplier``:
 Each observation seeds a mark on its schema.  Marks spread outward to
 neighboring schemas in FIFO order, carrying a validity-DFA state (an int),
 a running half-path score (a float: the same product without the terminal
-factor), the link they arrived by, the mark they extended and their depth.
-Taking a link is one table step and one multiply, as in `extend_half`; the
-move is kept only if the DFA accepts it, the extended score stays at or
-above the half threshold T and in the normal float range, and it beats the
-mark its schema's table holds at its key (origin seed rank, DFA state):
-one mark per key, the best-scoring trail.  A displaced mark is flagged.
+factor), the link they arrived by, the mark they extended, their depth and
+their origin's seed rank.  Taking a link is one table step and one
+multiply, as in `extend_half`; the move is kept only if the DFA accepts it,
+the extended score stays at or above the half threshold T and in the normal
+float range, and it beats the mark its schema's table holds at its key
+(origin seed rank, DFA state): one mark per key, the best-scoring trail.  A
+displaced mark is flagged.
 
 When a mark lands where marks from other origins already sit, only those
 whose DFA state the seam table pairs with its own are met: marks from
@@ -37,25 +38,24 @@ n from the two half scores as ``h1 * (h2 / p(n))``, which equals the whole
 path's score.  Dividing first keeps the intermediate at the size of a
 score: two halves that each carry a tiny prior ratio would multiply into
 the subnormal range and lose the precision the identity is checked to.
-That identity is what lets the engine prune on a threshold while
-spreading, before it knows which paths will meet.  Only a meeting whose
-full score clears the full threshold, and is a normal float, is glued into
-a whole path in one pass: the first mark's links, read back along the
-marks' ``prev`` into one list and reversed, then the twins of the other
-mark's links from the meeting back to its origin, appended as they are
-read, and the list made one tuple.  A path not emitted before is scored
-directly by the fold `score_path` runs, started from the first mark's
-half score, which already is the start belief times its links'
-multipliers, and run over the tuple's glued tail: the same floats in the
-same order, so the score is `score_path`'s, bit for bit.  It is checked
-against the cleave score and emitted with it (`MarkerEngine.scores`, the
-``sc`` a run reports).  The same path met again at another cleave point,
-which a path of n links can be up to n + 1 times, is neither built as a
-`Path` nor scored again: its cleave score is checked against the stored
-one, so the cleave identity is still checked at every meeting that clears
-the full threshold.  Marks extend only along the base's adjacency and meet
-only at the schema they share, so `extend_half` and `combine` trust their
-caller to chain a link onto the half and to meet halves at ``at``.
+That identity is what lets the engine prune on a threshold while spreading,
+before it knows which paths will meet.  Only a meeting whose full score
+clears the full threshold, and is a normal float, is glued into a whole
+path in one pass: the first mark's links, read back along the marks'
+``prev`` into one list and reversed, then the twins of the other mark's
+links from the meeting back to its origin, appended as they are read, and
+the list made one tuple.  A path not yet in `MarkerEngine.scores`, the
+engine's one record of what it emitted (each path and its direct score, the
+``sc`` a run reports, in emission order), is scored by the fold
+`score_path` runs, started from the first mark's half score, which already
+is the start belief times its links' multipliers, and run over the tuple's
+glued tail: the same floats in the same order, so the score is
+`score_path`'s, bit for bit, and recorded there.  A path of n links can be
+met again at up to n + 1 cleave points; it is not built or scored again,
+but each meeting that clears the full threshold checks its cleave score
+against the recorded one.  Marks extend only along the base's adjacency and
+meet only at the schema they share, so `extend_half` and `combine` trust
+their caller to chain a link onto the half and to meet halves at ``at``.
 
 What retention loses is dominated: a path at or above the full threshold
 with a cleave point where both halves stay at or above T all the way out
@@ -110,15 +110,17 @@ def combine(kb: KnowledgeBase, at: str, h1: float, h2: float) -> float:
 
 
 class Mark:
-    """A half path: where it started, where it is, the DFA state it left,
-    its half score, the link it arrived by and the mark it extended (None
-    for a seed), its depth, and whether a better trail displaced it."""
+    """A half path: its origin and seed rank, where it is, the DFA state it
+    left, its half score, the link it arrived by and the mark it extended
+    (None for a seed), its depth, and whether a better trail displaced it."""
 
-    __slots__ = ("origin", "at", "state", "score", "link", "prev", "depth", "displaced")
+    __slots__ = ("origin", "rank", "at", "state", "score", "link", "prev", "depth",
+                 "displaced")
 
-    def __init__(self, origin: Observation, at: str, state: int, score: float,
+    def __init__(self, origin: Observation, rank: int, at: str, state: int, score: float,
                  link: TraversalLink | None, prev: Mark | None):
         self.origin = origin
+        self.rank = rank
         self.at = at
         self.state = state
         self.score = score
@@ -162,16 +164,20 @@ class MarkerEngine:
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig | None = None):
         self.kb = kb
-        self.config = config or EngineConfig()
-        # Per schema, its marks by their origin's `_seed_order` + DFA state.
+        self.config = config = config or EngineConfig()
+        self._half_floor = max(config.half_threshold, _NORMAL_MIN)
+        self._full_floor = max(config.full_threshold, _NORMAL_MIN)
+        # Per schema, its marks by their origin's `Mark.rank` + DFA state.
         self._at: dict[str, dict[int, Mark]] = {}
         self._queue: deque[Mark] = deque()
-        self._seed_order: dict[str, int] = {}  # seed rank * len(ALL_STATES)
         self._seeds: dict[str, Observation] = {}
         # Each emitted path and its direct score, in emission order.
         self.scores: dict[Path, float] = {}
-        self.emitted: list[Path] = []
-        self._returned = 0  # how many of `emitted` `spread` has returned
+
+    # bench/run.py reads this copy of `scores`' keys, so it stays.
+    @property
+    def emitted(self) -> list[Path]:
+        return list(self.scores)
 
     @property
     def marks(self) -> dict[tuple[str, str, int], Mark]:
@@ -190,22 +196,20 @@ class MarkerEngine:
                 raise ValueError(
                     f"instance {obs.instance!r} already observed as {previous}")
             return
+        rank = len(self._seeds) * len(ALL_STATES)
         self._seeds[obs.instance] = obs
-        rank = self._seed_order[obs.instance] = len(self._seed_order) * len(ALL_STATES)
         self._place(obs, rank, obs.schema, START_STATE, obs.belief, None, None)
 
-    def spread(self) -> list[Path]:
-        """Drain the queue breadth-first; returns paths emitted since the
-        previous call (including any emitted at seed time)."""
-        adjacency = self.kb.adjacency
-        half_floor = max(self.config.half_threshold, _NORMAL_MIN)
-        queue, place, seed_order = self._queue, self._place, self._seed_order
+    def spread(self) -> None:
+        """Drain the queue breadth-first, recording each path its meetings
+        emit in `scores`."""
+        adjacency, half_floor = self.kb.adjacency, self._half_floor
+        queue, place = self._queue, self._place
         while queue:
             mark = queue.popleft()
             if mark.displaced:
                 continue  # superseded by a better trail
-            origin, row, score = mark.origin, STEP[mark.state], mark.score
-            rank = seed_order[origin.instance]
+            origin, rank, row, score = mark.origin, mark.rank, STEP[mark.state], mark.score
             for link in adjacency[mark.at]:
                 state = row[link.kind]
                 if state is None:
@@ -214,8 +218,6 @@ class MarkerEngine:
                 if extended < half_floor:
                     continue
                 place(origin, rank, link.destination, state, extended, link, mark)
-        since, self._returned = self._returned, len(self.emitted)
-        return self.emitted[since:]
 
     def _place(self, origin: Observation, rank: int, at: str, state: int, score: float,
                link: TraversalLink | None, prev: Mark | None) -> None:
@@ -226,7 +228,7 @@ class MarkerEngine:
             if incumbent.score >= score:
                 return
             incumbent.displaced = True
-        mark = here[key] = Mark(origin, at, state, score, link, prev)
+        mark = here[key] = Mark(origin, rank, at, state, score, link, prev)
         # Only a meeting the seam table allows can yield a valid path, so
         # only those reach `_collide`, in the order their keys were first
         # filled here: a mark that displaced another sits in its place.
@@ -240,13 +242,13 @@ class MarkerEngine:
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.
-        if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
+        if m2.rank < m1.rank:
             m1, m2 = m2, m1
         # The seam is valid, so the glued path is; one that scores below
         # the full threshold or the normal floor builds nothing.
         kb = self.kb
         full = combine(kb, m1.at, m1.score, m2.score)
-        if full < self.config.full_threshold or full < _NORMAL_MIN:
+        if full < self._full_floor:
             return
         links, mark = [], m1
         while mark.prev is not None:
@@ -258,19 +260,13 @@ class MarkerEngine:
             links.append(m2.link.twin)
             m2 = m2.prev
         # The key equals the glued `Path` and hashes the same, so a `Path`
-        # is built only when it is first emitted.  A path met again at
-        # another cleave point is checked against the score it was
-        # emitted with.
-        key = (m1.origin, tuple(links), m2.origin)
-        direct = self.scores.get(key)
-        emitted_before = direct is not None
-        if not emitted_before:
-            direct = _fold(kb, m1.score, key[1][cleave:], m2.origin)
+        # is built only when it is first emitted; a path met again at
+        # another cleave point is checked against its recorded score.
+        key, scores = (m1.origin, tuple(links), m2.origin), self.scores
+        direct = scores.get(key)
+        if direct is None:
+            direct = scores[tuple.__new__(Path, key)] = _fold(
+                kb, m1.score, key[1][cleave:], m2.origin)
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(
                 f"cleave identity violated: combined {full!r} vs direct {direct!r}")
-        if emitted_before:
-            return
-        path = tuple.__new__(Path, key)
-        self.scores[path] = direct
-        self.emitted.append(path)

@@ -17,15 +17,15 @@ the filter passes) and the approval test.  A rejected path costs its RS(P)
 walk and nothing more, and the report prints its statement texts joined.
 Each distinct claim is evaluated once per run: the network a passing path
 induces is fixed by its links, which fix its end schemas and its relevant
-and filler types, and by its two end beliefs, so (links, start belief,
-end belief) keys the stored posterior, residual and approval.  The key
-holds no instance name because the evaluation reads none, so paths
-through a shared plan that repeat a claim with other instances reuse its
-values; only a path that passes the filter builds a key.  A path's ``sc`` is the score the marker computed once, when it emitted
-the path, and equals its `score_path`; its text is `Path.render`, which
-joins the texts the base's links carry.  Three counters mirror the
-stages: paths reported by the marker, evaluated (those that passed the
-filter) and approved.
+and filler types, and by its two end beliefs, so (links, start belief, end
+belief) keys the stored posterior, residual and approval.  The key holds
+no instance name because the evaluation reads none, so paths through a
+shared plan that repeat a claim with other instances reuse its values;
+only a path that passes the filter builds a key.  A path's ``sc`` is the
+score the marker computed once, when it emitted the path, and equals its
+`score_path`; its text is `Path.render`, which joins the texts the base's
+links carry.  Three counters mirror the stages: paths reported by the
+marker, evaluated (those that passed the filter) and approved.
 
 The report is plain structured text: one ``#`` header line, then a fixed
 field order (path, sc, rs, filtered, posterior, residual, approved per
@@ -111,9 +111,7 @@ class RunReport:
         self.approved = approved
 
     def render(self) -> str:
-        lines = ["# planmark run report"]
-        for record in self.records:
-            lines.append(record.render())
+        lines = ["# planmark run report"] + [record.render() for record in self.records]
         lines.append(f"counters reported={self.reported} "
                      f"evaluated={self.evaluated} approved={self.approved}")
         return "\n".join(lines) + "\n"
@@ -237,6 +235,8 @@ class SynthParams:
 
     def __init__(self, n_plans: int = n_plans, n_stories: int = n_stories,
                  corroboration_density: float = corroboration_density):
+        if n_plans < 1:
+            raise ValueError("a synthetic base needs at least one plan")
         if not 0.0 <= corroboration_density <= 1.0:
             raise ValueError("corroboration density must be in [0,1]")
         self.n_plans = n_plans

@@ -100,7 +100,7 @@ def marker_paths(n_bases=20, max_depth=4):
             engine.seed(Observation(f"o{k}", names[(7 * seed + 11 * k) % len(names)], 0.9))
             engine.spread()
         out.extend((base, path, f"p{index}-gen-")
-                   for index, path in enumerate(engine.emitted, start=1))
+                   for index, path in enumerate(engine.scores, start=1))
     return out
 
 
@@ -137,7 +137,7 @@ def assert_matches_oracle_modulo_retention(base, seeds, max_depth):
         engine.seed(obs)
     engine.spread()
     o1, o2 = seeds
-    for path in engine.emitted:
+    for path in engine.scores:
         assert validate(path)
         assert {path.start, path.end} == {o1, o2}
         assert len(path.links) <= 2 * max_depth

@@ -32,16 +32,17 @@ cover runs on both, so their output may not drift.
 handler: every meeting of marks from two origins is glued into a whole
 path and run through `validate` before it is scored, with links flipped
 one by one, scored with `score_path` and duplicates found by rendered
-text.  It records an emission where the engine does, in ``emitted`` and
-the path → score table ``scores``, so the engine's own `spread` returns
-its paths.  The engine itself keys retention by seed rank and DFA state,
-hands only meetings the seam table allows to `_collide`, scores them
-before building anything, reads both trails back along `Mark.prev` into
-one list of links and stored twins and finds duplicates in ``scores``.
-This class replaces both `_place` and `_collide`: it keys retention by
+text.  It records an emission where the engine does, in the path → score
+table ``scores``, the engine's one record of what it emitted.  The
+engine itself keys retention by seed rank and DFA state, hands only
+meetings the seam table allows to `_collide`, scores them before
+building anything, reads both trails back along `Mark.prev` into one
+list of links and stored twins and finds duplicates in ``scores``.  This
+class replaces both `_place` and `_collide`: it keys retention by
 instance name, scans every mark at the schema, and reads trails with
-`trail`, so none of that is shared.  It shares only the
-spread loop, which skips the marks its `_place` flags as displaced.
+`trail`, so none of that is shared.  It shares only the spread loop,
+which skips the marks its `_place` flags as displaced, and the seed rank
+each mark carries, which orients a glued path.
 
 `statements_by_walk` is the original S(P) translation, a walk of its
 own that names the instances with its own counter and picks each
@@ -651,7 +652,7 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
     for obs in seeds:
         engine.seed(obs)
     engine.spread()
-    emitted = {p.render() for p in engine.emitted}
+    emitted = {p.render() for p in engine.scores}
     marks = engine.marks
 
     obs1, obs2 = seeds
@@ -703,7 +704,7 @@ class GlueThenValidateEngine(MarkerEngine):
             if incumbent.score >= score:
                 return
             incumbent.displaced = True
-        mark = here[key] = Mark(origin, at, state, score, link, prev)
+        mark = here[key] = Mark(origin, rank, at, state, score, link, prev)
         for other in list(here.values()):
             if other.origin.instance != origin.instance:
                 self._collide(mark, other)
@@ -712,7 +713,7 @@ class GlueThenValidateEngine(MarkerEngine):
 
     def _collide(self, m1: Mark, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.
-        if self._seed_order[m2.origin.instance] < self._seed_order[m1.origin.instance]:
+        if m2.rank < m1.rank:
             m1, m2 = m2, m1
         links = trail(m1) + tuple(flip(self.kb, link) for link in reversed(trail(m2)))
         if not links:
@@ -732,7 +733,6 @@ class GlueThenValidateEngine(MarkerEngine):
             return
         self._emitted_texts.add(text)
         self.scores[path] = direct
-        self.emitted.append(path)
 
 
 def _most_specific(kb: KnowledgeBase, instance: str, types: list[str]) -> str:

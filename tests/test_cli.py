@@ -468,6 +468,21 @@ def test_synth_takes_no_kb():
     assert "--kb" in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--out-kb", "--out-streams"])
+def test_synth_output_with_a_file_flag_is_a_usage_error_leaving_output_alone(tmp_path, flag):
+    # The corpus goes either to --output or to the files the other flags
+    # name; with both, --output used to be emptied.
+    output = tmp_path / "corpus.txt"
+    output.write_text("kept\n")
+    result = planmark("synth", "--seed", "1", "--output", str(output),
+                      flag, str(tmp_path / "synth"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"argument --output: not allowed with argument {flag}" in result.stderr
+    assert output.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [output]
+
+
 @pytest.mark.parametrize("density", ["nan", "5"])
 def test_synth_density_outside_unit_interval_exits_one(density):
     result = planmark("synth", "--seed", "1", "--stories", "2", "--density", density)

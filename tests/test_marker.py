@@ -48,7 +48,8 @@ def test_fixture_emits_exactly_fig31(kb, fig31):
                                            full_threshold=1.0, max_depth=10))
     for obs in fixture_seeds():
         engine.seed(obs)
-    paths = engine.spread()
+    assert engine.spread() is None
+    paths = list(engine.scores)
     assert [p.render() for p in paths] == [fig31.render()]
     assert score_path(kb, paths[0]) == pytest.approx(16.2, rel=1e-12)
 
@@ -63,7 +64,8 @@ def test_threshold_above_everything_emits_nothing(kb):
     engine = MarkerEngine(kb, EngineConfig(half_threshold=50.0, max_depth=10))
     for obs in fixture_seeds():
         engine.seed(obs)
-    assert engine.spread() == []
+    engine.spread()
+    assert engine.scores == {}
 
 
 def test_full_threshold_blocks_emission(kb):
@@ -71,7 +73,8 @@ def test_full_threshold_blocks_emission(kb):
                                            full_threshold=100.0, max_depth=10))
     for obs in fixture_seeds():
         engine.seed(obs)
-    assert engine.spread() == []
+    engine.spread()
+    assert engine.scores == {}
 
 
 def test_seeding_twice_is_idempotent(kb):
@@ -115,18 +118,21 @@ def test_unconnected_observations_emit_nothing():
     engine = MarkerEngine(base, small_config())
     engine.seed(Observation("x", "a"))
     engine.seed(Observation("y", "b"))
-    assert engine.spread() == []
+    engine.spread()
+    assert engine.scores == {}
 
 
 def test_incremental_seeding_collides_at_seed_time(kb):
     engine = MarkerEngine(kb, small_config(max_depth=6))
     o1, o2 = fixture_seeds()
     engine.seed(o1)
-    assert engine.spread() == []
+    engine.spread()
+    assert engine.scores == {}
     engine.seed(o2)  # the first origin's mark already sits on go
-    emitted = engine.spread()
-    assert len(emitted) == 1
-    assert emitted[0].start == o1 and emitted[0].end == o2
+    assert len(engine.scores) == 1
+    engine.spread()
+    (emitted,) = engine.scores
+    assert emitted.start == o1 and emitted.end == o2
 
 
 def test_a_re_meeting_checks_the_stored_score(kb):
@@ -138,7 +144,7 @@ def test_a_re_meeting_checks_the_stored_score(kb):
     engine.seed(o1)
     engine.spread()
     engine.seed(o2)
-    (path,) = engine.emitted
+    (path,) = engine.scores
     engine.scores[path] *= 1.01
     with pytest.raises(AssertionError, match="cleave identity violated"):
         engine.spread()
@@ -163,11 +169,10 @@ def test_no_mark_below_the_normal_range_is_placed_at_threshold_zero():
     base = load_kb("(eq-prior 1e-301)(schema g :prior 0.9)(schema c :isa g :prior 1e-200)"
                    "(schema d :isa c :prior 1e-300)(schema o :prior 0.5)(role o s d)")
     engine = MarkerEngine(base, EngineConfig(0, 0, 6))
-    emitted = []
     for obs in (Observation("a", "g", 1e-9), Observation("b", "o", 1.0)):
         engine.seed(obs)
-        emitted += engine.spread()
-    assert [path.render() for path in emitted] == [
+        engine.spread()
+    assert [path.render() for path in engine.scores] == [
         "(inst a g)(isa- c g)(isa- d c)(role o s d)(inst b o)"]
     marks = engine.marks
     assert ("a", "c", 1) not in marks and ("a", "d", 0) not in marks
@@ -183,7 +188,8 @@ def test_determinism_of_emission_order():
         engine = MarkerEngine(base, small_config())
         for obs in seeds:
             engine.seed(obs)
-        return [p.render() for p in engine.spread()]
+        engine.spread()
+        return [p.render() for p in engine.scores]
 
     assert run_once() == run_once()
 
@@ -267,7 +273,7 @@ def test_completeness_check_lists_a_dipping_path():
     seeds = (Observation("x1", "x", 1.0), Observation("y1", "y", 1.0))
     config = EngineConfig(half_threshold=0.02, full_threshold=0.0004, max_depth=6)
     engine = _engine_run(base, seeds, config)
-    assert engine.emitted == []
+    assert engine.scores == {}
     report = completeness_check(base, config, seeds)
     assert len(report.entries) == 1
     entry = report.entries[0]
@@ -282,7 +288,7 @@ def test_emitted_scores_match_recomputation_and_threshold():
         seeds = (Observation("a", names[1], 0.7), Observation("b", names[-2], 0.8))
         config = small_config(max_depth=3, full_threshold=1e-6)
         engine = _engine_run(base, seeds, config)
-        for path in engine.emitted:
+        for path in engine.scores:
             assert score_path(base, path) >= config.full_threshold
 
 
@@ -298,7 +304,7 @@ class MeetingRecorder(MarkerEngine):
     def meets_an_emitted_path(self):
         """Whether the current meeting glues into a path already emitted,
         read in either orientation."""
-        emitted = {(p.start.instance, p.end.instance, p.links) for p in self.emitted}
+        emitted = {(p.start.instance, p.end.instance, p.links) for p in self.scores}
         m1, m2 = self.meeting
         return any(
             (a.origin.instance, b.origin.instance,
@@ -333,7 +339,7 @@ def test_duplicate_meetings_keep_the_cleave_check(length, monkeypatch):
         return engine, repeats
 
     engine, repeats = spread_with(0.0)
-    assert len(engine.emitted) >= 1 and len(repeats) >= length
+    assert len(engine.scores) >= 1 and len(repeats) >= length
     with pytest.raises(AssertionError, match="cleave identity violated"):
         spread_with(1e-6)
 
@@ -370,13 +376,15 @@ def test_seam_table_is_symmetric():
 
 
 def _emissions(engine_class, base, seeds, config):
-    """What each seed-and-spread step emits, in order."""
+    """What each seed-and-spread step emits, in order, with its score."""
     engine = engine_class(base, config)
     steps = []
     for obs in seeds:
         engine.seed(obs)
-        steps.append(engine.spread())
-    assert engine.emitted == [path for paths in steps for path in paths]
+        engine.spread()
+        steps.append(list(engine.scores.items())[sum(map(len, steps)):])
+    # A later step leaves what earlier steps emitted, and its score, as it was.
+    assert list(engine.scores.items()) == [item for items in steps for item in items]
     return steps
 
 
@@ -426,7 +434,7 @@ def test_retention_at_the_depth_limit_can_lose_the_best_path():
     seeds = (Observation("a", "s3"), Observation("b", "s0", 0.5))
     config = EngineConfig(half_threshold=0.5, full_threshold=0.0, max_depth=2)
     engine = _engine_run(base, seeds, config)
-    assert engine.emitted == []
+    assert engine.scores == {}
     lost = [path for path in enumerate_paths_oracle(base, *seeds, 2)
             if qualifying_cleaves(base, config, path)]
     assert [path.render() for path in lost] == [

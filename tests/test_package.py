@@ -94,6 +94,18 @@ TRACED_CALLS = [
 ]
 
 
+def corroborated_run(kb):
+    """A run of the fixture's one path with both of its slots corroborated."""
+    config = planmark.RunConfig(engine=planmark.EngineConfig(
+        half_threshold=0.1, full_threshold=1.0))
+    return planmark.run(kb, config, """
+        (inst supermarket2 supermarket :belief 0.9)
+        (inst go1 go :belief 0.9)
+        (corroborate supermarket-shopping store-of)
+        (corroborate supermarket-shopping go-step)
+    """)
+
+
 def test_every_traced_call_site_is_live(kb, monkeypatch):
     """Each name the benchmark's tracer times or counts is still called by
     a corroborated run, so a layer cannot read 0 because the program
@@ -113,14 +125,38 @@ def test_every_traced_call_site_is_live(kb, monkeypatch):
         name = f"{owner.__name__}.{attr}"
         calls[name] = 0
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
-    config = planmark.RunConfig(engine=planmark.EngineConfig(
-        half_threshold=0.1, full_threshold=1.0))
-    report = planmark.run(kb, config, """
-        (inst supermarket2 supermarket :belief 0.9)
-        (inst go1 go :belief 0.9)
-        (corroborate supermarket-shopping store-of)
-        (corroborate supermarket-shopping go-step)
-    """)
+    report = corroborated_run(kb)
     report.render()
     assert report.evaluated == 1
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+def test_every_name_the_benchmark_reads_still_answers(kb, monkeypatch):
+    """Beside the calls it wraps, the benchmark reads values off a run's
+    engines, base and networks; each is read here as `bench/run.py` and
+    `bench/tracing.py` read it.  `MarkerEngine.emitted` stays only for
+    that reader, so it must still give the order `scores` keeps."""
+    engines, networks = [], []
+    exact_posterior = pipeline.exact_posterior
+
+    class RecordingEngine(pipeline.MarkerEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    def recording_posterior(network, cpts):
+        networks.append(network)
+        return exact_posterior(network, cpts)
+
+    monkeypatch.setattr(pipeline, "MarkerEngine", RecordingEngine)
+    monkeypatch.setattr(pipeline, "exact_posterior", recording_posterior)
+    assert corroborated_run(kb).evaluated == 1
+    (engine,) = engines
+    assert engine.scores and list(engine.emitted) == list(engine.scores)
+    marks = engine.marks
+    assert marks and all(isinstance(mark.depth, int) for mark in marks.values())
+    role_links = sum(link.kind is planmark.LinkKind.ROLE_UP for link in kb.links.values())
+    assert sum(len(s.slots) for s in kb.schemas.values()) == role_links == 2
+    (network,) = networks
+    assert network.non_evidence_count == len(network.priors) + len(network.rs.roles)
+

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -339,6 +340,15 @@ def test_synth_density_outside_unit_interval_rejected(density):
         SynthParams(corroboration_density=density)
 
 
+@pytest.mark.parametrize("n_plans", [0, -2])
+def test_synth_params_reject_fewer_than_one_plan(n_plans):
+    # Without the check, `synth_corpus` failed inside `random` drawing a
+    # story's plan from none.
+    with pytest.raises(ValueError, match="^a synthetic base needs at least one plan$"):
+        SynthParams(n_plans=n_plans)
+    assert len(synth_corpus(1, SynthParams(n_plans=1, n_stories=2)).streams) == 2
+
+
 def test_synth_planted_plans_get_approved():
     config = RunConfig(engine=EngineConfig(half_threshold=1e-8,
                                            full_threshold=1e-8, max_depth=6))
@@ -374,23 +384,56 @@ def filter_by_ancestors(base, statements, corroborated):
                for eq in eqs_of(statements))
 
 
+def drawn_corroborations(seed, base, engine_config):
+    """A `random_kb` stream whose last observation is repeated under a
+    second name, so that paths from an earlier one to the two repeat each
+    other's claims, followed by corroborations drawn from the paths a first
+    engine pass emits: every slot equality of each path, at its owner's
+    relevant type, each distinct record kept with probability 0.95.  Most
+    of the paths then pass the evidence filter, and some fail it."""
+    stream = random_kb_stream(seed, base, 4)
+    *_, last = (payload for head, payload, _ in parse_stream(stream) if head == "inst")
+    stream += f"(inst twin {last.schema} :belief {last.belief!r})\n"
+    engine = MarkerEngine(base, engine_config)
+    for head, payload, _ in parse_stream(stream):
+        if head == "inst":
+            engine.seed(payload)
+            engine.spread()
+    records = []
+    for index, path in enumerate(engine.scores, start=1):
+        folded = relevant_statements_by_fold(base, path, f"p{index}-gen-")
+        relevant_type = {inst.instance: inst.schema for inst in insts_of(folded)}
+        records += [f"(corroborate {relevant_type[eq.owner]} {eq.slot})\n"
+                    for eq in eqs_of(folded)]
+    rng = random.Random(seed)
+    return stream + "".join(record for record in dict.fromkeys(records)
+                            if rng.random() < 0.95)
+
+
 def table_cases():
+    """(base, engine config, stream, whether the stream's corroborations
+    were drawn from its paths) for the differential record tests."""
     for seed in range(8):
         base = random_kb(seed + 100, n_schemas=30, n_roles=36)
-        yield base, EngineConfig(half_threshold=0.0, max_depth=5), random_kb_stream(seed, base, 5)
+        yield (base, EngineConfig(half_threshold=0.0, max_depth=5),
+               random_kb_stream(seed, base, 5), False)
+    for seed in range(3):
+        base = random_kb(seed + 108, n_schemas=30, n_roles=36)
+        config = EngineConfig(half_threshold=0.0, max_depth=5)
+        yield base, config, drawn_corroborations(seed, base, config), True
     for seed in range(3):
         corpus = synth_corpus(seed + 100, SynthParams(n_plans=12, n_stories=10,
                                                       corroboration_density=0.6))
         yield (load_kb(corpus.kb_text), EngineConfig(half_threshold=1e-8, max_depth=6),
-               "".join(corpus.streams))
+               "".join(corpus.streams), False)
 
 
 def test_records_from_the_load_time_tables_match_the_direct_forms():
     # `run` reads the scores, link texts, priors and parents the base and
     # the engine keep; each record must equal what the direct forms give
     # for the path the engine emitted.
-    checked = passed = 0
-    for base, engine_config, stream in table_cases():
+    checked = passed = checked_drawn = passed_drawn = 0
+    for base, engine_config, stream, drawn in table_cases():
         report = run(base, RunConfig(engine=engine_config), stream)
         engine = MarkerEngine(base, engine_config)
         corroborated = {}
@@ -401,8 +444,8 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
             else:
                 schema, slot = payload
                 corroborated.setdefault(slot, set()).add(schema)
-        assert len(report.records) == len(engine.emitted)
-        for index, (path, record) in enumerate(zip(engine.emitted, report.records), start=1):
+        assert len(report.records) == len(engine.scores)
+        for index, (path, record) in enumerate(zip(engine.scores, report.records), start=1):
             prefix = f"p{index}-gen-"
             rs = relevant_statements(path, prefix)
             assert record.sc == score_path(base, path)
@@ -419,7 +462,12 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
             assert (record.posterior is not None) == verdict
             checked += 1
             passed += verdict
+            checked_drawn += drawn
+            passed_drawn += verdict and drawn
     assert checked > 1000 and 0 < passed < checked
+    # Streams with drawn corroborations pass most of their paths (2,494 of
+    # 3,116), where the other random streams pass almost none.
+    assert 2000 < passed_drawn < checked_drawn < 2 * passed_drawn
 
 
 # Two stories of one plan, the first with its second filler at belief 0.5:
@@ -441,9 +489,10 @@ def test_each_evaluated_record_equals_a_fresh_evaluation_of_its_own_path():
     # its own path afresh gives.
     mixed_base = load_kb(synth_corpus(0, SynthParams(n_plans=1, n_stories=1)).kb_text)
     cases = list(table_cases()) + [
-        (mixed_base, EngineConfig(half_threshold=1e-8, max_depth=6), MIXED_BELIEF_STREAM)]
-    evaluated = shared = 0
-    for base, engine_config, stream in cases:
+        (mixed_base, EngineConfig(half_threshold=1e-8, max_depth=6), MIXED_BELIEF_STREAM,
+         False)]
+    evaluated = shared = evaluated_drawn = repeated_drawn = 0
+    for base, engine_config, stream, drawn in cases:
         config = RunConfig(engine=engine_config)
         report = run(base, config, stream)
         engine = MarkerEngine(base, engine_config)
@@ -451,8 +500,8 @@ def test_each_evaluated_record_equals_a_fresh_evaluation_of_its_own_path():
             if head == "inst":
                 engine.seed(payload)
                 engine.spread()
-        beliefs_by_links = {}
-        for index, (path, record) in enumerate(zip(engine.emitted, report.records), start=1):
+        beliefs_by_links, claims = {}, set()
+        for index, (path, record) in enumerate(zip(engine.scores, report.records), start=1):
             if record.posterior is None:
                 continue
             network = build_network(base, path, relevant_statements(path, f"p{index}-gen-"))
@@ -463,9 +512,16 @@ def test_each_evaluated_record_equals_a_fresh_evaluation_of_its_own_path():
             evaluated += 1
             beliefs_by_links.setdefault(path.links, set()).add(
                 (path.start.belief, path.end.belief))
+            claim = (path.links, path.start.belief, path.end.belief)
+            if drawn:
+                evaluated_drawn += 1
+                repeated_drawn += claim in claims
+            claims.add(claim)
         shared += sum(len(beliefs) > 1 for beliefs in beliefs_by_links.values())
     # Some evaluated paths share their links but not their end beliefs.
     assert evaluated > 50 and shared > 0
+    # On the random bases, many evaluated paths repeat a claim (750 of 2,494).
+    assert evaluated_drawn > 2000 and repeated_drawn > 500
 
 
 def test_a_repeated_corroboration_is_checked_once(kb, monkeypatch):
