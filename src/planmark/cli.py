@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 
 from .bayes import build_network, default_cpts, exact_posterior, render_network
@@ -65,6 +66,27 @@ def _read(name: str | None) -> str:
         return fh.read()
 
 
+def _write_files(files: list[tuple[str, str]]) -> None:
+    """Write each (name, text): each text goes to a temporary sibling of
+    its file, and the siblings replace their files only once all are
+    written, so a failure to write one leaves every file as it was.  A
+    failure removes the siblings."""
+    temps: list[str] = []
+    try:
+        for name, text in files:
+            temp = f"{name}.{os.getpid()}.tmp"
+            with open(temp, "x", encoding="utf-8") as fh:
+                temps.append(temp)
+                fh.write(text)
+        for (name, _), temp in zip(files, temps):
+            os.replace(temp, name)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="planmark")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -112,14 +134,11 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
         params = SynthParams(n_plans=args.plans, n_stories=args.stories,
                              corroboration_density=args.density)
         corpus = synth_corpus(args.seed, params)
-        if args.out_kb is not None:
-            with open(args.out_kb, "w", encoding="utf-8") as fh:
-                fh.write(corpus.kb_text)
+        files = [] if args.out_kb is None else [(args.out_kb, corpus.kb_text)]
         if args.out_streams is not None:
-            for i, stream in enumerate(corpus.streams):
-                with open(f"{args.out_streams}{i:03d}.stream", "w",
-                          encoding="utf-8") as fh:
-                    fh.write(stream)
+            files += [(f"{args.out_streams}{i:03d}.stream", stream)
+                      for i, stream in enumerate(corpus.streams)]
+        _write_files(files)
         if args.out_kb is None and args.out_streams is None:
             out.write(corpus.kb_text)
             for i, stream in enumerate(corpus.streams):

@@ -60,8 +60,11 @@ check walks each schema once.  Both directions of a KB link are built
 together, their texts from one text of the link's names, and only a
 schema with two or more links leaving it has its list sorted.
 
-Nothing changes a `KnowledgeBase` after `load_kb` builds it, so one base
-is safe to share across threads.
+`load_kb` leaves one table empty, `KnowledgeBase.judgements`, where
+`pipeline.run` keeps each claim's judgement for later calls on the base.
+Nothing else changes a base after `load_kb` builds it, and each entry is
+a function of its key alone, so one base is safe to share across
+threads: two calls may judge one claim twice, but never differently.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ class Observation(NamedTuple):
 
 
 class KnowledgeBase:
-    """Schemas, p(==) and the tables built from them; equal bases have equal
-    schemas and p(==)."""
+    """Schemas, p(==), the tables built from them and `run`'s judgement
+    table; equal bases have equal schemas and p(==), whatever they have
+    judged."""
 
     def __init__(self, schemas: dict[str, Schema], eq_prior: float,
                  adjacency: dict[str, tuple[TraversalLink, ...]],
@@ -122,6 +126,8 @@ class KnowledgeBase:
         self.priors = priors
         self.parents = parents
         self.slot_owners = slot_owners
+        # claim -> `pipeline.Judgement`; `pipeline.run` is its one writer.
+        self.judgements: dict[tuple, tuple] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -15,14 +15,22 @@ ends, every reported path is translated once into its RS(P), which then
 serves the cheap evidence filter, the exact network evaluation (only if
 the filter passes) and the approval test.  A rejected path costs its RS(P)
 walk and nothing more, and the report prints its statement texts joined.
-Each distinct claim is evaluated once per run: the network a passing path
-induces is fixed by its links, which fix its end schemas and its relevant
-and filler types, and by its two end beliefs, so (links, start belief, end
-belief) keys the stored posterior, residual and approval.  The key holds
-no instance name because the evaluation reads none, so paths through a
-shared plan that repeat a claim with other instances reuse its values;
-only a path that passes the filter builds a key.  A path's ``sc`` is the
-score the marker computed once, when it emitted the path, and equals its
+Each distinct claim is judged once per base and interior strengths.  The
+network a passing path induces is fixed by its links, which fix its end
+schemas and its relevant and filler types, and by its two end beliefs,
+and the base's priors and p(==) never change; so (links, start belief,
+end belief, gamma1, gamma0, approval ratio) keys the `Judgement` kept in
+the base's table, `KnowledgeBase.judgements`: the posterior, residual and
+approval, and the record's lines from ``filtered`` on, rendered once.
+The key holds no instance name because the evaluation reads none, so
+every record that makes a claim, in this call or a later one on the same
+base, shares its one judgement.  Only a path that passes the filter
+builds a key, and the filter runs on every path of every call, since
+corroboration is per stream.  The first call on a freshly loaded base
+pays full price.  The table is cleared when it holds `_JUDGEMENTS_MAX`
+claims, under 1 MB, so a caller that feeds ever new beliefs pays at most
+one clear per that many new claims.  A path's ``sc`` is the score the
+marker computed once, when it emitted the path, and equals its
 `score_path`; its text is `Path.render`, which joins the texts the base's
 links carry.  Three counters mirror the stages: paths reported by the
 marker, evaluated (those that passed the filter) and approved.
@@ -79,28 +87,43 @@ class RunConfig:
         self.approval_ratio = approval_ratio
 
 
+class Judgement(NamedTuple):
+    """What `run` decides of one claim: its posterior, residual and
+    approval, and ``text``, the record lines they print, from the
+    ``filtered`` line's value on."""
+
+    posterior: float
+    residual: float
+    approved: bool
+    text: str
+
+
+# The record lines, from the ``filtered`` line's value on, of a path that
+# fails the evidence filter.
+_FAILED = "fail\nposterior -\nresidual -\napproved no"
+
+# Claims a base's judgement table holds before it is cleared: about 470
+# bytes each with key and text (tracemalloc, on the benchmark's claims),
+# so under 1 MB.
+_JUDGEMENTS_MAX = 2000
+
+
 class PathRecord:
-    # `run` gives a record a posterior exactly when its path passes the
-    # evidence filter, so the posterior decides the ``filtered`` line.
-    __slots__ = ("path_text", "sc", "rs_text", "posterior", "residual", "approved")
+    # `run` gives a record the judgement of its claim exactly when its path
+    # passes the evidence filter, so the judgement decides the ``filtered``
+    # line.
+    __slots__ = ("path_text", "sc", "rs_text", "judgement")
 
     def __init__(self, path_text: str, sc: float, rs_text: str,
-                 posterior: float | None = None, residual: float | None = None,
-                 approved: bool = False):
+                 judgement: Judgement | None):
         self.path_text = path_text
         self.sc = sc
         self.rs_text = rs_text
-        self.posterior = posterior
-        self.residual = residual
-        self.approved = approved
+        self.judgement = judgement
 
     def render(self) -> str:
-        if self.posterior is None:
-            judged = "fail\nposterior -\nresidual -"
-        else:
-            judged = f"pass\nposterior {self.posterior!r}\nresidual {self.residual!r}"
-        return (f"path {self.path_text}\nsc {self.sc!r}\nrs {self.rs_text}\n"
-                f"filtered {judged}\napproved {'yes' if self.approved else 'no'}")
+        judged = _FAILED if self.judgement is None else self.judgement.text
+        return f"path {self.path_text}\nsc {self.sc!r}\nrs {self.rs_text}\nfiltered {judged}"
 
 
 class RunReport:
@@ -202,26 +225,29 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     records = []
     evaluated = 0
     approved_count = 0
-    # (links, start belief, end belief) -> (posterior, residual, approved)
-    judged: dict[tuple, tuple[float, float, bool]] = {}
+    judgements = kb.judgements
+    gamma1, gamma0, ratio = config.gamma1, config.gamma0, config.approval_ratio
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(engine.scores.items(), start=1):
         rs = relevant_statements(path, f"p{index}-gen-")
-        record = PathRecord(path.render(), sc, "".join(rs.statements))
+        judgement = None
         if evidence_filter(kb, rs, corroborated):
-            claim = (path.links, path.start.belief, path.end.belief)
-            judgement = judged.get(claim)
+            claim = (path.links, path.start.belief, path.end.belief, gamma1, gamma0, ratio)
+            judgement = judgements.get(claim)
             if judgement is None:
                 network = build_network(kb, path, rs)
-                posterior, residual = exact_posterior(network, default_cpts(
-                    kb, network, config.gamma1, config.gamma0))
-                judgement = judged[claim] = (
-                    posterior, residual,
-                    approve(network, posterior, ratio=config.approval_ratio))
-            record.posterior, record.residual, record.approved = judgement
+                posterior, residual = exact_posterior(
+                    network, default_cpts(kb, network, gamma1, gamma0))
+                approved = approve(network, posterior, ratio=ratio)
+                if len(judgements) >= _JUDGEMENTS_MAX:
+                    judgements.clear()
+                judgement = judgements[claim] = Judgement(
+                    posterior, residual, approved,
+                    f"pass\nposterior {posterior!r}\nresidual {residual!r}\n"
+                    f"approved {'yes' if approved else 'no'}")
             evaluated += 1
-            approved_count += record.approved
-        records.append(record)
+            approved_count += judgement.approved
+        records.append(PathRecord(path.render(), sc, "".join(rs.statements), judgement))
 
     return RunReport(records=records, evaluated=evaluated, approved=approved_count)
 

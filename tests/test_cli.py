@@ -448,9 +448,27 @@ def test_synth_writes_files(tmp_path):
     assert (tmp_path / "synth.kb").exists()
     streams = sorted(tmp_path.glob("story-*.stream"))
     assert len(streams) == 3
+    # The temporary siblings the files were written to are gone.
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "synth.kb", *streams])
     again = planmark("synth", "--seed", "7", "--stories", "3")
     assert again.returncode == 0
     assert "(eq-prior" in again.stdout
+
+
+def test_a_failing_synth_leaves_its_files_alone(tmp_path):
+    # Each file is written to a temporary sibling, and the siblings replace
+    # their files only once all are written.  A stream prefix in a missing
+    # directory used to leave the new base in --out-kb.
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_bytes(b"old\n")
+    result = planmark("synth", "--seed", "1", "--out-kb", str(kb_file),
+                      "--out-streams", str(tmp_path / "nodir" / "s"))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: [Errno 2] No such file or directory: ")
+    assert str(tmp_path / "nodir" / "s000.stream.") in result.stderr
+    assert kb_file.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [kb_file]
 
 
 @pytest.mark.parametrize("flag, value", [("--plans", "0"), ("--stories", "-3")])

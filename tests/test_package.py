@@ -7,7 +7,7 @@ from pathlib import Path
 import planmark
 from planmark import marker, pipeline
 
-from conftest import package_env
+from conftest import FIXTURE_KB_TEXT, package_env
 
 ROOT = Path(__file__).parents[1]
 
@@ -95,7 +95,10 @@ TRACED_CALLS = [
 
 
 def corroborated_run(kb):
-    """A run of the fixture's one path with both of its slots corroborated."""
+    """A run of the fixture's one path with both of its slots corroborated.
+    The tests below pass a freshly loaded base, whose judgement table is
+    empty, so the run calls the evaluation functions: on a base another
+    test already ran this stream on, `run` reuses the judgement instead."""
     config = planmark.RunConfig(engine=planmark.EngineConfig(
         half_threshold=0.1, full_threshold=1.0))
     return planmark.run(kb, config, """
@@ -106,7 +109,7 @@ def corroborated_run(kb):
     """)
 
 
-def test_every_traced_call_site_is_live(kb, monkeypatch):
+def test_every_traced_call_site_is_live(monkeypatch):
     """Each name the benchmark's tracer times or counts is still called by
     a corroborated run, so a layer cannot read 0 because the program
     stopped calling the name its wrapper sits on.  Five wrapped names are
@@ -125,13 +128,13 @@ def test_every_traced_call_site_is_live(kb, monkeypatch):
         name = f"{owner.__name__}.{attr}"
         calls[name] = 0
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
-    report = corroborated_run(kb)
+    report = corroborated_run(planmark.load_kb(FIXTURE_KB_TEXT))
     report.render()
     assert report.evaluated == 1
     assert [name for name, count in calls.items() if count == 0] == []
 
 
-def test_every_name_the_benchmark_reads_still_answers(kb, monkeypatch):
+def test_every_name_the_benchmark_reads_still_answers(monkeypatch):
     """Beside the calls it wraps, the benchmark reads values off a run's
     engines, base and networks; each is read here as `bench/run.py` and
     `bench/tracing.py` read it.  `MarkerEngine.emitted` stays only for
@@ -150,6 +153,7 @@ def test_every_name_the_benchmark_reads_still_answers(kb, monkeypatch):
 
     monkeypatch.setattr(pipeline, "MarkerEngine", RecordingEngine)
     monkeypatch.setattr(pipeline, "exact_posterior", recording_posterior)
+    kb = planmark.load_kb(FIXTURE_KB_TEXT)
     assert corroborated_run(kb).evaluated == 1
     (engine,) = engines
     assert engine.scores and list(engine.emitted) == list(engine.scores)

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -21,7 +23,7 @@ from planmark.marker import MarkerEngine, score_path
 from planmark.pipeline import SynthParams, parse_stream
 from planmark.semantics import relevant_statements
 
-from conftest import chain_kb_text
+from conftest import FIXTURE_KB_TEXT, chain_kb_text
 from oracles import (
     ancestors_or_self,
     declared_slot,
@@ -55,9 +57,10 @@ def test_fixture_run_with_full_corroboration(kb):
     record = report.records[0]
     assert "filtered pass" in record.render()
     assert record.sc == pytest.approx(16.2, rel=1e-12)
-    assert record.posterior == pytest.approx(record.sc * record.residual, rel=1e-9)
+    judgement = record.judgement
+    assert judgement.posterior == pytest.approx(record.sc * judgement.residual, rel=1e-9)
     # Approval demands posterior >= 1000 * 0.02; impossible here.
-    assert report.approved == 0 and not record.approved
+    assert report.approved == 0 and not judgement.approved
     assert "p1-gen-1" in record.rs_text
 
 
@@ -67,7 +70,7 @@ def test_no_corroboration_blocks_evaluation(kb):
     assert (report.reported, report.evaluated, report.approved) == (1, 0, 0)
     record = report.records[0]
     assert "filtered fail" in record.render()
-    assert record.posterior is None
+    assert record.judgement is None
     assert "posterior -" in record.render()
 
 
@@ -205,15 +208,105 @@ def test_stream_parser():
     assert records[2][1] == ("go", "x")
 
 
-def test_reports_are_byte_identical(kb):
-    config = fixture_config()
-    first = run(kb, config, FIXTURE_STREAM).render()
-    second = run(kb, config, FIXTURE_STREAM).render()
+# The functions `run` judges a claim with, on a miss in the base's table.
+EVALUATION = ("build_network", "default_cpts", "exact_posterior", "approve")
+
+
+def count_evaluations(monkeypatch):
+    """Count the calls `run` makes to each of the functions in EVALUATION."""
+    calls = dict.fromkeys(EVALUATION, 0)
+    for name in EVALUATION:
+        def counting(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
+def test_reports_are_byte_identical(monkeypatch):
+    # On a freshly loaded base the first run judges the one claim, and the
+    # second reuses its judgement, evaluating nothing.
+    base, config = load_kb(FIXTURE_KB_TEXT), fixture_config()
+    calls = count_evaluations(monkeypatch)
+    first = run(base, config, FIXTURE_STREAM).render()
+    assert calls == dict.fromkeys(EVALUATION, 1)
+    second = run(base, config, FIXTURE_STREAM).render()
+    assert calls == dict.fromkeys(EVALUATION, 1)
     assert first == second
     lines = first.splitlines()
     assert lines[-1] == "counters reported=1 evaluated=1 approved=0"
     assert [line for line in lines if line.startswith("#")] == ["# planmark run report"]
     assert lines[0] == "# planmark run report"
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gamma1": 0.5}, {"gamma0": 1e-3}, {"approval_ratio": 1e-6}])
+def test_a_base_warmed_at_the_defaults_judges_other_settings_afresh(kwargs):
+    # The settings are part of a claim's key, so what a base judged at the
+    # defaults is not reused at other interior strengths or ratio.
+    base = load_kb(FIXTURE_KB_TEXT)
+    default = run(base, fixture_config(), FIXTURE_STREAM).render()
+    other = RunConfig(engine=fixture_config().engine, **kwargs)
+    expected = run(load_kb(FIXTURE_KB_TEXT), other, FIXTURE_STREAM).render()
+    assert expected != default
+    assert run(base, other, FIXTURE_STREAM).render() == expected
+    assert run(base, fixture_config(), FIXTURE_STREAM).render() == default
+
+
+def capped_table_case():
+    """A synthetic base, a config, and its stories as streams, each alone
+    and then all in one stream, whose cross-story paths repeat claims."""
+    corpus = synth_corpus(5, SynthParams(n_plans=12, n_stories=10,
+                                         corroboration_density=0.6))
+    config = RunConfig(engine=EngineConfig(half_threshold=1e-8, max_depth=6))
+    return corpus.kb_text, config, corpus.streams + ["".join(corpus.streams)]
+
+
+def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
+    # With room for two claims the table is cleared again and again; every
+    # claim judged anew must render as before, the table must never hold
+    # more than two, and the base still equals a freshly loaded one.
+    kb_text, config, streams = capped_table_case()
+    fresh = load_kb(kb_text)
+    expected = [run(fresh, config, stream).render() for stream in streams]
+    assert len(fresh.judgements) > 2
+    monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 2)
+    base, sizes = load_kb(kb_text), []
+    approve = pipeline.approve
+
+    def sizing_approve(*args, **kwargs):
+        sizes.append(len(base.judgements))
+        return approve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "approve", sizing_approve)
+    for _ in range(2):
+        assert [run(base, config, stream).render() for stream in streams] == expected
+        sizes.append(len(base.judgements))
+    # The second pass judged its claims again: the first pass's were cleared.
+    assert max(sizes) == 2 and len(sizes) > 2 * len(fresh.judgements) + 2
+    assert base.judgements and base == fresh == load_kb(kb_text)
+
+
+def test_threads_sharing_a_base_report_what_one_thread_does(monkeypatch):
+    # Threads share a base's table, and with a cap of 3 they clear it under
+    # each other's feet; no report may change.
+    kb_text, config, streams = capped_table_case()
+    expected = [run(load_kb(kb_text), config, stream).render() for stream in streams]
+    monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 3)
+    base = load_kb(kb_text)
+
+    def run_all():
+        return [run(base, config, stream).render() for stream in streams]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(run_all) for _ in range(6)]
+            reports = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [expected] * 6
 
 
 def test_long_chain_is_reported_and_evaluated():
@@ -225,7 +318,8 @@ def test_long_chain_is_reported_and_evaluated():
     report = run(base, config, "\n".join(stream_lines))
     assert report.reported == report.evaluated == 1
     record = report.records[0]
-    assert record.posterior == pytest.approx(record.sc * record.residual, rel=1e-9)
+    assert record.judgement.posterior == pytest.approx(
+        record.sc * record.judgement.residual, rel=1e-9)
 
 
 def test_observation_named_like_a_fresh_instance(kb):
@@ -284,7 +378,8 @@ def approved_records_clearing_the_bound(seed, gamma1, gamma0, ratio):
                        gamma1=gamma1, gamma0=gamma0, approval_ratio=ratio)
     beliefs = {obs.instance: obs.belief
                for head, obs, _ in parse_stream(stream) if head == "inst"}
-    approved = [record for record in run(base, config, stream).records if record.approved]
+    approved = [record for record in run(base, config, stream).records
+                if record.judgement is not None and record.judgement.approved]
     for record in approved:
         ends = parse_path(base, record.path_text)
         path = parse_path(base, record.path_text,
@@ -459,7 +554,7 @@ def test_records_from_the_load_time_tables_match_the_direct_forms():
             assert rs.types == tuple(inst.schema for inst in insts)
             assert [eq.slot for eq in eqs_of(folded)] == [link.slot for link in rs.roles]
             verdict = filter_by_ancestors(base, folded, corroborated)
-            assert (record.posterior is not None) == verdict
+            assert (record.judgement is not None) == verdict
             checked += 1
             passed += verdict
             checked_drawn += drawn
@@ -483,45 +578,77 @@ MIXED_BELIEF_STREAM = """
 """
 
 
+def renamed_without_the_first_observation(stream):
+    """The stream's observations but its first, under new names and in the
+    same order, then its corroborations: most of its paths make the claims
+    paths of the stream made, between other instances and at other
+    indexes."""
+    records = parse_stream(stream)
+    observations = [payload for head, payload, _ in records if head == "inst"][1:]
+    return "".join(
+        [f"(inst {obs.instance}-again {obs.schema} :belief {obs.belief!r})\n"
+         for obs in observations]
+        + [f"(corroborate {' '.join(payload)})\n"
+           for head, payload, _ in records if head == "corroborate"])
+
+
 def test_each_evaluated_record_equals_a_fresh_evaluation_of_its_own_path():
-    # `run` evaluates each distinct claim once and reuses its values for
-    # every path that repeats it; each record must equal what evaluating
-    # its own path afresh gives.
+    # `run` evaluates each distinct claim once per base and reuses its
+    # values for every path that repeats it, in that call and later ones;
+    # each record must equal what evaluating its own path afresh gives.
+    # Each case runs its stream and then a second stream on the base the
+    # first warmed.
     mixed_base = load_kb(synth_corpus(0, SynthParams(n_plans=1, n_stories=1)).kb_text)
     cases = list(table_cases()) + [
         (mixed_base, EngineConfig(half_threshold=1e-8, max_depth=6), MIXED_BELIEF_STREAM,
          False)]
     evaluated = shared = evaluated_drawn = repeated_drawn = 0
-    for base, engine_config, stream, drawn in cases:
+    evaluated_warm = reused_warm = 0
+    for base, engine_config, first_stream, drawn in cases:
         config = RunConfig(engine=engine_config)
-        report = run(base, config, stream)
-        engine = MarkerEngine(base, engine_config)
-        for head, payload, _ in parse_stream(stream):
-            if head == "inst":
-                engine.seed(payload)
-                engine.spread()
-        beliefs_by_links, claims = {}, set()
-        for index, (path, record) in enumerate(zip(engine.scores, report.records), start=1):
-            if record.posterior is None:
-                continue
-            network = build_network(base, path, relevant_statements(path, f"p{index}-gen-"))
-            posterior, residual = exact_posterior(network, default_cpts(
-                base, network, config.gamma1, config.gamma0))
-            assert (record.posterior, record.residual) == (posterior, residual)
-            assert record.approved == approve(network, posterior, ratio=config.approval_ratio)
-            evaluated += 1
-            beliefs_by_links.setdefault(path.links, set()).add(
-                (path.start.belief, path.end.belief))
-            claim = (path.links, path.start.belief, path.end.belief)
-            if drawn:
-                evaluated_drawn += 1
-                repeated_drawn += claim in claims
-            claims.add(claim)
-        shared += sum(len(beliefs) > 1 for beliefs in beliefs_by_links.values())
+        claims = set()
+        for stream in (first_stream, renamed_without_the_first_observation(first_stream)):
+            warm = stream is not first_stream
+            report = run(base, config, stream)
+            engine = MarkerEngine(base, engine_config)
+            for head, payload, _ in parse_stream(stream):
+                if head == "inst":
+                    engine.seed(payload)
+                    engine.spread()
+            assert len(report.records) == len(engine.scores)
+            beliefs_by_links = {}
+            for index, (path, record) in enumerate(zip(engine.scores, report.records),
+                                                   start=1):
+                if record.judgement is None:
+                    continue
+                network = build_network(base, path,
+                                        relevant_statements(path, f"p{index}-gen-"))
+                posterior, residual = exact_posterior(network, default_cpts(
+                    base, network, config.gamma1, config.gamma0))
+                judgement = record.judgement
+                assert (judgement.posterior, judgement.residual) == (posterior, residual)
+                assert judgement.approved == approve(network, posterior,
+                                                     ratio=config.approval_ratio)
+                claim = (path.links, path.start.belief, path.end.belief)
+                if warm:
+                    evaluated_warm += 1
+                    reused_warm += claim in claims
+                    continue
+                evaluated += 1
+                beliefs_by_links.setdefault(path.links, set()).add(
+                    (path.start.belief, path.end.belief))
+                if drawn:
+                    evaluated_drawn += 1
+                    repeated_drawn += claim in claims
+                claims.add(claim)
+            shared += sum(len(beliefs) > 1 for beliefs in beliefs_by_links.values())
     # Some evaluated paths share their links but not their end beliefs.
     assert evaluated > 50 and shared > 0
     # On the random bases, many evaluated paths repeat a claim (750 of 2,494).
     assert evaluated_drawn > 2000 and repeated_drawn > 500
+    # Every evaluated record of the second streams (1,913) makes a claim
+    # its first stream judged, so its judgement came from the table.
+    assert reused_warm == evaluated_warm > 1500
 
 
 def test_a_repeated_corroboration_is_checked_once(kb, monkeypatch):
