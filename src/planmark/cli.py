@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import io
+import errno
 import os
 import sys
 
@@ -70,7 +70,12 @@ def _write_files(files: list[tuple[str, str]]) -> None:
     """Write each (name, text): each text goes to a temporary sibling of
     its file, and the siblings replace their files only once all are
     written, so a failure to write one leaves every file as it was.  A
-    failure removes the siblings."""
+    failure removes the siblings.  A file that is a directory would fail
+    its replace after earlier ones succeeded, so it fails the call before
+    anything is written."""
+    for name, _ in files:
+        if os.path.isdir(name) and not os.path.islink(name):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
     temps: list[str] = []
     try:
         for name, text in files:
@@ -129,30 +134,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
+def _dispatch(args: argparse.Namespace) -> str:
     if args.command == "synth":
         params = SynthParams(n_plans=args.plans, n_stories=args.stories,
                              corroboration_density=args.density)
         corpus = synth_corpus(args.seed, params)
+        if args.out_kb is None and args.out_streams is None:
+            return corpus.kb_text + "".join(f"; ---- stream {i:03d} ----\n{stream}"
+                                            for i, stream in enumerate(corpus.streams))
         files = [] if args.out_kb is None else [(args.out_kb, corpus.kb_text)]
         if args.out_streams is not None:
             files += [(f"{args.out_streams}{i:03d}.stream", stream)
                       for i, stream in enumerate(corpus.streams)]
         _write_files(files)
-        if args.out_kb is None and args.out_streams is None:
-            out.write(corpus.kb_text)
-            for i, stream in enumerate(corpus.streams):
-                out.write(f"; ---- stream {i:03d} ----\n")
-                out.write(stream)
-        return
+        return ""
 
     kb = load_kb(_read(args.kb))
 
     if args.command == "check":
         roles = sum(len(s.slots) for s in kb.schemas.values())
-        out.write(f"ok: {len(kb.schemas)} schemas, {roles} role links, "
-                  f"eq-prior {kb.eq_prior!r}\n")
-        return
+        return (f"ok: {len(kb.schemas)} schemas, {roles} role links, "
+                f"eq-prior {kb.eq_prior!r}\n")
 
     if args.command == "run":
         config = RunConfig(
@@ -161,30 +163,21 @@ def _dispatch(args: argparse.Namespace, out: io.StringIO) -> None:
                                 max_depth=args.max_depth),
             gamma1=args.gamma1, gamma0=args.gamma0,
             approval_ratio=args.approval_ratio)
-        out.write(run(kb, config, _read(args.input)).render())
-        return
+        return run(kb, config, _read(args.input)).render()
 
     path = parse_path(kb, args.path, beliefs=args.beliefs)
     if args.command == "score":
-        out.write(f"{score_path(kb, path)!r}\n")
-    elif args.command == "translate":
-        out.write("S(P):\n")
-        for statement in statements_of(path):
-            out.write(f"  {statement}\n")
-        out.write("RS(P):\n")
-        for statement in relevant_statements(path).statements:
-            out.write(f"  {statement}\n")
-    elif args.command == "network":
-        network = build_network(kb, path, relevant_statements(path))
-        out.write(render_network(network))
-    else:  # eval
-        config = RunConfig(gamma1=args.gamma1, gamma0=args.gamma0)
-        network = build_network(kb, path, relevant_statements(path))
-        cpts = default_cpts(kb, network, config.gamma1, config.gamma0)
-        joint, residual = exact_posterior(network, cpts)
-        out.write(f"posterior {joint!r}\n")
-        out.write(f"residual {residual!r}\n")
-        out.write(f"sc {score_path(kb, path)!r}\n")
+        return f"{score_path(kb, path)!r}\n"
+    if args.command == "translate":
+        return ("S(P):\n" + "".join(f"  {s}\n" for s in statements_of(path)) + "RS(P):\n"
+                + "".join(f"  {s}\n" for s in relevant_statements(path).statements))
+    network = build_network(kb, path, relevant_statements(path))
+    if args.command == "network":
+        return render_network(network)
+    config = RunConfig(gamma1=args.gamma1, gamma0=args.gamma0)  # eval
+    cpts = default_cpts(kb, network, config.gamma1, config.gamma0)
+    joint, residual = exact_posterior(network, cpts)
+    return f"posterior {joint!r}\nresidual {residual!r}\nsc {score_path(kb, path)!r}\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -195,14 +188,13 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value in (("--out-kb", args.out_kb), ("--out-streams", args.out_streams)):
             if value is not None:
                 parser.error(f"argument --output: not allowed with argument {flag}")
-    out = io.StringIO()  # --output is opened only once the command succeeds
     try:
-        _dispatch(args, out)
+        text = _dispatch(args)  # --output is opened only once the command succeeds
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out.getvalue())
+                fh.write(text)
         else:
-            sys.stdout.write(out.getvalue())
+            sys.stdout.write(text)
     except (KbError, PathError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -108,18 +108,14 @@ _FAILED = "fail\nposterior -\nresidual -\napproved no"
 _JUDGEMENTS_MAX = 2000
 
 
-class PathRecord:
+class PathRecord(NamedTuple):
     # `run` gives a record the judgement of its claim exactly when its path
     # passes the evidence filter, so the judgement decides the ``filtered``
     # line.
-    __slots__ = ("path_text", "sc", "rs_text", "judgement")
-
-    def __init__(self, path_text: str, sc: float, rs_text: str,
-                 judgement: Judgement | None):
-        self.path_text = path_text
-        self.sc = sc
-        self.rs_text = rs_text
-        self.judgement = judgement
+    path_text: str
+    sc: float
+    rs_text: str
+    judgement: Judgement | None
 
     def render(self) -> str:
         judged = _FAILED if self.judgement is None else self.judgement.text

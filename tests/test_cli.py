@@ -394,13 +394,33 @@ def test_run_rejects_an_invalid_setting(kb_file, flag, value, message):
     assert result.stderr == f"error: {message}\n"
 
 
-def test_output_flag_writes_file(kb_file, tmp_path):
-    out = tmp_path / "score.txt"
-    result = planmark("score", "--kb", kb_file, "--path", FIG31_TEXT,
-                      "--beliefs", "0.9,0.9", "--output", str(out))
-    assert result.returncode == 0
-    assert result.stdout == ""
-    assert out.read_text() == "16.2\n"
+@pytest.mark.parametrize("command", ["check", "run", "score", "translate", "network",
+                                     "eval", "synth"])
+def test_output_flag_writes_file(kb_file, tmp_path, command):
+    # Each command's text goes to --output, or to stdout without it, byte
+    # for byte.
+    stream = tmp_path / "story.stream"
+    stream.write_text("(inst supermarket2 supermarket :belief 0.9)\n(inst go1 go :belief 0.9)\n"
+                      "(corroborate supermarket-shopping store-of)\n")
+    path = ["--kb", kb_file, "--path", FIG31_TEXT]
+    argv = {
+        "check": ["--kb", kb_file],
+        "run": ["--kb", kb_file, "--input", str(stream), *SPREAD_FLAGS],
+        "score": [*path, "--beliefs", "0.9,0.9"], "translate": path, "network": path,
+        "eval": [*path, "--beliefs", "0.9,0.9"],
+        "synth": ["--seed", "1", "--plans", "2", "--stories", "2"],
+    }[command]
+
+    def planmark_bytes(*args):
+        return subprocess.run([sys.executable, "-m", "planmark", command, *argv, *args],
+                              capture_output=True, env=package_env())
+
+    printed = planmark_bytes()
+    assert printed.returncode == 0 and printed.stdout
+    out = tmp_path / "out.txt"
+    result = planmark_bytes("--output", str(out))
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    assert out.read_bytes() == printed.stdout
 
 
 def test_a_failing_command_leaves_its_output_file_alone(tmp_path):
@@ -469,6 +489,24 @@ def test_a_failing_synth_leaves_its_files_alone(tmp_path):
     assert str(tmp_path / "nodir" / "s000.stream.") in result.stderr
     assert kb_file.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [kb_file]
+
+
+def test_a_synth_onto_a_directory_replaces_nothing(tmp_path, monkeypatch):
+    # A directory fails its replace, and it used to fail only after the
+    # files before it were replaced: here kb.txt and s000.stream.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kb.txt").write_bytes(b"old\n")
+    (tmp_path / "s001.stream").mkdir()
+    listing = sorted(tmp_path.iterdir())
+    result = subprocess.run([sys.executable, "-m", "planmark", "synth", "--seed", "1",
+                             "--stories", "3", "--out-kb", "kb.txt", "--out-streams", "s"],
+                            capture_output=True, text=True, env=package_env())
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: [Errno 21] Is a directory: 's001.stream'\n"
+    assert (tmp_path / "kb.txt").read_bytes() == b"old\n"
+    assert sorted(tmp_path.iterdir()) == listing
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("flag, value", [("--plans", "0"), ("--stories", "-3")])

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import planmark
-from planmark import marker, pipeline
+from planmark import cli, marker, pipeline
 
 from conftest import FIXTURE_KB_TEXT, package_env
 
@@ -94,6 +94,16 @@ TRACED_CALLS = [
 ]
 
 
+def counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def corroborated_run(kb):
     """A run of the fixture's one path with both of its slots corroborated.
     The tests below pass a freshly loaded base, whose judgement table is
@@ -117,21 +127,29 @@ def test_every_traced_call_site_is_live(monkeypatch):
     `marker.score_path`, `marker.extend_half`, `marker.validate` and
     `bayes.relevant_statements`."""
     calls = {}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for owner, attr in TRACED_CALLS:
         name = f"{owner.__name__}.{attr}"
-        calls[name] = 0
-        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+        monkeypatch.setattr(owner, attr, counted(calls, name, getattr(owner, attr)))
     report = corroborated_run(planmark.load_kb(FIXTURE_KB_TEXT))
     report.render()
     assert report.evaluated == 1
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+def test_the_command_calls_the_names_the_benchmark_wraps(monkeypatch, tmp_path, capsys):
+    """The tracer times an in-process `planmark run` and spans `cli.run`
+    and `cli.load_kb` in it, so the command must call those attributes of
+    `cli`: one that reached `pipeline.run` directly would move that time
+    into `cli.self_s`."""
+    calls = {}
+    for attr in ("run", "load_kb"):
+        monkeypatch.setattr(cli, attr, counted(calls, attr, getattr(cli, attr)))
+    kb, stream = tmp_path / "fixture.kb", tmp_path / "story.stream"
+    kb.write_text(FIXTURE_KB_TEXT)
+    stream.write_text("(inst supermarket2 supermarket)\n(inst go1 go)\n")
+    assert cli.main(["run", "--kb", str(kb), "--input", str(stream)]) == 0
+    assert "\ncounters reported=" in capsys.readouterr().out
+    assert calls == {"run": 1, "load_kb": 1}
 
 
 def test_every_name_the_benchmark_reads_still_answers(monkeypatch):
