@@ -60,11 +60,18 @@ check walks each schema once.  Both directions of a KB link are built
 together, their texts from one text of the link's names, and only a
 schema with two or more links leaving it has its list sorted.
 
-`load_kb` leaves one table empty, `KnowledgeBase.judgements`, where
-`pipeline.run` keeps each claim's judgement for later calls on the base.
+`load_kb` leaves two tables empty, which later calls on the base fill
+and read: `KnowledgeBase.judgements`, where `pipeline.run` keeps each
+claim's judgement, and `KnowledgeBase.spreads`, where the marker engine
+keeps each seed's spread program (see `marker`), with
+`KnowledgeBase.spread_marks` counting the marks the programs hold.
 Nothing else changes a base after `load_kb` builds it, and each entry is
-a function of its key alone, so one base is safe to share across
-threads: two calls may judge one claim twice, but never differently.
+a function of its key alone, never changed once added, so one base is
+safe to share across threads: two calls may judge one claim or spread one
+seed twice, but never differently, and a call keeps using an entry
+another call's clear removed.  Each table is cleared when it reaches its
+cap, under 1 MB of claims and about 10 MB of marks, so memory stays
+bounded whatever a caller feeds.  `==` ignores both tables.
 """
 
 from __future__ import annotations
@@ -111,9 +118,9 @@ class Observation(NamedTuple):
 
 
 class KnowledgeBase:
-    """Schemas, p(==), the tables built from them and `run`'s judgement
-    table; equal bases have equal schemas and p(==), whatever they have
-    judged."""
+    """Schemas, p(==), the tables built from them, `run`'s judgement
+    table and the marker's spread table; equal bases have equal schemas
+    and p(==), whatever they have judged or spread."""
 
     def __init__(self, schemas: dict[str, Schema], eq_prior: float,
                  adjacency: dict[str, tuple[TraversalLink, ...]],
@@ -128,6 +135,10 @@ class KnowledgeBase:
         self.slot_owners = slot_owners
         # claim -> `pipeline.Judgement`; `pipeline.run` is its one writer.
         self.judgements: dict[tuple, tuple] = {}
+        # seed key -> root `marker.Mark` of its spread program, and the
+        # marks the table holds; `marker.MarkerEngine` is their one writer.
+        self.spreads: dict[tuple, object] = {}
+        self.spread_marks = 0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

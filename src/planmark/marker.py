@@ -19,13 +19,40 @@ the base's link table carries as ``multiplier``:
 Each observation seeds a mark on its schema.  Marks spread outward to
 neighboring schemas in FIFO order, carrying a validity-DFA state (an int),
 a running half-path score (a float: the same product without the terminal
-factor), the link they arrived by, the mark they extended, their depth and
-their origin's seed rank.  Taking a link is one table step and one
-multiply, as in `extend_half`; the move is kept only if the DFA accepts it,
-the extended score stays at or above the half threshold T and in the normal
-float range, and it beats the mark its schema's table holds at its key
-(origin seed rank, DFA state): one mark per key, the best-scoring trail.  A
-displaced mark is flagged.
+factor), the link they arrived by, the mark they extended and their depth.
+Taking a link is one table step and one multiply, as in `extend_half`; the
+move is kept only if the DFA accepts it, the extended score stays at or
+above the half threshold T and in the normal float range, and it beats the
+mark its origin holds at that schema and DFA state: one mark per key, the
+best-scoring trail.  A mark displaced before its turn is not expanded.
+
+Which marks an origin places, and in what order, depends only on its seed:
+its schema and belief, the half floor and max_depth.  A mark competes only
+with marks of its own origin, since retention is keyed by the origin's seed
+rank, and the marks of other origins only interleave with it.  So the
+spread comes in two steps.  `_spread_program` runs one seed's FIFO spread
+alone, with no meetings, and keeps it as a program: its root mark, every
+mark it placed, and for each mark it expanded that mark's children, the
+marks the expansion placed, in order.  The base keeps programs in its
+spread table, `KnowledgeBase.spreads`, keyed by (schema, belief, half
+floor, max_depth), so each distinct seed is spread once per base, across
+calls; a program is never changed once built, and every origin that replays
+it shares its marks.  The table is cleared when it would hold more than
+`_SPREADS_MAX` marks, about 10 MB, so a caller that feeds ever new beliefs
+pays at most one clear per that many marks; a count of programs would bound
+nothing, since one holds from a single mark to one per schema and DFA
+state.  Additions take a lock, so that the count stays exact when threads
+share a base; a program bigger than the cap is kept alone.
+
+An engine replays programs: `seed` places the root of its observation's
+program under a new seed rank, and `spread` drains one FIFO queue of (seed
+rank, children), placing each child under its rank; a placed mark with
+children joins the queue.  The replay places every origin's marks in the
+order its FIFO spread with meetings would: the shared queue keeps each
+origin's entries in the order that origin queued them, and what the lone
+spread rejected, or skipped as displaced, placed nothing there either.  So
+every meeting finds the same marks at its schema in the same order, and the
+replay emits the same paths, in the same order, with the same scores.
 
 When a mark lands where marks from other origins already sit, only those
 whose DFA state the seam table pairs with its own are met: marks from
@@ -64,14 +91,17 @@ at least as high (to a relative 1e-9, since trails tied on half score can
 fold to direct scores an ulp apart), unless at each such cleave one half
 passes a key whose retained trail is max_depth links long, and so is
 never extended.
-The exhaustive path oracle the engine is checked against, and the
-completeness check built on it, live with the tests in `tests/oracles.py`.
+The exhaustive path oracle the engine is checked against, the completeness
+check built on it, and the one-pass engine that spreads and meets each
+call's marks as it places them, which the replay is checked against bit
+for bit, live with the tests in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from collections import deque
 
 from .kb import KnowledgeBase, Observation
@@ -81,6 +111,19 @@ from .paths import validate  # noqa: F401
 
 # The fixed floor under both thresholds (see `EngineConfig`).
 _NORMAL_MIN = sys.float_info.min
+
+# Marks a base's spread table holds before it is cleared: 136 to 164 bytes
+# each with the tuples of children and the table's keys (tracemalloc, on
+# the benchmark's bases), so about 10 MB.
+_SPREADS_MAX = 65_536
+
+# Serialises additions to every base's spread table, so that a table's
+# count of marks stays exact when threads share the base.
+_SPREADS_LOCK = threading.Lock()
+
+# A seed rank steps by the number of DFA states, so rank + state keys
+# one origin's marks at a schema apart from every other origin's.
+_RANK_STEP = len(ALL_STATES)
 
 
 def _fold(kb: KnowledgeBase, value: float, links: tuple[TraversalLink, ...],
@@ -110,24 +153,55 @@ def combine(kb: KnowledgeBase, at: str, h1: float, h2: float) -> float:
 
 
 class Mark:
-    """A half path: its origin and seed rank, where it is, the DFA state it
+    """A half path of a spread program: where it is, the DFA state it
     left, its half score, the link it arrived by and the mark it extended
-    (None for a seed), its depth, and whether a better trail displaced it."""
+    (None for a seed), its depth, and the marks its expansion placed, in
+    order (empty if it was never expanded)."""
 
-    __slots__ = ("origin", "rank", "at", "state", "score", "link", "prev", "depth",
-                 "displaced")
+    __slots__ = ("at", "state", "score", "link", "prev", "depth", "children")
 
-    def __init__(self, origin: Observation, rank: int, at: str, state: int, score: float,
-                 link: TraversalLink | None, prev: Mark | None):
-        self.origin = origin
-        self.rank = rank
+    def __init__(self, at: str, state: int, score: float, link: TraversalLink | None,
+                 prev: Mark | None):
         self.at = at
         self.state = state
         self.score = score
         self.link = link
         self.prev = prev
         self.depth = 0 if prev is None else prev.depth + 1
-        self.displaced = False
+        self.children: tuple[Mark, ...] = ()
+
+
+def _spread_program(adjacency: dict[str, tuple[TraversalLink, ...]], schema: str,
+                    belief: float, half_floor: float, max_depth: int) -> tuple[Mark, int]:
+    """The spread of one seed on its own, breadth first: its root mark and
+    how many marks it placed."""
+    root = Mark(schema, START_STATE, belief, None, None)
+    held = {schema: {START_STATE: root}}  # per schema, the best mark per DFA state
+    size, queue = 1, deque((root,))
+    while queue:
+        mark = queue.popleft()
+        if held[mark.at][mark.state] is not mark:
+            continue  # superseded by a better trail
+        row, score, children = STEP[mark.state], mark.score, []
+        for link in adjacency[mark.at]:
+            state = row[link.kind]
+            if state is None:
+                continue
+            extended = score * link.multiplier
+            if extended < half_floor:
+                continue
+            at = link.destination
+            here = held.get(at) or held.setdefault(at, {})
+            incumbent = here.get(state)
+            if incumbent is not None and incumbent.score >= extended:
+                continue
+            child = here[state] = Mark(at, state, extended, link, mark)
+            children.append(child)
+            if child.depth < max_depth:
+                queue.append(child)
+        mark.children = tuple(children)
+        size += len(children)
+    return root, size
 
 
 class EngineConfig:
@@ -152,6 +226,10 @@ class EngineConfig:
             full_threshold = half_threshold * half_threshold
         if not (half_threshold >= 0 and full_threshold >= 0):
             raise ValueError("thresholds must be nonnegative")
+        # `max_depth` keys a base's spread programs, so 2.5 or True must
+        # not pass for a depth.
+        if isinstance(max_depth, bool) or not isinstance(max_depth, int):
+            raise ValueError(f"max_depth must be an int, got {max_depth!r}")
         if max_depth < 1:
             raise ValueError("max_depth must be positive")
         self.half_threshold = half_threshold
@@ -160,17 +238,22 @@ class EngineConfig:
 
 
 class MarkerEngine:
-    """Single-owner mutable engine over one shared immutable base."""
+    """Single-owner mutable engine over one shared base, whose spread
+    table it reads and fills."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig | None = None):
         self.kb = kb
         self.config = config = config or EngineConfig()
         self._half_floor = max(config.half_threshold, _NORMAL_MIN)
         self._full_floor = max(config.full_threshold, _NORMAL_MIN)
-        # Per schema, its marks by their origin's `Mark.rank` + DFA state.
+        # Per schema, its marks by their origin's seed rank + DFA state.
         self._at: dict[str, dict[int, Mark]] = {}
-        self._queue: deque[Mark] = deque()
+        # Marks still to expand: their origin's seed rank and their children.
+        self._queue: deque[tuple[int, tuple[Mark, ...]]] = deque()
         self._seeds: dict[str, Observation] = {}
+        # The seeded observations in seed order: a seed rank over
+        # `_RANK_STEP` indexes it.
+        self._origins: list[Observation] = []
         # Each emitted path and its direct score, in emission order.
         self.scores: dict[Path, float] = {}
 
@@ -182,13 +265,14 @@ class MarkerEngine:
     @property
     def marks(self) -> dict[tuple[str, str, int], Mark]:
         """A copy of the retained marks by (instance, schema, DFA state), schema by schema."""
-        return {(mark.origin.instance, at, mark.state): mark
-                for at, here in self._at.items() for mark in here.values()}
+        origins = self._origins
+        return {(origins[key // _RANK_STEP].instance, at, mark.state): mark
+                for at, here in self._at.items() for key, mark in here.items()}
 
     def seed(self, obs: Observation) -> None:
-        """Place a depth-0 mark for an observation; idempotent for an
-        identical re-observation.  Collisions with marks already spread
-        from other origins are emitted immediately."""
+        """Place the root mark of an observation's spread program; idempotent
+        for an identical re-observation.  Collisions with marks already
+        spread from other origins are emitted immediately."""
         self.kb.check_observation(obs)
         previous = self._seeds.get(obs.instance)
         if previous is not None:
@@ -196,54 +280,61 @@ class MarkerEngine:
                 raise ValueError(
                     f"instance {obs.instance!r} already observed as {previous}")
             return
-        rank = len(self._seeds) * len(ALL_STATES)
+        rank = len(self._origins) * _RANK_STEP
         self._seeds[obs.instance] = obs
-        self._place(obs, rank, obs.schema, START_STATE, obs.belief, None, None)
+        self._origins.append(obs)
+        self._place(rank, self._program(obs))
 
     def spread(self) -> None:
-        """Drain the queue breadth-first, recording each path its meetings
-        emit in `scores`."""
-        adjacency, half_floor = self.kb.adjacency, self._half_floor
+        """Drain the queue breadth-first, placing each popped mark's recorded
+        children and recording each path their meetings emit in `scores`."""
         queue, place = self._queue, self._place
         while queue:
-            mark = queue.popleft()
-            if mark.displaced:
-                continue  # superseded by a better trail
-            origin, rank, row, score = mark.origin, mark.rank, STEP[mark.state], mark.score
-            for link in adjacency[mark.at]:
-                state = row[link.kind]
-                if state is None:
-                    continue
-                extended = score * link.multiplier
-                if extended < half_floor:
-                    continue
-                place(origin, rank, link.destination, state, extended, link, mark)
+            rank, children = queue.popleft()
+            for mark in children:
+                place(rank, mark)
 
-    def _place(self, origin: Observation, rank: int, at: str, state: int, score: float,
-               link: TraversalLink | None, prev: Mark | None) -> None:
-        here = self._at.get(at) or self._at.setdefault(at, {})
-        key = rank + state
-        incumbent = here.get(key)
-        if incumbent is not None:
-            if incumbent.score >= score:
-                return
-            incumbent.displaced = True
-        mark = here[key] = Mark(origin, rank, at, state, score, link, prev)
+    def _program(self, obs: Observation) -> Mark:
+        """The root of the observation's spread program, from the base's
+        table, or built and added to it."""
+        kb, half_floor, max_depth = self.kb, self._half_floor, self.config.max_depth
+        key = (obs.schema, obs.belief, half_floor, max_depth)
+        spreads = kb.spreads
+        root = spreads.get(key)
+        if root is None:
+            built, size = _spread_program(kb.adjacency, obs.schema, obs.belief,
+                                          half_floor, max_depth)
+            with _SPREADS_LOCK:
+                root = spreads.get(key)  # another thread may have added it
+                if root is None:
+                    if kb.spread_marks + size > _SPREADS_MAX:
+                        spreads.clear()
+                        kb.spread_marks = 0
+                    kb.spread_marks += size
+                    root = spreads[key] = built
+        return root
+
+    def _place(self, rank: int, mark: Mark) -> None:
+        here = self._at.get(mark.at) or self._at.setdefault(mark.at, {})
+        state = mark.state
+        # A mark its program placed after a worse one of the same origin
+        # takes that mark's key, and so its place in the meeting order.
+        here[rank + state] = mark
         # Only a meeting the seam table allows can yield a valid path, so
         # only those reach `_collide`, in the order their keys were first
-        # filled here: a mark that displaced another sits in its place.
-        # Every mark of an origin carries its one seeded observation.
+        # filled here.  A key less its mark's state is the seed rank of the
+        # mark's origin.
         seam = SEAM_VALID[state]
-        for other in here.values():
-            if seam[other.state] and other.origin is not origin:
-                self._collide(mark, other)
-        if mark.depth < self.config.max_depth:
-            self._queue.append(mark)
+        for key, other in here.items():
+            if seam[other.state] and key - other.state != rank:
+                self._collide(rank, mark, key - other.state, other)
+        if mark.children:
+            self._queue.append((rank, mark.children))
 
-    def _collide(self, m1: Mark, m2: Mark) -> None:
+    def _collide(self, rank1: int, m1: Mark, rank2: int, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.
-        if m2.rank < m1.rank:
-            m1, m2 = m2, m1
+        if rank2 < rank1:
+            rank1, m1, rank2, m2 = rank2, m2, rank1, m1
         # The seam is valid, so the glued path is; one that scores below
         # the full threshold or the normal floor builds nothing.
         kb = self.kb
@@ -262,11 +353,12 @@ class MarkerEngine:
         # The key equals the glued `Path` and hashes the same, so a `Path`
         # is built only when it is first emitted; a path met again at
         # another cleave point is checked against its recorded score.
-        key, scores = (m1.origin, tuple(links), m2.origin), self.scores
+        origins, scores = self._origins, self.scores
+        key = (origins[rank1 // _RANK_STEP], tuple(links), origins[rank2 // _RANK_STEP])
         direct = scores.get(key)
         if direct is None:
             direct = scores[tuple.__new__(Path, key)] = _fold(
-                kb, m1.score, key[1][cleave:], m2.origin)
+                kb, m1.score, key[1][cleave:], key[2])
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(
                 f"cleave identity violated: combined {full!r} vs direct {direct!r}")

@@ -28,7 +28,13 @@ role links, with no planted structure, and `random_kb_stream` a stream
 of observations and corroborations on one.  The pinned report hashes
 cover runs on both, so their output may not drift.
 
-`GlueThenValidateEngine` is the marker engine with its original meeting
+`ReferenceEngine` is the marker engine as it was before spread programs:
+one FIFO spread of every origin's marks, built on the call, each met with
+the marks at its schema as it is placed, and a mark displaced before its
+turn flagged and skipped.  The package spreads each seed once per base
+into a program and replays it; the tests hold the replay to this engine's
+emissions, scores and retained marks, bit for bit.
+`GlueThenValidateEngine` is `ReferenceEngine` with its original meeting
 handler: every meeting of marks from two origins is glued into a whole
 path and run through `validate` before it is scored, with links flipped
 one by one, scored with `score_path` and duplicates found by rendered
@@ -40,9 +46,9 @@ building anything, reads both trails back along `Mark.prev` into one
 list of links and stored twins and finds duplicates in ``scores``.  This
 class replaces both `_place` and `_collide`: it keys retention by
 instance name, scans every mark at the schema, and reads trails with
-`trail`, so none of that is shared.  It shares only the spread loop,
-which skips the marks its `_place` flags as displaced, and the seed rank
-each mark carries, which orients a glued path.
+`trail`, so none of that is shared.  It shares only `ReferenceEngine`'s
+spread loop, which skips the marks its `_place` flags as displaced, and
+the seed rank each mark carries, which orients a glued path.
 
 `statements_by_walk` is the original S(P) translation, a walk of its
 own that names the instances with its own counter and picks each
@@ -91,6 +97,7 @@ import math
 import random
 import re
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
@@ -103,7 +110,8 @@ from planmark.bayes import Cpts, VertebrateNetwork
 from planmark.kb import KbError, KnowledgeBase, Observation, Schema, load_kb
 from planmark.marker import (EngineConfig, Mark, MarkerEngine, combine, extend_half,
                              score_path)
-from planmark.paths import START_STATE, STEP, LinkKind, Path, TraversalLink, validate
+from planmark.paths import (ALL_STATES, SEAM_VALID, START_STATE, STEP, LinkKind, Path,
+                            TraversalLink, validate)
 
 
 FLIPPED = {LinkKind.ISA_UP: LinkKind.ISA_DOWN, LinkKind.ISA_DOWN: LinkKind.ISA_UP,
@@ -587,7 +595,7 @@ def _prefix_values(kb: KnowledgeBase, obs: Observation,
     return values
 
 
-def trail(mark: Mark) -> tuple[TraversalLink, ...]:
+def trail(mark: Mark | ReferenceMark) -> tuple[TraversalLink, ...]:
     """The links a mark's trail took, oldest first, read from the marks
     it extended."""
     return () if mark.prev is None else trail(mark.prev) + (mark.link,)
@@ -684,8 +692,110 @@ def completeness_check(kb: KnowledgeBase, config: EngineConfig,
 
 
 
-class GlueThenValidateEngine(MarkerEngine):
-    """`MarkerEngine` whose meetings are glued, validated, scored and
+class ReferenceMark:
+    """A mark of `ReferenceEngine`: its origin and seed rank, where it is,
+    the DFA state it left, its half score, the link it arrived by and the
+    mark it extended (None for a seed), its depth, and whether a better
+    trail displaced it."""
+
+    __slots__ = ("origin", "rank", "at", "state", "score", "link", "prev", "depth",
+                 "displaced")
+
+    def __init__(self, origin: Observation, rank: int, at: str, state: int, score: float,
+                 link: TraversalLink | None, prev: ReferenceMark | None):
+        self.origin = origin
+        self.rank = rank
+        self.at = at
+        self.state = state
+        self.score = score
+        self.link = link
+        self.prev = prev
+        self.depth = 0 if prev is None else prev.depth + 1
+        self.displaced = False
+
+
+class ReferenceEngine:
+    """The marker engine as one breadth-first spread of every origin that
+    meets marks as it places them, building each mark on the call."""
+
+    def __init__(self, kb: KnowledgeBase, config: EngineConfig | None = None):
+        self.kb = kb
+        self.config = config = config or EngineConfig()
+        self._half_floor = max(config.half_threshold, sys.float_info.min)
+        self._full_floor = max(config.full_threshold, sys.float_info.min)
+        # Per schema, its marks by their origin's seed rank + DFA state.
+        self._at: dict[str, dict] = {}
+        self._queue: deque[ReferenceMark] = deque()
+        self._seeds: dict[str, Observation] = {}
+        self.scores: dict[Path, float] = {}
+
+    @property
+    def marks(self) -> dict[tuple[str, str, int], ReferenceMark]:
+        return {(mark.origin.instance, at, mark.state): mark
+                for at, here in self._at.items() for mark in here.values()}
+
+    def seed(self, obs: Observation) -> None:
+        self.kb.check_observation(obs)
+        previous = self._seeds.get(obs.instance)
+        if previous is not None:
+            if previous != obs:
+                raise ValueError(
+                    f"instance {obs.instance!r} already observed as {previous}")
+            return
+        rank = len(self._seeds) * len(ALL_STATES)
+        self._seeds[obs.instance] = obs
+        self._place(obs, rank, obs.schema, START_STATE, obs.belief, None, None)
+
+    def spread(self) -> None:
+        while self._queue:
+            mark = self._queue.popleft()
+            if mark.displaced:
+                continue  # superseded by a better trail
+            for link in self.kb.adjacency[mark.at]:
+                state = STEP[mark.state][link.kind]
+                if state is None:
+                    continue
+                extended = extend_half(self.kb, mark.score, link)
+                if extended < self._half_floor:
+                    continue
+                self._place(mark.origin, mark.rank, link.destination, state, extended,
+                            link, mark)
+
+    def _place(self, origin: Observation, rank: int, at: str, state: int, score: float,
+               link: TraversalLink | None, prev: ReferenceMark | None) -> None:
+        here = self._at.setdefault(at, {})
+        key = rank + state
+        incumbent = here.get(key)
+        if incumbent is not None:
+            if incumbent.score >= score:
+                return
+            incumbent.displaced = True
+        mark = here[key] = ReferenceMark(origin, rank, at, state, score, link, prev)
+        for other in here.values():
+            if SEAM_VALID[state][other.state] and other.origin is not origin:
+                self._collide(mark, other)
+        if mark.depth < self.config.max_depth:
+            self._queue.append(mark)
+
+    def _collide(self, m1: ReferenceMark, m2: ReferenceMark) -> None:
+        # Orient the glued path from the earlier-seeded observation.
+        if m2.rank < m1.rank:
+            m1, m2 = m2, m1
+        full = combine(self.kb, m1.at, m1.score, m2.score)
+        if full < self._full_floor:
+            return
+        path = Path(start=m1.origin, links=trail(m1) + tuple(
+            link.twin for link in reversed(trail(m2))), end=m2.origin)
+        direct = self.scores.get(path)
+        if direct is None:
+            direct = self.scores[path] = score_path(self.kb, path)
+        if not math.isclose(full, direct, rel_tol=1e-9):
+            raise AssertionError(
+                f"cleave identity violated: combined {full!r} vs direct {direct!r}")
+
+
+class GlueThenValidateEngine(ReferenceEngine):
+    """`ReferenceEngine` whose meetings are glued, validated, scored and
     deduplicated on rendered text, in that order."""
 
     def __init__(self, *args, **kwargs):
@@ -693,7 +803,7 @@ class GlueThenValidateEngine(MarkerEngine):
         self._emitted_texts: set[str] = set()
 
     def _place(self, origin: Observation, rank: int, at: str, state: int, score: float,
-               link: TraversalLink | None, prev: Mark | None) -> None:
+               link: TraversalLink | None, prev: ReferenceMark | None) -> None:
         # The engine's best-trail retention, keyed by instance name, not
         # by seed rank; then every meeting with a mark from another
         # origin, in the order the marks arrived here.
@@ -704,14 +814,14 @@ class GlueThenValidateEngine(MarkerEngine):
             if incumbent.score >= score:
                 return
             incumbent.displaced = True
-        mark = here[key] = Mark(origin, rank, at, state, score, link, prev)
+        mark = here[key] = ReferenceMark(origin, rank, at, state, score, link, prev)
         for other in list(here.values()):
             if other.origin.instance != origin.instance:
                 self._collide(mark, other)
         if len(trail(mark)) < self.config.max_depth:
             self._queue.append(mark)
 
-    def _collide(self, m1: Mark, m2: Mark) -> None:
+    def _collide(self, m1: ReferenceMark, m2: ReferenceMark) -> None:
         # Orient the glued path from the earlier-seeded observation.
         if m2.rank < m1.rank:
             m1, m2 = m2, m1

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     FLIPPED,
     GlueThenValidateEngine,
     OracleGuardError,
+    ReferenceEngine,
     blocked_at_depth,
     completeness_check,
     declarative_valid,
@@ -244,7 +246,7 @@ def test_completeness_check_empty_at_zero_threshold():
 def test_completeness_check_reports_an_engine_that_drops_emissions(kb, monkeypatch):
     # With every meeting ignored, the fixture's one path is missed although
     # both its halves are retained: an engine defect, not a half-dip.
-    monkeypatch.setattr(MarkerEngine, "_collide", lambda self, m1, m2: None)
+    monkeypatch.setattr(MarkerEngine, "_collide", lambda self, *meeting: None)
     report = completeness_check(
         kb, EngineConfig(half_threshold=0.1, full_threshold=0.01, max_depth=6),
         fixture_seeds())
@@ -293,23 +295,26 @@ def test_emitted_scores_match_recomputation_and_threshold():
 
 
 class MeetingRecorder(MarkerEngine):
-    """`MarkerEngine` that remembers which meeting it is handling."""
+    """`MarkerEngine` that remembers which meeting it is handling: each
+    mark with its origin's instance."""
 
     meeting = None
 
-    def _collide(self, m1, m2):
-        self.meeting = (m1, m2)
-        super()._collide(m1, m2)
+    def _collide(self, rank1, m1, rank2, m2):
+        origins = self._origins
+        self.meeting = ((origins[rank1 // len(ALL_STATES)].instance, m1),
+                        (origins[rank2 // len(ALL_STATES)].instance, m2))
+        super()._collide(rank1, m1, rank2, m2)
 
     def meets_an_emitted_path(self):
         """Whether the current meeting glues into a path already emitted,
         read in either orientation."""
         emitted = {(p.start.instance, p.end.instance, p.links) for p in self.scores}
-        m1, m2 = self.meeting
+        half1, half2 = self.meeting
         return any(
-            (a.origin.instance, b.origin.instance,
-             trail(a) + tuple(flip(self.kb, link) for link in reversed(trail(b)))) in emitted
-            for a, b in ((m1, m2), (m2, m1)))
+            (a, b, trail(m) + tuple(flip(self.kb, link) for link in reversed(trail(n))))
+            in emitted
+            for (a, m), (b, n) in ((half1, half2), (half2, half1)))
 
 
 @pytest.mark.parametrize("length", [3, 5, 8])
@@ -445,3 +450,38 @@ def test_retention_at_the_depth_limit_can_lose_the_best_path():
         base.links[text] for text in ("(role s2 slot-5 s3)", "(role s4 slot-1 s2)"))
     # `completeness_check` excuses it under the retention rule.
     assert completeness_check(base, config, seeds).empty
+
+
+def _retained(engine):
+    return [(key, mark.score, mark.depth) for key, mark in engine.marks.items()]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("thresholds", [(0.0, 0.0), (0.01, 1e-4), (0.3, 0.09)])
+@pytest.mark.parametrize("batch", [False, True], ids=["stepwise", "batch"])
+def test_replayed_programs_emit_and_retain_like_the_reference(seed, thresholds, batch):
+    # Observations drawn from a few schemas and beliefs repeat seeds, so
+    # origins of one call share programs; the second engine on the base
+    # replays every program warm.  Batch seeding leaves several origins
+    # pending at once, whose placements only FIFO order interleaves as
+    # the reference's spread does.
+    base = random_kb(seed + 700, n_schemas=40, n_roles=40)
+    rng = random.Random(seed)
+    names = rng.sample(sorted(base.schemas), 6)
+    seeds = [Observation(f"o{k}", rng.choice(names), rng.choice((1.0, 0.9, 0.5)))
+             for k in range(8)]
+    config = EngineConfig(half_threshold=thresholds[0], full_threshold=thresholds[1],
+                          max_depth=4)
+    engines = [engine_class(base, config)
+               for engine_class in (ReferenceEngine, MarkerEngine, MarkerEngine)]
+    for engine in engines:
+        for obs in seeds:
+            engine.seed(obs)
+            if not batch:
+                engine.spread()
+        engine.spread()
+    reference, cold, warm = engines
+    assert reference.scores
+    for engine in (cold, warm):
+        assert list(engine.scores.items()) == list(reference.scores.items())
+        assert _retained(engine) == _retained(reference)

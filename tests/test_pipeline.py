@@ -13,6 +13,7 @@ from planmark import (
     KbError,
     RunConfig,
     load_kb,
+    marker,
     parse_path,
     pipeline,
     run,
@@ -183,6 +184,14 @@ def test_engine_config_rejects_a_depth_below_one():
         EngineConfig(max_depth=0)
 
 
+@pytest.mark.parametrize("max_depth", [2.5, 3.0, True, "3"])
+def test_engine_config_rejects_a_depth_that_is_not_an_int(max_depth):
+    # 2.5 used to spread to depth 3 and True to depth 1; max_depth keys a
+    # base's spread programs, so a depth must be an int.
+    with pytest.raises(ValueError, match=f"^max_depth must be an int, got {max_depth!r}$"):
+        EngineConfig(max_depth=max_depth)
+
+
 @pytest.mark.parametrize("ratio", [math.nan, -5.0])
 def test_run_config_rejects_a_nan_or_negative_approval_ratio(ratio):
     with pytest.raises(ValueError, match="^approval ratio must be nonnegative$"):
@@ -239,17 +248,38 @@ def test_reports_are_byte_identical(monkeypatch):
     assert lines[0] == "# planmark run report"
 
 
+# The settings a spread program's key holds, besides the schema.
+SPREAD_KEYED = ("half_threshold", "max_depth", "belief")
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"gamma1": 0.5}, {"gamma0": 1e-3}, {"approval_ratio": 1e-6}])
+    {"gamma1": 0.5}, {"gamma0": 1e-3}, {"approval_ratio": 1e-6},
+    {"half_threshold": 2.0}, {"max_depth": 1}, {"belief": 0.5}, {"full_threshold": 20.0}])
 def test_a_base_warmed_at_the_defaults_judges_other_settings_afresh(kwargs):
     # The settings are part of a claim's key, so what a base judged at the
-    # defaults is not reused at other interior strengths or ratio.
+    # defaults is not reused at other interior strengths or ratio.  The
+    # half threshold, max_depth and an observation's belief key its seed's
+    # spread program, so a base spreads that seed again at other values;
+    # the full threshold does not, so a base reuses its programs at another.
     base = load_kb(FIXTURE_KB_TEXT)
     default = run(base, fixture_config(), FIXTURE_STREAM).render()
-    other = RunConfig(engine=fixture_config().engine, **kwargs)
-    expected = run(load_kb(FIXTURE_KB_TEXT), other, FIXTURE_STREAM).render()
+    programs = dict(base.spreads)
+    engine = {"half_threshold": 0.1, "full_threshold": 1.0, "max_depth": 10}
+    settings = {"engine": engine, "stream": FIXTURE_STREAM}
+    for name, value in kwargs.items():
+        if name == "belief":
+            settings["stream"] = FIXTURE_STREAM.replace("go1 go :belief 0.9",
+                                                        f"go1 go :belief {value}")
+        elif name in EngineConfig.__annotations__:
+            engine[name] = value
+        else:
+            settings[name] = value
+    stream = settings.pop("stream")
+    other = RunConfig(engine=EngineConfig(**settings.pop("engine")), **settings)
+    expected = run(load_kb(FIXTURE_KB_TEXT), other, stream).render()
     assert expected != default
-    assert run(base, other, FIXTURE_STREAM).render() == expected
+    assert run(base, other, stream).render() == expected
+    assert (base.spreads == programs) == kwargs.keys().isdisjoint(SPREAD_KEYED)
     assert run(base, fixture_config(), FIXTURE_STREAM).render() == default
 
 
@@ -262,37 +292,57 @@ def capped_table_case():
     return corpus.kb_text, config, corpus.streams + ["".join(corpus.streams)]
 
 
+def program_size(mark):
+    """The marks of a spread program from ``mark`` down."""
+    return 1 + sum(map(program_size, mark.children))
+
+
 def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
-    # With room for two claims the table is cleared again and again; every
-    # claim judged anew must render as before, the table must never hold
-    # more than two, and the base still equals a freshly loaded one.
+    # With room for two claims and two six-mark spread programs both tables
+    # are cleared again and again; every claim judged anew must render as
+    # before, and every seed spread anew must emit as before.  Neither
+    # table may ever hold more, and the base still equals a freshly loaded
+    # one.
     kb_text, config, streams = capped_table_case()
     fresh = load_kb(kb_text)
     expected = [run(fresh, config, stream).render() for stream in streams]
     assert len(fresh.judgements) > 2
+    assert len(fresh.spreads) > 2 and {*map(program_size, fresh.spreads.values())} == {6}
     monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 2)
-    base, sizes = load_kb(kb_text), []
-    approve = pipeline.approve
+    monkeypatch.setattr(marker, "_SPREADS_MAX", 12)
+    base, sizes, programs = load_kb(kb_text), [], []
+    approve, build = pipeline.approve, marker._spread_program
 
     def sizing_approve(*args, **kwargs):
         sizes.append(len(base.judgements))
         return approve(*args, **kwargs)
 
+    def sizing_build(*args):
+        programs.append((len(base.spreads), base.spread_marks))
+        return build(*args)
+
     monkeypatch.setattr(pipeline, "approve", sizing_approve)
+    monkeypatch.setattr(marker, "_spread_program", sizing_build)
     for _ in range(2):
         assert [run(base, config, stream).render() for stream in streams] == expected
         sizes.append(len(base.judgements))
-    # The second pass judged its claims again: the first pass's were cleared.
+        programs.append((len(base.spreads), base.spread_marks))
+    # The second pass judged its claims and spread its seeds again: the
+    # first pass's were cleared.
     assert max(sizes) == 2 and len(sizes) > 2 * len(fresh.judgements) + 2
-    assert base.judgements and base == fresh == load_kb(kb_text)
+    assert max(programs) == (2, 12) and len(programs) > 2 * len(fresh.spreads) + 2
+    assert base.spread_marks == sum(map(program_size, base.spreads.values()))
+    assert base.judgements and base.spreads and base == fresh == load_kb(kb_text)
 
 
 def test_threads_sharing_a_base_report_what_one_thread_does(monkeypatch):
-    # Threads share a base's table, and with a cap of 3 they clear it under
-    # each other's feet; no report may change.
+    # Threads share a base's tables, and with room for 3 claims and 3
+    # spread programs they clear them under each other's feet; no report
+    # may change, and the base still equals a freshly loaded one.
     kb_text, config, streams = capped_table_case()
     expected = [run(load_kb(kb_text), config, stream).render() for stream in streams]
     monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 3)
+    monkeypatch.setattr(marker, "_SPREADS_MAX", 18)
     base = load_kb(kb_text)
 
     def run_all():
@@ -307,6 +357,27 @@ def test_threads_sharing_a_base_report_what_one_thread_does(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert reports == [expected] * 6
+    # A lost update to the table's count of marks would show here.
+    assert base.spread_marks == sum(map(program_size, base.spreads.values())) <= 18
+    assert base == load_kb(kb_text)
+
+
+def test_ever_new_beliefs_keep_the_spread_table_under_its_cap(monkeypatch):
+    # Each call observes the same schemas at beliefs no earlier call used,
+    # so every seed is new and the table is cleared as it fills; it never
+    # holds more marks than the cap, and each report is a fresh base's.
+    kb_text, config, streams = capped_table_case()
+    monkeypatch.setattr(marker, "_SPREADS_MAX", 40)
+    base = load_kb(kb_text)
+    held = set()
+    for step in range(1, 30):
+        stream = streams[step % len(streams)].replace(":belief 1.0", f":belief {1 - step / 64}")
+        assert run(base, config, stream).render() == run(load_kb(kb_text), config,
+                                                         stream).render()
+        held |= base.spreads.keys()
+        assert len(base.spreads) <= base.spread_marks <= 40
+        assert base.spread_marks == sum(map(program_size, base.spreads.values()))
+    assert len(held) > 40
 
 
 def test_long_chain_is_reported_and_evaluated():
