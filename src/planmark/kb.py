@@ -66,12 +66,12 @@ claim's judgement, and `KnowledgeBase.spreads`, where the marker engine
 keeps each seed's spread program (see `marker`), with
 `KnowledgeBase.spread_marks` counting the marks the programs hold.
 Nothing else changes a base after `load_kb` builds it, and each entry is
-a function of its key alone, never changed once added, so one base is
-safe to share across threads: two calls may judge one claim or spread one
-seed twice, but never differently, and a call keeps using an entry
-another call's clear removed.  Each table is cleared when it reaches its
-cap, under 1 MB of claims and about 10 MB of marks, so memory stays
-bounded whatever a caller feeds.  `==` ignores both tables.
+a function of its key alone, added only once complete and never changed
+after, so one base is safe to share across threads: two calls may judge
+one claim or spread one seed twice, but never differently, and a call
+keeps using an entry another call's clear removed.  Each table is cleared
+when it reaches its cap, under 1 MB of claims and about 10 MB of marks, so
+memory stays bounded whatever a caller feeds.  `==` ignores both tables.
 """
 
 from __future__ import annotations

@@ -29,30 +29,42 @@ best-scoring trail.  A mark displaced before its turn is not expanded.
 Which marks an origin places, and in what order, depends only on its seed:
 its schema and belief, the half floor and max_depth.  A mark competes only
 with marks of its own origin, since retention is keyed by the origin's seed
-rank, and the marks of other origins only interleave with it.  So the
-spread comes in two steps.  `_spread_program` runs one seed's FIFO spread
-alone, with no meetings, and keeps it as a program: its root mark, every
-mark it placed, and for each mark it expanded that mark's children, the
-marks the expansion placed, in order.  The base keeps programs in its
-spread table, `KnowledgeBase.spreads`, keyed by (schema, belief, half
-floor, max_depth), so each distinct seed is spread once per base, across
-calls; a program is never changed once built, and every origin that replays
-it shares its marks.  The table is cleared when it would hold more than
-`_SPREADS_MAX` marks, about 10 MB, so a caller that feeds ever new beliefs
-pays at most one clear per that many marks; a count of programs would bound
-nothing, since one holds from a single mark to one per schema and DFA
-state.  Additions take a lock, so that the count stays exact when threads
-share a base; a program bigger than the cap is kept alone.
+rank, and the marks of other origins only interleave with it.  So an
+origin's spread can be recorded as a program, its marks: the root, and
+under each mark it expanded that mark's children, the marks the expansion
+placed, in order.  The base keeps complete programs in its spread table,
+`KnowledgeBase.spreads`, keyed by (schema, belief, half floor, max_depth),
+so each distinct seed is spread once per base, across calls; a program is
+never changed once there, and every origin that replays it shares its
+marks, which are the base's to read, not the caller's to change.  The table
+is cleared when it would hold more than `_SPREADS_MAX` marks, about 10 MB,
+so a caller that feeds ever new beliefs pays at most one clear per that
+many marks; a count of programs would bound nothing, since one holds from a
+single mark to one per schema and DFA state.  The programs one `spread`
+recorded go in together, after a clear if they would not fit, and take a
+lock, so that the count stays exact when threads share a base.
 
-An engine replays programs: `seed` places the root of its observation's
-program under a new seed rank, and `spread` drains one FIFO queue of (seed
-rank, children), placing each child under its rank; a placed mark with
-children joins the queue.  The replay places every origin's marks in the
-order its FIFO spread with meetings would: the shared queue keeps each
-origin's entries in the order that origin queued them, and what the lone
-spread rejected, or skipped as displaced, placed nothing there either.  So
-every meeting finds the same marks at its schema in the same order, and the
-replay emits the same paths, in the same order, with the same scores.
+An engine runs one FIFO queue of (seed rank, mark), and each of its
+origins places its marks under its own rank.  `seed` places the root of
+its observation's program: the table's, or a new mark whose program the
+origin records.  `spread` pops each queued mark.  If its children are
+recorded, they are placed in order; if not, it is expanded: each link the
+DFA accepts whose extended score clears the half floor and beats the mark
+the origin holds at that schema and DFA state places a new mark there,
+which becomes its next child.  A mark displaced before its turn is
+recorded as childless, as is one placed at max_depth, and every placed mark
+with children, or not yet expanded, joins the queue.  A cold seed, one the
+table lacks, is thus spread just as one pass that meets marks as it places
+them would, and a warm one is replayed in the same order: the shared queue
+keeps each origin's entries in the order that origin queued them, and what
+decides an origin's expansions, its own marks, are what they were when the
+program was recorded.  So every meeting finds the same marks at its schema in the same
+order, and the engine emits the same paths, in the same order, with the
+same scores, whatever the table holds.  When `spread` has drained the
+queue, every program the engine recorded is complete, and only then goes
+to the base's table, so no engine ever replays one half recorded; of two
+recorded with one key, by two origins seeded before one spread or by two
+threads, the table keeps the first.
 
 When a mark lands where marks from other origins already sit, only those
 whose DFA state the seam table pairs with its own are met: marks from
@@ -156,52 +168,28 @@ class Mark:
     """A half path of a spread program: where it is, the DFA state it
     left, its half score, the link it arrived by and the mark it extended
     (None for a seed), its depth, and the marks its expansion placed, in
-    order (empty if it was never expanded)."""
+    order: None until it is expanded, and empty if it never will be."""
 
     __slots__ = ("at", "state", "score", "link", "prev", "depth", "children")
 
     def __init__(self, at: str, state: int, score: float, link: TraversalLink | None,
-                 prev: Mark | None):
+                 prev: Mark | None, children: tuple[Mark, ...] | None = None):
         self.at = at
         self.state = state
         self.score = score
         self.link = link
         self.prev = prev
         self.depth = 0 if prev is None else prev.depth + 1
-        self.children: tuple[Mark, ...] = ()
+        self.children = children
 
 
-def _spread_program(adjacency: dict[str, tuple[TraversalLink, ...]], schema: str,
-                    belief: float, half_floor: float, max_depth: int) -> tuple[Mark, int]:
-    """The spread of one seed on its own, breadth first: its root mark and
-    how many marks it placed."""
-    root = Mark(schema, START_STATE, belief, None, None)
-    held = {schema: {START_STATE: root}}  # per schema, the best mark per DFA state
-    size, queue = 1, deque((root,))
-    while queue:
-        mark = queue.popleft()
-        if held[mark.at][mark.state] is not mark:
-            continue  # superseded by a better trail
-        row, score, children = STEP[mark.state], mark.score, []
-        for link in adjacency[mark.at]:
-            state = row[link.kind]
-            if state is None:
-                continue
-            extended = score * link.multiplier
-            if extended < half_floor:
-                continue
-            at = link.destination
-            here = held.get(at) or held.setdefault(at, {})
-            incumbent = here.get(state)
-            if incumbent is not None and incumbent.score >= extended:
-                continue
-            child = here[state] = Mark(at, state, extended, link, mark)
-            children.append(child)
-            if child.depth < max_depth:
-                queue.append(child)
-        mark.children = tuple(children)
-        size += len(children)
-    return root, size
+def _size(root: Mark) -> int:
+    """How many marks a complete program holds."""
+    size, stack = 0, [root]
+    while stack:
+        size += 1
+        stack.extend(stack.pop().children)
+    return size
 
 
 class EngineConfig:
@@ -248,12 +236,15 @@ class MarkerEngine:
         self._full_floor = max(config.full_threshold, _NORMAL_MIN)
         # Per schema, its marks by their origin's seed rank + DFA state.
         self._at: dict[str, dict[int, Mark]] = {}
-        # Marks still to expand: their origin's seed rank and their children.
-        self._queue: deque[tuple[int, tuple[Mark, ...]]] = deque()
+        # Marks to expand or replay, with their origin's seed rank.
+        self._queue: deque[tuple[int, Mark]] = deque()
         self._seeds: dict[str, Observation] = {}
         # The seeded observations in seed order: a seed rank over
         # `_RANK_STEP` indexes it.
         self._origins: list[Observation] = []
+        # The seed key and root of each program this engine is recording:
+        # one per origin whose seed no table held.
+        self._recording: list[tuple[tuple, Mark]] = []
         # Each emitted path and its direct score, in emission order.
         self.scores: dict[Path, float] = {}
 
@@ -264,7 +255,9 @@ class MarkerEngine:
 
     @property
     def marks(self) -> dict[tuple[str, str, int], Mark]:
-        """A copy of the retained marks by (instance, schema, DFA state), schema by schema."""
+        """The retained marks by (instance, schema, DFA state), schema by
+        schema, in a new dict.  The marks are the base's, shared by every
+        call that replays their programs: read them, never change them."""
         origins = self._origins
         return {(origins[key // _RANK_STEP].instance, at, mark.state): mark
                 for at, here in self._at.items() for key, mark in here.items()}
@@ -283,42 +276,85 @@ class MarkerEngine:
         rank = len(self._origins) * _RANK_STEP
         self._seeds[obs.instance] = obs
         self._origins.append(obs)
-        self._place(rank, self._program(obs))
+        key = (obs.schema, obs.belief, self._half_floor, self.config.max_depth)
+        root = self.kb.spreads.get(key)
+        if root is None:
+            root = Mark(obs.schema, START_STATE, obs.belief, None, None)
+            self._recording.append((key, root))
+        at = obs.schema
+        self._meet(rank, root, self._at.get(at) or self._at.setdefault(at, {}))
 
     def spread(self) -> None:
         """Drain the queue breadth-first, placing each popped mark's recorded
-        children and recording each path their meetings emit in `scores`."""
-        queue, place = self._queue, self._place
+        children, or expanding it if none are, and recording each path their
+        meetings emit in `scores`; then add the programs recorded to the
+        base's table."""
+        at_, queue, meet, collide = self._at, self._queue, self._meet, self._collide
+        adjacency, half_floor, max_depth = self.kb.adjacency, self._half_floor, self.config.max_depth
+        recorded = 0  # marks the expansions placed
         while queue:
-            rank, children = queue.popleft()
-            for mark in children:
-                place(rank, mark)
+            rank, mark = queue.popleft()
+            children = mark.children
+            if children is not None:
+                for child in children:
+                    at = child.at
+                    meet(rank, child, at_.get(at) or at_.setdefault(at, {}))
+                continue
+            # Expand the mark, recording its children.  Each is placed and
+            # met as `_meet` would, inline: a call per mark made a cold
+            # `longpath` engine pass about 5% slower.  Children at max_depth
+            # are never expanded, so their own children are empty.
+            row, score, children = STEP[mark.state], mark.score, []
+            grandchildren = () if mark.depth + 1 >= max_depth else None
+            for link in adjacency[mark.at]:
+                state = row[link.kind]
+                if state is None:
+                    continue
+                extended = score * link.multiplier
+                if extended < half_floor:
+                    continue
+                at = link.destination
+                here = at_.get(at) or at_.setdefault(at, {})
+                incumbent = here.get(rank + state)
+                if incumbent is not None:
+                    if incumbent.score >= extended:
+                        continue
+                    if incumbent.children is None:
+                        incumbent.children = ()  # displaced before its turn
+                child = here[rank + state] = Mark(at, state, extended, link, mark, grandchildren)
+                children.append(child)
+                seam = SEAM_VALID[state]
+                for key, other in here.items():
+                    if seam[other.state] and key - other.state != rank:
+                        collide(rank, child, key - other.state, other)
+                if grandchildren is None:
+                    queue.append((rank, child))
+            mark.children = tuple(children)
+            recorded += len(children)
+        if self._recording:
+            self._publish(recorded + len(self._recording))
 
-    def _program(self, obs: Observation) -> Mark:
-        """The root of the observation's spread program, from the base's
-        table, or built and added to it."""
-        kb, half_floor, max_depth = self.kb, self._half_floor, self.config.max_depth
-        key = (obs.schema, obs.belief, half_floor, max_depth)
+    def _publish(self, size: int) -> None:
+        """Add each program recorded, now complete, to the base's table;
+        ``size`` counts their marks."""
+        kb = self.kb
         spreads = kb.spreads
-        root = spreads.get(key)
-        if root is None:
-            built, size = _spread_program(kb.adjacency, obs.schema, obs.belief,
-                                          half_floor, max_depth)
-            with _SPREADS_LOCK:
-                root = spreads.get(key)  # another thread may have added it
-                if root is None:
-                    if kb.spread_marks + size > _SPREADS_MAX:
-                        spreads.clear()
-                        kb.spread_marks = 0
-                    kb.spread_marks += size
-                    root = spreads[key] = built
-        return root
+        with _SPREADS_LOCK:
+            if kb.spread_marks + size > _SPREADS_MAX:
+                spreads.clear()
+                kb.spread_marks = 0
+            for key, root in self._recording:
+                if spreads.setdefault(key, root) is not root:
+                    size -= _size(root)  # another origin or thread recorded it too
+            kb.spread_marks += size
+        self._recording.clear()
 
-    def _place(self, rank: int, mark: Mark) -> None:
-        here = self._at.get(mark.at) or self._at.setdefault(mark.at, {})
+    def _meet(self, rank: int, mark: Mark, here: dict[int, Mark]) -> None:
+        """Place a mark of the origin at ``rank`` among the marks ``here``,
+        at its schema, meet them, and queue it."""
         state = mark.state
-        # A mark its program placed after a worse one of the same origin
-        # takes that mark's key, and so its place in the meeting order.
+        # A mark placed after a worse one of the same origin takes that
+        # mark's key, and so its place in the meeting order.
         here[rank + state] = mark
         # Only a meeting the seam table allows can yield a valid path, so
         # only those reach `_collide`, in the order their keys were first
@@ -328,8 +364,9 @@ class MarkerEngine:
         for key, other in here.items():
             if seam[other.state] and key - other.state != rank:
                 self._collide(rank, mark, key - other.state, other)
-        if mark.children:
-            self._queue.append((rank, mark.children))
+        children = mark.children
+        if children is None or children:
+            self._queue.append((rank, mark))
 
     def _collide(self, rank1: int, m1: Mark, rank2: int, m2: Mark) -> None:
         # Orient the glued path from the earlier-seeded observation.

@@ -120,6 +120,11 @@ def chain_kb_text(length):
     return "\n".join(lines)
 
 
+def program_size(mark):
+    """The marks of a spread program from ``mark`` down."""
+    return 1 + sum(map(program_size, mark.children))
+
+
 def assert_matches_oracle_modulo_retention(base, seeds, max_depth):
     """Emitted == oracle set, modulo the best-trail retention rule:
 

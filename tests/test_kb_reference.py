@@ -175,9 +175,9 @@ def reshape(lines, rng):
     choice = rng.randrange(5)
     if choice == 0 and len(tokens) > 1:
         del tokens[rng.randrange(1, len(tokens))]
-    elif choice == 1:
+    elif choice == 1 and tokens:  # an earlier mutation may have left a bare "()"
         tokens.insert(rng.randrange(1, len(tokens) + 1), rng.choice([":prior", ":isa", "a"]))
-    elif choice == 2:
+    elif choice == 2 and tokens:
         tokens[0] = rng.choice(["frob", "inst", "Schema", "isa"])
     elif choice == 3 and len(tokens) > 2:
         tokens[2] = rng.choice([":isa", ":prior", ":pri0r"])

@@ -16,7 +16,12 @@ from planmark import (
 from planmark import marker
 from planmark.paths import ALL_STATES, SEAM_VALID
 
-from conftest import FIG31_TEXT, assert_matches_oracle_modulo_retention, chain_kb_text
+from conftest import (
+    FIG31_TEXT,
+    assert_matches_oracle_modulo_retention,
+    chain_kb_text,
+    program_size,
+)
 from oracles import (
     FLIPPED,
     GlueThenValidateEngine,
@@ -460,11 +465,13 @@ def _retained(engine):
 @pytest.mark.parametrize("thresholds", [(0.0, 0.0), (0.01, 1e-4), (0.3, 0.09)])
 @pytest.mark.parametrize("batch", [False, True], ids=["stepwise", "batch"])
 def test_replayed_programs_emit_and_retain_like_the_reference(seed, thresholds, batch):
-    # Observations drawn from a few schemas and beliefs repeat seeds, so
-    # origins of one call share programs; the second engine on the base
+    # Observations drawn from a few schemas and beliefs repeat seeds.
+    # Seeded one at a time, a later origin replays the program an earlier
+    # one recorded; seeded in a batch, each origin of a repeated seed
+    # records it, and the base keeps one.  The second engine on the base
     # replays every program warm.  Batch seeding leaves several origins
-    # pending at once, whose placements only FIFO order interleaves as
-    # the reference's spread does.
+    # pending at once, whose placements only FIFO order interleaves as the
+    # reference's spread does.
     base = random_kb(seed + 700, n_schemas=40, n_roles=40)
     rng = random.Random(seed)
     names = rng.sample(sorted(base.schemas), 6)
@@ -485,3 +492,4 @@ def test_replayed_programs_emit_and_retain_like_the_reference(seed, thresholds, 
     for engine in (cold, warm):
         assert list(engine.scores.items()) == list(reference.scores.items())
         assert _retained(engine) == _retained(reference)
+    assert base.spread_marks == sum(map(program_size, base.spreads.values()))

@@ -24,7 +24,7 @@ from planmark.marker import MarkerEngine, score_path
 from planmark.pipeline import SynthParams, parse_stream
 from planmark.semantics import relevant_statements
 
-from conftest import FIXTURE_KB_TEXT, chain_kb_text
+from conftest import FIXTURE_KB_TEXT, chain_kb_text, program_size
 from oracles import (
     ancestors_or_self,
     declared_slot,
@@ -46,10 +46,9 @@ FIXTURE_STREAM = """
 """
 
 
-def fixture_config(**kwargs):
-    engine = EngineConfig(half_threshold=0.1, full_threshold=1.0, max_depth=10,
-                          **kwargs)
-    return RunConfig(engine=engine)
+def fixture_config(**engine):
+    engine = {"half_threshold": 0.1, "full_threshold": 1.0, "max_depth": 10, **engine}
+    return RunConfig(engine=EngineConfig(**engine))
 
 
 def test_fixture_run_with_full_corroboration(kb):
@@ -248,13 +247,10 @@ def test_reports_are_byte_identical(monkeypatch):
     assert lines[0] == "# planmark run report"
 
 
-# The settings a spread program's key holds, besides the schema.
-SPREAD_KEYED = ("half_threshold", "max_depth", "belief")
-
-
 @pytest.mark.parametrize("kwargs", [
     {"gamma1": 0.5}, {"gamma0": 1e-3}, {"approval_ratio": 1e-6},
-    {"half_threshold": 2.0}, {"max_depth": 1}, {"belief": 0.5}, {"full_threshold": 20.0}])
+    {"engine": {"half_threshold": 2.0}}, {"engine": {"max_depth": 1}}, {"belief": 0.5},
+    {"engine": {"full_threshold": 20.0}}])
 def test_a_base_warmed_at_the_defaults_judges_other_settings_afresh(kwargs):
     # The settings are part of a claim's key, so what a base judged at the
     # defaults is not reused at other interior strengths or ratio.  The
@@ -264,22 +260,16 @@ def test_a_base_warmed_at_the_defaults_judges_other_settings_afresh(kwargs):
     base = load_kb(FIXTURE_KB_TEXT)
     default = run(base, fixture_config(), FIXTURE_STREAM).render()
     programs = dict(base.spreads)
-    engine = {"half_threshold": 0.1, "full_threshold": 1.0, "max_depth": 10}
-    settings = {"engine": engine, "stream": FIXTURE_STREAM}
-    for name, value in kwargs.items():
-        if name == "belief":
-            settings["stream"] = FIXTURE_STREAM.replace("go1 go :belief 0.9",
-                                                        f"go1 go :belief {value}")
-        elif name in EngineConfig.__annotations__:
-            engine[name] = value
-        else:
-            settings[name] = value
-    stream = settings.pop("stream")
-    other = RunConfig(engine=EngineConfig(**settings.pop("engine")), **settings)
+    settings = dict(kwargs)
+    engine = settings.pop("engine", {})
+    stream = FIXTURE_STREAM.replace("go1 go :belief 0.9",
+                                    f"go1 go :belief {settings.pop('belief', 0.9)}")
+    other = RunConfig(engine=fixture_config(**engine).engine, **settings)
     expected = run(load_kb(FIXTURE_KB_TEXT), other, stream).render()
     assert expected != default
     assert run(base, other, stream).render() == expected
-    assert (base.spreads == programs) == kwargs.keys().isdisjoint(SPREAD_KEYED)
+    respread = "belief" in kwargs or bool(engine.keys() - {"full_threshold"})
+    assert (base.spreads == programs) != respread
     assert run(base, fixture_config(), FIXTURE_STREAM).render() == default
 
 
@@ -290,11 +280,6 @@ def capped_table_case():
                                          corroboration_density=0.6))
     config = RunConfig(engine=EngineConfig(half_threshold=1e-8, max_depth=6))
     return corpus.kb_text, config, corpus.streams + ["".join(corpus.streams)]
-
-
-def program_size(mark):
-    """The marks of a spread program from ``mark`` down."""
-    return 1 + sum(map(program_size, mark.children))
 
 
 def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
@@ -311,18 +296,18 @@ def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
     monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 2)
     monkeypatch.setattr(marker, "_SPREADS_MAX", 12)
     base, sizes, programs = load_kb(kb_text), [], []
-    approve, build = pipeline.approve, marker._spread_program
+    approve, publish = pipeline.approve, MarkerEngine._publish
 
     def sizing_approve(*args, **kwargs):
         sizes.append(len(base.judgements))
         return approve(*args, **kwargs)
 
-    def sizing_build(*args):
+    def sizing_publish(engine, size):
         programs.append((len(base.spreads), base.spread_marks))
-        return build(*args)
+        return publish(engine, size)
 
     monkeypatch.setattr(pipeline, "approve", sizing_approve)
-    monkeypatch.setattr(marker, "_spread_program", sizing_build)
+    monkeypatch.setattr(MarkerEngine, "_publish", sizing_publish)
     for _ in range(2):
         assert [run(base, config, stream).render() for stream in streams] == expected
         sizes.append(len(base.judgements))
