@@ -37,6 +37,8 @@ seen_go = Observation("go1", "go", belief=0.9)
 
 engine = MarkerEngine(kb, EngineConfig(half_threshold=0.1, full_threshold=1.0,
                                        max_depth=10))
+# `seed` records each observation; `spread` then spreads them in turn, so
+# the going's marks meet the supermarket's where they arrive.
 engine.seed(seen_store)
 engine.seed(seen_go)
 engine.spread()

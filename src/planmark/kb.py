@@ -135,9 +135,10 @@ class KnowledgeBase:
         self.slot_owners = slot_owners
         # claim -> `pipeline.Judgement`; `pipeline.run` is its one writer.
         self.judgements: dict[tuple, tuple] = {}
-        # seed key -> root `marker.Mark` of its spread program, and the
-        # marks the table holds; `marker.MarkerEngine` is their one writer.
-        self.spreads: dict[tuple, object] = {}
+        # seed key -> its spread program, a tuple of `marker.Mark`s in
+        # placement order, and the marks the table holds;
+        # `marker.MarkerEngine` is their one writer.
+        self.spreads: dict[tuple, tuple] = {}
         self.spread_marks = 0
 
     def __eq__(self, other: object) -> bool:

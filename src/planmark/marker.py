@@ -16,57 +16,49 @@ the base's link table carries as ``multiplier``:
     IsaUp     1.0
     IsaDown   p(specific) / p(general)
 
-Each observation seeds a mark on its schema.  Marks spread outward to
-neighboring schemas in FIFO order, carrying a validity-DFA state (an int),
-a running half-path score (a float: the same product without the terminal
-factor), the link they arrived by, the mark they extended and their depth.
-Taking a link is one table step and one multiply, as in `extend_half`; the
-move is kept only if the DFA accepts it, the extended score stays at or
-above the half threshold T and in the normal float range, and it beats the
-mark its origin holds at that schema and DFA state: one mark per key, the
-best-scoring trail.  A mark displaced before its turn is not expanded.
+Each observation is an origin: `seed` checks it and records it, and
+places nothing.  `spread` spreads each origin seeded since the last call,
+alone and in seed order, so an origin's spread ends before the next one's
+starts.  Its marks spread outward from a root mark on its schema in FIFO
+order, carrying a validity-DFA state (an int), a running half-path score
+(a float: the same product without the terminal factor), the link they
+arrived by, the mark they extended and their depth.  Taking a link is one
+table step and one multiply, as in `extend_half`; the move is kept only if
+the DFA accepts it, the extended score stays at or above the half threshold
+T and in the normal float range, and it beats the mark its origin holds at
+that schema and DFA state: one mark per key, the best-scoring trail.  A
+mark displaced before its turn is not expanded, nor is one max_depth links
+from its root.
 
 Which marks an origin places, and in what order, depends only on its seed:
-its schema and belief, the half floor and max_depth.  A mark competes only
-with marks of its own origin, since retention is keyed by the origin's seed
-rank, and the marks of other origins only interleave with it.  So an
-origin's spread can be recorded as a program, its marks: the root, and
-under each mark it expanded that mark's children, the marks the expansion
-placed, in order.  The base keeps complete programs in its spread table,
-`KnowledgeBase.spreads`, keyed by (schema, belief, half floor, max_depth),
-so each distinct seed is spread once per base, across calls; a program is
-never changed once there, and every origin that replays it shares its
-marks, which are the base's to read, not the caller's to change.  The table
-is cleared when it would hold more than `_SPREADS_MAX` marks, about 10 MB,
-so a caller that feeds ever new beliefs pays at most one clear per that
-many marks; a count of programs would bound nothing, since one holds from a
-single mark to one per schema and DFA state.  The programs one `spread`
-recorded go in together, after a clear if they would not fit, and take a
-lock, so that the count stays exact when threads share a base.
+its schema and belief, the half floor and max_depth, since retention is
+keyed by the origin's seed rank, so a mark competes only with marks of its
+own origin.  So an origin's spread can be recorded as a program: its marks
+in the order they were placed, a tuple.  The base keeps programs in its
+spread table, `KnowledgeBase.spreads`, keyed by (schema, belief, half
+floor, max_depth), so each distinct seed is spread once per base, across
+calls.  A warm origin, one whose seed the table holds, places its
+program's marks in order; a cold one is spread from its root, and its
+program recorded as it goes.  Either way each mark meets the marks at its
+schema as it is placed, and those are the marks of the earlier origins,
+final by then, and the origin's own marks placed before it.  So every
+meeting finds the same marks in the same order, and the engine emits the
+same paths, in the same order, with the same scores, whatever the table
+holds, and whether the observations were seeded one per `spread` or in a
+batch.
 
-An engine runs one FIFO queue of (seed rank, mark), and each of its
-origins places its marks under its own rank.  `seed` places the root of
-its observation's program: the table's, or a new mark whose program the
-origin records.  `spread` pops each queued mark.  If its children are
-recorded, they are placed in order; if not, it is expanded: each link the
-DFA accepts whose extended score clears the half floor and beats the mark
-the origin holds at that schema and DFA state places a new mark there,
-which becomes its next child.  A mark displaced before its turn is
-recorded as childless, as is one placed at max_depth, and every placed mark
-with children, or not yet expanded, joins the queue.  A cold seed, one the
-table lacks, is thus spread just as one pass that meets marks as it places
-them would, and a warm one is replayed in the same order: the shared queue
-keeps each origin's entries in the order that origin queued them, and what
-decides an origin's expansions, its own marks, are what they were when the
-program was recorded.  So every meeting finds the same marks at its schema in the same
-order, and the engine emits the same paths, in the same order, with the
-same scores, whatever the table holds.  When `spread` has drained the
-queue, every program the engine recorded is complete, and only then goes
-to the base's table, so no engine ever replays one half recorded; of two
-recorded with one key, by two origins seeded before one spread or by two
-threads, the table keeps the first.
+A program goes to the table only once its spread has ended, so no engine
+ever replays one half recorded, and it is never changed once there: every
+origin that replays it shares its marks, which are the base's to read, not
+the caller's to change.  The table is cleared when it would hold more than
+`_SPREADS_MAX` marks, about 10 MB, so a caller that feeds ever new beliefs
+pays at most one clear per that many marks; a count of programs would bound
+nothing, since one holds from a single mark to one per schema and DFA
+state.  Additions take a lock, so that the count stays exact when threads
+share a base; of two programs recorded with one key, by two threads, the
+table keeps the first.
 
-When a mark lands where marks from other origins already sit, only those
+When a mark lands where marks from earlier origins already sit, only those
 whose DFA state the seam table pairs with its own are met: marks from
 unrelated trails can meet at a plateau or a valley, or with no role link
 between them, and no single valid path allows that.  They are met in the
@@ -80,21 +72,22 @@ the subnormal range and lose the precision the identity is checked to.
 That identity is what lets the engine prune on a threshold while spreading,
 before it knows which paths will meet.  Only a meeting whose full score
 clears the full threshold, and is a normal float, is glued into a whole
-path in one pass: the first mark's links, read back along the marks'
-``prev`` into one list and reversed, then the twins of the other mark's
-links from the meeting back to its origin, appended as they are read, and
-the list made one tuple.  A path not yet in `MarkerEngine.scores`, the
-engine's one record of what it emitted (each path and its direct score, the
-``sc`` a run reports, in emission order), is scored by the fold
-`score_path` runs, started from the first mark's half score, which already
-is the start belief times its links' multipliers, and run over the tuple's
-glued tail: the same floats in the same order, so the score is
-`score_path`'s, bit for bit, and recorded there.  A path of n links can be
-met again at up to n + 1 cleave points; it is not built or scored again,
-but each meeting that clears the full threshold checks its cleave score
-against the recorded one.  Marks extend only along the base's adjacency and
-meet only at the schema they share, so `extend_half` and `combine` trust
-their caller to chain a link onto the half and to meet halves at ``at``.
+path in one pass, oriented from the earlier origin: its mark's links,
+read back along the marks' ``prev`` into one list and reversed, then the
+twins of the new mark's links from the meeting back to its origin,
+appended as they are read, and the list made one tuple.  A path not yet
+in `MarkerEngine.scores`, the engine's one record of what it emitted (each
+path and its direct score, the ``sc`` a run reports, in emission order), is
+scored by the fold `score_path` runs, started from the earlier origin's
+mark's half score, which already is the start belief times its links'
+multipliers, and run over the tuple's glued tail: the same floats in the
+same order, so the score is `score_path`'s, bit for bit, and recorded
+there.  A path of n links can be met again at up to n + 1 cleave points;
+it is not built or scored again, but each meeting that clears the full
+threshold checks its cleave score against the recorded one.  Marks extend
+only along the base's adjacency and meet only at the schema they share, so
+`extend_half` and `combine` trust their caller to chain a link onto the
+half and to meet halves at ``at``.
 
 What retention loses is dominated: a path at or above the full threshold
 with a cleave point where both halves stay at or above T all the way out
@@ -104,9 +97,9 @@ fold to direct scores an ulp apart), unless at each such cleave one half
 passes a key whose retained trail is max_depth links long, and so is
 never extended.
 The exhaustive path oracle the engine is checked against, the completeness
-check built on it, and the one-pass engine that spreads and meets each
-call's marks as it places them, which the replay is checked against bit
-for bit, live with the tests in `tests/oracles.py`.
+check built on it, and the one-pass engine that builds and meets each
+mark on the call, which the engine is checked against bit for bit, live
+with the tests in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -124,9 +117,9 @@ from .paths import validate  # noqa: F401
 # The fixed floor under both thresholds (see `EngineConfig`).
 _NORMAL_MIN = sys.float_info.min
 
-# Marks a base's spread table holds before it is cleared: 136 to 164 bytes
-# each with the tuples of children and the table's keys (tracemalloc, on
-# the benchmark's bases), so about 10 MB.
+# Marks a base's spread table holds before it is cleared: 112 to 147 bytes
+# each with the program tuples and the table's keys (tracemalloc, on the
+# benchmark's bases), so under 10 MB.
 _SPREADS_MAX = 65_536
 
 # Serialises additions to every base's spread table, so that a table's
@@ -166,30 +159,19 @@ def combine(kb: KnowledgeBase, at: str, h1: float, h2: float) -> float:
 
 class Mark:
     """A half path of a spread program: where it is, the DFA state it
-    left, its half score, the link it arrived by and the mark it extended
-    (None for a seed), its depth, and the marks its expansion placed, in
-    order: None until it is expanded, and empty if it never will be."""
+    left, its half score, the link it arrived by, the mark it extended
+    (None for a seed) and its depth."""
 
-    __slots__ = ("at", "state", "score", "link", "prev", "depth", "children")
+    __slots__ = ("at", "state", "score", "link", "prev", "depth")
 
     def __init__(self, at: str, state: int, score: float, link: TraversalLink | None,
-                 prev: Mark | None, children: tuple[Mark, ...] | None = None):
+                 prev: Mark | None):
         self.at = at
         self.state = state
         self.score = score
         self.link = link
         self.prev = prev
         self.depth = 0 if prev is None else prev.depth + 1
-        self.children = children
-
-
-def _size(root: Mark) -> int:
-    """How many marks a complete program holds."""
-    size, stack = 0, [root]
-    while stack:
-        size += 1
-        stack.extend(stack.pop().children)
-    return size
 
 
 class EngineConfig:
@@ -236,15 +218,11 @@ class MarkerEngine:
         self._full_floor = max(config.full_threshold, _NORMAL_MIN)
         # Per schema, its marks by their origin's seed rank + DFA state.
         self._at: dict[str, dict[int, Mark]] = {}
-        # Marks to expand or replay, with their origin's seed rank.
-        self._queue: deque[tuple[int, Mark]] = deque()
         self._seeds: dict[str, Observation] = {}
         # The seeded observations in seed order: a seed rank over
-        # `_RANK_STEP` indexes it.
+        # `_RANK_STEP` indexes it.  Those from `_spread` on have not spread.
         self._origins: list[Observation] = []
-        # The seed key and root of each program this engine is recording:
-        # one per origin whose seed no table held.
-        self._recording: list[tuple[tuple, Mark]] = []
+        self._spread = 0
         # Each emitted path and its direct score, in emission order.
         self.scores: dict[Path, float] = {}
 
@@ -263,9 +241,8 @@ class MarkerEngine:
                 for at, here in self._at.items() for key, mark in here.items()}
 
     def seed(self, obs: Observation) -> None:
-        """Place the root mark of an observation's spread program; idempotent
-        for an identical re-observation.  Collisions with marks already
-        spread from other origins are emitted immediately."""
+        """Record an observation as an origin for the next `spread`;
+        idempotent for an identical re-observation.  It places no mark."""
         self.kb.check_observation(obs)
         previous = self._seeds.get(obs.instance)
         if previous is not None:
@@ -273,39 +250,43 @@ class MarkerEngine:
                 raise ValueError(
                     f"instance {obs.instance!r} already observed as {previous}")
             return
-        rank = len(self._origins) * _RANK_STEP
         self._seeds[obs.instance] = obs
         self._origins.append(obs)
-        key = (obs.schema, obs.belief, self._half_floor, self.config.max_depth)
-        root = self.kb.spreads.get(key)
-        if root is None:
-            root = Mark(obs.schema, START_STATE, obs.belief, None, None)
-            self._recording.append((key, root))
-        at = obs.schema
-        self._meet(rank, root, self._at.get(at) or self._at.setdefault(at, {}))
 
     def spread(self) -> None:
-        """Drain the queue breadth-first, placing each popped mark's recorded
-        children, or expanding it if none are, and recording each path their
-        meetings emit in `scores`; then add the programs recorded to the
-        base's table."""
-        at_, queue, meet, collide = self._at, self._queue, self._meet, self._collide
-        adjacency, half_floor, max_depth = self.kb.adjacency, self._half_floor, self.config.max_depth
-        recorded = 0  # marks the expansions placed
-        while queue:
-            rank, mark = queue.popleft()
-            children = mark.children
-            if children is not None:
-                for child in children:
-                    at = child.at
-                    meet(rank, child, at_.get(at) or at_.setdefault(at, {}))
+        """Spread each origin seeded since the last call, alone and in seed
+        order, recording each path its marks' meetings emit in `scores`:
+        replay the program the base holds for its seed, or record one."""
+        at_, meet, spreads = self._at, self._meet, self.kb.spreads
+        half_floor, max_depth = self._half_floor, self.config.max_depth
+        origins = self._origins
+        for index in range(self._spread, len(origins)):
+            self._spread = index + 1
+            obs, rank = origins[index], index * _RANK_STEP
+            key = (obs.schema, obs.belief, half_floor, max_depth)
+            program = spreads.get(key)
+            if program is None:
+                self._publish(key, self._record(rank, obs))
                 continue
-            # Expand the mark, recording its children.  Each is placed and
-            # met as `_meet` would, inline: a call per mark made a cold
-            # `longpath` engine pass about 5% slower.  Children at max_depth
-            # are never expanded, so their own children are empty.
-            row, score, children = STEP[mark.state], mark.score, []
-            grandchildren = () if mark.depth + 1 >= max_depth else None
+            for mark in program:
+                at = mark.at
+                meet(rank, mark, at_.get(at) or at_.setdefault(at, {}))
+
+    def _record(self, rank: int, obs: Observation) -> tuple[Mark, ...]:
+        """Spread the origin at ``rank`` breadth-first from its seed,
+        placing and meeting each mark as it is made, and return its
+        program: the marks in placement order."""
+        at_, meet, adjacency = self._at, self._meet, self.kb.adjacency
+        half_floor, max_depth = self._half_floor, self.config.max_depth
+        at = obs.schema
+        root = Mark(at, START_STATE, obs.belief, None, None)
+        meet(rank, root, at_.get(at) or at_.setdefault(at, {}))
+        program, queue = [root], deque([root])
+        while queue:
+            mark = queue.popleft()
+            if at_[mark.at][rank + mark.state] is not mark:
+                continue  # displaced before its turn
+            row, score = STEP[mark.state], mark.score
             for link in adjacency[mark.at]:
                 state = row[link.kind]
                 if state is None:
@@ -316,64 +297,50 @@ class MarkerEngine:
                 at = link.destination
                 here = at_.get(at) or at_.setdefault(at, {})
                 incumbent = here.get(rank + state)
-                if incumbent is not None:
-                    if incumbent.score >= extended:
-                        continue
-                    if incumbent.children is None:
-                        incumbent.children = ()  # displaced before its turn
-                child = here[rank + state] = Mark(at, state, extended, link, mark, grandchildren)
-                children.append(child)
-                seam = SEAM_VALID[state]
-                for key, other in here.items():
-                    if seam[other.state] and key - other.state != rank:
-                        collide(rank, child, key - other.state, other)
-                if grandchildren is None:
-                    queue.append((rank, child))
-            mark.children = tuple(children)
-            recorded += len(children)
-        if self._recording:
-            self._publish(recorded + len(self._recording))
+                if incumbent is not None and incumbent.score >= extended:
+                    continue
+                child = Mark(at, state, extended, link, mark)
+                program.append(child)
+                meet(rank, child, here)
+                if child.depth < max_depth:
+                    queue.append(child)
+        return tuple(program)
 
-    def _publish(self, size: int) -> None:
-        """Add each program recorded, now complete, to the base's table;
-        ``size`` counts their marks."""
+    def _publish(self, key: tuple, program: tuple[Mark, ...]) -> None:
+        """Add a complete program to the base's table under its seed key."""
         kb = self.kb
         spreads = kb.spreads
         with _SPREADS_LOCK:
-            if kb.spread_marks + size > _SPREADS_MAX:
+            if key in spreads:
+                return  # another thread recorded it too
+            if kb.spread_marks + len(program) > _SPREADS_MAX:
                 spreads.clear()
                 kb.spread_marks = 0
-            for key, root in self._recording:
-                if spreads.setdefault(key, root) is not root:
-                    size -= _size(root)  # another origin or thread recorded it too
-            kb.spread_marks += size
-        self._recording.clear()
+            spreads[key] = program
+            kb.spread_marks += len(program)
 
     def _meet(self, rank: int, mark: Mark, here: dict[int, Mark]) -> None:
         """Place a mark of the origin at ``rank`` among the marks ``here``,
-        at its schema, meet them, and queue it."""
+        at its schema, and meet the earlier origins' marks there."""
         state = mark.state
         # A mark placed after a worse one of the same origin takes that
         # mark's key, and so its place in the meeting order.
         here[rank + state] = mark
         # Only a meeting the seam table allows can yield a valid path, so
         # only those reach `_collide`, in the order their keys were first
-        # filled here.  A key less its mark's state is the seed rank of the
-        # mark's origin.
+        # filled here.  Every origin seeded before this one has spread, and
+        # none after it has, so the other marks here are those whose keys
+        # fall below ``rank``, and a key less its mark's state is the seed
+        # rank of the mark's origin.
         seam = SEAM_VALID[state]
         for key, other in here.items():
-            if seam[other.state] and key - other.state != rank:
-                self._collide(rank, mark, key - other.state, other)
-        children = mark.children
-        if children is None or children:
-            self._queue.append((rank, mark))
+            if key < rank and seam[other.state]:
+                self._collide(key - other.state, other, rank, mark)
 
     def _collide(self, rank1: int, m1: Mark, rank2: int, m2: Mark) -> None:
-        # Orient the glued path from the earlier-seeded observation.
-        if rank2 < rank1:
-            rank1, m1, rank2, m2 = rank2, m2, rank1, m1
-        # The seam is valid, so the glued path is; one that scores below
-        # the full threshold or the normal floor builds nothing.
+        # The glued path runs from m1, whose origin was seeded first.  The
+        # seam is valid, so the path is; one that scores below the full
+        # threshold or the normal floor builds nothing.
         kb = self.kb
         full = combine(kb, m1.at, m1.score, m2.score)
         if full < self._full_floor:

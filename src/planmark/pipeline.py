@@ -257,8 +257,14 @@ class SynthParams:
 
     def __init__(self, n_plans: int = n_plans, n_stories: int = n_stories,
                  corroboration_density: float = corroboration_density):
+        # Counts, so 2.5 or True must not pass for one.
+        for name, count in (("n_plans", n_plans), ("n_stories", n_stories)):
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"{name} must be an int, got {count!r}")
         if n_plans < 1:
             raise ValueError("a synthetic base needs at least one plan")
+        if n_stories < 0:
+            raise ValueError("n_stories must be nonnegative")
         if not 0.0 <= corroboration_density <= 1.0:
             raise ValueError("corroboration density must be in [0,1]")
         self.n_plans = n_plans

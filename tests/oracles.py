@@ -31,10 +31,13 @@ cover runs on both, so their output may not drift.
 `ReferenceEngine` is the marker engine as it was before spread programs:
 one FIFO spread of every origin's marks, built on the call, each met with
 the marks at its schema as it is placed, and a mark displaced before its
-turn flagged and skipped.  The package records each seed's spread once
-per base as a program and replays it; the tests hold its engine, as it
-records and as it replays, to this engine's emissions, scores and retained
-marks, bit for bit.
+turn flagged and skipped.  The package spreads each origin alone, and
+records each seed's spread once per base as a program and replays it; the
+tests hold its engine, as it records and as it replays, to this engine's
+emissions, scores and retained marks, bit for bit, with this engine
+spreading each observation before the next is seeded.  Seeded in a batch,
+this engine interleaves its origins' marks in one queue, and emits
+otherwise.
 `GlueThenValidateEngine` is `ReferenceEngine` with its original meeting
 handler: every meeting of marks from two origins is glued into a whole
 path and run through `validate` before it is scored, with links flipped

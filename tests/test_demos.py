@@ -17,9 +17,14 @@ def test_every_demo_is_found():
     assert len(DEMOS) >= 5
 
 
+# Demos and the README example run with warnings as errors, as the tests
+# themselves do under pytest's `filterwarnings = error`.
+PYTHON = [sys.executable, "-W", "error"]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.name)
 def test_demo_runs(demo):
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True,
+    result = subprocess.run([*PYTHON, str(demo)], capture_output=True,
                             text=True, env=package_env(), timeout=120)
     assert result.returncode == 0, result.stderr
 
@@ -28,7 +33,7 @@ def test_readme_library_example_runs(tmp_path):
     section = README.split("## Library in one breath", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     (tmp_path / "fixture.kb").write_text(FIXTURE_KB_TEXT, encoding="utf-8")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    result = subprocess.run([*PYTHON, "-c", code], capture_output=True,
                             text=True, env=package_env(), cwd=tmp_path, timeout=120)
     assert result.returncode == 0, result.stderr
     first, second = result.stdout.splitlines()

@@ -20,7 +20,6 @@ from conftest import (
     FIG31_TEXT,
     assert_matches_oracle_modulo_retention,
     chain_kb_text,
-    program_size,
 )
 from oracles import (
     FLIPPED,
@@ -85,13 +84,17 @@ def test_full_threshold_blocks_emission(kb):
 
 
 def test_seeding_twice_is_idempotent(kb):
-    engine = MarkerEngine(kb, small_config())
-    obs = fixture_seeds()[0]
-    engine.seed(obs)
-    engine.seed(obs)
-    assert len(engine.marks) == 1
+    once, twice = (MarkerEngine(kb, small_config()) for _ in range(2))
+    for obs in fixture_seeds():
+        once.seed(obs)
+        twice.seed(obs)
+        twice.seed(obs)
+    once.spread()
+    twice.spread()
+    assert once.scores and list(twice.scores.items()) == list(once.scores.items())
+    assert _retained(twice) == _retained(once)
     with pytest.raises(ValueError, match="already observed"):
-        engine.seed(Observation("supermarket2", "supermarket", 0.5))
+        twice.seed(Observation("supermarket2", "supermarket", 0.5))
 
 
 def test_a_conflicting_reobservation_names_the_first(kb):
@@ -129,30 +132,31 @@ def test_unconnected_observations_emit_nothing():
     assert engine.scores == {}
 
 
-def test_incremental_seeding_collides_at_seed_time(kb):
+def test_seed_emits_nothing_and_spread_orients_from_the_first_origin(kb):
     engine = MarkerEngine(kb, small_config(max_depth=6))
     o1, o2 = fixture_seeds()
     engine.seed(o1)
+    assert engine.marks == {}
     engine.spread()
     assert engine.scores == {}
-    engine.seed(o2)  # the first origin's mark already sits on go
-    assert len(engine.scores) == 1
+    engine.seed(o2)  # the first origin's marks already sit on go
+    assert engine.scores == {}
     engine.spread()
     (emitted,) = engine.scores
     assert emitted.start == o1 and emitted.end == o2
 
 
-def test_a_re_meeting_checks_the_stored_score(kb):
-    # The path emitted when the second end is seeded is met again as that
-    # end's marks spread back along it; each such meeting checks its cleave
-    # score against the stored one, so a stored score off by 1% is caught.
+def test_a_re_meeting_checks_the_stored_score(kb, fig31):
+    # The second end's marks spread back along the one path and meet the
+    # first end's at each of its cleave points; each such meeting checks
+    # its cleave score against the stored one, so a stored score off by
+    # 1% is caught.
     engine = MarkerEngine(kb, small_config(max_depth=6))
     o1, o2 = fixture_seeds()
     engine.seed(o1)
     engine.spread()
     engine.seed(o2)
-    (path,) = engine.scores
-    engine.scores[path] *= 1.01
+    engine.scores[fig31] = score_path(kb, fig31) * 1.01
     with pytest.raises(AssertionError, match="cleave identity violated"):
         engine.spread()
 
@@ -465,13 +469,11 @@ def _retained(engine):
 @pytest.mark.parametrize("thresholds", [(0.0, 0.0), (0.01, 1e-4), (0.3, 0.09)])
 @pytest.mark.parametrize("batch", [False, True], ids=["stepwise", "batch"])
 def test_replayed_programs_emit_and_retain_like_the_reference(seed, thresholds, batch):
-    # Observations drawn from a few schemas and beliefs repeat seeds.
-    # Seeded one at a time, a later origin replays the program an earlier
-    # one recorded; seeded in a batch, each origin of a repeated seed
-    # records it, and the base keeps one.  The second engine on the base
-    # replays every program warm.  Batch seeding leaves several origins
-    # pending at once, whose placements only FIFO order interleaves as the
-    # reference's spread does.
+    # Observations drawn from a few schemas and beliefs repeat seeds, so
+    # a later origin replays the program an earlier one recorded, and the
+    # second engine on the base replays every program warm.  The
+    # reference spreads each observation before the next is seeded; the
+    # engine does too, or is seeded in one batch and spread once.
     base = random_kb(seed + 700, n_schemas=40, n_roles=40)
     rng = random.Random(seed)
     names = rng.sample(sorted(base.schemas), 6)
@@ -484,7 +486,7 @@ def test_replayed_programs_emit_and_retain_like_the_reference(seed, thresholds, 
     for engine in engines:
         for obs in seeds:
             engine.seed(obs)
-            if not batch:
+            if not batch or engine is engines[0]:
                 engine.spread()
         engine.spread()
     reference, cold, warm = engines
@@ -492,4 +494,36 @@ def test_replayed_programs_emit_and_retain_like_the_reference(seed, thresholds, 
     for engine in (cold, warm):
         assert list(engine.scores.items()) == list(reference.scores.items())
         assert _retained(engine) == _retained(reference)
-    assert base.spread_marks == sum(map(program_size, base.spreads.values()))
+    assert base.spread_marks == sum(map(len, base.spreads.values()))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batching_does_not_change_emission(seed):
+    # One list of observations, split at random points between `spread`
+    # calls: every split emits the same paths in the same order with the
+    # same scores, and retains the same marks, as one `spread` after each
+    # observation does.  Each split runs on a fresh base, so that cold
+    # programs are recorded under every batching, and paths from
+    # different bases compare by their text.
+    rng = random.Random(seed)
+    kb_seed = seed + 900
+    names = sorted(random_kb(kb_seed, n_schemas=30, n_roles=34).schemas)
+    seeds = [Observation(f"o{k}", rng.choice(names), rng.choice((1.0, 0.7)))
+             for k in range(7)]
+    config = EngineConfig(half_threshold=rng.choice((0.0, 0.01)), full_threshold=0.0,
+                          max_depth=4)
+    outcomes = []
+    for splits in [range(1, len(seeds) + 1), [len(seeds)],
+                   *(sorted(rng.sample(range(1, len(seeds)), rng.randint(1, 3)))
+                     + [len(seeds)] for _ in range(4))]:
+        engine = MarkerEngine(random_kb(kb_seed, n_schemas=30, n_roles=34), config)
+        done = 0
+        for end in splits:
+            for obs in seeds[done:end]:
+                engine.seed(obs)
+            engine.spread()
+            done = end
+        outcomes.append(([(path.render(), score) for path, score in engine.scores.items()],
+                         _retained(engine)))
+    assert outcomes[0][0]
+    assert outcomes == [outcomes[0]] * len(outcomes)

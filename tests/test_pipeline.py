@@ -24,7 +24,7 @@ from planmark.marker import MarkerEngine, score_path
 from planmark.pipeline import SynthParams, parse_stream
 from planmark.semantics import relevant_statements
 
-from conftest import FIXTURE_KB_TEXT, chain_kb_text, program_size
+from conftest import FIXTURE_KB_TEXT, chain_kb_text
 from oracles import (
     ancestors_or_self,
     declared_slot,
@@ -292,7 +292,7 @@ def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
     fresh = load_kb(kb_text)
     expected = [run(fresh, config, stream).render() for stream in streams]
     assert len(fresh.judgements) > 2
-    assert len(fresh.spreads) > 2 and {*map(program_size, fresh.spreads.values())} == {6}
+    assert len(fresh.spreads) > 2 and {*map(len, fresh.spreads.values())} == {6}
     monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 2)
     monkeypatch.setattr(marker, "_SPREADS_MAX", 12)
     base, sizes, programs = load_kb(kb_text), [], []
@@ -302,9 +302,9 @@ def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
         sizes.append(len(base.judgements))
         return approve(*args, **kwargs)
 
-    def sizing_publish(engine, size):
+    def sizing_publish(engine, key, program):
         programs.append((len(base.spreads), base.spread_marks))
-        return publish(engine, size)
+        return publish(engine, key, program)
 
     monkeypatch.setattr(pipeline, "approve", sizing_approve)
     monkeypatch.setattr(MarkerEngine, "_publish", sizing_publish)
@@ -316,7 +316,7 @@ def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
     # first pass's were cleared.
     assert max(sizes) == 2 and len(sizes) > 2 * len(fresh.judgements) + 2
     assert max(programs) == (2, 12) and len(programs) > 2 * len(fresh.spreads) + 2
-    assert base.spread_marks == sum(map(program_size, base.spreads.values()))
+    assert base.spread_marks == sum(map(len, base.spreads.values()))
     assert base.judgements and base.spreads and base == fresh == load_kb(kb_text)
 
 
@@ -343,7 +343,7 @@ def test_threads_sharing_a_base_report_what_one_thread_does(monkeypatch):
         sys.setswitchinterval(interval)
     assert reports == [expected] * 6
     # A lost update to the table's count of marks would show here.
-    assert base.spread_marks == sum(map(program_size, base.spreads.values())) <= 18
+    assert base.spread_marks == sum(map(len, base.spreads.values())) <= 18
     assert base == load_kb(kb_text)
 
 
@@ -361,7 +361,7 @@ def test_ever_new_beliefs_keep_the_spread_table_under_its_cap(monkeypatch):
                                                          stream).render()
         held |= base.spreads.keys()
         assert len(base.spreads) <= base.spread_marks <= 40
-        assert base.spread_marks == sum(map(program_size, base.spreads.values()))
+        assert base.spread_marks == sum(map(len, base.spreads.values()))
     assert len(held) > 40
 
 
@@ -498,6 +498,20 @@ def test_synth_params_reject_fewer_than_one_plan(n_plans):
     with pytest.raises(ValueError, match="^a synthetic base needs at least one plan$"):
         SynthParams(n_plans=n_plans)
     assert len(synth_corpus(1, SynthParams(n_plans=1, n_stories=2)).streams) == 2
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_plans": 2.5}, "^n_plans must be an int, got 2.5$"),
+    ({"n_plans": True}, "^n_plans must be an int, got True$"),
+    ({"n_stories": 3.0}, "^n_stories must be an int, got 3.0$"),
+    ({"n_stories": False}, "^n_stories must be an int, got False$"),
+    ({"n_stories": -3}, "^n_stories must be nonnegative$")])
+def test_synth_params_reject_a_count_that_is_not_a_count(kwargs, message):
+    # Without the checks, n_stories=-3 gave no streams and n_plans=2.5
+    # failed with a TypeError inside `synth_corpus`.
+    with pytest.raises(ValueError, match=message):
+        SynthParams(**kwargs)
+    assert synth_corpus(1, SynthParams(n_plans=1, n_stories=0)).streams == []
 
 
 def test_synth_planted_plans_get_approved():
