@@ -19,44 +19,42 @@ the base's link table carries as ``multiplier``:
 Each observation is an origin: `seed` checks it and records it, and
 places nothing.  `spread` spreads each origin seeded since the last call,
 alone and in seed order, so an origin's spread ends before the next one's
-starts.  Its marks spread outward from a root mark on its schema in FIFO
-order, carrying a validity-DFA state (an int), a running half-path score
-(a float: the same product without the terminal factor), the link they
-arrived by, the mark they extended and their depth.  Taking a link is one
-table step and one multiply, as in `extend_half`; the move is kept only if
-the DFA accepts it, the extended score stays at or above the half threshold
-T and in the normal float range, and it beats the mark its origin holds at
-that schema and DFA state: one mark per key, the best-scoring trail.  A
-mark displaced before its turn is not expanded, nor is one max_depth links
-from its root.
+starts.  An origin's spread is its program: marks spread outward from a
+root mark on its schema in FIFO order, carrying a validity-DFA state (an
+int), a running half-path score (a float: the same product without the
+terminal factor), the link they arrived by, the mark they extended and
+their depth.  Taking a link is one table step and one multiply, as in
+`extend_half`; the move is kept only if the DFA accepts it, the extended
+score stays at or above the half threshold T and in the normal float
+range, and it beats the mark the program holds at that schema and DFA
+state: one mark per key, the best-scoring trail.  A mark displaced before
+its turn is not expanded, nor is one max_depth links from its root.  The
+program is those marks in the order they were placed, a tuple.
 
-Which marks an origin places, and in what order, depends only on its seed:
-its schema and belief, the half floor and max_depth, since retention is
-keyed by the origin's seed rank, so a mark competes only with marks of its
-own origin.  So an origin's spread can be recorded as a program: its marks
-in the order they were placed, a tuple.  The base keeps programs in its
-spread table, `KnowledgeBase.spreads`, keyed by (schema, belief, half
-floor, max_depth), so each distinct seed is spread once per base, across
-calls.  A warm origin, one whose seed the table holds, places its
-program's marks in order; a cold one is spread from its root, and its
-program recorded as it goes.  Either way each mark meets the marks at its
-schema as it is placed, and those are the marks of the earlier origins,
-final by then, and the origin's own marks placed before it.  So every
-meeting finds the same marks in the same order, and the engine emits the
-same paths, in the same order, with the same scores, whatever the table
-holds, and whether the observations were seeded one per `spread` or in a
-batch.
+`_program` records a program from its seed key alone: (schema, belief,
+half floor, max_depth).  It reads no engine state and meets nothing, and
+its retention is its own, so a program is a function of its key.  The
+base keeps programs in its spread table, `KnowledgeBase.spreads`, under
+that key, so each distinct seed is spread once per base, across calls.
+`spread` takes an origin's program from the table, or records it and adds
+it there, and then places its marks in order, in one loop for every
+origin: each mark is kept at its schema under the origin's seed rank plus
+its DFA state, and meets the marks there of the earlier origins, final by
+then.  So every meeting finds the same marks in the same order, and the
+engine emits the same paths, in the same order, with the same scores,
+whatever the table holds, and whether the observations were seeded one
+per `spread` or in a batch.
 
-A program goes to the table only once its spread has ended, so no engine
-ever replays one half recorded, and it is never changed once there: every
-origin that replays it shares its marks, which are the base's to read, not
-the caller's to change.  The table is cleared when it would hold more than
-`_SPREADS_MAX` marks, about 10 MB, so a caller that feeds ever new beliefs
-pays at most one clear per that many marks; a count of programs would bound
-nothing, since one holds from a single mark to one per schema and DFA
-state.  Additions take a lock, so that the count stays exact when threads
-share a base; of two programs recorded with one key, by two threads, the
-table keeps the first.
+A program goes to the table whole, before its marks are placed, so no
+engine ever replays one half recorded, and it is never changed once
+there: every origin that places it shares its marks, which are the base's
+to read, not the caller's to change.  The table is cleared when it would
+hold more than `_SPREADS_MAX` marks, about 10 MB, so a caller that feeds
+ever new beliefs pays at most one clear per that many marks; a count of
+programs would bound nothing, since one holds from a single mark to one
+per schema and DFA state.  Additions take a lock, so that the count stays
+exact when threads share a base; of two programs recorded with one key,
+by two threads, the table keeps the first.
 
 When a mark lands where marks from earlier origins already sit, only those
 whose DFA state the seam table pairs with its own are met: marks from
@@ -174,6 +172,38 @@ class Mark:
         self.depth = 0 if prev is None else prev.depth + 1
 
 
+def _program(adjacency: dict[str, tuple[TraversalLink, ...]], schema: str,
+             belief: float, half_floor: float, max_depth: int) -> tuple[Mark, ...]:
+    """The spread program of a seed: spread breadth-first from a root mark
+    on ``schema``, keeping one mark per schema and DFA state, and return
+    the marks in the order they were placed."""
+    root = Mark(schema, START_STATE, belief, None, None)
+    retained = {schema: {START_STATE: root}}
+    program, queue = [root], deque([root])
+    while queue:
+        mark = queue.popleft()
+        if retained[mark.at][mark.state] is not mark:
+            continue  # displaced before its turn
+        row, score = STEP[mark.state], mark.score
+        for link in adjacency[mark.at]:
+            state = row[link.kind]
+            if state is None:
+                continue
+            extended = score * link.multiplier
+            if extended < half_floor:
+                continue
+            at = link.destination
+            here = retained.get(at) or retained.setdefault(at, {})
+            incumbent = here.get(state)
+            if incumbent is not None and incumbent.score >= extended:
+                continue
+            here[state] = child = Mark(at, state, extended, link, mark)
+            program.append(child)
+            if child.depth < max_depth:
+                queue.append(child)
+    return tuple(program)
+
+
 class EngineConfig:
     """Thresholds and limits for one engine run, by default the class attributes.
 
@@ -256,8 +286,9 @@ class MarkerEngine:
     def spread(self) -> None:
         """Spread each origin seeded since the last call, alone and in seed
         order, recording each path its marks' meetings emit in `scores`:
-        replay the program the base holds for its seed, or record one."""
-        at_, meet, spreads = self._at, self._meet, self.kb.spreads
+        take the program the base holds for its seed, or record and publish
+        one, and place its marks in order."""
+        at_, collide, spreads = self._at, self._collide, self.kb.spreads
         half_floor, max_depth = self._half_floor, self.config.max_depth
         origins = self._origins
         for index in range(self._spread, len(origins)):
@@ -266,45 +297,25 @@ class MarkerEngine:
             key = (obs.schema, obs.belief, half_floor, max_depth)
             program = spreads.get(key)
             if program is None:
-                self._publish(key, self._record(rank, obs))
-                continue
+                program = _program(self.kb.adjacency, *key)
+                self._publish(key, program)
             for mark in program:
-                at = mark.at
-                meet(rank, mark, at_.get(at) or at_.setdefault(at, {}))
-
-    def _record(self, rank: int, obs: Observation) -> tuple[Mark, ...]:
-        """Spread the origin at ``rank`` breadth-first from its seed,
-        placing and meeting each mark as it is made, and return its
-        program: the marks in placement order."""
-        at_, meet, adjacency = self._at, self._meet, self.kb.adjacency
-        half_floor, max_depth = self._half_floor, self.config.max_depth
-        at = obs.schema
-        root = Mark(at, START_STATE, obs.belief, None, None)
-        meet(rank, root, at_.get(at) or at_.setdefault(at, {}))
-        program, queue = [root], deque([root])
-        while queue:
-            mark = queue.popleft()
-            if at_[mark.at][rank + mark.state] is not mark:
-                continue  # displaced before its turn
-            row, score = STEP[mark.state], mark.score
-            for link in adjacency[mark.at]:
-                state = row[link.kind]
-                if state is None:
-                    continue
-                extended = score * link.multiplier
-                if extended < half_floor:
-                    continue
-                at = link.destination
+                at, state = mark.at, mark.state
                 here = at_.get(at) or at_.setdefault(at, {})
-                incumbent = here.get(rank + state)
-                if incumbent is not None and incumbent.score >= extended:
-                    continue
-                child = Mark(at, state, extended, link, mark)
-                program.append(child)
-                meet(rank, child, here)
-                if child.depth < max_depth:
-                    queue.append(child)
-        return tuple(program)
+                # A mark placed after a worse one of the same origin takes
+                # that mark's key, and so its place in the meeting order.
+                here[rank + state] = mark
+                # Only a meeting the seam table allows can yield a valid
+                # path, so only those reach `_collide`, in the order their
+                # keys were first filled here.  Every origin seeded before
+                # this one has spread, and none after it has, so the other
+                # origins' marks here are those whose keys fall below
+                # ``rank``, and a key less its mark's state is the seed
+                # rank of the mark's origin.
+                seam = SEAM_VALID[state]
+                for other_key, other in here.items():
+                    if other_key < rank and seam[other.state]:
+                        collide(other_key - other.state, other, rank, mark)
 
     def _publish(self, key: tuple, program: tuple[Mark, ...]) -> None:
         """Add a complete program to the base's table under its seed key."""
@@ -318,24 +329,6 @@ class MarkerEngine:
                 kb.spread_marks = 0
             spreads[key] = program
             kb.spread_marks += len(program)
-
-    def _meet(self, rank: int, mark: Mark, here: dict[int, Mark]) -> None:
-        """Place a mark of the origin at ``rank`` among the marks ``here``,
-        at its schema, and meet the earlier origins' marks there."""
-        state = mark.state
-        # A mark placed after a worse one of the same origin takes that
-        # mark's key, and so its place in the meeting order.
-        here[rank + state] = mark
-        # Only a meeting the seam table allows can yield a valid path, so
-        # only those reach `_collide`, in the order their keys were first
-        # filled here.  Every origin seeded before this one has spread, and
-        # none after it has, so the other marks here are those whose keys
-        # fall below ``rank``, and a key less its mark's state is the seed
-        # rank of the mark's origin.
-        seam = SEAM_VALID[state]
-        for key, other in here.items():
-            if key < rank and seam[other.state]:
-                self._collide(key - other.state, other, rank, mark)
 
     def _collide(self, rank1: int, m1: Mark, rank2: int, m2: Mark) -> None:
         # The glued path runs from m1, whose origin was seeded first.  The

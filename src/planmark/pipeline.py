@@ -5,13 +5,15 @@
     (inst checkout1 supermarket [:belief 0.9])
     (corroborate supermarket-shopping store-of)
 
-Each observation seeds the marker engine and spreads immediately, so paths
-surface in story order; each corroboration goes into the evidence index,
-which maps each slot to the schemas it is corroborated at, unless its
-slot is declared neither on its schema nor on an isa ancestor or
-descendant of it, which makes it an input error; a record already in
-the index passed that check and is not checked again.  After the stream
-ends, every reported path is translated once into its RS(P), which then
+Each observation seeds the marker engine; each corroboration goes into
+the evidence index, which maps each slot to the schemas it is
+corroborated at, unless its slot is declared neither on its schema nor on
+an isa ancestor or descendant of it, which makes it an input error; a
+record already in the index passed that check and is not checked again.
+Once the whole stream is read, so that a bad record is raised before
+anything spreads, the engine spreads its origins in seed order, which
+emits what spreading each as it arrives would, so paths surface in story
+order.  Every reported path is then translated once into its RS(P), which
 serves the cheap evidence filter, the exact network evaluation (only if
 the filter passes) and the approval test.  A rejected path costs its RS(P)
 walk and nothing more, and the report prints its statement texts joined.
@@ -208,7 +210,6 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
         try:
             if head == "inst":
                 engine.seed(payload)
-                engine.spread()
             else:
                 schema, slot = payload
                 schemas = corroborated.setdefault(slot, set())
@@ -217,6 +218,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                     schemas.add(schema)
         except (KbError, ValueError) as exc:
             raise KbError(str(exc), form_start(stream_text, index)[0]) from None
+    engine.spread()
 
     records = []
     evaluated = 0
@@ -265,6 +267,11 @@ class SynthParams:
             raise ValueError("a synthetic base needs at least one plan")
         if n_stories < 0:
             raise ValueError("n_stories must be nonnegative")
+        # A probability, so True or "0.5" must not pass for one.
+        if (isinstance(corroboration_density, bool)
+                or not isinstance(corroboration_density, (int, float))):
+            raise ValueError("corroboration density must be a real number, "
+                             f"got {corroboration_density!r}")
         if not 0.0 <= corroboration_density <= 1.0:
             raise ValueError("corroboration density must be in [0,1]")
         self.n_plans = n_plans

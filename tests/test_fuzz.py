@@ -122,7 +122,8 @@ def test_parse_path_raises_only_path_errors(text):
 
 
 def _emissions(base, config, observations):
-    # Each observation spreads before the next arrives, as in `run`.
+    # Each observation spreads before the next is seeded, which emits
+    # what `run`'s one spread after the whole stream does.
     engine = MarkerEngine(base, config)
     for obs in observations:
         engine.seed(obs)

@@ -14,7 +14,7 @@ from planmark import (
     score_path,
 )
 from planmark import marker
-from planmark.paths import ALL_STATES, SEAM_VALID
+from planmark.paths import ALL_STATES, SEAM_VALID, STEP
 
 from conftest import (
     FIG31_TEXT,
@@ -527,3 +527,55 @@ def test_batching_does_not_change_emission(seed):
                          _retained(engine)))
     assert outcomes[0][0]
     assert outcomes == [outcomes[0]] * len(outcomes)
+
+
+def _program_shape(program):
+    """A program's marks as plain values, each mark's ``prev`` as its
+    index, so programs recorded on different bases compare."""
+    index = {id(mark): k for k, mark in enumerate(program)}
+    return [(mark.at, mark.state, mark.score, mark.link and mark.link.text,
+             mark.prev and index[id(mark.prev)], mark.depth) for mark in program]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("half_threshold", [0.0, 0.01])
+def test_every_program_mark_extends_an_earlier_one(seed, half_threshold):
+    # `marks` shows only retained marks; a program also holds those
+    # displaced after they were placed, and every case here has some.
+    # Every mark is a DFA-valid, floored one-link extension of an earlier
+    # mark within max_depth, and the programs an engine records mid-run,
+    # after other origins spread, are those `_program` records for the
+    # same key on a fresh base.
+    kb_seed = seed + 1100
+    base = random_kb(kb_seed, n_schemas=30, n_roles=34)
+    rng = random.Random(seed)
+    seeds = [Observation(f"o{k}", rng.choice(sorted(base.schemas)), rng.choice((1.0, 0.7)))
+             for k in range(5)]
+    config = EngineConfig(half_threshold=half_threshold, full_threshold=0.0, max_depth=4)
+    engine = MarkerEngine(base, config)
+    for obs in seeds:
+        engine.seed(obs)
+    engine.spread()
+    half_floor = max(half_threshold, sys.float_info.min)
+    fresh = random_kb(kb_seed, n_schemas=30, n_roles=34)
+    displaced = 0
+    for obs in seeds:
+        key = (obs.schema, obs.belief, half_floor, config.max_depth)
+        program = base.spreads[key]
+        root = program[0]
+        assert (root.at, root.state, root.score, root.link, root.prev, root.depth) == (
+            obs.schema, START_STATE, obs.belief, None, None, 0)
+        placed = {id(root)}
+        for mark in program[1:]:
+            prev, link = mark.prev, mark.link
+            assert id(prev) in placed
+            assert link.source == prev.at and link.destination == mark.at
+            assert STEP[prev.state][link.kind] == mark.state
+            assert mark.score == prev.score * link.multiplier >= half_floor
+            assert mark.depth == prev.depth + 1 <= config.max_depth
+            placed.add(id(mark))
+        displaced += len(program) - len({(mark.at, mark.state) for mark in program})
+        assert _program_shape(program) == _program_shape(
+            marker._program(fresh.adjacency, *key))
+    assert fresh.spreads == {} and displaced > 0
+

@@ -99,6 +99,16 @@ def test_record_errors_name_their_line(kb, record, message):
         run(kb, fixture_config(), f"(inst a supermarket)\n{record}\n")
 
 
+def test_a_stream_that_fails_to_read_spreads_nothing():
+    # `run` reads every record before it spreads, so a bad last record is
+    # raised with its line before any origin spreads.
+    base = load_kb(FIXTURE_KB_TEXT)
+    with pytest.raises(KbError, match="^line 3: unknown schema 'ghost'"):
+        run(base, fixture_config(),
+            "(inst a supermarket)\n(inst b go)\n(inst c ghost)\n")
+    assert base.spreads == {}
+
+
 def test_corroboration_of_an_undeclared_slot_is_rejected(kb):
     # A slot declared on no schema above or below the record's schema can
     # never match a slot equality, so a misspelt slot is an input error.
@@ -505,10 +515,15 @@ def test_synth_params_reject_fewer_than_one_plan(n_plans):
     ({"n_plans": True}, "^n_plans must be an int, got True$"),
     ({"n_stories": 3.0}, "^n_stories must be an int, got 3.0$"),
     ({"n_stories": False}, "^n_stories must be an int, got False$"),
-    ({"n_stories": -3}, "^n_stories must be nonnegative$")])
+    ({"n_stories": -3}, "^n_stories must be nonnegative$"),
+    ({"corroboration_density": True},
+     "^corroboration density must be a real number, got True$"),
+    ({"corroboration_density": "0.5"},
+     "^corroboration density must be a real number, got '0.5'$")])
 def test_synth_params_reject_a_count_that_is_not_a_count(kwargs, message):
-    # Without the checks, n_stories=-3 gave no streams and n_plans=2.5
-    # failed with a TypeError inside `synth_corpus`.
+    # Without the checks, n_stories=-3 gave no streams, n_plans=2.5
+    # failed with a TypeError inside `synth_corpus`, a density of True was
+    # drawn as 1.0 and one of "0.5" failed with a TypeError.
     with pytest.raises(ValueError, match=message):
         SynthParams(**kwargs)
     assert synth_corpus(1, SynthParams(n_plans=1, n_stories=0)).streams == []
