@@ -43,15 +43,25 @@ engine.seed(seen_store)
 engine.seed(seen_go)
 engine.spread()
 
+
+def depth(mark):
+    """The links back to the mark's origin: the marks it extended, counted."""
+    links = 0
+    while mark.prev is not None:
+        mark, links = mark.prev, links + 1
+    return links
+
+
 # A mark is kept per (origin, schema, DFA state); the state is a small int
 # that STATE_NAMES spells out as the walk's role phase and last isa move.
 # Each schema keeps its own table of marks, so `marks` lists them schema
 # by schema.  A mark holds only the link it arrived by and the mark it
-# extended; its depth counts the links back to its origin.
+# extended, and no depth: `depth` counts the marks back to its origin,
+# which is the level of the spread that placed it.
 print(f"marks retained: {len(engine.marks)}")
 for (origin, at, state), mark in engine.marks.items():
     print(f"  from {origin:13s} at {at:22s} {STATE_NAMES[state]:19s} "
-          f"score={mark.score:.4g} depth={mark.depth}")
+          f"score={mark.score:.4g} depth={depth(mark)}")
 
 print()
 # `scores` is the engine's record of what it emitted: each path, in the

@@ -82,6 +82,19 @@ from typing import Callable, Collection, Iterable, NamedTuple
 
 from .paths import LinkKind, TraversalLink, form_start, read_forms
 
+# The smallest normal float.  Priors, beliefs and the marker's scores all
+# stay at or above it: a subnormal factor loses the relative precision the
+# cleave identity is checked to.
+_MIN_NORMAL = sys.float_info.min
+
+
+def _check_real(name: str, value: object) -> None:
+    """Raise `ValueError` unless ``value`` is an int or a float: a setting
+    read as a number must not be a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 class KbError(Exception):
     """Raised for both syntactic and semantic problems in a KB source.
     Carries the 1-based source ``line`` when one is known."""
@@ -158,9 +171,9 @@ class KnowledgeBase:
         prior = self.prior(obs.schema)
         if not 0.0 < obs.belief <= 1.0:
             raise ValueError(f"belief must be in (0,1], got {obs.belief!r}")
-        if obs.belief < sys.float_info.min:
+        if obs.belief < _MIN_NORMAL:
             raise ValueError(f"belief of {obs.instance!r} is subnormal, below "
-                             f"{sys.float_info.min!r}: {obs.belief!r}")
+                             f"{_MIN_NORMAL!r}: {obs.belief!r}")
         if prior >= 1.0 and obs.belief < 1.0:
             raise ValueError(
                 f"cannot scale evidence for {obs.instance!r}: type prior is 1 "
@@ -207,7 +220,6 @@ def _parse_float(token: str) -> float:
 
 
 _SCHEMA_FORM = "schema form is (schema NAME [:isa NAME] :prior FLOAT)"
-_MIN_NORMAL = sys.float_info.min
 
 
 def _declarations(text: str, forms: Iterable[list[str]],

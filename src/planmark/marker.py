@@ -20,16 +20,19 @@ Each observation is an origin: `seed` checks it and records it, and
 places nothing.  `spread` spreads each origin seeded since the last call,
 alone and in seed order, so an origin's spread ends before the next one's
 starts.  An origin's spread is its program: marks spread outward from a
-root mark on its schema in FIFO order, carrying a validity-DFA state (an
-int), a running half-path score (a float: the same product without the
-terminal factor), the link they arrived by, the mark they extended and
-their depth.  Taking a link is one table step and one multiply, as in
-`extend_half`; the move is kept only if the DFA accepts it, the extended
-score stays at or above the half threshold T and in the normal float
-range, and it beats the mark the program holds at that schema and DFA
-state: one mark per key, the best-scoring trail.  A mark displaced before
-its turn is not expanded, nor is one max_depth links from its root.  The
-program is those marks in the order they were placed, a tuple.
+root mark on its schema one level at a time, each carrying a validity-DFA
+state (an int), a running half-path score (a float: the same product
+without the terminal factor), the link it arrived by and the mark it
+extended.  The marks placed at depth d are expanded in order into those
+at depth d + 1, so a mark's depth is its level, and no mark stores it.
+Taking a link is one table step and one multiply, as in `extend_half`;
+the move is kept only if the DFA accepts it, the extended score stays at
+or above the half threshold T and in the normal float range, and it beats
+the mark the program holds at that schema and DFA state: one mark per
+key, the best-scoring trail.  A mark displaced by a better one before its
+level is expanded is skipped.  The spread stops after max_depth levels,
+or at the first level that places nothing.  The program is those marks in
+the order they were placed, a tuple.
 
 `_program` records a program from its seed key alone: (schema, belief,
 half floor, max_depth).  It reads no engine state and meets nothing, and
@@ -103,19 +106,14 @@ with the tests in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
-import sys
 import threading
-from collections import deque
 
-from .kb import KnowledgeBase, Observation
+from .kb import _MIN_NORMAL, KnowledgeBase, Observation, _check_real
 from .paths import ALL_STATES, SEAM_VALID, START_STATE, STEP, Path, TraversalLink
 # bench/tracing.py wraps this module's validate, so it stays imported.
 from .paths import validate  # noqa: F401
 
-# The fixed floor under both thresholds (see `EngineConfig`).
-_NORMAL_MIN = sys.float_info.min
-
-# Marks a base's spread table holds before it is cleared: 112 to 147 bytes
+# Marks a base's spread table holds before it is cleared: 104 to 136 bytes
 # each with the program tuples and the table's keys (tracemalloc, on the
 # benchmark's bases), so under 10 MB.
 _SPREADS_MAX = 65_536
@@ -157,10 +155,11 @@ def combine(kb: KnowledgeBase, at: str, h1: float, h2: float) -> float:
 
 class Mark:
     """A half path of a spread program: where it is, the DFA state it
-    left, its half score, the link it arrived by, the mark it extended
-    (None for a seed) and its depth."""
+    left, its half score, the link it arrived by and the mark it extended
+    (None for a seed).  Its depth is the number of marks back to the
+    seed; the spread that placed it knew it as its level."""
 
-    __slots__ = ("at", "state", "score", "link", "prev", "depth")
+    __slots__ = ("at", "state", "score", "link", "prev")
 
     def __init__(self, at: str, state: int, score: float, link: TraversalLink | None,
                  prev: Mark | None):
@@ -169,38 +168,41 @@ class Mark:
         self.score = score
         self.link = link
         self.prev = prev
-        self.depth = 0 if prev is None else prev.depth + 1
 
 
 def _program(adjacency: dict[str, tuple[TraversalLink, ...]], schema: str,
              belief: float, half_floor: float, max_depth: int) -> tuple[Mark, ...]:
-    """The spread program of a seed: spread breadth-first from a root mark
-    on ``schema``, keeping one mark per schema and DFA state, and return
-    the marks in the order they were placed."""
+    """The spread program of a seed: spread from a root mark on ``schema``
+    one level at a time, at most ``max_depth`` levels, keeping one mark per
+    schema and DFA state, and return the marks in the order they were
+    placed."""
     root = Mark(schema, START_STATE, belief, None, None)
     retained = {schema: {START_STATE: root}}
-    program, queue = [root], deque([root])
-    while queue:
-        mark = queue.popleft()
-        if retained[mark.at][mark.state] is not mark:
-            continue  # displaced before its turn
-        row, score = STEP[mark.state], mark.score
-        for link in adjacency[mark.at]:
-            state = row[link.kind]
-            if state is None:
-                continue
-            extended = score * link.multiplier
-            if extended < half_floor:
-                continue
-            at = link.destination
-            here = retained.get(at) or retained.setdefault(at, {})
-            incumbent = here.get(state)
-            if incumbent is not None and incumbent.score >= extended:
-                continue
-            here[state] = child = Mark(at, state, extended, link, mark)
-            program.append(child)
-            if child.depth < max_depth:
-                queue.append(child)
+    program, level = [root], [root]
+    for _ in range(max_depth):
+        placed = []
+        for mark in level:
+            if retained[mark.at][mark.state] is not mark:
+                continue  # displaced before its level was expanded
+            row, score = STEP[mark.state], mark.score
+            for link in adjacency[mark.at]:
+                state = row[link.kind]
+                if state is None:
+                    continue
+                extended = score * link.multiplier
+                if extended < half_floor:
+                    continue
+                at = link.destination
+                here = retained.get(at) or retained.setdefault(at, {})
+                incumbent = here.get(state)
+                if incumbent is not None and incumbent.score >= extended:
+                    continue
+                here[state] = child = Mark(at, state, extended, link, mark)
+                placed.append(child)
+        if not placed:
+            break  # so a large max_depth runs no empty levels
+        program += placed
+        level = placed
     return tuple(program)
 
 
@@ -222,8 +224,12 @@ class EngineConfig:
     def __init__(self, half_threshold: float = half_threshold,
                  full_threshold: float | None = full_threshold,
                  max_depth: int = max_depth):
+        # The half threshold keys a base's spread programs, so True or "1"
+        # must not pass for a threshold.
+        _check_real("half_threshold", half_threshold)
         if full_threshold is None:
             full_threshold = half_threshold * half_threshold
+        _check_real("full_threshold", full_threshold)
         if not (half_threshold >= 0 and full_threshold >= 0):
             raise ValueError("thresholds must be nonnegative")
         # `max_depth` keys a base's spread programs, so 2.5 or True must
@@ -244,8 +250,8 @@ class MarkerEngine:
     def __init__(self, kb: KnowledgeBase, config: EngineConfig | None = None):
         self.kb = kb
         self.config = config = config or EngineConfig()
-        self._half_floor = max(config.half_threshold, _NORMAL_MIN)
-        self._full_floor = max(config.full_threshold, _NORMAL_MIN)
+        self._half_floor = max(config.half_threshold, _MIN_NORMAL)
+        self._full_floor = max(config.full_threshold, _MIN_NORMAL)
         # Per schema, its marks by their origin's seed rank + DFA state.
         self._at: dict[str, dict[int, Mark]] = {}
         self._seeds: dict[str, Observation] = {}
@@ -286,9 +292,10 @@ class MarkerEngine:
     def spread(self) -> None:
         """Spread each origin seeded since the last call, alone and in seed
         order, recording each path its marks' meetings emit in `scores`:
-        take the program the base holds for its seed, or record and publish
-        one, and place its marks in order."""
-        at_, collide, spreads = self._at, self._collide, self.kb.spreads
+        take the program the base holds for its seed, or record one and add
+        it to the base's table, and place its marks in order."""
+        kb = self.kb
+        at_, collide, spreads = self._at, self._collide, kb.spreads
         half_floor, max_depth = self._half_floor, self.config.max_depth
         origins = self._origins
         for index in range(self._spread, len(origins)):
@@ -297,8 +304,15 @@ class MarkerEngine:
             key = (obs.schema, obs.belief, half_floor, max_depth)
             program = spreads.get(key)
             if program is None:
-                program = _program(self.kb.adjacency, *key)
-                self._publish(key, program)
+                program = _program(kb.adjacency, *key)
+                with _SPREADS_LOCK:
+                    # Another thread may have recorded it too; the first stays.
+                    if key not in spreads:
+                        if kb.spread_marks + len(program) > _SPREADS_MAX:
+                            spreads.clear()
+                            kb.spread_marks = 0
+                        spreads[key] = program
+                        kb.spread_marks += len(program)
             for mark in program:
                 at, state = mark.at, mark.state
                 here = at_.get(at) or at_.setdefault(at, {})
@@ -316,19 +330,6 @@ class MarkerEngine:
                 for other_key, other in here.items():
                     if other_key < rank and seam[other.state]:
                         collide(other_key - other.state, other, rank, mark)
-
-    def _publish(self, key: tuple, program: tuple[Mark, ...]) -> None:
-        """Add a complete program to the base's table under its seed key."""
-        kb = self.kb
-        spreads = kb.spreads
-        with _SPREADS_LOCK:
-            if key in spreads:
-                return  # another thread recorded it too
-            if kb.spread_marks + len(program) > _SPREADS_MAX:
-                spreads.clear()
-                kb.spread_marks = 0
-            spreads[key] = program
-            kb.spread_marks += len(program)
 
     def _collide(self, rank1: int, m1: Mark, rank2: int, m2: Mark) -> None:
         # The glued path runs from m1, whose origin was seeded first.  The

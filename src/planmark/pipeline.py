@@ -61,7 +61,7 @@ from .bayes import (
     evidence_filter,
     exact_posterior,
 )
-from .kb import KbError, KnowledgeBase, Observation
+from .kb import KbError, KnowledgeBase, Observation, _check_real
 from .marker import EngineConfig, MarkerEngine
 # bench/tracing.py wraps this module's score_path, so it stays imported.
 from .marker import score_path  # noqa: F401
@@ -79,6 +79,9 @@ class RunConfig:
 
     def __init__(self, engine: EngineConfig | None = None, gamma1: float = gamma1,
                  gamma0: float = gamma0, approval_ratio: float = approval_ratio):
+        for name, value in (("gamma1", gamma1), ("gamma0", gamma0),
+                            ("approval_ratio", approval_ratio)):
+            _check_real(name, value)
         if not (0.0 < gamma1 <= 1.0 and 0.0 < gamma0 <= 1.0):
             raise ValueError("interior strengths must be in (0,1]")
         if not approval_ratio >= 0:
@@ -268,10 +271,7 @@ class SynthParams:
         if n_stories < 0:
             raise ValueError("n_stories must be nonnegative")
         # A probability, so True or "0.5" must not pass for one.
-        if (isinstance(corroboration_density, bool)
-                or not isinstance(corroboration_density, (int, float))):
-            raise ValueError("corroboration density must be a real number, "
-                             f"got {corroboration_density!r}")
+        _check_real("corroboration density", corroboration_density)
         if not 0.0 <= corroboration_density <= 1.0:
             raise ValueError("corroboration density must be in [0,1]")
         self.n_plans = n_plans

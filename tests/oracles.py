@@ -642,7 +642,7 @@ def blocked_at_depth(engine: MarkerEngine, path: Path, cleave: int) -> bool:
     for instance, links, at in halves:
         for i in range(len(links)):
             mark = marks.get((instance, at[i], _state_after(links[:i])))
-            if mark is not None and mark.depth >= engine.config.max_depth:
+            if mark is not None and len(trail(mark)) >= engine.config.max_depth:
                 return True
     return False
 

@@ -462,7 +462,7 @@ def test_retention_at_the_depth_limit_can_lose_the_best_path():
 
 
 def _retained(engine):
-    return [(key, mark.score, mark.depth) for key, mark in engine.marks.items()]
+    return [(key, mark.score, len(trail(mark))) for key, mark in engine.marks.items()]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -534,7 +534,7 @@ def _program_shape(program):
     index, so programs recorded on different bases compare."""
     index = {id(mark): k for k, mark in enumerate(program)}
     return [(mark.at, mark.state, mark.score, mark.link and mark.link.text,
-             mark.prev and index[id(mark.prev)], mark.depth) for mark in program]
+             mark.prev and index[id(mark.prev)], len(trail(mark))) for mark in program]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -563,7 +563,7 @@ def test_every_program_mark_extends_an_earlier_one(seed, half_threshold):
         key = (obs.schema, obs.belief, half_floor, config.max_depth)
         program = base.spreads[key]
         root = program[0]
-        assert (root.at, root.state, root.score, root.link, root.prev, root.depth) == (
+        assert (root.at, root.state, root.score, root.link, root.prev, len(trail(root))) == (
             obs.schema, START_STATE, obs.belief, None, None, 0)
         placed = {id(root)}
         for mark in program[1:]:
@@ -572,10 +572,40 @@ def test_every_program_mark_extends_an_earlier_one(seed, half_threshold):
             assert link.source == prev.at and link.destination == mark.at
             assert STEP[prev.state][link.kind] == mark.state
             assert mark.score == prev.score * link.multiplier >= half_floor
-            assert mark.depth == prev.depth + 1 <= config.max_depth
+            assert len(trail(mark)) == len(trail(prev)) + 1 <= config.max_depth
             placed.add(id(mark))
         displaced += len(program) - len({(mark.at, mark.state) for mark in program})
         assert _program_shape(program) == _program_shape(
             marker._program(fresh.adjacency, *key))
     assert fresh.spreads == {} and displaced > 0
 
+
+@pytest.mark.parametrize("kb_seed", [None, 1202, 1203, 1204, 1205])
+def test_a_spread_stops_at_the_first_level_that_places_nothing(kb, kb_seed):
+    # On these bases every spread runs out of marks long before a thousand
+    # levels, so a depth limit of 10**9 records the same programs, and
+    # must not spend a pass on each empty level to do it.  A base with a
+    # lap that rounds above 1 never runs out (the test below).
+    base = kb if kb_seed is None else random_kb(kb_seed, n_schemas=12, n_roles=8)
+    recorded = 0
+    for schema in sorted(base.schemas):
+        for belief, half_floor in [(1.0, sys.float_info.min), (0.7, 0.01)]:
+            shallow = marker._program(base.adjacency, schema, belief, half_floor, 1000)
+            deep = marker._program(base.adjacency, schema, belief, half_floor, 10 ** 9)
+            assert _program_shape(deep) == _program_shape(shallow)
+            recorded += len(deep)
+    assert recorded > 2 * len(base.schemas)
+
+
+@pytest.mark.xfail(strict=True, reason="a lap whose multipliers multiply to 1 can "
+                                       "round above 1, and each lap then displaces")
+def test_a_spread_stops_on_a_base_with_a_lap_that_rounds_above_one():
+    # s7 fills slot-2 of s0, its own isa grandparent, so from s7 the lap
+    # (role s0 slot-2 s7), (isa- s2 s0), (isa- s7 s2) returns to s7 in the
+    # same DFA state, its multipliers' product 1 in exact arithmetic.  In
+    # floats the lap gains an ulp, so its trail displaces the one retained
+    # there and goes round again, level after level, until max_depth.
+    base = random_kb(1201, n_schemas=12, n_roles=8)
+    shallow = marker._program(base.adjacency, "s2", 1.0, 0.3, 300)
+    deeper = marker._program(base.adjacency, "s2", 1.0, 0.3, 600)
+    assert len(deeper) == len(shallow)

@@ -175,8 +175,8 @@ def test_every_name_the_benchmark_reads_still_answers(monkeypatch):
     assert corroborated_run(kb).evaluated == 1
     (engine,) = engines
     assert engine.scores and list(engine.emitted) == list(engine.scores)
-    marks = engine.marks
-    assert marks and all(isinstance(mark.depth, int) for mark in marks.values())
+    # bench/run.py counts each engine's retained marks.
+    assert len(engine.marks) > 0
     role_links = sum(link.kind is planmark.LinkKind.ROLE_UP for link in kb.links.values())
     assert sum(len(s.slots) for s in kb.schemas.values()) == role_links == 2
     (network,) = networks

@@ -201,6 +201,19 @@ def test_engine_config_rejects_a_depth_that_is_not_an_int(max_depth):
         EngineConfig(max_depth=max_depth)
 
 
+@pytest.mark.parametrize("config, name, value", [
+    (EngineConfig, "half_threshold", "1"), (EngineConfig, "half_threshold", True),
+    (EngineConfig, "full_threshold", True), (RunConfig, "gamma1", "0.5"),
+    (RunConfig, "gamma0", True), (RunConfig, "approval_ratio", "3"),
+    (RunConfig, "approval_ratio", True)])
+def test_configs_reject_a_setting_that_is_not_a_number(config, name, value):
+    # A string used to raise TypeError from arithmetic or a comparison, and
+    # True passed for 1: as a half threshold it keyed spread programs.
+    message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        config(**{name: value})
+
+
 @pytest.mark.parametrize("ratio", [math.nan, -5.0])
 def test_run_config_rejects_a_nan_or_negative_approval_ratio(ratio):
     with pytest.raises(ValueError, match="^approval ratio must be nonnegative$"):
@@ -306,18 +319,20 @@ def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
     monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 2)
     monkeypatch.setattr(marker, "_SPREADS_MAX", 12)
     base, sizes, programs = load_kb(kb_text), [], []
-    approve, publish = pipeline.approve, MarkerEngine._publish
+    approve, record = pipeline.approve, marker._program
 
     def sizing_approve(*args, **kwargs):
         sizes.append(len(base.judgements))
         return approve(*args, **kwargs)
 
-    def sizing_publish(engine, key, program):
+    # `spread` adds each program it records to the table right after it
+    # records it, so the table's size here is its size before the addition.
+    def sizing_program(*args):
         programs.append((len(base.spreads), base.spread_marks))
-        return publish(engine, key, program)
+        return record(*args)
 
     monkeypatch.setattr(pipeline, "approve", sizing_approve)
-    monkeypatch.setattr(MarkerEngine, "_publish", sizing_publish)
+    monkeypatch.setattr(marker, "_program", sizing_program)
     for _ in range(2):
         assert [run(base, config, stream).render() for stream in streams] == expected
         sizes.append(len(base.judgements))
