@@ -42,7 +42,7 @@ from .pipeline import (
     run,
     synth_corpus,
 )
-from .semantics import relevant_statements, statements_of
+from .semantics import relevant_statements, requirements, statements_of
 
 __version__ = "0.1.0"
 
@@ -79,5 +79,6 @@ __all__ = [
     "run",
     "synth_corpus",
     "relevant_statements",
+    "requirements",
     "statements_of",
 ]

@@ -51,12 +51,15 @@ relevant type, looked up once in the base's prior table.  RS(P)'s role
 links give each equality its declared filler type, and the priors are
 the instance nodes' tables, which the CPTs do not copy.  Before a path
 is evaluated, `evidence_filter` asks whether the input corroborates
-every slot binding it claims.  A plain dict maps each slot to the
-schemas it is corroborated at, so an equality whose slot nothing
-corroborates fails at one lookup; otherwise the owner's relevant type
-and its ancestors are looked up in the slot's set, walked through the
-base's parent table.  The owner of role link k is RS(P)'s instance k
-plus the ``owner_side`` of the link's kind, read here, not decided.
+every slot binding it claims.  It reads one (slot, owner's relevant
+type) pair per equality: `semantics.requirements` yields them from
+RS(P), where the owner of role link k is RS(P)'s instance k plus the
+``owner_side`` of the link's kind, read there, not decided, and a base's
+judgement table keeps them for a claim met twice.  A plain dict maps
+each slot to the schemas it is corroborated at, so an equality whose
+slot nothing corroborates fails at one lookup; otherwise the owner's
+relevant type and its ancestors are looked up in the slot's set, walked
+through the base's parent table.
 After evaluation, `approve` compares the posterior with the prior of the
 fresh instances the path hypothesizes.
 """
@@ -64,7 +67,7 @@ fresh instances the path hypothesizes.
 from __future__ import annotations
 
 from math import prod
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .kb import KnowledgeBase, Observation
 from .paths import Path
@@ -182,22 +185,22 @@ def exact_posterior(network: VertebrateNetwork, cpts: Cpts) -> tuple[float, floa
 
 # -- evidence filtering and approval ------------------------------------------
 
-def evidence_filter(kb: KnowledgeBase, rs: RelevantStatements,
+def evidence_filter(kb: KnowledgeBase, requires: Iterable[tuple[str, str]],
                     corroborated: dict[str, set[str]]) -> bool:
-    """True iff every slot equality of RS(P) is corroborated for its slot
-    at the owner's relevant type or an ancestor of it; ``corroborated``
-    maps a slot to the schemas it is corroborated at.
+    """True iff each (slot, schema) pair of ``requires`` has its slot
+    corroborated at the schema or an ancestor of it; ``corroborated`` maps
+    a slot to the schemas it is corroborated at.  A path's pairs are
+    `semantics.requirements` of its RS(P): each slot equality's slot and
+    its owner's relevant type.
 
     That is all RS(P) asserts that needs support: its two end instances
     were observed, and every fresh instance owns an equality, so the
     record that supports the equality supports the instance too."""
-    types, parents = rs.types, kb.parents
-    for k, link in enumerate(rs.roles):
-        schemas = corroborated.get(link.slot)
+    parents = kb.parents
+    for slot, schema in requires:
+        schemas = corroborated.get(slot)
         if schemas is None:
             return False
-        # Role k joins instances k and k+1; its kind says which owns the slot.
-        schema = types[k + link.kind.owner_side]
         while schema not in schemas:
             schema = parents[schema]
             if schema is None:

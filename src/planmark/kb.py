@@ -62,16 +62,22 @@ schema with two or more links leaving it has its list sorted.
 
 `load_kb` leaves two tables empty, which later calls on the base fill
 and read: `KnowledgeBase.judgements`, where `pipeline.run` keeps each
-claim's judgement, and `KnowledgeBase.spreads`, where the marker engine
-keeps each seed's spread program (see `marker`), with
-`KnowledgeBase.spread_marks` counting the marks the programs hold.
-Nothing else changes a base after `load_kb` builds it, and each entry is
-a function of its key alone, added only once complete and never changed
-after, so one base is safe to share across threads: two calls may judge
-one claim or spread one seed twice, but never differently, and a call
-keeps using an entry another call's clear removed.  Each table is cleared
-when it reaches its cap, under 1 MB of claims and about 10 MB of marks, so
-memory stays bounded whatever a caller feeds.  `==` ignores both tables.
+judged claim's judgement and, from the claim's second meeting on, its
+record template and the evidence filter's pairs, and
+`KnowledgeBase.spreads`, where the marker engine keeps each seed's spread
+program (see `marker`), with `KnowledgeBase.spread_marks` counting the
+marks the programs hold.  Nothing else changes a base after `load_kb`
+builds it, and each entry is a function of its key alone, added only
+once complete; a spread program is never changed after, and a claim's
+entry is replaced at most once, by the same judgement plus its template
+and pairs, themselves functions of the key.  So one base is safe to
+share across threads: two calls may judge one claim, template it or
+spread one seed twice, but never differently, and a call keeps using an
+entry another call's clear removed (a template can restore such an
+entry, taking the claims one per concurrent call past their cap).  Each
+table is cleared when it reaches its cap, under 2 MB of claims and about
+10 MB of marks, so memory stays bounded whatever a caller feeds.  `==`
+ignores both tables.
 """
 
 from __future__ import annotations
@@ -146,7 +152,8 @@ class KnowledgeBase:
         self.priors = priors
         self.parents = parents
         self.slot_owners = slot_owners
-        # claim -> `pipeline.Judgement`; `pipeline.run` is its one writer.
+        # claim -> `pipeline.Judgement`, with its template from the claim's
+        # second meeting on; `pipeline.run` is its one writer.
         self.judgements: dict[tuple, tuple] = {}
         # seed key -> its spread program, a tuple of `marker.Mark`s in
         # placement order, and the marks the table holds;

@@ -13,29 +13,41 @@ record already in the index passed that check and is not checked again.
 Once the whole stream is read, so that a bad record is raised before
 anything spreads, the engine spreads its origins in seed order, which
 emits what spreading each as it arrives would, so paths surface in story
-order.  Every reported path is then translated once into its RS(P), which
-serves the cheap evidence filter, the exact network evaluation (only if
-the filter passes) and the approval test.  A rejected path costs its RS(P)
-walk and nothing more, and the report prints its statement texts joined.
-Each distinct claim is judged once per base and interior strengths.  The
-network a passing path induces is fixed by its links, which fix its end
-schemas and its relevant and filler types, and by its two end beliefs,
-and the base's priors and p(==) never change; so (links, start belief,
-end belief, gamma1, gamma0, approval ratio) keys the `Judgement` kept in
-the base's table, `KnowledgeBase.judgements`: the posterior, residual and
-approval, and the record's lines from ``filtered`` on, rendered once.
-The key holds no instance name because the evaluation reads none, so
-every record that makes a claim, in this call or a later one on the same
-base, shares its one judgement.  Only a path that passes the filter
-builds a key, and the filter runs on every path of every call, since
-corroboration is per stream.  The first call on a freshly loaded base
-pays full price.  The table is cleared when it holds `_JUDGEMENTS_MAX`
-claims, under 1 MB, so a caller that feeds ever new beliefs pays at most
-one clear per that many new claims.  A path's ``sc`` is the score the
-marker computed once, when it emitted the path, and equals its
-`score_path`; its text is `Path.render`, which joins the texts the base's
-links carry.  Three counters mirror the stages: paths reported by the
-marker, evaluated (those that passed the filter) and approved.
+order.  Each reported path then makes a claim, keyed by (links, start
+belief, end belief, gamma1, gamma0, approval ratio).  The links fix the
+path's end schemas, its text (`Path.render`, which joins the texts the
+base's links carry) and its RS(P) but for their instance names, and the
+(slot, owner's relevant type) pairs the evidence filter checks.  With the
+beliefs they fix its ``sc``, the score the marker computed when it
+emitted the path, bit for bit, since the marker's fold is `score_path`'s.
+The whole key fixes the network the path induces, because the base's
+priors and p(==) never change.  So a record's text is a function of its
+claim and three names: its start instance, its fresh-name prefix
+``p<k>-gen-`` and its end instance.  Only the ``filtered`` verdict
+depends on the stream, since corroboration is per stream, so the filter
+runs on every record of every call.
+
+The base's table, `KnowledgeBase.judgements`, holds one `Judgement` per
+claim whose path has passed the filter: its posterior, residual and
+approval, and the record's lines from ``filtered`` on, rendered once.  A
+path whose claim the table lacks is translated into its RS(P), which
+serves the filter, the exact network evaluation (only if the filter
+passes) and the approval test, and its record is written out in full;
+a rejected path costs its RS(P) walk and nothing more.  The second time
+a base meets a judged claim, in this call or a later one, it walks the
+path once more with its three names as template fields, and replaces the
+claim's entry by the same judgement plus the record's text as a
+template and the filter's pairs.  From then on a record of the claim is
+one lookup, one filter call on the kept pairs and one `str.format`.  The
+template waits for the second meeting because a claim met once would
+pay for a walk it never reuses.  KB names and float reprs hold no
+brace, so the fields are the only text the fill reads; the names are
+its arguments, never parsed, whatever they hold.  The first call on a
+freshly loaded base pays full price.  The table is cleared when it holds
+`_JUDGEMENTS_MAX` claims, under 2 MB with templates, so a caller that
+feeds ever new beliefs pays at most one clear per that many new claims.
+Three counters mirror the stages: paths reported by the marker,
+evaluated (those that passed the filter) and approved.
 
 The report is plain structured text: one ``#`` header line, then a fixed
 field order (path, sc, rs, filtered, posterior, residual, approved per
@@ -65,8 +77,8 @@ from .kb import KbError, KnowledgeBase, Observation, _check_real
 from .marker import EngineConfig, MarkerEngine
 # bench/tracing.py wraps this module's score_path, so it stays imported.
 from .marker import score_path  # noqa: F401
-from .paths import form_start, read_forms
-from .semantics import relevant_statements
+from .paths import Path, form_start, read_forms
+from .semantics import RelevantStatements, relevant_statements, requirements
 
 
 class RunConfig:
@@ -95,21 +107,27 @@ class RunConfig:
 class Judgement(NamedTuple):
     """What `run` decides of one claim: its posterior, residual and
     approval, and ``text``, the record lines they print, from the
-    ``filtered`` line's value on."""
+    ``filtered`` line's value on.  From the claim's second meeting on, its
+    entry in the base's table also holds ``template``, the record's text
+    with four fields: the start instance ``{0}``, the fresh-name prefix
+    ``{1}``, the end instance ``{2}`` and the ``filtered`` line's value
+    ``{3}``; and ``requires``, the pairs the evidence filter checks."""
 
     posterior: float
     residual: float
     approved: bool
     text: str
+    template: str | None = None
+    requires: tuple[tuple[str, str], ...] | None = None
 
 
 # The record lines, from the ``filtered`` line's value on, of a path that
 # fails the evidence filter.
 _FAILED = "fail\nposterior -\nresidual -\napproved no"
 
-# Claims a base's judgement table holds before it is cleared: about 470
-# bytes each with key and text (tracemalloc, on the benchmark's claims),
-# so under 1 MB.
+# Claims a base's judgement table holds before it is cleared: about 950
+# bytes each with key, text, template and pairs (tracemalloc, on the 1,600
+# claims of the benchmark's `corpus`), so under 2 MB.
 _JUDGEMENTS_MAX = 2000
 
 
@@ -117,14 +135,22 @@ class PathRecord(NamedTuple):
     # `run` gives a record the judgement of its claim exactly when its path
     # passes the evidence filter, so the judgement decides the ``filtered``
     # line.
-    path_text: str
+    text: str
     sc: float
-    rs_text: str
     judgement: Judgement | None
 
+    @property
+    def path_text(self) -> str:
+        text = self.text
+        return text[5:text.index("\nsc ")]
+
+    @property
+    def rs_text(self) -> str:
+        text = self.text
+        return text[text.index("\nrs ") + 4:text.index("\nfiltered ")]
+
     def render(self) -> str:
-        judged = _FAILED if self.judgement is None else self.judgement.text
-        return f"path {self.path_text}\nsc {self.sc!r}\nrs {self.rs_text}\nfiltered {judged}"
+        return self.text
 
 
 class RunReport:
@@ -135,10 +161,31 @@ class RunReport:
         self.approved = approved
 
     def render(self) -> str:
-        lines = ["# planmark run report"] + [record.render() for record in self.records]
+        lines = ["# planmark run report"] + [record.text for record in self.records]
         lines.append(f"counters reported={self.reported} "
                      f"evaluated={self.evaluated} approved={self.approved}")
         return "\n".join(lines) + "\n"
+
+
+def _record_text(path: Path, sc: float, rs: RelevantStatements, judged: str) -> str:
+    """A record's lines, ``judged`` being the ``filtered`` line's value on."""
+    return f"path {path.render()}\nsc {sc!r}\nrs {''.join(rs.statements)}\nfiltered {judged}"
+
+
+def _with_template(judgement: Judgement, path: Path, sc: float) -> Judgement:
+    """The judgement of the path's claim plus the claim's template and
+    pairs, from one walk of the path with its instances named by the
+    template's fields.  `load_kb` restricts KB names to
+    ``[A-Za-z][A-Za-z0-9_-]*`` and a float's repr holds none either, so
+    the fields are the template's only braces."""
+    # tuple.__new__ skips the named tuples' constructors, Python functions.
+    new = tuple.__new__
+    start, links, end = path
+    shape = new(Path, (new(Observation, ("{0}", start.schema, start.belief)), links,
+                       new(Observation, ("{2}", end.schema, end.belief))))
+    rs = relevant_statements(shape, "{1}")
+    return new(Judgement, (*judgement[:4], _record_text(shape, sc, rs, "{3}"),
+                           tuple(requirements(rs))))
 
 
 # Path k of a run names its fresh instances p<k>-gen-<j>.  An observation
@@ -230,12 +277,15 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     gamma1, gamma0, ratio = config.gamma1, config.gamma0, config.approval_ratio
     # The engine scored each path when it emitted it.
     for index, (path, sc) in enumerate(engine.scores.items(), start=1):
-        rs = relevant_statements(path, f"p{index}-gen-")
-        judgement = None
-        if evidence_filter(kb, rs, corroborated):
-            claim = (path.links, path.start.belief, path.end.belief, gamma1, gamma0, ratio)
-            judgement = judgements.get(claim)
-            if judgement is None:
+        start, links, end = path
+        prefix = f"p{index}-gen-"
+        claim = (links, start.belief, end.belief, gamma1, gamma0, ratio)
+        # A base that has judged nothing has nothing to look up.
+        judgement = judgements.get(claim) if judgements else None
+        if judgement is None:
+            rs = relevant_statements(path, prefix)
+            passed = evidence_filter(kb, requirements(rs), corroborated)
+            if passed:
                 network = build_network(kb, path, rs)
                 posterior, residual = exact_posterior(
                     network, default_cpts(kb, network, gamma1, gamma0))
@@ -246,9 +296,19 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                     posterior, residual, approved,
                     f"pass\nposterior {posterior!r}\nresidual {residual!r}\n"
                     f"approved {'yes' if approved else 'no'}")
+            text = _record_text(path, sc, rs, judgement.text if passed else _FAILED)
+        else:
+            if judgement.template is None:  # the claim's second meeting
+                judgement = judgements[claim] = _with_template(judgement, path, sc)
+            passed = evidence_filter(kb, judgement.requires, corroborated)
+            text = judgement.template.format(start.instance, prefix, end.instance,
+                                             judgement.text if passed else _FAILED)
+        if passed:
             evaluated += 1
             approved_count += judgement.approved
-        records.append(PathRecord(path.render(), sc, "".join(rs.statements), judgement))
+        else:
+            judgement = None
+        records.append(tuple.__new__(PathRecord, (text, sc, judgement)))
 
     return RunReport(records=records, evaluated=evaluated, approved=approved_count)
 

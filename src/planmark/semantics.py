@@ -39,7 +39,7 @@ links, which give each equality's slot, filler type and owner.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .paths import LinkKind, Path, TraversalLink
 
@@ -119,3 +119,13 @@ def statements_of(path: Path, fresh_prefix: str = "gen-") -> tuple[str, ...]:
     """S(P) of a valid path: every typing and slot equality it asserts, in
     derivation order, the first occurrence of each kept."""
     return tuple(dict.fromkeys(_every_typing(path, fresh_prefix).statements))
+
+
+def requirements(rs: RelevantStatements) -> Iterator[tuple[str, str]]:
+    """What the evidence filter checks of RS(P): each slot equality's slot
+    and its owner's relevant type, in role order, yielded one at a time,
+    so a filter that fails at the first pair reads no more."""
+    types = rs.types
+    for k, link in enumerate(rs.roles):
+        # Role k joins instances k and k+1; its kind says which owns the slot.
+        yield link.slot, types[k + link.kind.owner_side]

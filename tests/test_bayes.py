@@ -21,6 +21,7 @@ from planmark import (
     parse_path,
     relevant_statements,
     render_network,
+    requirements,
     score_path,
 )
 from planmark.paths import Path
@@ -356,39 +357,39 @@ def registry_for_fig31():
 
 def test_evidence_filter_passes_with_full_corroboration(kb, fig31):
     rs = relevant_statements(fig31)
-    assert evidence_filter(kb, rs, registry_for_fig31())
+    assert evidence_filter(kb, requirements(rs), registry_for_fig31())
 
 
 def test_evidence_filter_fails_with_empty_registry(kb, fig31):
     rs = relevant_statements(fig31)
-    assert not evidence_filter(kb, rs, {})
+    assert not evidence_filter(kb, requirements(rs), {})
 
 
 def test_evidence_filter_needs_every_equality_corroborated(kb, fig31):
     rs = relevant_statements(fig31)
     registry = registry_for_fig31()
     registry["go-step"].discard("supermarket-shopping")
-    assert not evidence_filter(kb, rs, registry)
+    assert not evidence_filter(kb, requirements(rs), registry)
 
 
 def test_evidence_filter_base_path(kb):
     path = single_role_path(kb)
     rs = relevant_statements(path)
-    assert evidence_filter(kb, rs, {"store-of": {"supermarket-shopping"}})
+    assert evidence_filter(kb, requirements(rs), {"store-of": {"supermarket-shopping"}})
 
 
 def test_evidence_filter_matches_ancestors(kb, fig31):
     # A record at the isa parent covers the more specific relevant type.
     rs = relevant_statements(fig31)
-    assert evidence_filter(kb, rs, {"store-of": {"shopping"}, "go-step": {"shopping"}})
+    assert evidence_filter(kb, requirements(rs), {"store-of": {"shopping"}, "go-step": {"shopping"}})
 
 
 def test_evidence_filter_needs_the_slot_at_the_owner_or_an_ancestor(kb):
     # The slot is indexed either way; only a record at the owner's relevant
     # type or an isa ancestor of it corroborates the equality.
     rs = relevant_statements(single_role_path(kb))
-    assert not evidence_filter(kb, rs, {"store-of": {"go"}})
-    assert evidence_filter(kb, rs, {"store-of": {"shopping"}})
+    assert not evidence_filter(kb, requirements(rs), {"store-of": {"go"}})
+    assert evidence_filter(kb, requirements(rs), {"store-of": {"shopping"}})
 
 
 def _random_registries(rng, base, path, folded, count):
@@ -424,7 +425,7 @@ def test_evidence_filter_matches_the_record_scan():
         rs = relevant_statements(path, prefix)
         folded = relevant_statements_by_fold(base, path, prefix)
         for index, scan in _random_registries(rng, base, path, folded, 8):
-            passed = evidence_filter(base, rs, index)
+            passed = evidence_filter(base, requirements(rs), index)
             assert passed == evidence_filter_by_scan(base, path, scan, prefix), path.render()
             verdicts[passed] += 1
     assert min(verdicts[True], verdicts[False]) >= 0.2 * sum(verdicts.values())

@@ -751,6 +751,140 @@ def test_each_evaluated_record_equals_a_fresh_evaluation_of_its_own_path():
     assert reused_warm == evaluated_warm > 1500
 
 
+def without_corroborations(stream):
+    """The stream's observations alone: no slot of theirs is corroborated."""
+    return "".join(line + "\n" for line in stream.splitlines()
+                   if not line.startswith("(corroborate"))
+
+
+def warm_table_cases():
+    """(base, engine config, streams) for the judgement table tests: each
+    `table_cases` base with its stream, the stream renamed without its
+    first observation and the stream without its corroborations; and a
+    synthetic base at density 0.7 with its stories, each alone and all in
+    one stream."""
+    for base, engine_config, stream, _ in table_cases():
+        yield base, engine_config, [stream, renamed_without_the_first_observation(stream),
+                                    without_corroborations(stream)]
+    corpus = synth_corpus(7, SynthParams(n_plans=12, n_stories=10,
+                                         corroboration_density=0.7))
+    yield (load_kb(corpus.kb_text), EngineConfig(half_threshold=1e-8, max_depth=6),
+           corpus.streams + ["".join(corpus.streams)])
+
+
+def test_a_warmed_table_renders_each_report_as_a_fresh_base_does():
+    # A base meets each claim of a stream's first pass for the first or
+    # second time, and renders the record of a claim it met twice by
+    # filling the claim's template; after two passes over every stream,
+    # each report must still be what a fresh base gives for its stream.
+    filled = 0
+    for base, engine_config, streams in warm_table_cases():
+        config = RunConfig(engine=engine_config)
+        expected = [run(load_kb(base.render()), config, stream).render()
+                    for stream in streams]
+        for _ in range(2):
+            for stream in streams:
+                run(base, config, stream)
+        assert [run(base, config, stream).render() for stream in streams] == expected
+        filled += sum(judgement.template is not None
+                      for judgement in base.judgements.values())
+    assert filled > 1000
+
+
+FAILED_LINES = "filtered fail\nposterior -\nresidual -\napproved no"
+
+
+def test_a_judged_claim_fails_where_its_slots_are_not_corroborated():
+    # A stream judges its claims; the same observations without their
+    # corroborations make the same claims, and each record must print the
+    # failed lines and stay out of the counters, whether its claim is met
+    # for the second time (its template is built) or filled.
+    judged = 0
+    for base, engine_config, streams in warm_table_cases():
+        config = RunConfig(engine=engine_config)
+        first = run(base, config, streams[0])
+        bare = without_corroborations(streams[0])
+        expected = run(load_kb(base.render()), config, bare).render()
+        for _ in range(3):
+            report = run(base, config, bare)
+            assert report.render() == expected
+            assert (report.evaluated, report.approved) == (0, 0)
+            for was, record in zip(first.records, report.records, strict=True):
+                assert record.judgement is None
+                assert record.text.endswith(FAILED_LINES)
+                judged += was.judgement is not None
+    assert judged > 1000
+
+
+def test_a_claim_met_twice_walks_its_path_no_more(monkeypatch):
+    # One story per plan, every slot corroborated: each path passes and
+    # makes a claim of its own.  The first pass walks each path for its
+    # record, the second walks each once more for its claim's template,
+    # and the third fills every record without a walk.
+    corpus = synth_corpus(4, SynthParams(n_plans=8, n_stories=24))
+    stories = {}
+    for story in corpus.streams:
+        stories.setdefault(story.split()[2], story)  # its first filler's kind
+    stream = "".join(stories.values())
+    walks = []
+    walk = pipeline.relevant_statements
+
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(pipeline, "relevant_statements", counting_walk)
+    base, config = load_kb(corpus.kb_text), RunConfig(engine=EngineConfig(half_threshold=1e-8))
+    counts = []
+    for _ in range(3):
+        report = run(base, config, stream)
+        counts.append(len(walks))
+        walks.clear()
+    assert report.reported == report.evaluated == len(base.judgements) == len(stories) > 4
+    assert counts == [report.reported, report.reported, 0]
+
+
+BRACED_STREAM = """
+(inst a{0} supermarket :belief 0.9)
+(inst b} go :belief 0.9)
+(inst {1} supermarket :belief 0.9)
+(inst { go :belief 0.9)
+(inst %s supermarket :belief 0.9)
+(corroborate supermarket-shopping store-of)
+(corroborate supermarket-shopping go-step)
+"""
+
+
+def test_instance_ids_are_data_to_a_filled_record():
+    # Instance IDs may hold braces and percent signs.  A filled record
+    # takes them only as the fill's arguments, so each is printed as read,
+    # on a fresh base and on one that has met every claim before.
+    expected = run(load_kb(FIXTURE_KB_TEXT), fixture_config(), BRACED_STREAM).render()
+    base = load_kb(FIXTURE_KB_TEXT)
+    reports = [run(base, fixture_config(), BRACED_STREAM) for _ in range(3)]
+    assert [report.render() for report in reports] == [expected] * 3
+    assert all(judgement.template is not None for judgement in base.judgements.values())
+    engine = MarkerEngine(base, fixture_config().engine)
+    for head, payload, _ in parse_stream(BRACED_STREAM):
+        if head == "inst":
+            engine.seed(payload)
+    engine.spread()
+    for index, (path, record) in enumerate(zip(engine.scores, reports[-1].records,
+                                               strict=True), start=1):
+        assert record.path_text == path.render()
+        assert record.rs_text == "".join(
+            relevant_statements(path, f"p{index}-gen-").statements)
+    lines = expected.splitlines()
+    assert ("path (inst b} go)(role shopping go-step go)(role- shopping go-step go)"
+            "(inst { go)") in lines
+    assert ("rs (inst a{0} supermarket)(= (store-of p2-gen-1) a{0})"
+            "(inst p2-gen-1 supermarket-shopping)(= (store-of p2-gen-1) {1})"
+            "(inst {1} supermarket)") in lines
+    assert ("rs (inst { go)(= (go-step p11-gen-1) {)(inst p11-gen-1 supermarket-shopping)"
+            "(= (store-of p11-gen-1) %s)(inst %s supermarket)") in lines
+    assert lines[-1] == "counters reported=11 evaluated=10 approved=0"
+
+
 def test_a_repeated_corroboration_is_checked_once(kb, monkeypatch):
     checked, indexes = [], []
     check, evidence_filter = pipeline._check_corroboration, pipeline.evidence_filter
@@ -759,9 +893,9 @@ def test_a_repeated_corroboration_is_checked_once(kb, monkeypatch):
         checked.append((schema, slot))
         check(base, schema, slot)
 
-    def recording_filter(base, rs, corroborated):
+    def recording_filter(base, requires, corroborated):
         indexes.append({slot: set(schemas) for slot, schemas in corroborated.items()})
-        return evidence_filter(base, rs, corroborated)
+        return evidence_filter(base, requires, corroborated)
 
     expected = run(kb, fixture_config(), FIXTURE_STREAM).render()
     monkeypatch.setattr(pipeline, "_check_corroboration", counting_check)

@@ -63,9 +63,11 @@ CASES = {"synth": synth_case, "random_kb": random_kb_case}
 
 @pytest.mark.parametrize("case,seed,half_threshold", sorted(PINS))
 def test_report_bytes_are_pinned(case, seed, half_threshold):
-    # The second run on the base finds every claim judged by the first.
+    # The second run on the base meets every claim judged by the first a
+    # second time and builds its template; the third fills every record
+    # of a judged claim from its template.
     base, config, stream = CASES[case](seed, half_threshold)
-    for _ in range(2):
+    for _ in range(3):
         report = run(base, config, stream)
         digest = hashlib.sha256(report.render().encode()).hexdigest()
         assert (report.reported, digest) == PINS[case, seed, half_threshold]
