@@ -60,24 +60,28 @@ check walks each schema once.  Both directions of a KB link are built
 together, their texts from one text of the link's names, and only a
 schema with two or more links leaving it has its list sorted.
 
-`load_kb` leaves two tables empty, which later calls on the base fill
+`load_kb` leaves three tables empty, which later calls on the base fill
 and read: `KnowledgeBase.judgements`, where `pipeline.run` keeps each
 judged claim's judgement and, from the claim's second meeting on, its
-record template and the evidence filter's pairs, and
+record template and what the evidence filter reads of its RS(P);
 `KnowledgeBase.spreads`, where the marker engine keeps each seed's spread
 program (see `marker`), with `KnowledgeBase.spread_marks` counting the
-marks the programs hold.  Nothing else changes a base after `load_kb`
-builds it, and each entry is a function of its key alone, added only
-once complete; a spread program is never changed after, and a claim's
-entry is replaced at most once, by the same judgement plus its template
-and pairs, themselves functions of the key.  So one base is safe to
-share across threads: two calls may judge one claim, template it or
-spread one seed twice, but never differently, and a call keeps using an
-entry another call's clear removed (a template can restore such an
-entry, taking the claims one per concurrent call past their cap).  Each
-table is cleared when it reaches its cap, under 2 MB of claims and about
-10 MB of marks, so memory stays bounded whatever a caller feeds.  `==`
-ignores both tables.
+marks the programs hold; and `KnowledgeBase.pairs`, where the engine
+keeps the first meetings of each pair of seeds it has met, with
+`KnowledgeBase.pair_paths` counting the paths they hold.  Nothing else
+changes a base after `load_kb` builds it, and each entry is a function of
+its key alone, added only once complete; a spread program or a pair's
+meetings are never changed after, and a claim's entry is replaced at
+most once, by the same judgement plus its template and filter input,
+themselves functions of the key.  A pair's meetings hold no marks, so
+they stay valid when the spread table is cleared.  So one base is safe
+to share across threads: two calls may judge one claim, template it,
+spread one seed or meet one pair twice, but never differently, and a
+call keeps using an entry another call's clear removed (a template can
+restore such an entry, taking the claims one per concurrent call past
+their cap).  Each table is cleared when it reaches its cap, under 2 MB of
+claims, about 10 MB of marks and under 4 MB of pairs, so memory stays
+bounded whatever a caller feeds.  `==` ignores the three tables.
 """
 
 from __future__ import annotations
@@ -103,18 +107,22 @@ def _check_real(name: str, value: object) -> None:
 
 class KbError(Exception):
     """Raised for both syntactic and semantic problems in a KB source.
-    Carries the 1-based source ``line`` when one is known."""
+    Carries the 1-based source ``line`` when one is known, and the
+    ``position`` in the text of the form or token at fault when the
+    problem is with how the text reads."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None,
+                 position: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.position = position
 
     @classmethod
     def from_reader(cls, message: str, line: int, position: int) -> "KbError":
         """`read_forms` syntax error: KB and stream sources report lines."""
-        return cls(message, line)
+        return cls(message, line, position)
 
 
 class Schema(NamedTuple):
@@ -138,8 +146,8 @@ class Observation(NamedTuple):
 
 class KnowledgeBase:
     """Schemas, p(==), the tables built from them, `run`'s judgement
-    table and the marker's spread table; equal bases have equal schemas
-    and p(==), whatever they have judged or spread."""
+    table and the marker's spread and pair tables; equal bases have equal
+    schemas and p(==), whatever they have judged, spread or met."""
 
     def __init__(self, schemas: dict[str, Schema], eq_prior: float,
                  adjacency: dict[str, tuple[TraversalLink, ...]],
@@ -160,6 +168,10 @@ class KnowledgeBase:
         # `marker.MarkerEngine` is their one writer.
         self.spreads: dict[tuple, tuple] = {}
         self.spread_marks = 0
+        # (earlier seed key, later seed key, full floor) -> the pair's first
+        # meetings, and the paths they hold; the same engine writes them.
+        self.pairs: dict[tuple, tuple] = {}
+        self.pair_paths = 0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

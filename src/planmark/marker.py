@@ -36,57 +36,85 @@ the order they were placed, a tuple.
 
 `_program` records a program from its seed key alone: (schema, belief,
 half floor, max_depth).  It reads no engine state and meets nothing, and
-its retention is its own, so a program is a function of its key.  The
-base keeps programs in its spread table, `KnowledgeBase.spreads`, under
-that key, so each distinct seed is spread once per base, across calls.
-`spread` takes an origin's program from the table, or records it and adds
-it there, and then places its marks in order, in one loop for every
-origin: each mark is kept at its schema under the origin's seed rank plus
-its DFA state, and meets the marks there of the earlier origins, final by
-then.  So every meeting finds the same marks in the same order, and the
-engine emits the same paths, in the same order, with the same scores,
-whatever the table holds, and whether the observations were seeded one
-per `spread` or in a batch.
+its retention is its own, so a program is a function of its key, and so
+are its retained marks: each schema's last mark per DFA state, in the
+order their keys were first filled there, which `_program` returns with
+the program.  The base keeps programs in its spread table,
+`KnowledgeBase.spreads`, under that key, so each distinct seed is spread
+once per base, across calls.
 
-A program goes to the table whole, before its marks are placed, so no
-engine ever replays one half recorded, and it is never changed once
-there: every origin that places it shares its marks, which are the base's
-to read, not the caller's to change.  The table is cleared when it would
-hold more than `_SPREADS_MAX` marks, about 10 MB, so a caller that feeds
-ever new beliefs pays at most one clear per that many marks; a count of
-programs would bound nothing, since one holds from a single mark to one
-per schema and DFA state.  Additions take a lock, so that the count stays
-exact when threads share a base; of two programs recorded with one key,
-by two threads, the table keeps the first.
+An origin meets only the origins seeded before it, whose spreads have
+ended by then: its marks, in program order, meet their retained marks.
+So what two origins meet is a function of their two seed keys, and so
+are the paths they emit, which run from the earlier one's observation to
+the later one's.  The base keeps each such pair's first meetings in its
+pair table, `KnowledgeBase.pairs`, under (earlier seed key, later seed
+key, full floor): one entry per path, from the meeting that first glued
+it, as (position of the later origin's mark in its program, links,
+direct score).  `spread` takes an origin's program from the spread table,
+or records it and adds it there, and finds its partners, the earlier
+origins whose programs reach a schema its own reaches, through an index
+the engine keeps from each schema to those origins in seed order.  It
+takes each partner's entries from the pair table; a pair the table lacks
+is filled by one pass over the origin's program against the partner's
+retained marks (those `_program` returned, or rebuilt from the partner's
+program) and added to the table.  Each mark met the earlier origins'
+marks at its schema in seed order, those of one origin in the order
+their keys were first filled there, so a stable sort of the partners'
+entries, taken in seed order, on the program position gives the order
+the meetings emitted paths in, whether an entry was replayed or just
+filled.  So the engine emits the same paths, in the same order, with the
+same scores, whatever the tables hold, and whether the observations were
+seeded one per `spread` or in a batch; a call whose pairs are all in the
+table meets nothing.  `MarkerEngine.marks` is rebuilt from the programs
+when it is read.
 
-When a mark lands where marks from earlier origins already sit, only those
-whose DFA state the seam table pairs with its own are met: marks from
-unrelated trails can meet at a plateau or a valley, or with no role link
-between them, and no single valid path allows that.  They are met in the
-order their retention keys were first filled at that schema, which is not
-always the order they arrived: a mark that displaces another takes its
-place.  The cleave rule (`combine`) scores each remaining meeting at schema
-n from the two half scores as ``h1 * (h2 / p(n))``, which equals the whole
-path's score.  Dividing first keeps the intermediate at the size of a
-score: two halves that each carry a tiny prior ratio would multiply into
-the subnormal range and lose the precision the identity is checked to.
-That identity is what lets the engine prune on a threshold while spreading,
-before it knows which paths will meet.  Only a meeting whose full score
-clears the full threshold, and is a normal float, is glued into a whole
-path in one pass, oriented from the earlier origin: its mark's links,
-read back along the marks' ``prev`` into one list and reversed, then the
-twins of the new mark's links from the meeting back to its origin,
-appended as they are read, and the list made one tuple.  A path not yet
-in `MarkerEngine.scores`, the engine's one record of what it emitted (each
-path and its direct score, the ``sc`` a run reports, in emission order), is
-scored by the fold `score_path` runs, started from the earlier origin's
-mark's half score, which already is the start belief times its links'
-multipliers, and run over the tuple's glued tail: the same floats in the
-same order, so the score is `score_path`'s, bit for bit, and recorded
-there.  A path of n links can be met again at up to n + 1 cleave points;
-it is not built or scored again, but each meeting that clears the full
-threshold checks its cleave score against the recorded one.  Marks extend
-only along the base's adjacency and meet only at the schema they share, so
+A program goes to its table whole, before any pair is filled, and a
+pair's entries once its fill is done, so no engine ever replays either
+half recorded, and neither is changed once there: every origin that
+replays a program shares its marks, which are the base's to read, not
+the caller's to change.  A pair's entries hold no marks, so clearing the
+spread table leaves the pair table valid.  The spread table is cleared
+when it would hold more than `_SPREADS_MAX` marks, about 10 MB, and the
+pair table when it would hold more than `_PAIRS_MAX` pairs and paths
+together, under 4 MB, so a caller that feeds ever new beliefs pays at
+most one clear per that many; a count of programs or pairs would bound
+nothing, since one holds from a single mark, or no path, to thousands.
+Additions take a lock, so that the counts stay exact when threads share
+a base; of two entries recorded with one key, by two threads, the table
+keeps the first.
+
+A fill meets a mark of the program only with those retained marks of the
+partner at its schema whose DFA state the seam table pairs with its own:
+marks from unrelated trails can meet at a plateau or a valley, or with
+no role link between them, and no single valid path allows that.  They
+are met in the order their retention keys were first filled at that
+schema, which is not always the order they were placed: a mark that
+displaces another takes its place.  The cleave rule (`combine`) scores
+each remaining meeting at schema n from the two half scores as
+``h1 * (h2 / p(n))``, which equals the whole path's score.  Dividing
+first keeps the intermediate at the size of a score: two halves that
+each carry a tiny prior ratio would multiply into the subnormal range and
+lose the precision the identity is checked to.  That identity is what
+lets the engine prune on a threshold while spreading, before it knows
+which paths will meet.  Only a meeting whose full score clears the full
+threshold, and is a normal float, is glued into a whole path in one
+pass, oriented from the earlier origin: the partner's mark's links, read
+back along the marks' ``prev`` into one list and reversed, then the twins
+of the program's mark's links from the meeting back to its origin,
+appended as they are read, and the list made one tuple.  A path the pair
+has not yet met is scored by the fold `score_path` runs, started from the
+partner's mark's half score, which already is the start belief times its
+links' multipliers, and run over the tuple's glued tail: the same floats
+in the same order, so the score is `score_path`'s, bit for bit, and it
+is recorded in the pair's entries.  A path of n links can be met again at
+up to n + 1 cleave points; it is not built or scored again, but each
+meeting that clears the full threshold checks its cleave score against
+the recorded one.  A replayed entry is not checked again.  Every entry,
+replayed or filled, becomes one path of `MarkerEngine.scores`, the
+engine's one record of what it emitted (each path and its direct score,
+the ``sc`` a run reports, in emission order).  Marks extend only along
+the base's adjacency and meet only at the schema they share, so
 `extend_half` and `combine` trust their caller to chain a link onto the
 half and to meet halves at ``at``.
 
@@ -107,9 +135,10 @@ from __future__ import annotations
 
 import math
 import threading
+from operator import itemgetter
 
 from .kb import _MIN_NORMAL, KnowledgeBase, Observation, _check_real
-from .paths import ALL_STATES, SEAM_VALID, START_STATE, STEP, Path, TraversalLink
+from .paths import SEAM_VALID, START_STATE, STEP, Path, TraversalLink
 # bench/tracing.py wraps this module's validate, so it stays imported.
 from .paths import validate  # noqa: F401
 
@@ -118,13 +147,14 @@ from .paths import validate  # noqa: F401
 # benchmark's bases), so under 10 MB.
 _SPREADS_MAX = 65_536
 
-# Serialises additions to every base's spread table, so that a table's
-# count of marks stays exact when threads share the base.
-_SPREADS_LOCK = threading.Lock()
+# Pairs and paths together a base's pair table holds before it is
+# cleared: 150 to 200 bytes each with the entries, their links and the
+# table's keys (tracemalloc, on the benchmark's bases), so under 4 MB.
+_PAIRS_MAX = 16_384
 
-# A seed rank steps by the number of DFA states, so rank + state keys
-# one origin's marks at a schema apart from every other origin's.
-_RANK_STEP = len(ALL_STATES)
+# Serialises additions to every base's spread and pair tables, so that a
+# table's count stays exact when threads share the base.
+_SPREADS_LOCK = threading.Lock()
 
 
 def _fold(kb: KnowledgeBase, value: float, links: tuple[TraversalLink, ...],
@@ -171,11 +201,13 @@ class Mark:
 
 
 def _program(adjacency: dict[str, tuple[TraversalLink, ...]], schema: str,
-             belief: float, half_floor: float, max_depth: int) -> tuple[Mark, ...]:
+             belief: float, half_floor: float, max_depth: int
+             ) -> tuple[tuple[Mark, ...], dict[str, dict[int, Mark]]]:
     """The spread program of a seed: spread from a root mark on ``schema``
     one level at a time, at most ``max_depth`` levels, keeping one mark per
     schema and DFA state, and return the marks in the order they were
-    placed."""
+    placed, with the retained ones by schema and DFA state, each schema's
+    in the order their keys were first filled."""
     root = Mark(schema, START_STATE, belief, None, None)
     retained = {schema: {START_STATE: root}}
     program, level = [root], [root]
@@ -203,7 +235,7 @@ def _program(adjacency: dict[str, tuple[TraversalLink, ...]], schema: str,
             break  # so a large max_depth runs no empty levels
         program += placed
         level = placed
-    return tuple(program)
+    return tuple(program), retained
 
 
 class EngineConfig:
@@ -244,21 +276,22 @@ class EngineConfig:
 
 
 class MarkerEngine:
-    """Single-owner mutable engine over one shared base, whose spread
-    table it reads and fills."""
+    """Single-owner mutable engine over one shared base, whose spread and
+    pair tables it reads and fills."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig | None = None):
         self.kb = kb
         self.config = config = config or EngineConfig()
         self._half_floor = max(config.half_threshold, _MIN_NORMAL)
         self._full_floor = max(config.full_threshold, _MIN_NORMAL)
-        # Per schema, its marks by their origin's seed rank + DFA state.
-        self._at: dict[str, dict[int, Mark]] = {}
         self._seeds: dict[str, Observation] = {}
-        # The seeded observations in seed order: a seed rank over
-        # `_RANK_STEP` indexes it.  Those from `_spread` on have not spread.
+        # The seeded observations in seed order, and the seed keys and
+        # programs of those that have spread.
         self._origins: list[Observation] = []
-        self._spread = 0
+        self._keys: list[tuple] = []
+        self._programs: list[tuple[Mark, ...]] = []
+        # Per schema, the origins whose programs reach it, in seed order.
+        self._reach: dict[str, list[int]] = {}
         # Each emitted path and its direct score, in emission order.
         self.scores: dict[Path, float] = {}
 
@@ -272,9 +305,11 @@ class MarkerEngine:
         """The retained marks by (instance, schema, DFA state), schema by
         schema, in a new dict.  The marks are the base's, shared by every
         call that replays their programs: read them, never change them."""
-        origins = self._origins
-        return {(origins[key // _RANK_STEP].instance, at, mark.state): mark
-                for at, here in self._at.items() for key, mark in here.items()}
+        at_: dict[str, dict[tuple[str, str, int], Mark]] = {}
+        for obs, program in zip(self._origins, self._programs):
+            for mark in program:
+                at_.setdefault(mark.at, {})[obs.instance, mark.at, mark.state] = mark
+        return {key: mark for here in at_.values() for key, mark in here.items()}
 
     def seed(self, obs: Observation) -> None:
         """Record an observation as an origin for the next `spread`;
@@ -291,20 +326,22 @@ class MarkerEngine:
 
     def spread(self) -> None:
         """Spread each origin seeded since the last call, alone and in seed
-        order, recording each path its marks' meetings emit in `scores`:
-        take the program the base holds for its seed, or record one and add
-        it to the base's table, and place its marks in order."""
+        order, recording each path its meetings with the earlier origins
+        emit in `scores`: take its program and each pair's first meetings
+        from the base's tables, or record them and add them there."""
         kb = self.kb
-        at_, collide, spreads = self._at, self._collide, kb.spreads
-        half_floor, max_depth = self._half_floor, self.config.max_depth
-        origins = self._origins
-        for index in range(self._spread, len(origins)):
-            self._spread = index + 1
-            obs, rank = origins[index], index * _RANK_STEP
+        spreads, pairs, half_floor = kb.spreads, kb.pairs, self._half_floor
+        origins, keys, programs, reach = self._origins, self._keys, self._programs, self._reach
+        scores, full_floor, max_depth = self.scores, self._full_floor, self.config.max_depth
+        # The retained marks by schema of the programs this call recorded,
+        # or rebuilt for a fill, by seed key.
+        retained: dict[tuple, dict[str, dict[int, Mark]]] = {}
+        for index in range(len(programs), len(origins)):
+            obs = origins[index]
             key = (obs.schema, obs.belief, half_floor, max_depth)
             program = spreads.get(key)
             if program is None:
-                program = _program(kb.adjacency, *key)
+                program, retained[key] = _program(kb.adjacency, *key)
                 with _SPREADS_LOCK:
                     # Another thread may have recorded it too; the first stays.
                     if key not in spreads:
@@ -313,25 +350,77 @@ class MarkerEngine:
                             kb.spread_marks = 0
                         spreads[key] = program
                         kb.spread_marks += len(program)
-            for mark in program:
-                at, state = mark.at, mark.state
-                here = at_.get(at) or at_.setdefault(at, {})
-                # A mark placed after a worse one of the same origin takes
-                # that mark's key, and so its place in the meeting order.
-                here[rank + state] = mark
-                # Only a meeting the seam table allows can yield a valid
-                # path, so only those reach `_collide`, in the order their
-                # keys were first filled here.  Every origin seeded before
-                # this one has spread, and none after it has, so the other
-                # origins' marks here are those whose keys fall below
-                # ``rank``, and a key less its mark's state is the seed
-                # rank of the mark's origin.
-                seam = SEAM_VALID[state]
-                for other_key, other in here.items():
-                    if other_key < rank and seam[other.state]:
-                        collide(other_key - other.state, other, rank, mark)
+            keys.append(key)
+            programs.append(program)
+            # Only an earlier origin whose program reaches a schema this
+            # one's does can meet it.
+            partners = set()
+            for at in retained.get(key) or {mark.at for mark in program}:
+                here = reach.get(at)
+                if here is None:
+                    reach[at] = [index]
+                else:
+                    partners.update(here)
+                    here.append(index)
+            found, missing = [], {}
+            for partner in sorted(partners):
+                entries = pairs.get((keys[partner], key, full_floor))
+                if entries is None:
+                    missing[partner] = ({}, entries := [])
+                elif not entries:
+                    continue
+                found.append((origins[partner], entries))
+            if missing:
+                self._fill(index, retained, missing)
+                with _SPREADS_LOCK:
+                    for partner, (_, entries) in missing.items():
+                        pair = (keys[partner], key, full_floor)
+                        if pair not in pairs:
+                            # A pair counts one, and one more per path.
+                            if len(pairs) + kb.pair_paths + len(entries) >= _PAIRS_MAX:
+                                pairs.clear()
+                                kb.pair_paths = 0
+                            pairs[pair] = tuple(entries)
+                            kb.pair_paths += len(entries)
+            if len(found) == 1:
+                start, entries = found[0]
+                for _, links, direct in entries:
+                    scores[tuple.__new__(Path, (start, links, obs))] = direct
+            elif found:
+                # Each mark met the earlier origins' marks at its schema in
+                # seed order, so a stable sort on the program position
+                # merges the pairs' entries.
+                met = [(p2, start, links, direct)
+                       for start, entries in found for p2, links, direct in entries]
+                met.sort(key=itemgetter(0))
+                for _, start, links, direct in met:
+                    scores[tuple.__new__(Path, (start, links, obs))] = direct
 
-    def _collide(self, rank1: int, m1: Mark, rank2: int, m2: Mark) -> None:
+    def _fill(self, index: int, retained: dict[tuple, dict],
+              missing: dict[int, tuple[dict, list]]) -> None:
+        # Each mark of the origin's program, in order, meets the retained
+        # marks at its schema of each earlier origin whose pair the table
+        # lacks, those of one origin in the order their keys were first
+        # filled there.
+        keys, meet = self._keys, self._meet
+        end, program = self._origins[index], self._programs[index]
+        for partner, pair in missing.items():
+            key = keys[partner]
+            marks = retained.get(key)
+            if marks is None:
+                marks = retained[key] = {}
+                for mark in self._programs[partner]:
+                    marks.setdefault(mark.at, {})[mark.state] = mark
+            for p2, m2 in enumerate(program):
+                here = marks.get(m2.at)
+                if here is not None:
+                    seam = SEAM_VALID[m2.state]
+                    for m1 in here.values():
+                        if seam[m1.state]:
+                            meet(pair, end, p2, m2, m1)
+
+    def _meet(self, pair: tuple[dict, list], end: Observation, p2: int, m2: Mark,
+              m1: Mark) -> None:
         # The glued path runs from m1, whose origin was seeded first.  The
         # seam is valid, so the path is; one that scores below the full
         # threshold or the normal floor builds nothing.
@@ -348,15 +437,13 @@ class MarkerEngine:
         while m2.prev is not None:
             links.append(m2.link.twin)
             m2 = m2.prev
-        # The key equals the glued `Path` and hashes the same, so a `Path`
-        # is built only when it is first emitted; a path met again at
-        # another cleave point is checked against its recorded score.
-        origins, scores = self._origins, self.scores
-        key = (origins[rank1 // _RANK_STEP], tuple(links), origins[rank2 // _RANK_STEP])
-        direct = scores.get(key)
+        # A path met again at another cleave point is checked against the
+        # score its first meeting recorded.
+        links, (paths, entries) = tuple(links), pair
+        direct = paths.get(links)
         if direct is None:
-            direct = scores[tuple.__new__(Path, key)] = _fold(
-                kb, m1.score, key[1][cleave:], key[2])
+            direct = paths[links] = _fold(kb, m1.score, links[cleave:], end)
+            entries.append((p2, links, direct))
         if not math.isclose(full, direct, rel_tol=1e-9):
             raise AssertionError(
                 f"cleave identity violated: combined {full!r} vs direct {direct!r}")

@@ -10,14 +10,17 @@ the evidence index, which maps each slot to the schemas it is
 corroborated at, unless its slot is declared neither on its schema nor on
 an isa ancestor or descendant of it, which makes it an input error; a
 record already in the index passed that check and is not checked again.
-Once the whole stream is read, so that a bad record is raised before
-anything spreads, the engine spreads its origins in seed order, which
-emits what spreading each as it arrives would, so paths surface in story
-order.  Each reported path then makes a claim, keyed by (links, start
+The problem reported with a stream is the first in its text: every
+record's shape is read first, and if one does not read, the records
+before it are seeded and indexed before its problem is raised, so that
+one of theirs comes first.  Once the whole stream is read, so that a bad
+record is raised before anything spreads, the engine spreads its origins
+in seed order, which emits what spreading each as it arrives would, so
+paths surface in story order.  Each reported path then makes a claim, keyed by (links, start
 belief, end belief, gamma1, gamma0, approval ratio).  The links fix the
 path's end schemas, its text (`Path.render`, which joins the texts the
 base's links carry) and its RS(P) but for their instance names, and the
-(slot, owner's relevant type) pairs the evidence filter checks.  With the
+relevant types and role links the evidence filter reads.  With the
 beliefs they fix its ``sc``, the score the marker computed when it
 emitted the path, bit for bit, since the marker's fold is `score_path`'s.
 The whole key fixes the network the path induces, because the base's
@@ -37,10 +40,11 @@ a rejected path costs its RS(P) walk and nothing more.  The second time
 a base meets a judged claim, in this call or a later one, it walks the
 path once more with its three names as template fields, and replaces the
 claim's entry by the same judgement plus the record's text as a
-template and the filter's pairs.  From then on a record of the claim is
-one lookup, one filter call on the kept pairs and one `str.format`.  The
+template and what the filter reads of RS(P).  From then on a record of
+the claim is one lookup, one filter call and one `str.format`.  The
 template waits for the second meeting because a claim met once would
-pay for a walk it never reuses.  KB names and float reprs hold no
+pay for a walk it never reuses.  A path on a base that has judged
+nothing builds no claim key.  KB names and float reprs hold no
 brace, so the fields are the only text the fill reads; the names are
 its arguments, never parsed, whatever they hold.  The first call on a
 freshly loaded base pays full price.  The table is cleared when it holds
@@ -78,7 +82,7 @@ from .marker import EngineConfig, MarkerEngine
 # bench/tracing.py wraps this module's score_path, so it stays imported.
 from .marker import score_path  # noqa: F401
 from .paths import Path, form_start, read_forms
-from .semantics import RelevantStatements, relevant_statements, requirements
+from .semantics import RelevantStatements, relevant_statements
 
 
 class RunConfig:
@@ -111,14 +115,16 @@ class Judgement(NamedTuple):
     entry in the base's table also holds ``template``, the record's text
     with four fields: the start instance ``{0}``, the fresh-name prefix
     ``{1}``, the end instance ``{2}`` and the ``filtered`` line's value
-    ``{3}``; and ``requires``, the pairs the evidence filter checks."""
+    ``{3}``; and ``requires``, what the evidence filter reads of the
+    claim's RS(P): its relevant types and role links, in a
+    `RelevantStatements` without statements or names."""
 
     posterior: float
     residual: float
     approved: bool
     text: str
     template: str | None = None
-    requires: tuple[tuple[str, str], ...] | None = None
+    requires: RelevantStatements | None = None
 
 
 # The record lines, from the ``filtered`` line's value on, of a path that
@@ -126,8 +132,8 @@ class Judgement(NamedTuple):
 _FAILED = "fail\nposterior -\nresidual -\napproved no"
 
 # Claims a base's judgement table holds before it is cleared: about 950
-# bytes each with key, text, template and pairs (tracemalloc, on the 1,600
-# claims of the benchmark's `corpus`), so under 2 MB.
+# bytes each with key, text, template and filter input (tracemalloc, on
+# the 1,600 claims of the benchmark's `corpus`), so under 2 MB.
 _JUDGEMENTS_MAX = 2000
 
 
@@ -174,10 +180,10 @@ def _record_text(path: Path, sc: float, rs: RelevantStatements, judged: str) -> 
 
 def _with_template(judgement: Judgement, path: Path, sc: float) -> Judgement:
     """The judgement of the path's claim plus the claim's template and
-    pairs, from one walk of the path with its instances named by the
-    template's fields.  `load_kb` restricts KB names to
-    ``[A-Za-z][A-Za-z0-9_-]*`` and a float's repr holds none either, so
-    the fields are the template's only braces."""
+    what the evidence filter reads of its RS(P), from one walk of the path
+    with its instances named by the template's fields.  `load_kb`
+    restricts KB names to ``[A-Za-z][A-Za-z0-9_-]*`` and a float's repr
+    holds none either, so the fields are the template's only braces."""
     # tuple.__new__ skips the named tuples' constructors, Python functions.
     new = tuple.__new__
     start, links, end = path
@@ -185,7 +191,7 @@ def _with_template(judgement: Judgement, path: Path, sc: float) -> Judgement:
                        new(Observation, ("{2}", end.schema, end.belief))))
     rs = relevant_statements(shape, "{1}")
     return new(Judgement, (*judgement[:4], _record_text(shape, sc, rs, "{3}"),
-                           tuple(requirements(rs))))
+                           new(RelevantStatements, ((), (), rs.types, rs.roles))))
 
 
 # Path k of a run names its fresh instances p<k>-gen-<j>.  An observation
@@ -226,7 +232,7 @@ def parse_stream(text: str) -> list[tuple[str, tuple, int]]:
             else:
                 raise KbError(f"unknown record {head!r}")
     except KbError as exc:
-        raise KbError(str(exc), form_start(text, index)[0]) from None
+        raise KbError(str(exc), *form_start(text, index)) from None
     return records
 
 
@@ -250,11 +256,11 @@ def _check_corroboration(kb: KnowledgeBase, schema: str, slot: str) -> None:
                   "its isa ancestors or descendants")
 
 
-def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
-    engine = MarkerEngine(kb, config.engine)
-    corroborated: dict[str, set[str]] = {}  # slot -> schemas it is corroborated at
-
-    for head, payload, index in parse_stream(stream_text):
+def _take(kb: KnowledgeBase, engine: MarkerEngine, corroborated: dict[str, set[str]],
+          records: list[tuple[str, tuple, int]], text: str) -> None:
+    """Seed each observation and index each corroboration of a stream's
+    records, raising the first problem with its line."""
+    for head, payload, index in records:
         # The base rejects a record's unknown schema or belief out of range,
         # the engine a conflicting re-observation; name its line.
         try:
@@ -267,7 +273,25 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                     _check_corroboration(kb, schema, slot)
                     schemas.add(schema)
         except (KbError, ValueError) as exc:
-            raise KbError(str(exc), form_start(stream_text, index)[0]) from None
+            raise KbError(str(exc), form_start(text, index)[0]) from None
+
+
+def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
+    engine = MarkerEngine(kb, config.engine)
+    corroborated: dict[str, set[str]] = {}  # slot -> schemas it is corroborated at
+    try:
+        inputs = parse_stream(stream_text)
+    except KbError as error:
+        # A record before the one that does not read may have a problem of
+        # its own, which comes first in the text, so those records are
+        # taken first.
+        try:
+            inputs = parse_stream(stream_text[:error.position])
+        except KbError:  # the text was cut inside a form
+            raise error from None
+        _take(kb, engine, corroborated, inputs, stream_text)
+        raise
+    _take(kb, engine, corroborated, inputs, stream_text)
     engine.spread()
 
     records = []
@@ -279,12 +303,14 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
     for index, (path, sc) in enumerate(engine.scores.items(), start=1):
         start, links, end = path
         prefix = f"p{index}-gen-"
-        claim = (links, start.belief, end.belief, gamma1, gamma0, ratio)
-        # A base that has judged nothing has nothing to look up.
-        judgement = judgements.get(claim) if judgements else None
+        if judgements:
+            claim = (links, start.belief, end.belief, gamma1, gamma0, ratio)
+            judgement = judgements.get(claim)
+        else:  # a base that has judged nothing has nothing to look up
+            judgement = None
         if judgement is None:
             rs = relevant_statements(path, prefix)
-            passed = evidence_filter(kb, requirements(rs), corroborated)
+            passed = evidence_filter(kb, rs, corroborated)
             if passed:
                 network = build_network(kb, path, rs)
                 posterior, residual = exact_posterior(
@@ -292,6 +318,7 @@ def run(kb: KnowledgeBase, config: RunConfig, stream_text: str) -> RunReport:
                 approved = approve(network, posterior, ratio=ratio)
                 if len(judgements) >= _JUDGEMENTS_MAX:
                     judgements.clear()
+                claim = (links, start.belief, end.belief, gamma1, gamma0, ratio)
                 judgement = judgements[claim] = Judgement(
                     posterior, residual, approved,
                     f"pass\nposterior {posterior!r}\nresidual {residual!r}\n"

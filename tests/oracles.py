@@ -32,26 +32,26 @@ cover runs on both, so their output may not drift.
 one FIFO spread of every origin's marks, built on the call, each met with
 the marks at its schema as it is placed, and a mark displaced before its
 turn flagged and skipped.  The package records each seed's spread once
-per base as a program, from the seed alone, and places each origin's
-program alone, in one loop that meets its marks; the tests hold its
-engine, on a fresh base and on one whose table holds every program, to
-this engine's emissions, scores and retained marks, bit for bit, with
-this engine spreading each observation before the next is seeded.  Seeded in a batch,
-this engine interleaves its origins' marks in one queue, and emits
-otherwise.
+per base as a program, from the seed alone, and meets each pair of seeds
+once per base, replaying the pair's first meetings after that; the tests
+hold its engine, on a fresh base and on one whose tables hold every
+program and pair, to this engine's emissions, scores and retained marks,
+bit for bit, with this engine spreading each observation before the next
+is seeded.  Seeded in a batch, this engine interleaves its origins' marks
+in one queue, and emits otherwise.
 `GlueThenValidateEngine` is `ReferenceEngine` with its original meeting
 handler: every meeting of marks from two origins is glued into a whole
 path and run through `validate` before it is scored, with links flipped
 one by one, scored with `score_path` and duplicates found by rendered
 text.  It records an emission where the engine does, in the path → score
 table ``scores``, the engine's one record of what it emitted.  The
-engine itself keys retention by seed rank and DFA state, hands only
-meetings the seam table allows to `_collide`, scores them before
-building anything, reads both trails back along `Mark.prev` into one
-list of links and stored twins and finds duplicates in ``scores``.  This
-class replaces both `_place` and `_collide`: it keys retention by
-instance name, scans every mark at the schema, and reads trails with
-`trail`, so none of that is shared.  It shares only `ReferenceEngine`'s
+engine itself meets a program's marks with an earlier origin's retained
+marks, hands only meetings the seam table allows to `_meet`, scores them
+before building anything, reads both trails back along `Mark.prev` into
+one list of links and stored twins and finds duplicates among the pair's
+paths.  This class replaces `ReferenceEngine`'s `_place` and `_collide`:
+it keys retention by instance name, scans every mark at the schema, and
+reads trails with `trail`, so none of that is shared.  It shares only `ReferenceEngine`'s
 spread loop, which skips the marks its `_place` flags as displaced, and
 the seed rank each mark carries, which orients a glued path.
 

@@ -18,6 +18,7 @@ from planmark.paths import ALL_STATES, SEAM_VALID, STEP
 
 from conftest import (
     FIG31_TEXT,
+    FIXTURE_KB_TEXT,
     assert_matches_oracle_modulo_retention,
     chain_kb_text,
 )
@@ -146,17 +147,25 @@ def test_seed_emits_nothing_and_spread_orients_from_the_first_origin(kb):
     assert emitted.start == o1 and emitted.end == o2
 
 
-def test_a_re_meeting_checks_the_stored_score(kb, fig31):
+def test_a_re_meeting_checks_the_stored_score(fig31):
     # The second end's marks spread back along the one path and meet the
-    # first end's at each of its cleave points; each such meeting checks
-    # its cleave score against the stored one, so a stored score off by
-    # 1% is caught.
-    engine = MarkerEngine(kb, small_config(max_depth=6))
+    # first end's at each of its cleave points; each meeting after the
+    # first checks its cleave score against the one the pair's first
+    # meeting stored, so a stored score off by 1% is caught.  A fresh base
+    # has no entry for the pair, so its meetings are met, not replayed.
+    base = load_kb(FIXTURE_KB_TEXT)
+    stored = score_path(base, fig31) * 1.01
+
+    class Tampering(MarkerEngine):
+        def _meet(self, pair, *meeting):
+            super()._meet(pair, *meeting)
+            pair[0].update(dict.fromkeys(pair[0], stored))
+
+    engine = Tampering(base, small_config(max_depth=6))
     o1, o2 = fixture_seeds()
     engine.seed(o1)
     engine.spread()
     engine.seed(o2)
-    engine.scores[fig31] = score_path(kb, fig31) * 1.01
     with pytest.raises(AssertionError, match="cleave identity violated"):
         engine.spread()
 
@@ -252,13 +261,13 @@ def test_completeness_check_empty_at_zero_threshold():
         assert report.empty
 
 
-def test_completeness_check_reports_an_engine_that_drops_emissions(kb, monkeypatch):
+def test_completeness_check_reports_an_engine_that_drops_emissions(monkeypatch):
     # With every meeting ignored, the fixture's one path is missed although
-    # both its halves are retained: an engine defect, not a half-dip.
-    monkeypatch.setattr(MarkerEngine, "_collide", lambda self, *meeting: None)
-    report = completeness_check(
-        kb, EngineConfig(half_threshold=0.1, full_threshold=0.01, max_depth=6),
-        fixture_seeds())
+    # both its halves are retained: an engine defect, not a half-dip.  A
+    # fresh base has no entry for the pair, so its meetings are met.
+    monkeypatch.setattr(MarkerEngine, "_meet", lambda self, *meeting: None)
+    config = EngineConfig(half_threshold=0.1, full_threshold=0.01, max_depth=6)
+    report = completeness_check(load_kb(FIXTURE_KB_TEXT), config, fixture_seeds())
     assert [(entry.path.render(), entry.reason) for entry in report.entries] == [
         (FIG31_TEXT, "unexpected")]
 
@@ -304,26 +313,20 @@ def test_emitted_scores_match_recomputation_and_threshold():
 
 
 class MeetingRecorder(MarkerEngine):
-    """`MarkerEngine` that remembers which meeting it is handling: each
-    mark with its origin's instance."""
+    """`MarkerEngine` that remembers which meeting it is handling: its two
+    marks, the earlier origin's first, and the paths, by their links, that
+    the pair's earlier meetings emitted."""
 
     meeting = None
 
-    def _collide(self, rank1, m1, rank2, m2):
-        origins = self._origins
-        self.meeting = ((origins[rank1 // len(ALL_STATES)].instance, m1),
-                        (origins[rank2 // len(ALL_STATES)].instance, m2))
-        super()._collide(rank1, m1, rank2, m2)
+    def _meet(self, pair, end, p2, m2, m1):
+        self.meeting = (m1, m2, pair[0])
+        super()._meet(pair, end, p2, m2, m1)
 
     def meets_an_emitted_path(self):
-        """Whether the current meeting glues into a path already emitted,
-        read in either orientation."""
-        emitted = {(p.start.instance, p.end.instance, p.links) for p in self.scores}
-        half1, half2 = self.meeting
-        return any(
-            (a, b, trail(m) + tuple(flip(self.kb, link) for link in reversed(trail(n))))
-            in emitted
-            for (a, m), (b, n) in ((half1, half2), (half2, half1)))
+        """Whether the current meeting glues into a path already emitted."""
+        m1, m2, emitted = self.meeting
+        return trail(m1) + tuple(flip(self.kb, link) for link in reversed(trail(m2))) in emitted
 
 
 @pytest.mark.parametrize("length", [3, 5, 8])
@@ -331,12 +334,13 @@ def test_duplicate_meetings_keep_the_cleave_check(length, monkeypatch):
     # Along a chain every path is met again at each of its cleave points.
     # Put the cleave score off by 1e-6 only at those repeat meetings: the
     # engine must still catch it, although it emits nothing new there.
-    base = load_kb(chain_kb_text(length))
+    # Each run gets a fresh base, since a warm pair table replays the
+    # pair's first meetings without meeting anything.
     seeds = (Observation("x", "c0"), Observation("y", f"c{length}"))
     exact_combine = marker.combine
 
     def spread_with(offset):
-        engine = MeetingRecorder(base, small_config(max_depth=length))
+        engine = MeetingRecorder(load_kb(chain_kb_text(length)), small_config(max_depth=length))
         repeats = []
 
         def combine(kb, at, h1, h2):
@@ -529,6 +533,57 @@ def test_batching_does_not_change_emission(seed):
     assert outcomes == [outcomes[0]] * len(outcomes)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_a_shared_base_emits_what_a_fresh_one_does_in_any_call_order(seed, monkeypatch):
+    # Calls on one base fill its pair table, so a later call replays the
+    # pairs an earlier one met, alone or beside pairs it meets itself, in
+    # whatever order the calls come.  Each call draws its observations
+    # from a few schemas and beliefs, so seed keys repeat within a call
+    # and across calls, and one observation is seeded twice; every other
+    # call is seeded stepwise.  Each call must emit what it emits on a
+    # fresh base, which is what the reference emits, bit for bit.
+    kb_seed = seed + 1300
+    rng = random.Random(seed)
+    names = rng.sample(sorted(random_kb(kb_seed, n_schemas=30, n_roles=34).schemas), 5)
+    config = EngineConfig(half_threshold=rng.choice((0.0, 0.01)),
+                          full_threshold=rng.choice((0.0, 1e-4)), max_depth=4)
+    calls = []
+    for _ in range(6):
+        seeds = [Observation(f"o{k}", rng.choice(names), rng.choice((1.0, 0.6)))
+                 for k in range(6)]
+        seeds.insert(rng.randrange(len(seeds) + 1), rng.choice(seeds))
+        calls.append(seeds)
+
+    def emitted(engine_class, base, seeds, stepwise):
+        engine = engine_class(base, config)
+        for obs in seeds:
+            engine.seed(obs)
+            if stepwise:
+                engine.spread()
+        engine.spread()
+        return [(path.render(), score) for path, score in engine.scores.items()]
+
+    expected = [emitted(ReferenceEngine, random_kb(kb_seed, n_schemas=30, n_roles=34),
+                        seeds, True) for seeds in calls]
+    assert sum(map(len, expected)) > 0
+    for number, seeds in enumerate(calls):
+        fresh = random_kb(kb_seed, n_schemas=30, n_roles=34)
+        assert emitted(MarkerEngine, fresh, seeds, number % 2) == expected[number]
+    shared, fills = random_kb(kb_seed, n_schemas=30, n_roles=34), []
+    fill = MarkerEngine._fill
+    monkeypatch.setattr(MarkerEngine, "_fill",
+                        lambda self, *args: fills.append(args) or fill(self, *args))
+    for order in range(3):
+        numbers = list(range(len(calls)))
+        rng.shuffle(numbers)
+        fills.clear()
+        for number in numbers:
+            assert emitted(MarkerEngine, shared, calls[number], number % 2) == expected[number]
+    # By the last order every pair is in the table, so nothing is met.
+    assert shared.pairs and fills == []
+    assert shared.pair_paths == sum(map(len, shared.pairs.values()))
+
+
 def _program_shape(program):
     """A program's marks as plain values, each mark's ``prev`` as its
     index, so programs recorded on different bases compare."""
@@ -576,7 +631,7 @@ def test_every_program_mark_extends_an_earlier_one(seed, half_threshold):
             placed.add(id(mark))
         displaced += len(program) - len({(mark.at, mark.state) for mark in program})
         assert _program_shape(program) == _program_shape(
-            marker._program(fresh.adjacency, *key))
+            marker._program(fresh.adjacency, *key)[0])
     assert fresh.spreads == {} and displaced > 0
 
 
@@ -590,8 +645,8 @@ def test_a_spread_stops_at_the_first_level_that_places_nothing(kb, kb_seed):
     recorded = 0
     for schema in sorted(base.schemas):
         for belief, half_floor in [(1.0, sys.float_info.min), (0.7, 0.01)]:
-            shallow = marker._program(base.adjacency, schema, belief, half_floor, 1000)
-            deep = marker._program(base.adjacency, schema, belief, half_floor, 10 ** 9)
+            shallow = marker._program(base.adjacency, schema, belief, half_floor, 1000)[0]
+            deep = marker._program(base.adjacency, schema, belief, half_floor, 10 ** 9)[0]
             assert _program_shape(deep) == _program_shape(shallow)
             recorded += len(deep)
     assert recorded > 2 * len(base.schemas)
@@ -606,6 +661,6 @@ def test_a_spread_stops_on_a_base_with_a_lap_that_rounds_above_one():
     # floats the lap gains an ulp, so its trail displaces the one retained
     # there and goes round again, level after level, until max_depth.
     base = random_kb(1201, n_schemas=12, n_roles=8)
-    shallow = marker._program(base.adjacency, "s2", 1.0, 0.3, 300)
-    deeper = marker._program(base.adjacency, "s2", 1.0, 0.3, 600)
+    shallow = marker._program(base.adjacency, "s2", 1.0, 0.3, 300)[0]
+    deeper = marker._program(base.adjacency, "s2", 1.0, 0.3, 600)[0]
     assert len(deeper) == len(shallow)

@@ -99,6 +99,38 @@ def test_record_errors_name_their_line(kb, record, message):
         run(kb, fixture_config(), f"(inst a supermarket)\n{record}\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("(inst a ghost)\n(inst b go :belief x)\n", "line 1: unknown schema 'ghost'"),
+    ("(inst a ghost) (inst b go :belief x)\n", "line 1: unknown schema 'ghost'"),
+    ("(inst a go)\n(inst a go :belief 0.5)\n(frobnicate)\n",
+     "line 2: instance 'a' already observed as"),
+    ("(corroborate go store-off)\n(inst b go extra words)\n",
+     "line 1: slot 'store-off' is declared neither"),
+    ("(inst a ghost)\n(inst b go", "line 1: unknown schema 'ghost'"),
+    ("(inst a go)\n(inst b go :belief x)\n", "line 2: bad belief 'x'"),
+    ("(inst a go)\n(inst b go\n", "line 2: "),
+])
+def test_the_first_bad_record_in_the_text_is_reported(kb, text, message):
+    # Every record's shape is read before any record's schema or belief is
+    # checked, yet the problem reported is the first in the text, as a
+    # base's is, whether a later record is malformed or the text does not
+    # read at all.
+    with pytest.raises(KbError, match=f"^{re.escape(message)}"):
+        run(kb, fixture_config(), text)
+
+
+def test_a_good_stream_is_parsed_once(kb, monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_stream(text)
+
+    monkeypatch.setattr(pipeline, "parse_stream", counting_parse)
+    run(kb, fixture_config(), FIXTURE_STREAM)
+    assert calls == [FIXTURE_STREAM]
+
+
 def test_a_stream_that_fails_to_read_spreads_nothing():
     # `run` reads every record before it spreads, so a bad last record is
     # raised with its line before any origin spreads.
@@ -346,13 +378,15 @@ def test_a_full_table_is_cleared_without_changing_a_report(monkeypatch):
 
 
 def test_threads_sharing_a_base_report_what_one_thread_does(monkeypatch):
-    # Threads share a base's tables, and with room for 3 claims and 3
-    # spread programs they clear them under each other's feet; no report
-    # may change, and the base still equals a freshly loaded one.
+    # Threads share a base's tables, and with room for 3 claims, 3 spread
+    # programs and 8 pairs and paths they clear them under each other's
+    # feet; no report may change, and the base still equals a freshly
+    # loaded one.
     kb_text, config, streams = capped_table_case()
     expected = [run(load_kb(kb_text), config, stream).render() for stream in streams]
     monkeypatch.setattr(pipeline, "_JUDGEMENTS_MAX", 3)
     monkeypatch.setattr(marker, "_SPREADS_MAX", 18)
+    monkeypatch.setattr(marker, "_PAIRS_MAX", 8)
     base = load_kb(kb_text)
 
     def run_all():
@@ -367,8 +401,9 @@ def test_threads_sharing_a_base_report_what_one_thread_does(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert reports == [expected] * 6
-    # A lost update to the table's count of marks would show here.
+    # A lost update to a table's count would show here.
     assert base.spread_marks == sum(map(len, base.spreads.values())) <= 18
+    assert base.pair_paths == sum(map(len, base.pairs.values())) <= 8 - len(base.pairs)
     assert base == load_kb(kb_text)
 
 
@@ -388,6 +423,53 @@ def test_ever_new_beliefs_keep_the_spread_table_under_its_cap(monkeypatch):
         assert len(base.spreads) <= base.spread_marks <= 40
         assert base.spread_marks == sum(map(len, base.spreads.values()))
     assert len(held) > 40
+
+
+def test_a_full_pair_table_is_cleared_without_changing_a_report(monkeypatch):
+    # With room for six pairs and paths together the pair table is cleared
+    # again and again; every pair met anew must emit as before, the table
+    # may never hold more, and the base still equals a freshly loaded one.
+    kb_text, config, streams = capped_table_case()
+    fresh = load_kb(kb_text)
+    expected = [run(fresh, config, stream).render() for stream in streams]
+    assert len(fresh.pairs) + fresh.pair_paths > 12
+    monkeypatch.setattr(marker, "_PAIRS_MAX", 6)
+    base, sizes = load_kb(kb_text), []
+    fill = MarkerEngine._fill
+
+    # `spread` adds a fill's pairs to the table right after the fill, so
+    # the table's size here is its size before the addition.
+    def sizing_fill(self, *args):
+        sizes.append(len(base.pairs) + base.pair_paths)
+        return fill(self, *args)
+
+    monkeypatch.setattr(MarkerEngine, "_fill", sizing_fill)
+    for _ in range(2):
+        assert [run(base, config, stream).render() for stream in streams] == expected
+        sizes.append(len(base.pairs) + base.pair_paths)
+        assert base.pair_paths == sum(map(len, base.pairs.values()))
+    # The second pass met its pairs again: the first pass's were cleared.
+    assert max(sizes) <= 6 and len(sizes) > 2 * len(fresh.pairs) + 2
+    assert base.pairs and base == fresh == load_kb(kb_text)
+
+
+def test_ever_new_beliefs_keep_the_pair_table_under_its_cap(monkeypatch):
+    # Each call observes the same schemas at beliefs no earlier call used,
+    # so every pair is new and the table is cleared as it fills; it never
+    # holds more pairs and paths than the cap, and each report is a fresh
+    # base's.
+    kb_text, config, streams = capped_table_case()
+    monkeypatch.setattr(marker, "_PAIRS_MAX", 20)
+    base = load_kb(kb_text)
+    held = set()
+    for step in range(1, 30):
+        stream = streams[step % len(streams)].replace(":belief 1.0", f":belief {1 - step / 64}")
+        assert run(base, config, stream).render() == run(load_kb(kb_text), config,
+                                                         stream).render()
+        held |= base.pairs.keys()
+        assert len(base.pairs) + base.pair_paths <= 20
+        assert base.pair_paths == sum(map(len, base.pairs.values()))
+    assert len(held) > 20
 
 
 def test_long_chain_is_reported_and_evaluated():
